@@ -8,7 +8,6 @@ deterministic grids; everything over a finite invariant set J is exact
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -437,8 +436,7 @@ def vanishing_lemma_check(
             for c in range(len(cre_y[0]) if cre_y else 0)
         ]
         # operator on level k+j: La . T_x . T_y^* . La*
-        M = _matmul(ft.left_action_matrix(a_conj, k + j), _identity(len(ft.blocks[k + j])))
-        M = _matmul(ann_y, M)
+        M = _matmul(ann_y, ft.left_action_matrix(a_conj, k + j))
         M = _matmul(_path_creation(ft, x, k), M)
         M = _matmul(ft.left_action_matrix(a, k + i), M)
         for row in M:
@@ -446,13 +444,6 @@ def vanishing_lemma_check(
                 if entry != 0:
                     return False
     return True
-
-
-def _identity(n):
-    M = _zeros(n, n)
-    for i in range(n):
-        M[i][i] = Fraction(1)
-    return M
 
 
 def _conj(v):

@@ -19,7 +19,6 @@ from . import bimodule, dynamics, ktheory
 from .correspondence import Correspondence, SpherePoint, unit_circle_points
 from .dynamics import ArcSet, CircleCorrespondence
 from .errors import (
-    CorrdynError,
     InvalidInputError,
     ResourceLimitError,
     RootFindingError,
@@ -34,13 +33,14 @@ __all__ = ["main"]
 # input parsing
 
 
-def _component(v):
-    # a re or im component: number or "p/q" string
-    if isinstance(v, str):
-        return Fraction(v)
+def _component(v) -> Fraction:
+    # a re or im component: finite number or "p/q" string
     if isinstance(v, bool):
         raise InvalidInputError("booleans are not numbers")
-    return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"not a finite number: {v!r}") from exc
 
 
 def _coeff(pair):
@@ -50,6 +50,8 @@ def _coeff(pair):
 
 
 def _grid(rows) -> BivariatePolynomial:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvalidInputError(f"coefficient grid must be a list of rows, got {rows!r}")
     return BivariatePolynomial([[_coeff(c) for c in row] for row in rows])
 
 
@@ -61,14 +63,17 @@ def parse_polynomial_spec(obj):
         raise InvalidInputError("polynomial spec must be a JSON object")
     if "family" in obj:
         fam = obj["family"]
-        if fam == "monomial":
-            cc = CircleCorrespondence.monomial(int(obj["m"]), int(obj["n"]))
-        elif fam == "product":
-            cc = CircleCorrespondence.power_product(obj["exponents"])
-        elif fam == "mixed":
-            cc = CircleCorrespondence.mixed_product(obj["pairs"])
-        else:
-            raise InvalidInputError(f"unknown family {fam!r}")
+        try:
+            if fam == "monomial":
+                cc = CircleCorrespondence.monomial(int(obj["m"]), int(obj["n"]))
+            elif fam == "product":
+                cc = CircleCorrespondence.power_product(obj["exponents"])
+            elif fam == "mixed":
+                cc = CircleCorrespondence.mixed_product(obj["pairs"])
+            else:
+                raise InvalidInputError(f"unknown family {fam!r}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidInputError(f"malformed {fam!r} family spec: {exc!r}") from exc
         return cc.to_correspondence(), cc
     if "factors" in obj:
         factors = [_grid(g) for g in obj["factors"]]
@@ -101,9 +106,11 @@ def parse_point(obj) -> SpherePoint:
     if obj == "inf":
         return SpherePoint.infinity()
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return SpherePoint.from_complex(
-            complex(float(_component(obj[0])), float(_component(obj[1])))
-        )
+        re, im = _component(obj[0]), _component(obj[1])
+        try:
+            return SpherePoint.from_complex(complex(float(re), float(im)))
+        except OverflowError as exc:
+            raise InvalidInputError(f"point too large for a float: {obj!r}") from exc
     raise InvalidInputError(f"point must be [re, im] or \"inf\", got {obj!r}")
 
 
@@ -217,7 +224,11 @@ def cmd_expansive(args):
         "components": dynamics.component_count(cc),
     }
     if args.oracle is not None:
-        seed_arcs = ArcSet.from_json(_load_json_arg(args.oracle))
+        arcs = _load_json_arg(args.oracle)
+        try:
+            seed_arcs = ArcSet.from_json(arcs)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"malformed --oracle arcs: {exc!r}") from exc
         covered, steps = dynamics.expansive_oracle(cc, seed_arcs, args.max_steps)
         report["oracle"] = {
             "covered": covered,
@@ -281,6 +292,8 @@ def _parse_function(obj) -> bimodule.SampledFunction:
 
 
 def cmd_inner(args):
+    if args.grid < 1:
+        raise InvalidInputError("--grid must be >= 1")
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
     f = _parse_function(_load_json_arg(args.f))
     g = _parse_function(_load_json_arg(args.g))
@@ -338,6 +351,9 @@ def cmd_kgroups(args):
 
 
 def cmd_render(args):
+    out = args.out
+    if not out.endswith((".csv", ".ppm")):
+        raise InvalidInputError("--out must end in .csv or .ppm")
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
     start = parse_point(_load_json_arg(args.start)) if args.start else None
     pts = dynamics.limit_set_sample(
@@ -348,17 +364,14 @@ def cmd_render(args):
         start=start,
         workers=args.workers,
     )
-    out = args.out
     if out.endswith(".csv"):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("re,im,chart\n")
             for p in pts:
                 v, inverted = p.chart_value()
                 fh.write(f"{v.real!r},{v.imag!r},{1 if inverted else 0}\n")
-    elif out.endswith(".ppm"):
-        _write_ppm(out, pts, args.px)
     else:
-        raise InvalidInputError("--out must end in .csv or .ppm")
+        _write_ppm(out, pts, args.px)
     _emit(args, {
         "command": "render",
         "points": len(pts),

@@ -12,15 +12,16 @@ which merges them naturally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
     BivariatePolynomial,
     GaussianRational,
     UnivariatePolynomial,
+    linked_groups,
     resultant_w,
     resultant_z,
     roots,
@@ -165,7 +166,6 @@ class Correspondence:
                     f"defining polynomial is not reduced; repeated factor {witness!r}"
                 )
         self.p = p
-        self.p_tilde = p.bihomogenize()
         self.deg_z = p.deg_z
         self.deg_w = p.deg_w
         self.factors = tuple(factors) if factors else None
@@ -183,7 +183,15 @@ class Correspondence:
     def on_correspondence(
         self, z: SpherePoint, w: SpherePoint, tol: float = DEFAULT_ONCURVE_TOL
     ) -> bool:
-        val = self.p_tilde(z.z1, z.z2, w.z1, w.z2)
+        # p in separately homogeneous coordinates, so that points at infinity
+        # count too: sum c[i][j] z1^i z2^(m-i) w1^j w2^(n-j)
+        m, n = self.deg_z, self.deg_w
+        val = 0j
+        for i, row in enumerate(self.p.coeffs):
+            zterm = z.z1**i * z.z2 ** (m - i)
+            for j, c in enumerate(row):
+                if c:
+                    val += complex(c) * zterm * w.z1**j * w.z2 ** (n - j)
         return abs(val) < tol * max(1.0, self.p.coeff_abs_sum())
 
     # -- fibers --------------------------------------------------------------
@@ -193,24 +201,20 @@ class Correspondence:
     ) -> WeightedFiber:
         """All z with p(z, w) = 0, each with its branch index (multiplicity
         of z as a root of p(., w)); indices sum to deg_z."""
-        key = ("b", w, tol)
-        if key not in self._fiber_cache:
-            if len(self._fiber_cache) > 20000:
-                self._fiber_cache.clear()
-            self._fiber_cache[key] = self._fiber(self.p, w, self.deg_z, tol)
-        return self._fiber_cache[key]
+        return self._cached_fiber("b", self.p, w, self.deg_z, tol)
 
     def forward_fiber(
         self, z: SpherePoint, tol: float = DEFAULT_FIBER_TOL
     ) -> WeightedFiber:
         """All w with p(z, w) = 0, with multiplicities in w summing to deg_w."""
-        key = ("f", z, tol)
+        return self._cached_fiber("f", self._transposed, z, self.deg_w, tol)
+
+    def _cached_fiber(self, direction, poly, base, expected, tol):
+        key = (direction, base, tol)
         if key not in self._fiber_cache:
             if len(self._fiber_cache) > 20000:
                 self._fiber_cache.clear()
-            self._fiber_cache[key] = self._fiber(
-                self._transposed, z, self.deg_w, tol
-            )
+            self._fiber_cache[key] = self._fiber(poly, base, expected, tol)
         return self._fiber_cache[key]
 
     @staticmethod
@@ -237,7 +241,11 @@ class Correspondence:
             )
         merged = _chordal_merge(pairs, tol)
         fiber = WeightedFiber(base=base, points=tuple(merged))
-        assert fiber.total_multiplicity == expected
+        if fiber.total_multiplicity != expected:
+            raise RootFindingError(
+                f"fiber multiplicities sum to {fiber.total_multiplicity}, "
+                f"expected {expected}"
+            )
         return fiber
 
     def branch_index(
@@ -342,23 +350,15 @@ def _chordal_merge(pairs, tol: float):
     """Single-linkage merge of (SpherePoint, multiplicity) at chordal tol."""
     pairs = list(pairs)
     n = len(pairs)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if chordal_distance(pairs[i][0], pairs[j][0]) <= tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(pairs[i])
+    edges = (
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if chordal_distance(pairs[i][0], pairs[j][0]) <= tol
+    )
     merged = []
-    for members in groups.values():
+    for group in linked_groups(n, edges):
+        members = [pairs[i] for i in group]
         total = sum(e for _, e in members)
         rep = max(members, key=lambda pe: pe[1])[0]
         merged.append((rep, total))

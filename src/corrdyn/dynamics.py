@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .correspondence import (
     Correspondence,
     SpherePoint,
-    WeightedFiber,
     chordal_distance,
 )
 from .errors import InvalidInputError, ResourceLimitError
+from .polyalg import BivariatePolynomial as BP
+from .polyalg import linked_groups
 
 __all__ = [
     "PathSample",
@@ -212,29 +213,6 @@ class ArcSet:
         x -= math.floor(x)
         return any(a <= x < b for a, b in self.arcs)
 
-    def contains(self, other: "ArcSet") -> bool:
-        for a, b in other.arcs:
-            if not any(c <= a and b <= d for c, d in self._closure_arcs()):
-                return False
-        return True
-
-    def _closure_arcs(self):
-        # wrap-merge [x, 1) + [0, y) into [x, 1 + y) for containment tests
-        arcs = list(self.arcs)
-        if (
-            len(arcs) >= 2
-            and arcs[0][0] == 0
-            and arcs[-1][1] == 1
-        ):
-            first = arcs.pop(0)
-            last = arcs.pop()
-            arcs.append((last[0], 1 + first[1]))
-            arcs.insert(0, first)
-        return arcs
-
-    def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet.from_arcs(list(self.arcs) + list(other.arcs))
-
     def to_json(self):
         return [
             [a.numerator, a.denominator, b.numerator, b.denominator]
@@ -305,13 +283,17 @@ class CircleCorrespondence:
             raise InvalidInputError(f"operation requires the monomial family, got {self.kind}")
 
     def to_correspondence(self) -> Correspondence:
-        from .polyalg import BivariatePolynomial as BP
-
         if self.kind == "monomial":
-            return Correspondence(BP.monomial_relation(self.m, self.n))
+            # squarefree: z^m - w^n is coprime to its z-derivative m z^(m-1)
+            return Correspondence(
+                BP.monomial_relation(self.m, self.n), check_squarefree=False
+            )
         if self.kind == "power_product":
+            # squarefree: the factors w - z^e are distinct and irreducible
             factors = [BP.graph_of_power(e) for e in self.params]
-            return Correspondence(BP.product(factors), factors=factors)
+            return Correspondence(
+                BP.product(factors), factors=factors, check_squarefree=False
+            )
         factors = [BP.monomial_relation(i, j) for i, j in self.params]
         return Correspondence(BP.product(factors), factors=factors)
 
@@ -418,36 +400,17 @@ def component_count_oracle(cc: CircleCorrespondence, samples: int = 10**4) -> in
         )
     per_line = samples // n
     nodes = {}
-    parent = []
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    def node(alpha, beta):
-        key = (alpha % 1, beta % 1)
-        if key not in nodes:
-            nodes[key] = len(parent)
-            parent.append(len(parent))
-        return nodes[key]
-
+    edges = []
     for k in range(n):
         prev = None
         for i in range(per_line + 1):
             alpha = Fraction(i, per_line)
             beta = (Fraction(m, n) * alpha + Fraction(k, n)) % 1
-            idx = node(alpha, beta)
+            idx = nodes.setdefault((alpha % 1, beta % 1), len(nodes))
             if prev is not None:
-                union(prev, idx)
+                edges.append((prev, idx))
             prev = idx
-    return len({find(i) for i in range(len(parent))})
+    return len(linked_groups(len(nodes), edges))
 
 
 # ---------------------------------------------------------------------------

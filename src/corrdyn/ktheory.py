@@ -5,7 +5,6 @@ and builders for the circle families."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,150 +50,52 @@ class IntegerMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise InvalidInputError("shape mismatch in product")
-        return IntegerMatrix(
-            entries=tuple(
-                tuple(
-                    sum(self.entries[i][t] * other.entries[t][j] for t in range(self.cols))
-                    for j in range(other.cols)
-                )
-                for i in range(self.rows)
-            )
-        )
 
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise InvalidInputError("determinant needs a square matrix")
-        n = self.rows
-        # fraction-free Gaussian elimination (Bareiss)
-        from fractions import Fraction
-
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        sign = 1
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                sign = -sign
-            for r in range(col + 1, n):
-                factor = m[r][col] / m[col][col]
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-        out = Fraction(sign)
-        for i in range(n):
-            out *= m[i][i]
-        assert out.denominator == 1
-        return out.numerator
-
-
-def smith_normal_form(M: IntegerMatrix):
-    """(U, D, V) with M = U @ D @ V, U and V unimodular, D diagonal with
-    d_1 | d_2 | ... >= 0."""
+def smith_normal_form(M: IntegerMatrix) -> list:
+    """Invariant factors of M: the diagonal d_1 | d_2 | ... >= 0 of its Smith
+    normal form, min(rows, cols) entries with the zeros last."""
     rows, cols = M.rows, M.cols
+    size = min(rows, cols)
     D = [list(r) for r in M.entries]
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    # elementary row ops applied to D are mirrored inversely on U so that
-    # U @ D stays constant; same for columns and V
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        for r in range(rows):
-            U[r][i], U[r][j] = U[r][j], U[r][i]
-
-    def row_add(i, j, q):  # row_i += q * row_j
-        for c in range(cols):
-            D[i][c] += q * D[j][c]
-        for r in range(rows):
-            U[r][j] -= q * U[r][i]
-
-    def row_neg(i):
-        for c in range(cols):
-            D[i][c] = -D[i][c]
-        for r in range(rows):
-            U[r][i] = -U[r][i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            D[r][i], D[r][j] = D[r][j], D[r][i]
-        V[i], V[j] = V[j], V[i]
-
-    def col_add(i, j, q):  # col_i += q * col_j
-        for r in range(rows):
-            D[r][i] += q * D[r][j]
-        for c in range(cols):
-            V[j][c] -= q * V[i][c]
-
-    def col_neg(i):
-        for r in range(rows):
-            D[r][i] = -D[r][i]
-        for c in range(cols):
-            V[i][c] = -V[i][c]
-
-    def pivot_at(k):
-        # clear row k and column k using the pivot at (k, k)
+    for k in range(size):
         while True:
-            # find smallest nonzero entry in the remaining block, move to (k,k)
-            best = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return False
-            i, j = best
-            if i != k:
-                row_swap(k, i)
-            if j != k:
-                col_swap(k, j)
-            done = True
+            nonzero = [
+                (abs(D[i][j]), i, j)
+                for i in range(k, rows)
+                for j in range(k, cols)
+                if D[i][j]
+            ]
+            if not nonzero:
+                # the rest of the block is zero, so is the rest of the diagonal
+                break
+            # move the smallest entry to (k, k) and reduce column k and row k
+            # by it; any remainder is smaller and is the next round's pivot
+            _, i, j = min(nonzero)
+            D[k], D[i] = D[i], D[k]
+            for row in D:
+                row[k], row[j] = row[j], row[k]
+            pivot = D[k][k]
             for i in range(k + 1, rows):
-                q = D[i][k] // D[k][k]
+                q = D[i][k] // pivot
                 if q:
-                    row_add(i, k, -q)
-                if D[i][k]:
-                    done = False
+                    D[i] = [a - q * b for a, b in zip(D[i], D[k])]
             for j in range(k + 1, cols):
-                q = D[k][j] // D[k][k]
+                q = D[k][j] // pivot
                 if q:
-                    col_add(j, k, -q)
-                if D[k][j]:
-                    done = False
-            if done:
-                return True
-
-    def diagonalize():
-        k = 0
-        while k < min(rows, cols):
-            if not pivot_at(k):
+                    for row in D:
+                        row[j] -= q * row[k]
+            if any(D[i][k] for i in range(k + 1, rows)) or any(D[k][k + 1 :]):
+                continue
+            # row and column k are clear; the pivot must also divide the
+            # rest of the block, else add a row it fails on into row k
+            rest = next(
+                (i for i in range(k + 1, rows) if any(x % pivot for x in D[i][k + 1 :])),
+                None,
+            )
+            if rest is None:
                 break
-            k += 1
-        for i in range(min(rows, cols)):
-            if D[i][i] < 0:
-                row_neg(i)
-
-    diagonalize()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(rows, cols) - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if b and (a == 0 or b % a):
-                # pull gcd(a, b) to the front, then rediagonalize fully
-                col_add(i, i + 1, 1)
-                diagonalize()
-                changed = True
-                break
-    Um = IntegerMatrix.of(U)
-    Dm = IntegerMatrix.of(D)
-    Vm = IntegerMatrix.of(V)
-    assert (Um @ Dm @ Vm).entries == M.entries
-    return Um, Dm, Vm
+            D[k] = [a + b for a, b in zip(D[k], D[rest])]
+    return [abs(D[i][i]) for i in range(size)]
 
 
 @dataclass(frozen=True)
@@ -228,51 +129,10 @@ class AbelianGroupPresentation:
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
 
-    def direct_sum(self, other: "AbelianGroupPresentation") -> "AbelianGroupPresentation":
-        if not other.torsion:
-            return AbelianGroupPresentation(self.rank + other.rank, self.torsion)
-        if not self.torsion:
-            return AbelianGroupPresentation(self.rank + other.rank, other.torsion)
-        # merge torsion via prime-power multiset, then rebuild the chain
-        powers = {}
-        for d in self.torsion + other.torsion:
-            for q, e in _factor(d).items():
-                powers.setdefault(q, []).append(e)
-        height = max(len(v) for v in powers.values())
-        chain = []
-        for level in range(height):
-            d = 1
-            for q, exps in powers.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if level < len(exps_sorted):
-                    d *= q ** exps_sorted[level]
-            chain.append(d)
-        chain = tuple(sorted(x for x in chain if x >= 2))
-        return AbelianGroupPresentation(self.rank + other.rank, chain)
-
-
-def _factor(n: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _diagonal(M: IntegerMatrix):
-    _, D, _ = smith_normal_form(M)
-    return [D.entries[i][i] for i in range(min(D.rows, D.cols))]
-
 
 def cokernel(M: IntegerMatrix) -> AbelianGroupPresentation:
     """Z^rows / im(M) for M : Z^cols -> Z^rows."""
-    diag = _diagonal(M)
-    nonzero = [d for d in diag if d]
+    nonzero = [d for d in smith_normal_form(M) if d]
     return AbelianGroupPresentation(
         rank=M.rows - len(nonzero),
         torsion=tuple(d for d in nonzero if d >= 2),
@@ -281,7 +141,7 @@ def cokernel(M: IntegerMatrix) -> AbelianGroupPresentation:
 
 def kernel(M: IntegerMatrix) -> AbelianGroupPresentation:
     """ker(M) <= Z^cols; always free."""
-    nonzero = len([d for d in _diagonal(M) if d])
+    nonzero = len([d for d in smith_normal_form(M) if d])
     return AbelianGroupPresentation(rank=M.cols - nonzero)
 
 
@@ -327,7 +187,7 @@ def _solve_extension(sub, quot):
         raise UndecidedError(
             "extension ambiguous: quotient piece has torsion, cannot split"
         )
-    return sub.direct_sum(quot)
+    return AbelianGroupPresentation(sub.rank + quot.rank, sub.torsion)
 
 
 def monomial_family_input(m: int, n: int) -> PimsnerInput:
@@ -365,7 +225,8 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
     from .correspondence import Correspondence
 
     factors = [BP.graph_of_power(e) for e in exps]
-    corr = Correspondence(BP.product(factors), factors=factors)
+    # squarefree: the factors w - z^e are distinct and irreducible
+    corr = Correspondence(BP.product(factors), factors=factors, check_squarefree=False)
     b = len(corr.branched_sets(restrict_to="circle").branch_points)
     r = len(exps)
     Z = AbelianGroupPresentation(rank=1)

@@ -11,7 +11,6 @@ single-linkage clustering otherwise.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,13 +23,12 @@ __all__ = [
     "GaussianRational",
     "UnivariatePolynomial",
     "BivariatePolynomial",
-    "BihomogeneousPolynomial",
     "RootCluster",
     "roots",
     "resultant_z",
     "resultant_w",
     "squarefree_check",
-    "gcd_univariate",
+    "linked_groups",
 ]
 
 
@@ -56,7 +54,7 @@ class GaussianRational:
         if isinstance(x, complex):
             return GaussianRational(Fraction(x.real), Fraction(x.imag))
         if isinstance(x, (tuple, list)) and len(x) == 2:
-            return GaussianRational(_to_fraction(x[0]), _to_fraction(x[1]))
+            return GaussianRational(Fraction(x[0]), Fraction(x[1]))
         raise InvalidInputError(f"cannot interpret {x!r} as a Gaussian rational")
 
     def __add__(self, other):
@@ -109,12 +107,6 @@ QQI_ZERO = GaussianRational(Fraction(0), Fraction(0))
 QQI_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 # ---------------------------------------------------------------------------
 # exact univariate arithmetic on coefficient tuples (ascending degree)
 
@@ -137,18 +129,6 @@ def _xadd(a, b):
         x = a[i] if i < len(a) else QQI_ZERO
         y = b[i] if i < len(b) else QQI_ZERO
         out.append(x + y)
-    return _xstrip(out)
-
-
-def _xmul(a, b):
-    if not a or not b:
-        return ()
-    out = [QQI_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
     return _xstrip(out)
 
 
@@ -221,10 +201,6 @@ def squarefree_factors(coeffs: Sequence[GaussianRational]):
 # polynomial value types
 
 
-def _is_exact_seq(coeffs) -> bool:
-    return all(isinstance(c, GaussianRational) for c in coeffs)
-
-
 class UnivariatePolynomial:
     """Dense univariate polynomial, ascending coefficients.
 
@@ -269,23 +245,11 @@ class UnivariatePolynomial:
             acc = acc * x + complex(c)
         return acc
 
-    def eval_exact(self, x: GaussianRational) -> GaussianRational:
-        if not self.exact:
-            raise InvalidInputError("exact evaluation of an inexact polynomial")
-        acc = QQI_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "UnivariatePolynomial":
-        if self.exact:
-            return UnivariatePolynomial(_xderiv(self.coeffs))
-        return UnivariatePolynomial(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
     def as_complex(self) -> np.ndarray:
-        return np.array([complex(c) for c in self.coeffs], dtype=complex)
+        try:
+            return np.array([complex(c) for c in self.coeffs], dtype=complex)
+        except OverflowError as exc:
+            raise RootFindingError(f"coefficient too large for a float: {exc}") from exc
 
     def __eq__(self, other):
         if not isinstance(other, UnivariatePolynomial):
@@ -423,9 +387,6 @@ class BivariatePolynomial:
             out.append(acc)
         return UnivariatePolynomial(out)
 
-    def bihomogenize(self) -> "BihomogeneousPolynomial":
-        return BihomogeneousPolynomial(self)
-
     def scalar_ratio_to(self, other: "BivariatePolynomial"):
         """Return c with self == c * other exactly, or None."""
         if (self.deg_z, self.deg_w) != (other.deg_z, other.deg_w):
@@ -465,26 +426,6 @@ def _qqi_pow(x: GaussianRational, k: int) -> GaussianRational:
     return acc
 
 
-class BihomogeneousPolynomial:
-    """Separately homogeneous four-variable form of a bivariate polynomial:
-    sum c[i][j] z1^i z2^(m-i) w1^j w2^(n-j)."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: BivariatePolynomial):
-        self.base = base
-
-    def __call__(self, z1: complex, z2: complex, w1: complex, w2: complex) -> complex:
-        m, n = self.base.deg_z, self.base.deg_w
-        acc = 0j
-        for i, row in enumerate(self.base.coeffs):
-            zterm = z1**i * z2 ** (m - i)
-            for j, c in enumerate(row):
-                if c:
-                    acc += complex(c) * zterm * w1**j * w2 ** (n - j)
-        return acc
-
-
 # ---------------------------------------------------------------------------
 # root finding
 
@@ -503,6 +444,8 @@ def _aberth(coeffs: np.ndarray, tol: float) -> np.ndarray:
     if d <= 0:
         return np.empty(0, dtype=complex)
     a = coeffs / coeffs[-1]
+    if not np.all(np.isfinite(a)):
+        raise RootFindingError(f"monic coefficients overflow for {list(coeffs)}")
     if d == 1:
         return np.array([-a[0]])
     da = np.arange(1, d + 1) * a[1:]
@@ -533,28 +476,29 @@ def _aberth(coeffs: np.ndarray, tol: float) -> np.ndarray:
         maxcorr = float(np.max(np.abs(corr)))
         if maxcorr < 1e-13 * (1.0 + float(np.max(np.abs(z)))):
             break
-    if maxcorr > 0.1 * max(tol, 1e-6) * (1.0 + float(np.max(np.abs(z)))):
-        # stalled (typically tight root clusters); fall back to the
-        # companion-matrix eigenvalues and keep whichever answer has the
+    # written as "not <=" so that NaN from a diverged iteration fails the test
+    if not maxcorr <= 0.1 * max(tol, 1e-6) * (1.0 + float(np.max(np.abs(z)))):
+        # stalled (typically tight root clusters) or diverged; fall back to
+        # the companion-matrix eigenvalues and keep whichever answer has the
         # smaller residual
         alt = np.roots(a[::-1])
         res_z = float(np.max(np.abs(np.polynomial.polynomial.polyval(z, a))))
         res_alt = float(np.max(np.abs(np.polynomial.polynomial.polyval(alt, a))))
-        if res_alt <= res_z:
+        if res_alt <= res_z or not np.isfinite(res_z):
             z = alt
             res_z = res_alt
         scale = float(np.max(np.abs(a)))
-        if res_z > 1e-5 * scale * (1.0 + float(np.max(np.abs(z)))) ** d:
+        if not res_z <= 1e-5 * scale * (1.0 + float(np.max(np.abs(z)))) ** d:
             raise RootFindingError(
                 f"root finding did not converge for coefficients {list(coeffs)}"
             )
     return z
 
 
-def _cluster(points, tol: float):
-    """Single-linkage clustering of (center, multiplicity) pairs at radius tol."""
-    pts = sorted(points, key=lambda cm: (cm[0].real, cm[0].imag))
-    n = len(pts)
+def linked_groups(n: int, edges) -> list:
+    """Connected components of the graph on 0..n-1 with the given edges, by
+    union-find.  Each component lists its members in increasing order, and
+    components come in the order of their smallest members."""
     parent = list(range(n))
 
     def find(i):
@@ -563,15 +507,27 @@ def _cluster(points, tol: float):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i][0] - pts[j][0]) <= tol:
-                parent[find(i)] = find(j)
+    for i, j in edges:
+        parent[find(i)] = find(j)
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(pts[i])
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _cluster(points, tol: float):
+    """Single-linkage clustering of (center, multiplicity) pairs at radius tol."""
+    pts = sorted(points, key=lambda cm: (cm[0].real, cm[0].imag))
+    n = len(pts)
+    edges = (
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if abs(pts[i][0] - pts[j][0]) <= tol
+    )
     clusters = []
-    for members in groups.values():
+    for group in linked_groups(n, edges):
+        members = [pts[i] for i in group]
         total = sum(m for _, m in members)
         center = sum(c * m for c, m in members) / total
         radius = max((abs(c - center) for c, _ in members), default=0.0)
@@ -661,16 +617,7 @@ def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePol
 
 def resultant_w(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
     """Res_w(f, g) as an exact univariate polynomial in z."""
-    ft, gt = f.transpose(), g.transpose()
-    if ft.deg_z == 0 and gt.deg_z == 0:
-        raise InvalidInputError("resultant in w of two w-constant polynomials")
-    sp, (z, w) = _sympy_ctx()
-    fe, ge = _to_sympy(f), _to_sympy(g)
-    if gt.deg_z == 0:
-        return _sympy_univariate(ge**ft.deg_z, z)
-    if ft.deg_z == 0:
-        return _sympy_univariate(fe**gt.deg_z, z)
-    return _sympy_univariate(sp.resultant(fe, ge, w), z)
+    return resultant_z(f.transpose(), g.transpose())
 
 
 def squarefree_check(p: BivariatePolynomial):
@@ -700,48 +647,3 @@ def _sympy_bivariate(expr) -> BivariatePolynomial:
     for (i, j), c in poly.terms():
         grid[i][j] = _sympy_number_to_qqi(c)
     return BivariatePolynomial(grid)
-
-
-def gcd_univariate(
-    f: UnivariatePolynomial, g: UnivariatePolynomial, tol: float = 1e-9
-) -> UnivariatePolynomial:
-    """Monic approximate gcd by the Euclidean remainder sequence with
-    relative coefficient thresholding at tol."""
-    if f.is_zero and g.is_zero:
-        raise InvalidInputError("gcd of two zero polynomials")
-    a = _trim(f.as_complex(), tol)
-    b = _trim(g.as_complex(), tol)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 0:
-        r = _poly_mod(a, b)
-        # threshold noise against the operand scale, not the remainder's own
-        scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
-        keep = len(r)
-        while keep > 0 and abs(r[keep - 1]) <= tol * scale:
-            keep -= 1
-        a, b = b, r[:keep]
-    a = a / a[-1]
-    return UnivariatePolynomial(list(a))
-
-
-def _trim(c: np.ndarray, tol: float) -> np.ndarray:
-    if len(c) == 0:
-        return c
-    scale = float(np.max(np.abs(c))) if np.any(c) else 0.0
-    if scale == 0.0:
-        return np.empty(0, dtype=complex)
-    keep = len(c)
-    while keep > 0 and abs(c[keep - 1]) <= tol * scale:
-        keep -= 1
-    return c[:keep]
-
-
-def _poly_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    while len(a) >= len(b) and len(a) > 0:
-        factor = a[-1] / b[-1]
-        k = len(a) - len(b)
-        a[k : k + len(b)] -= factor * b
-        a = a[:-1]
-    return a

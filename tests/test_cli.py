@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from corrdyn.cli import main
+from corrdyn import correspondence, dynamics
+from corrdyn.cli import main, parse_polynomial_spec
+from corrdyn.correspondence import SpherePoint
 
 CIRCLE = '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}'  # z^2 + w^2 - 1
 GRAPH2 = '{"coeffs":[[[0,0],[1,0]],[[0,0]],[[-1,0]]]}'  # w - z^2
@@ -12,6 +14,10 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
 
 
 class TestFibers:
@@ -233,3 +239,76 @@ class TestErrors:
             "--point", "[0,0]",
         ])
         assert code == 2
+
+    def test_mixed_non_squarefree(self, capsys):
+        # (z - w)(z^2 - w^2) has the repeated factor z - w
+        code, _ = run(capsys, [
+            "fibers", "--poly", '{"family":"mixed","pairs":[[1,1],[2,2]]}',
+            "--point", "[0,0]",
+        ])
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fibers", "--poly", '{"family":"monomial"}', "--point", "[0,0]"],
+        ["fibers", "--poly", '{"family":"product","exponents":[2,"x"]}',
+         "--point", "[0,0]"],
+        ["fibers", "--poly", '{"family":"mixed","pairs":[[1]]}', "--point", "[0,0]"],
+        ["fibers", "--poly", '{"coeffs":[[[NaN,0],[1,0]],[[1,0]]]}', "--point", "[0,0]"],
+        ["fibers", "--poly", '{"coeffs":5}', "--point", "[0,0]"],
+        ["fibers", "--poly", GRAPH2, "--point", "[NaN,0]"],
+        ["fibers", "--poly", GRAPH2, "--point", f"[1{'0' * 400},0]"],
+        ["expansive", "--poly", '{"family":"monomial","m":2,"n":3}',
+         "--oracle", "[[0,0,1,2]]"],
+        ["inner", "--poly", GRAPH2, "--f", '{"const":[1,0]}', "--g", '{"const":[1,0]}',
+         "--grid", "0"],
+        ["render", "--poly", GRAPH2, "--out", "points.txt"],
+    ], ids=["no-m", "exponent-x", "short-pair", "nan-coeff", "coeffs-not-grid",
+            "nan-point", "huge-point", "oracle-denominator-0", "grid-0", "out-suffix"])
+    def test_malformed_input(self, capsys, monkeypatch, argv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the input was checked")
+
+        monkeypatch.setattr(dynamics, "limit_set_sample", no_sampling)
+        assert main(argv) == 2
+        assert last_error(capsys) == "invalid-input"
+
+
+class TestSquarefreeByConstruction:
+    def test_families_skip_the_sympy_check(self, capsys, monkeypatch):
+        def refuse(p):
+            raise AssertionError("squarefree_check called")
+
+        monkeypatch.setattr(correspondence, "squarefree_check", refuse)
+        for argv in (
+            ["fibers", "--poly", '{"family":"monomial","m":3,"n":2}', "--point", "[1,0]"],
+            ["fibers", "--poly", '{"family":"product","exponents":[2,3,4]}',
+             "--point", "[1,0]"],
+            ["kgroups", "--poly", '{"family":"product","exponents":[2,3]}'],
+        ):
+            assert run(capsys, argv)[0] == 0
+
+
+class TestEscapingOrbits:
+    @pytest.mark.parametrize("spec,direction", [
+        ('{"family":"monomial","m":2,"n":3}', "backward"),
+        ('{"family":"product","exponents":[2,3]}', "forward"),
+    ], ids=["monomial-backward", "product-forward"])
+    def test_render_ends_cleanly(self, capsys, tmp_path, spec, direction):
+        # the chain runs off towards infinity; the run must either refuse
+        # with a JSON error or write a chain that stays on the curve
+        out = tmp_path / "pts.csv"
+        code = main(["render", "--poly", spec, "--direction", direction,
+                     "--iters", "200", "--out", str(out)])
+        if code == 2:
+            assert last_error(capsys) == "root-finding"
+            return
+        assert code == 0
+        corr, _ = parse_polynomial_spec(spec)
+        chain = []
+        for line in out.read_text().splitlines()[1:]:
+            re, im, chart = line.split(",")
+            v = complex(float(re), float(im))
+            chain.append(SpherePoint(1 + 0j, v) if chart == "1" else SpherePoint(v, 1 + 0j))
+        for a, b in zip(chain, chain[1:]):
+            z, w = (b, a) if direction == "backward" else (a, b)
+            assert corr.on_correspondence(z, w)

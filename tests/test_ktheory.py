@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from corrdyn.errors import InvalidInputError, UndecidedError
 from corrdyn.ktheory import (
@@ -37,19 +39,14 @@ class TestSNF:
         ],
     )
     def test_examples(self, rows, expected):
-        M = IntegerMatrix.of(rows)
-        _, D, _ = smith_normal_form(M)
-        assert [D.entries[i][i] for i in range(min(D.rows, D.cols))] == expected
+        assert smith_normal_form(IntegerMatrix.of(rows)) == expected
 
     @given(matrices)
     @settings(max_examples=200, deadline=None)
     def test_factorization_properties(self, rows):
-        M = IntegerMatrix.of(rows)
-        U, D, V = smith_normal_form(M)
-        assert (U @ D @ V).entries == M.entries
-        assert abs(U.det()) == 1
-        assert abs(V.det()) == 1
-        diag = [D.entries[i][i] for i in range(min(D.rows, D.cols))]
+        diag = smith_normal_form(IntegerMatrix.of(rows))
+        # sympy's invariant factors are an independent reference
+        assert diag == [int(d) for d in invariant_factors(Matrix(rows), domain=ZZ)]
         nonzero = [d for d in diag if d]
         assert all(d >= 0 for d in diag)
         assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))
@@ -73,16 +70,6 @@ class TestGroups:
     def test_rejects_bad_chain(self):
         with pytest.raises(InvalidInputError):
             AbelianGroupPresentation(0, (4, 6))
-
-    def test_direct_sum_invariant_factors(self):
-        a = AbelianGroupPresentation(0, (2,))
-        b = AbelianGroupPresentation(1, (3,))
-        s = a.direct_sum(b)
-        assert s.rank == 1 and s.torsion == (6,)
-        t = AbelianGroupPresentation(0, (2,)).direct_sum(
-            AbelianGroupPresentation(0, (4,))
-        )
-        assert t.torsion == (2, 4)
 
 
 class TestCokernelKernel:

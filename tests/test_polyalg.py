@@ -1,17 +1,15 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrdyn.errors import InvalidInputError
+from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import (
     BivariatePolynomial,
     GaussianRational,
     UnivariatePolynomial,
-    gcd_univariate,
     resultant_w,
     resultant_z,
     roots,
@@ -79,6 +77,10 @@ class TestRoots:
         assert rs[0].multiplicity == 3
         assert rs[0].center == pytest.approx(1j)
 
+    def test_coefficient_too_large_for_float(self):
+        with pytest.raises(RootFindingError):
+            roots(UnivariatePolynomial([GR(10**400), GR(1)]))
+
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_root_count_matches_degree(self, coeffs):
@@ -131,25 +133,3 @@ class TestBivariate:
         ok, witness = squarefree_check(bad)
         assert not ok and witness is not None
 
-    def test_bihomogenize_at_infinity(self):
-        p = BivariatePolynomial.graph_of_power(2)  # w - z^2
-        ph = p.bihomogenize()
-        # (inf, inf) lies on the closure: z=(1,0), w=(1,0)
-        assert complex(ph(1, 0, 1, 0)) == 0
-
-
-class TestGcd:
-    def test_common_factor(self):
-        # gcd((z-1)(z-2), (z-1)(z+5)) ~ (z-1)
-        a = UnivariatePolynomial(list(np.poly([1.0, 2.0])[::-1]))
-        b = UnivariatePolynomial(list(np.poly([1.0, -5.0])[::-1]))
-        g = gcd_univariate(a, b)
-        rs = roots(g)
-        assert len(rs) == 1
-        assert rs[0].center == pytest.approx(1.0, abs=1e-6)
-
-    def test_coprime(self):
-        g = gcd_univariate(
-            UnivariatePolynomial([1.0, 1.0]), UnivariatePolynomial([2.0, 0.0, 1.0])
-        )
-        assert g.degree == 0
