@@ -55,6 +55,23 @@ def _grid(rows) -> BivariatePolynomial:
     return BivariatePolynomial([[_coeff(c) for c in row] for row in rows])
 
 
+def _integer(v, what: str) -> int:
+    # family parameters are exact JSON integers: no floats, strings or booleans
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvalidInputError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _json_list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise InvalidInputError(f"{what} must be a list, got {v!r}")
+    return v
+
+
+def _integers(v, what: str) -> list:
+    return [_integer(x, f"each entry of {what}") for x in _json_list(v, what)]
+
+
 def parse_polynomial_spec(obj):
     """PolynomialSpec JSON -> (Correspondence, circle_family_or_None)."""
     if isinstance(obj, str):
@@ -65,11 +82,17 @@ def parse_polynomial_spec(obj):
         fam = obj["family"]
         try:
             if fam == "monomial":
-                cc = CircleCorrespondence.monomial(int(obj["m"]), int(obj["n"]))
+                cc = CircleCorrespondence.monomial(
+                    _integer(obj["m"], "m"), _integer(obj["n"], "n")
+                )
             elif fam == "product":
-                cc = CircleCorrespondence.power_product(obj["exponents"])
+                cc = CircleCorrespondence.power_product(
+                    _integers(obj["exponents"], "exponents")
+                )
             elif fam == "mixed":
-                cc = CircleCorrespondence.mixed_product(obj["pairs"])
+                cc = CircleCorrespondence.mixed_product(
+                    [_integers(pair, "pair") for pair in _json_list(obj["pairs"], "pairs")]
+                )
             else:
                 raise InvalidInputError(f"unknown family {fam!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -55,15 +55,6 @@ class SpherePoint:
     z2: complex
 
     @staticmethod
-    def from_pair(z1: complex, z2: complex) -> "SpherePoint":
-        z1, z2 = complex(z1), complex(z2)
-        if z1 == 0 and z2 == 0:
-            raise InvalidInputError("(0, 0) is not a projective point")
-        if abs(z2) >= abs(z1):
-            return SpherePoint(z1 / z2, 1.0 + 0j)
-        return SpherePoint(1.0 + 0j, z2 / z1)
-
-    @staticmethod
     def from_complex(z: complex) -> "SpherePoint":
         z = complex(z)
         if abs(z) <= 1:

@@ -4,9 +4,11 @@ gcds and simultaneous root finding with multiplicity clustering.
 Coefficients of bivariate polynomials are kept exact (rational real and
 imaginary parts) so that resultant and squarefree computations never depend
 on floating point luck.  Root finding itself is done in floating point with
-an Aberth-Ehrlich style simultaneous iteration; multiplicities come from an
-exact squarefree decomposition when the coefficients are exact, and from
-single-linkage clustering otherwise.
+an Aberth-Ehrlich style simultaneous iteration.  Multiplicities of exact
+input come from an exact certificate that the polynomial is squarefree,
+computed modulo a prime, and from Yun's squarefree decomposition only when
+the certificate is undecided; for float input they come from single-linkage
+clustering.
 """
 
 from __future__ import annotations
@@ -195,6 +197,49 @@ def squarefree_factors(coeffs: Sequence[GaussianRational]):
         d = _xadd(_xdivmod(d, a)[0], _xscale(_xderiv(c), GaussianRational.of(-1)))
         i += 1
     return out
+
+
+# A prime p = 2^61 - 31 with p = 1 (mod 4), and a square root I of -1 modulo
+# p.  Sending a + b*i to a + b*I (mod p) reduces Z[i] modulo the Gaussian prime
+# (p, i - I); it extends to Gaussian rationals whose denominators are prime to p.
+_P = 2305843009213693921
+_I = 583529827753931384
+
+
+def _fp_coprime(a: list, b: list) -> bool:
+    """gcd(a, b) == 1 in F_p[z], by Euclid's algorithm on ascending
+    coefficient lists whose leading entries are nonzero."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        a = list(a)
+        while len(a) >= len(b):
+            q = a[-1] * inv % _P
+            shift = len(a) - len(b)
+            for k, y in enumerate(b):
+                a[shift + k] = (a[shift + k] - q * y) % _P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _certified_squarefree(monic) -> bool:
+    """True when the monic polynomial f has no repeated root, proved modulo p.
+
+    If every coefficient reduces into F_p and gcd(f mod p, (f mod p)') = 1,
+    then disc(f) reduces to the nonzero disc(f mod p), so disc(f) != 0.  False
+    means undecided: f has a repeated root, or p divides disc(f) or one of
+    the denominators (Brown, J. ACM 18, 1971, on lucky primes)."""
+    if any(c.re.denominator % _P == 0 or c.im.denominator % _P == 0 for c in monic):
+        return False
+    f = [
+        (
+            c.re.numerator * pow(c.re.denominator, -1, _P)
+            + _I * c.im.numerator * pow(c.im.denominator, -1, _P)
+        ) % _P
+        for c in monic
+    ]
+    return _fp_coprime(f, [i * c % _P for i, c in enumerate(f)][1:])
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +482,8 @@ class RootCluster:
     radius: float
 
 
+# overflow and NaN are caught below by the convergence and residual tests
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _aberth(coeffs: np.ndarray, tol: float) -> np.ndarray:
     """All roots of the polynomial with the given (ascending, leading nonzero)
     complex coefficients, by simultaneous Aberth-Ehrlich iteration."""
@@ -539,9 +586,12 @@ def _cluster(points, tol: float):
 def roots(f: UnivariatePolynomial, tol: float = 1e-6) -> list:
     """Root clusters of f with multiplicities summing to deg f.
 
-    Exact-coefficient input goes through an exact squarefree decomposition,
-    so nontrivial multiplicities are detected structurally; the clustering
-    pass then only merges numerically coincident roots.
+    Exact-coefficient input is first tested for squarefreeness modulo a
+    prime; a certified squarefree f is solved as its monic self with
+    multiplicity 1.  Otherwise (a repeated root, or an unlucky prime) Yun's
+    exact squarefree decomposition supplies the multiplicities, so nontrivial
+    multiplicities are detected structurally either way; the clustering pass
+    then only merges numerically coincident roots.
     """
     if f.is_zero:
         raise InvalidInputError("roots of the zero polynomial")
@@ -549,7 +599,12 @@ def roots(f: UnivariatePolynomial, tol: float = 1e-6) -> list:
         return []
     pairs = []
     if f.exact:
-        for factor, mult in squarefree_factors(f.coeffs):
+        monic = _xmonic(f.coeffs)
+        if _certified_squarefree(monic):
+            factors = [(monic, 1)]
+        else:
+            factors = squarefree_factors(f.coeffs)
+        for factor, mult in factors:
             for r in _aberth(UnivariatePolynomial(factor).as_complex(), tol):
                 pairs.append((complex(r), mult))
     else:

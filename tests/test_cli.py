@@ -262,8 +262,12 @@ class TestErrors:
         ["inner", "--poly", GRAPH2, "--f", '{"const":[1,0]}', "--g", '{"const":[1,0]}',
          "--grid", "0"],
         ["render", "--poly", GRAPH2, "--out", "points.txt"],
+        ["fibers", "--poly", '{"family":"monomial","m":2.5,"n":3}', "--point", "[0,0]"],
+        ["fibers", "--poly", '{"family":"monomial","m":true,"n":3}', "--point", "[0,0]"],
+        ["fibers", "--poly", '{"family":"product","exponents":"23"}', "--point", "[0,0]"],
     ], ids=["no-m", "exponent-x", "short-pair", "nan-coeff", "coeffs-not-grid",
-            "nan-point", "huge-point", "oracle-denominator-0", "grid-0", "out-suffix"])
+            "nan-point", "huge-point", "oracle-denominator-0", "grid-0", "out-suffix",
+            "m-float", "m-bool", "exponents-string"])
     def test_malformed_input(self, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the input was checked")

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrdyn import polyalg
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import (
     BivariatePolynomial,
     GaussianRational,
     UnivariatePolynomial,
+    _aberth,
+    _certified_squarefree,
+    _cluster,
+    _xmonic,
     resultant_w,
     resultant_z,
     roots,
@@ -18,6 +23,38 @@ from corrdyn.polyalg import (
 )
 
 GR = GaussianRational.of
+
+
+def from_roots(lead, root_mults):
+    """lead * prod (z - r)^m as an exact polynomial."""
+    coeffs = [lead]
+    for r, m in root_mults:
+        for _ in range(m):
+            # multiply by (z - r): new[i] = old[i - 1] - r * old[i]
+            coeffs = [
+                (coeffs[i - 1] if i else GR(0)) - (r * coeffs[i] if i < len(coeffs) else GR(0))
+                for i in range(len(coeffs) + 1)
+            ]
+    return UnivariatePolynomial(coeffs)
+
+
+def reference_roots(f, tol=1e-6):
+    """roots(f) for exact f, always through Yun's squarefree decomposition."""
+    pairs = []
+    for factor, mult in squarefree_factors(f.coeffs):
+        for r in _aberth(UnivariatePolynomial(factor).as_complex(), tol):
+            pairs.append((complex(r), mult))
+    return _cluster(pairs, tol)
+
+
+small_gaussian_rationals = st.builds(
+    lambda a, b, d: GR((Fraction(a, d), Fraction(b, d))),
+    st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9),
+)
+root_multisets = st.lists(
+    st.tuples(small_gaussian_rationals, st.integers(1, 3)),
+    min_size=1, max_size=4, unique_by=lambda rm: rm[0],
+)
 
 
 class TestGaussianRational:
@@ -96,6 +133,49 @@ class TestSquarefreeFactors:
         factors = squarefree_factors(f)
         mults = sorted(m for _, m in factors)
         assert mults == [1, 2]
+
+
+class TestSquarefreeCertificate:
+    def test_prime_and_square_root_of_minus_one(self):
+        import sympy
+
+        assert sympy.isprime(polyalg._P)
+        assert polyalg._P % 4 == 1
+        assert (polyalg._I ** 2 + 1) % polyalg._P == 0
+
+    @given(small_gaussian_rationals.filter(bool), root_multisets)
+    @settings(max_examples=80, deadline=None)
+    def test_accepts_exactly_the_squarefree(self, lead, root_mults):
+        # differences of these roots are (a + bi)/d with a^2 + b^2 far below p,
+        # so p never divides the discriminant of a squarefree draw
+        f = from_roots(lead, root_mults)
+        squarefree = all(m == 1 for _, m in root_mults)
+        assert _certified_squarefree(_xmonic(f.coeffs)) == squarefree
+
+    @given(small_gaussian_rationals.filter(bool), root_multisets)
+    @settings(max_examples=40, deadline=None)
+    def test_roots_match_yun_reference(self, lead, root_mults):
+        f = from_roots(lead, root_mults)
+        rs = roots(f)
+        assert rs == reference_roots(f)
+        assert sorted(c.multiplicity for c in rs) == sorted(m for _, m in root_mults)
+
+    @pytest.mark.parametrize("mults", [(2, 1), (1, 1)])
+    def test_denominator_divisible_by_p_takes_yun(self, monkeypatch, mults):
+        calls = []
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return squarefree_factors(coeffs)
+
+        monkeypatch.setattr(polyalg, "squarefree_factors", counting)
+        tiny = GR(Fraction(1, polyalg._P))
+        f = from_roots(GR(1), [(tiny, mults[0]), (GR(2), mults[1])])
+        rs = roots(f)
+        assert len(calls) == 1
+        assert [c.multiplicity for c in rs] == list(mults)
+        assert rs[0].center == pytest.approx(1 / polyalg._P)
+        assert rs[1].center == pytest.approx(2)
 
 
 class TestBivariate:
