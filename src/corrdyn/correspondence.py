@@ -1,12 +1,15 @@
 """Algebraic correspondences p(z,w)=0 on the Riemann sphere: projective
 points, fibers in both directions with multiplicities, and branched sets.
 
-Fibers are computed in the affine chart where the base point lives; the
-coefficient polynomial is evaluated exactly (floats lift exactly to
-rationals), so multiplicities at exactly representable points come out of
-the exact squarefree machinery rather than float luck.  Points of large
-modulus and the point at infinity are handled through the chordal metric,
-which merges them naturally.
+Fibers are computed in the affine chart where the base point lives.  The
+coefficient polynomial is evaluated first in complex128, with a rigorous
+bound on its distance to the exact one, and the float roots are kept when
+disjoint inclusion discs prove each of them simple.  Otherwise (a multiple
+point, a root near another, a vanishing leading coefficient, a non-finite
+base) the base point is lifted exactly to a rational and the fiber comes out
+of the exact squarefree machinery, so multiplicities never rest on float
+luck.  Points of large modulus and the point at infinity are handled through
+the chordal metric, which merges them naturally.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from typing import Optional, Sequence
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
     BivariatePolynomial,
+    FloatGrid,
     GaussianRational,
     UnivariatePolynomial,
+    _cluster,
+    certified_roots,
     linked_groups,
     resultant_w,
     resultant_z,
@@ -168,6 +174,9 @@ class Correspondence:
                 )
         self._transposed = p.transpose()
         self._fiber_cache: dict = {}
+        # direction -> FloatGrid, or None when a coefficient is beyond float
+        # range; built on the first fiber request in that direction
+        self._float_grids: dict = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -205,28 +214,67 @@ class Correspondence:
         if key not in self._fiber_cache:
             if len(self._fiber_cache) > 20000:
                 self._fiber_cache.clear()
-            self._fiber_cache[key] = self._fiber(poly, base, expected, tol)
+            if direction not in self._float_grids:
+                try:
+                    self._float_grids[direction] = FloatGrid(poly)
+                except OverflowError:
+                    self._float_grids[direction] = None
+            self._fiber_cache[key] = self._fiber(
+                self._float_grids[direction], poly, base, expected, tol
+            )
         return self._fiber_cache[key]
 
     @staticmethod
     def _fiber(
-        poly: BivariatePolynomial, base: SpherePoint, expected: int, tol: float
+        grid: Optional[FloatGrid],
+        poly: BivariatePolynomial,
+        base: SpherePoint,
+        expected: int,
+        tol: float,
     ) -> WeightedFiber:
-        v, inverted = base.exact_chart_value()
-        if inverted:
-            f = poly.univariate_in_z_inverted(v)
+        """The fiber of poly over base, float first.
+
+        poly is specialised at the base point in complex128 (``grid``), and
+        the float roots are kept when ``certified_roots`` proves them simple:
+        then the exact polynomial has degree ``expected``, no point at
+        infinity and no repeated root.  Otherwise the base point is lifted
+        exactly, poly is specialised exactly and ``roots`` solves it.  Either
+        way roots within tol are clustered and merged in the chordal metric,
+        so two simple roots closer than tol still count as one double point.
+        """
+        v, inverted = base.chart_value()
+        found = None
+        if grid is not None:
+            found = certified_roots(*grid.specialise(v, inverted))
+        if found is not None:
+            # adding 0j turns a -0.0 part into 0.0, as a cluster centre does
+            simple = [complex(z) + 0j for z in found[0]]
+            if _chordally_separated(simple, 2 * tol):
+                # no two roots within tol, even in the Euclidean metric, so
+                # clustering and the merge below would keep each one alone
+                simple.sort(key=lambda z: (z.real, z.imag))
+                pairs = [(SpherePoint.from_complex(z), 1) for z in simple]
+                pairs.sort(key=lambda pe: _point_sort_key(pe[0]))
+                return WeightedFiber(base=base, points=tuple(pairs))
+            inf_mult = 0
+            clusters = _cluster([(z, 1) for z in simple], tol)
         else:
-            f = poly.univariate_in_z(v)
-        if f.is_zero:
-            raise InvalidInputError(
-                "the fiber polynomial vanishes identically; the defining "
-                "polynomial has a factor free of one variable"
-            )
-        inf_mult = expected - f.degree
+            v, inverted = base.exact_chart_value()
+            if inverted:
+                f = poly.univariate_in_z_inverted(v)
+            else:
+                f = poly.univariate_in_z(v)
+            if f.is_zero:
+                raise InvalidInputError(
+                    "the fiber polynomial vanishes identically; the defining "
+                    "polynomial has a factor free of one variable"
+                )
+            inf_mult = expected - f.degree
+            clusters = roots(f, tol)
         pairs = []
         if inf_mult > 0:
             pairs.append((SpherePoint.infinity(), inf_mult))
-        for cluster in roots(f, tol):
+        for cluster in clusters:
             pairs.append(
                 (SpherePoint.from_complex(cluster.center), cluster.multiplicity)
             )
@@ -335,6 +383,17 @@ def _point_sort_key(p: SpherePoint):
         return (1, 0.0, 0.0)
     v = p.to_complex()
     return (0, round(v.real, 12), round(v.imag, 12))
+
+
+def _chordally_separated(zs, limit: float) -> bool:
+    """Whether every two of the finite points zs are more than limit apart
+    in the chordal metric |a - b| / (sqrt(1 + |a|^2) sqrt(1 + |b|^2))."""
+    scale = [math.hypot(1.0, abs(z)) for z in zs]
+    return all(
+        abs(zs[i] - zs[j]) > limit * scale[i] * scale[j]
+        for i in range(len(zs))
+        for j in range(i)
+    )
 
 
 def _chordal_merge(pairs, tol: float):

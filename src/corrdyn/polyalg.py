@@ -8,7 +8,9 @@ an Aberth-Ehrlich style simultaneous iteration.  Multiplicities of exact
 input come from an exact certificate that the polynomial is squarefree,
 computed modulo a prime, and from Yun's squarefree decomposition only when
 the certificate is undecided; for float input they come from single-linkage
-clustering.
+clustering.  For float coefficients known to within a componentwise bound,
+``certified_roots`` keeps the ``np.roots`` approximations only when inclusion
+discs prove every root simple.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "UnivariatePolynomial",
     "BivariatePolynomial",
     "RootCluster",
+    "FloatGrid",
+    "certified_roots",
     "roots",
     "resultant_z",
     "resultant_w",
@@ -540,6 +544,97 @@ def _aberth(coeffs: np.ndarray, tol: float) -> np.ndarray:
                 f"root finding did not converge for coefficients {list(coeffs)}"
             )
     return z
+
+
+# ---------------------------------------------------------------------------
+# float specialisation with a certified root-inclusion test
+
+_U = 2.0**-53  # unit roundoff of IEEE double precision
+# absolute error allowed per coefficient for gradual underflow: far above the
+# few units of 2^-1074 that underflow can cost, and still negligible
+_UNDERFLOW = 2.0**-1000
+
+
+class FloatGrid:
+    """The coefficient grid c[i][j] of a bivariate polynomial in complex128,
+    specialised in its second variable.
+
+    ``specialise(v, inverted)`` returns the ascending coefficients c_i in the
+    first variable of p(., v), or of v^n p(., 1/v) when inverted, from one
+    matrix-vector product with the power vector of v.  With them comes a
+    componentwise bound e_i >= |c_i - c_i^exact|, where c^exact is what
+    ``univariate_in_z`` (``univariate_in_z_inverted``) computes from v lifted
+    exactly.  The bound counts the rounding of the grid, of the powers, of
+    the products and of the sums (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.6), with about twice the worst-case number
+    of roundings, which also covers the rounding of the bound itself.
+    Building the grid raises OverflowError for a coefficient beyond float
+    range.
+    """
+
+    __slots__ = ("grid", "abs_grid", "n", "gamma", "floor")
+
+    def __init__(self, poly: BivariatePolynomial):
+        self.grid = np.array([[complex(c) for c in row] for row in poly.coeffs])
+        self.abs_grid = np.abs(self.grid)
+        self.n = poly.deg_w
+        self.gamma = 8 * (self.n + 2) * _U
+        self.floor = 8 * (self.n + 2) * _UNDERFLOW * (1.0 + self.abs_grid.sum(axis=1))
+
+    @np.errstate(over="ignore", invalid="ignore", under="ignore")
+    def specialise(self, v: complex, inverted: bool):
+        powers = np.full(self.n + 1, v, dtype=complex)
+        powers[0] = 1.0
+        powers = np.cumprod(powers)
+        if inverted:
+            powers = powers[::-1]
+        c = self.grid @ powers
+        e = self.gamma * (self.abs_grid @ np.abs(powers)) + self.floor
+        return c, e
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def certified_roots(c: np.ndarray, e: np.ndarray):
+    """(zeta, r) when every polynomial F with |F_k - c_k| <= e_k has degree
+    d = len(c) - 1 and exactly one root in each of the pairwise disjoint
+    discs D(zeta_i, r_i); None when this test is undecided.
+
+    zeta are the ``np.roots`` approximations of c.  With the Weierstrass
+    corrections W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)),
+    F / lc(F) is the characteristic polynomial of diag(zeta) - W 1^T, whose
+    Gerschgorin discs D(zeta_i - W_i, (d - 1)|W_i|) lie in D(zeta_i, d|W_i|)
+    (Braess & Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59,
+    1991).  r_i bounds d|W_i| from above: |F(zeta_i)| is at most the computed
+    |c(zeta_i)| plus the coefficient error and the Horner rounding (Higham,
+    ch. 5), and |lc(F)| is at least |c_d| - e_d.  Disjoint discs make F
+    squarefree of degree d, so the exact path would also find d simple roots.
+    """
+    d = len(c) - 1
+    lead = abs(c[-1]) - e[-1]
+    if not lead > 0 or not np.all(np.isfinite(c / c[-1])):
+        return None
+    zeta = np.roots(c[::-1])
+    if not np.all(np.isfinite(zeta)):
+        return None
+    gamma = 8 * (d + 2) * _U
+    size = np.abs(zeta)
+    value = np.full(d, c[-1])
+    error = np.full(d, e[-1] + gamma * abs(c[-1]))
+    for k in range(d - 1, -1, -1):
+        value = value * zeta + c[k]
+        error = error * size + (e[k] + gamma * abs(c[k]))
+    dist = np.abs(zeta[:, None] - zeta[None, :])
+    np.fill_diagonal(dist, 1.0)
+    spread = np.prod(dist, axis=1)
+    r = d * (np.abs(value) + error) / (lead * spread) * (1 + gamma)
+    np.fill_diagonal(dist, np.inf)
+    if not (
+        np.all(np.isfinite(spread))
+        and np.all(np.isfinite(r))
+        and np.all(dist * (1 - gamma) > r[:, None] + r[None, :])
+    ):
+        return None
+    return zeta, r
 
 
 def linked_groups(n: int, edges) -> list:

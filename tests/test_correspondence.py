@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 from corrdyn.correspondence import (
     Correspondence,
     SpherePoint,
+    WeightedFiber,
+    _chordal_merge,
     chordal_distance,
     unit_circle_points,
 )
-from corrdyn.errors import InvalidInputError
+from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import GaussianRational
+from corrdyn.polyalg import FloatGrid, GaussianRational, _cluster, certified_roots
 
 GR = GaussianRational.of
 
@@ -164,3 +168,203 @@ class TestValidation:
     def test_rejects_degenerate_degree(self):
         with pytest.raises(InvalidInputError):
             Correspondence(BP([[GR(0), GR(1)]]))  # p = w, no z dependence
+
+
+# ---------------------------------------------------------------------------
+# the float-first fiber path
+
+
+def _power_product(*exps):
+    return BP.product([BP.graph_of_power(m) for m in exps])
+
+
+def _mixed(*pairs):
+    # prod (z^i - w^j)
+    return BP.product([BP.monomial_relation(i, j) for i, j in pairs])
+
+
+# the three families the chaos-game renders of the benchmark use
+ORBIT_FAMILIES = [_power_product(2, 3), _mixed((2, 1), (1, 3)), BP.monomial_relation(5, 2)]
+
+
+@st.composite
+def raw_polynomials(draw):
+    # the generator of acceptance criterion 11: Gaussian-integer coefficients
+    # in [-3, 3] with nonzero z^dz and w^dw terms
+    dz = draw(st.integers(1, 3))
+    dw = draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    grid = [[GR(draw(entry)) for _ in range(dw + 1)] for _ in range(dz + 1)]
+    grid[dz][0] = GR(draw(st.sampled_from([1, 2, -1])))
+    grid[0][dw] = GR(draw(st.sampled_from([1, 2, -1])))
+    return BP(grid)
+
+
+polynomials = st.one_of(raw_polynomials(), st.sampled_from(ORBIT_FAMILIES))
+
+base_points = st.one_of(
+    st.floats(0, 2 * math.pi).map(
+        lambda t: SpherePoint.from_complex(complex(math.cos(t), math.sin(t)))
+    ),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False).map(
+        SpherePoint.from_complex
+    ),
+    st.just(SpherePoint.infinity()),
+)
+
+
+def _fiber_problem(p, direction):
+    """(poly, expected degree) that Correspondence solves in that direction."""
+    return (p, p.deg_z) if direction == "backward" else (p.transpose(), p.deg_w)
+
+
+def _exact_coeffs(poly, base):
+    v, inverted = base.exact_chart_value()
+    f = poly.univariate_in_z_inverted(v) if inverted else poly.univariate_in_z(v)
+    return list(f.coeffs) + [GR(0)] * (poly.deg_z + 1 - len(f.coeffs))
+
+
+def _roots_60_digits(coeffs):
+    """Roots of the exact polynomial with ascending Gaussian-rational
+    coefficients (leading one nonzero), by mpmath to 60 digits.
+
+    polyroots' error is relative to the largest coefficient, so the working
+    precision grows with the spread of the coefficients' magnitudes: at a
+    base point near 0 the fiber can hold roots of size 1e-424 next to 1."""
+    bits = [
+        abs(x).numerator.bit_length() - abs(x).denominator.bit_length()
+        for c in coeffs
+        for x in (c.re, c.im)
+        if x
+    ]
+    dps = 60 + (max(bits) - min(bits)) * 3 // 10
+    with mpmath.workdps(dps):
+        cs = [
+            mpmath.mpc(mpmath.mpf(c.re.numerator) / c.re.denominator,
+                       mpmath.mpf(c.im.numerator) / c.im.denominator)
+            for c in coeffs
+        ]
+        return mpmath.polyroots(cs[::-1], maxsteps=400 + 4 * dps, extraprec=200)
+
+
+def _reference_fiber(poly, base, expected):
+    coeffs = _exact_coeffs(poly, base)
+    while not coeffs[-1]:
+        coeffs.pop()
+    pairs = [(SpherePoint.infinity(), expected - len(coeffs) + 1)] if len(coeffs) <= expected else []
+    pairs += [(SpherePoint.from_complex(complex(r)), 1) for r in _roots_60_digits(coeffs)]
+    return WeightedFiber(base=base, points=tuple(_chordal_merge(pairs, 1e-6)))
+
+
+def _same_fiber(a, b, dist=1e-9):
+    rest = list(b.points)
+    for p, e in a.points:
+        match = [i for i, (q, f) in enumerate(rest) if f == e and chordal_distance(p, q) <= dist]
+        assert match, f"{p} (multiplicity {e}) missing from {b.points}"
+        rest.pop(match[0])
+    assert rest == []
+
+
+class TestFloatFirstFiber:
+    @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_only_fiber(self, p, direction, base):
+        poly, expected = _fiber_problem(p, direction)
+        try:
+            exact = Correspondence._fiber(None, poly, base, expected, 1e-6)
+        except RootFindingError:
+            return  # the exact path gives up; the float path may do better
+        except InvalidInputError:
+            with pytest.raises(InvalidInputError):
+                Correspondence._fiber(FloatGrid(poly), poly, base, expected, 1e-6)
+            return
+        fast = Correspondence._fiber(FloatGrid(poly), poly, base, expected, 1e-6)
+        try:
+            _same_fiber(fast, exact)
+        except AssertionError:
+            # Aberth's stopping test on the exact path is relative to the
+            # largest root, so near infinity it can stop while a small root is
+            # still off by more than 1e-9; then the float fiber must be the
+            # one that matches the roots at 60 digits
+            _same_fiber(fast, _reference_fiber(poly, base, expected))
+
+    @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @settings(max_examples=150, deadline=None)
+    def test_coefficient_error_bound(self, p, direction, base):
+        poly, _ = _fiber_problem(p, direction)
+        c, e = FloatGrid(poly).specialise(*base.chart_value())
+        for ck, ek, exact in zip(c, e, _exact_coeffs(poly, base)):
+            dre = Fraction(ck.real) - exact.re
+            dim = Fraction(ck.imag) - exact.im
+            assert dre * dre + dim * dim <= Fraction(ek) ** 2
+
+    @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @settings(max_examples=200, deadline=None)
+    def test_inclusion_discs_hold_one_exact_root_each(self, p, direction, base):
+        poly, _ = _fiber_problem(p, direction)
+        found = certified_roots(*FloatGrid(poly).specialise(*base.chart_value()))
+        if found is None:
+            return
+        exact_roots = _roots_60_digits(_exact_coeffs(poly, base))
+        with mpmath.workdps(60):
+            for zeta, r in zip(*found):
+                assert sum(abs(x - mpmath.mpc(zeta)) <= r for x in exact_roots) == 1
+
+    @pytest.mark.parametrize("p,direction,base,points", [
+        (circle_poly(), "backward", 1 + 0j, [(0j, 2)]),
+        (circle_poly(), "backward", -1 + 0j, [(0j, 2)]),
+        (_power_product(2, 3, 4), "forward", -1 + 0j, [(-1 + 0j, 1), (1 + 0j, 2)]),
+        (BP.monomial_relation(3, 3), "backward", 0j, [(0j, 3)]),
+        (BP.monomial_relation(3, 3), "forward", 0j, [(0j, 3)]),
+        (BP.monomial_relation(2, 3), "backward", None, [(None, 2)]),
+        (BP.monomial_relation(2, 3), "forward", None, [(None, 3)]),
+    ], ids=["circle-at-1", "circle-at-minus-1", "product-234-forward", "monomial-33-backward",
+            "monomial-33-forward", "monomial-23-backward-inf", "monomial-23-forward-inf"])
+    def test_multiple_points_take_the_exact_path(self, p, direction, base, points):
+        poly, _ = _fiber_problem(p, direction)
+        base = SpherePoint.infinity() if base is None else SpherePoint.from_complex(base)
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
+        corr = Correspondence(p, check_squarefree=False)
+        fiber = corr.backward_fiber(base) if direction == "backward" else corr.forward_fiber(base)
+        want = [(SpherePoint.infinity() if z is None else SpherePoint.from_complex(z), e)
+                for z, e in points]
+        assert list(fiber.points) == want
+
+    def test_certified_roots_within_tol_still_merge(self):
+        # z^2 = w at w = 1e-16: two simple roots 2e-8 apart, proved simple by
+        # the float test, still make one double point at tol 1e-6
+        poly = BP.monomial_relation(2, 1)
+        base = SpherePoint.from_complex(1e-16 + 0j)
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is not None
+        fiber = Correspondence(poly, check_squarefree=False).backward_fiber(base)
+        assert [e for _, e in fiber.points] == [2]
+        assert abs(fiber.points[0][0].to_complex()) < 1e-7
+
+    def test_nan_base_takes_the_exact_path(self):
+        poly = BP.monomial_relation(2, 3)
+        base = SpherePoint(complex(math.nan, 0.0), 1 + 0j)
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
+        with pytest.raises(ValueError, match="NaN"):
+            Correspondence(poly, check_squarefree=False).backward_fiber(base)
+
+    @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @settings(max_examples=100, deadline=None)
+    def test_separated_roots_skip_clustering_unchanged(self, p, direction, base):
+        # the shortcut for roots more than 2 tol apart gives exactly, signed
+        # zeros included, what clustering and the chordal merge give
+        poly, expected = _fiber_problem(p, direction)
+        grid = FloatGrid(poly)
+        found = certified_roots(*grid.specialise(*base.chart_value()))
+        if found is None:
+            return
+        clusters = _cluster([(complex(z), 1) for z in found[0]], 1e-6)
+        want = _chordal_merge(
+            [(SpherePoint.from_complex(c.center), c.multiplicity) for c in clusters], 1e-6
+        )
+        got = Correspondence._fiber(grid, poly, base, expected, 1e-6).points
+
+        def stored(pairs):
+            return [(repr(q.z1), repr(q.z2), e) for q, e in pairs]
+
+        assert stored(got) == stored(want)
+
