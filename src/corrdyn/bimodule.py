@@ -63,14 +63,6 @@ class SampledFunction:
         return self.fn(*args)
 
 
-def constant_function(value, domain: str = "correspondence") -> SampledFunction:
-    if domain == "path":
-        return SampledFunction(domain, lambda pts: value, label=f"const {value}")
-    if domain == "base":
-        return SampledFunction(domain, lambda z: value, label=f"const {value}")
-    return SampledFunction(domain, lambda z, w: value, label=f"const {value}")
-
-
 def inner_product(
     corr: Correspondence,
     f: SampledFunction,
@@ -226,18 +218,6 @@ class FiniteBimodule:
     J: tuple  # of SpherePoint
     edges: tuple  # of (int, int, int)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.edges)
-
-    @property
-    def fiber_degree(self) -> int:
-        # common backward-fiber weight m = sum of e over each nonempty fiber
-        sums = {}
-        for _, wi, e in self.edges:
-            sums[wi] = sums.get(wi, 0) + e
-        return max(sums.values()) if sums else 0
-
     @staticmethod
     def build(
         corr: Correspondence, points: Sequence, tol: float = 1e-7
@@ -285,24 +265,13 @@ class FockTruncation:
 
     def creation_matrix(self, edge_index: int, k: int):
         """T_{delta_edge}: level k -> level k+1 (zero matrix when k = K)."""
-        z, w, _ = self.base.edges[edge_index]
-        if k >= self.K:
-            return _zeros(0, len(self.blocks[k]))
-        src, dst = self.blocks[k], self.blocks[k + 1]
-        index = {path: r for r, path in enumerate(dst)}
-        M = _zeros(len(dst), len(src))
-        for c, q in enumerate(src):
-            if q[0] == w:
-                M[index[(z,) + q]][c] = Fraction(1)
-        return M
+        return _path_creation(self, self.base.edges[edge_index][:2], k)
 
     def annihilation_matrix(self, edge_index: int, k: int):
         """T_{delta_edge}^*: level k -> level k-1, scaled by the branch
         index of the edge."""
         _, _, e = self.base.edges[edge_index]
-        M = self.creation_matrix(edge_index, k - 1)
-        rows, cols = len(M), len(M[0]) if M else 0
-        return [[e * M[r][c] for r in range(rows)] for c in range(cols)]
+        return _scaled_transpose(self.creation_matrix(edge_index, k - 1), e)
 
     def left_action_matrix(self, a: dict, k: int):
         """Diagonal action of a in C(J) on level k: multiply by a at the
@@ -331,6 +300,11 @@ def _matmul(A, B):
                 for j in range(cols):
                     row[j] += a * Bt[j]
     return out
+
+
+def _scaled_transpose(M, s):
+    """s times the transpose of the matrix M."""
+    return [[s * M[r][c] for r in range(len(M))] for c in range(len(M[0]) if M else 0)]
 
 
 def _matsub_maxabs(A, B) -> float:
@@ -420,21 +394,17 @@ def vanishing_lemma_check(
     for p in ft.blocks[i]:
         for q in ft.blocks[j]:
             if p[-1] == q[-1]:
-                prod = a.get(p[0], 0) * _conj(a.get(q[0], 0))
+                prod = a.get(p[0], 0) * a.get(q[0], 0).conjugate()
                 if prod != 0:
                     raise InvalidInputError(
                         f"hypothesis fails: a({p[0]})a({q[0]}) != 0 for the "
                         f"path pair {p} / {q}"
                     )
     w_y = _path_weight(ft.base, y)
-    a_conj = {v: _conj(val) for v, val in a.items()}
+    a_conj = {v: val.conjugate() for v, val in a.items()}
     for k in range(0, ft.K - max(i, j) + 1):
         # T_y^*: level k+j -> level k is w_y times the transpose of creation
-        cre_y = _path_creation(ft, y, k)
-        ann_y = [
-            [w_y * cre_y[r][c] for r in range(len(cre_y))]
-            for c in range(len(cre_y[0]) if cre_y else 0)
-        ]
+        ann_y = _scaled_transpose(_path_creation(ft, y, k), w_y)
         # operator on level k+j: La . T_x . T_y^* . La*
         M = _matmul(ann_y, ft.left_action_matrix(a_conj, k + j))
         M = _matmul(_path_creation(ft, x, k), M)
@@ -444,14 +414,6 @@ def vanishing_lemma_check(
                 if entry != 0:
                     return False
     return True
-
-
-def _conj(v):
-    if isinstance(v, complex):
-        return v.conjugate()
-    if hasattr(v, "conjugate"):
-        return v.conjugate()
-    return v
 
 
 def fock_report(ft: FockTruncation) -> dict:

@@ -25,7 +25,6 @@ from .polyalg import (
     FloatGrid,
     GaussianRational,
     UnivariatePolynomial,
-    _cluster,
     certified_roots,
     linked_groups,
     resultant_w,
@@ -237,10 +236,12 @@ class Correspondence:
         poly is specialised at the base point in complex128 (``grid``), and
         the float roots are kept when ``certified_roots`` proves them simple:
         then the exact polynomial has degree ``expected``, no point at
-        infinity and no repeated root.  Otherwise the base point is lifted
-        exactly, poly is specialised exactly and ``roots`` solves it.  Either
-        way roots within tol are clustered and merged in the chordal metric,
-        so two simple roots closer than tol still count as one double point.
+        infinity and no repeated root.  They are kept only when no two lie
+        within 2 tol, so that which roots cluster never depends on the path
+        that found them.  Otherwise the base point is lifted exactly, poly is
+        specialised exactly and ``roots`` solves it; roots within tol are
+        clustered and merged in the chordal metric, so two simple roots closer
+        than tol still count as one double point.
         """
         v, inverted = base.chart_value()
         found = None
@@ -256,21 +257,18 @@ class Correspondence:
                 pairs = [(SpherePoint.from_complex(z), 1) for z in simple]
                 pairs.sort(key=lambda pe: _point_sort_key(pe[0]))
                 return WeightedFiber(base=base, points=tuple(pairs))
-            inf_mult = 0
-            clusters = _cluster([(z, 1) for z in simple], tol)
+        v, inverted = base.exact_chart_value()
+        if inverted:
+            f = poly.univariate_in_z_inverted(v)
         else:
-            v, inverted = base.exact_chart_value()
-            if inverted:
-                f = poly.univariate_in_z_inverted(v)
-            else:
-                f = poly.univariate_in_z(v)
-            if f.is_zero:
-                raise InvalidInputError(
-                    "the fiber polynomial vanishes identically; the defining "
-                    "polynomial has a factor free of one variable"
-                )
-            inf_mult = expected - f.degree
-            clusters = roots(f, tol)
+            f = poly.univariate_in_z(v)
+        if f.is_zero:
+            raise InvalidInputError(
+                "the fiber polynomial vanishes identically; the defining "
+                "polynomial has a factor free of one variable"
+            )
+        inf_mult = expected - f.degree
+        clusters = roots(f, tol)
         pairs = []
         if inf_mult > 0:
             pairs.append((SpherePoint.infinity(), inf_mult))

@@ -208,17 +208,6 @@ class ArcSet:
     def is_full(self) -> bool:
         return self.measure == 1
 
-    def contains_point(self, x) -> bool:
-        x = Fraction(x)
-        x -= math.floor(x)
-        return any(a <= x < b for a, b in self.arcs)
-
-    def to_json(self):
-        return [
-            [a.numerator, a.denominator, b.numerator, b.denominator]
-            for a, b in self.arcs
-        ]
-
     @staticmethod
     def from_json(data) -> "ArcSet":
         return ArcSet.from_arcs(

@@ -1,16 +1,15 @@
 """Polynomial algebra: exact Gaussian-rational coefficients, resultants,
-gcds and simultaneous root finding with multiplicity clustering.
+gcds and root finding with multiplicity clustering.
 
-Coefficients of bivariate polynomials are kept exact (rational real and
-imaginary parts) so that resultant and squarefree computations never depend
-on floating point luck.  Root finding itself is done in floating point with
-an Aberth-Ehrlich style simultaneous iteration.  Multiplicities of exact
-input come from an exact certificate that the polynomial is squarefree,
-computed modulo a prime, and from Yun's squarefree decomposition only when
-the certificate is undecided; for float input they come from single-linkage
-clustering.  For float coefficients known to within a componentwise bound,
-``certified_roots`` keeps the ``np.roots`` approximations only when inclusion
-discs prove every root simple.
+Coefficients are kept exact (rational real and imaginary parts) so that
+resultant and squarefree computations never depend on floating point luck.
+Multiplicities come from an exact certificate that the polynomial is
+squarefree, computed modulo a prime, and from Yun's squarefree decomposition
+only when the certificate is undecided.  Each exact squarefree factor is then
+solved in floating point by one root finder, the eigenvalues of the companion
+matrix of its monic complex128 image (``np.roots``).  For float coefficients
+known to within a componentwise bound, ``certified_roots`` keeps the same
+``np.roots`` approximations only when inclusion discs prove every root simple.
 """
 
 from __future__ import annotations
@@ -53,9 +52,7 @@ class GaussianRational:
     def of(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x), Fraction(0))
-        if isinstance(x, float):
+        if isinstance(x, (int, Fraction, float)):
             return GaussianRational(Fraction(x), Fraction(0))
         if isinstance(x, complex):
             return GaussianRational(Fraction(x.real), Fraction(x.imag))
@@ -251,34 +248,17 @@ def _certified_squarefree(monic) -> bool:
 
 
 class UnivariatePolynomial:
-    """Dense univariate polynomial, ascending coefficients.
+    """Dense univariate polynomial, ascending exact coefficients.
 
-    Coefficients are either all exact (GaussianRational) or plain complex.
-    Trailing zero coefficients are stripped so the leading coefficient is
-    nonzero unless this is the zero polynomial.
+    Coefficients are lifted exactly by ``GaussianRational.of`` (a float keeps
+    its binary value), and trailing zeros are stripped so the leading
+    coefficient is nonzero unless this is the zero polynomial.
     """
 
-    __slots__ = ("coeffs", "exact")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = list(coeffs)
-        if not cs:
-            self.exact = True
-            self.coeffs = ()
-            return
-        if all(
-            isinstance(c, (GaussianRational, int, Fraction)) for c in cs
-        ):
-            cs = [GaussianRational.of(c) for c in cs]
-            while cs and not cs[-1]:
-                cs.pop()
-            self.exact = True
-        else:
-            cs = [complex(c) for c in cs]
-            while cs and cs[-1] == 0:
-                cs.pop()
-            self.exact = False
-        self.coeffs = tuple(cs)
+        self.coeffs = _xstrip([GaussianRational.of(c) for c in coeffs])
 
     @property
     def degree(self) -> int:
@@ -294,18 +274,10 @@ class UnivariatePolynomial:
             acc = acc * x + complex(c)
         return acc
 
-    def as_complex(self) -> np.ndarray:
-        try:
-            return np.array([complex(c) for c in self.coeffs], dtype=complex)
-        except OverflowError as exc:
-            raise RootFindingError(f"coefficient too large for a float: {exc}") from exc
-
     def __eq__(self, other):
         if not isinstance(other, UnivariatePolynomial):
             return NotImplemented
-        if self.exact and other.exact:
-            return self.coeffs == other.coeffs
-        return np.allclose(self.as_complex(), other.as_complex())
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         terms = [f"{c!r}*x^{i}" for i, c in enumerate(self.coeffs)]
@@ -416,25 +388,12 @@ class BivariatePolynomial:
 
     def univariate_in_z(self, w0: GaussianRational) -> UnivariatePolynomial:
         """Exact coefficients of z -> p(z, w0)."""
-        out = []
-        for row in self.coeffs:
-            acc = QQI_ZERO
-            for c in reversed(row):
-                acc = acc * w0 + c
-            out.append(acc)
-        return UnivariatePolynomial(out)
+        return UnivariatePolynomial(_horner(reversed(row), w0) for row in self.coeffs)
 
     def univariate_in_z_inverted(self, v0: GaussianRational) -> UnivariatePolynomial:
-        """Exact coefficients of z -> w2^n p(z, w) at w = 1/v0 (chart near
-        infinity); the common factor v0^-n is dropped."""
-        n = self.deg_w
-        out = []
-        for row in self.coeffs:
-            acc = QQI_ZERO
-            for j in range(self.deg_w + 1):
-                acc = acc + row[j] * _qqi_pow(v0, n - j)
-            out.append(acc)
-        return UnivariatePolynomial(out)
+        """Exact coefficients of z -> v0^n p(z, 1/v0), n = deg_w (chart near
+        infinity): row i gives the sum over j of c[i][j] v0^(n - j)."""
+        return UnivariatePolynomial(_horner(row, v0) for row in self.coeffs)
 
     def scalar_ratio_to(self, other: "BivariatePolynomial"):
         """Return c with self == c * other exactly, or None."""
@@ -468,10 +427,11 @@ class BivariatePolynomial:
         return " + ".join(terms)
 
 
-def _qqi_pow(x: GaussianRational, k: int) -> GaussianRational:
-    acc = QQI_ONE
-    for _ in range(k):
-        acc = acc * x
+def _horner(cs, x: GaussianRational) -> GaussianRational:
+    """cs[0] x^k + cs[1] x^(k-1) + ... + cs[k], exactly, by Horner's rule."""
+    acc = QQI_ZERO
+    for c in cs:
+        acc = acc * x + c
     return acc
 
 
@@ -484,66 +444,6 @@ class RootCluster:
     center: complex
     multiplicity: int
     radius: float
-
-
-# overflow and NaN are caught below by the convergence and residual tests
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _aberth(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """All roots of the polynomial with the given (ascending, leading nonzero)
-    complex coefficients, by simultaneous Aberth-Ehrlich iteration."""
-    d = len(coeffs) - 1
-    if d <= 0:
-        return np.empty(0, dtype=complex)
-    a = coeffs / coeffs[-1]
-    if not np.all(np.isfinite(a)):
-        raise RootFindingError(f"monic coefficients overflow for {list(coeffs)}")
-    if d == 1:
-        return np.array([-a[0]])
-    da = np.arange(1, d + 1) * a[1:]
-    radius = 1.0 + float(np.max(np.abs(a[:-1])))
-    k = np.arange(d)
-    # perturbed circle start: irrational-ish angle offset and radius jitter
-    z = (
-        radius
-        * np.exp(2j * np.pi * (k + 0.3819660112) / d)
-        * (1.0 + 0.05 * (k + 1) / d)
-    )
-    maxcorr = np.inf
-    for _ in range(200):
-        p = np.polynomial.polynomial.polyval(z, a)
-        dp = np.polynomial.polynomial.polyval(z, da)
-        bad = np.abs(dp) == 0
-        if np.any(bad):
-            z = z + np.where(bad, 1e-8 * (1 + np.abs(z)), 0)
-            continue
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        corr = w / denom
-        z = z - corr
-        maxcorr = float(np.max(np.abs(corr)))
-        if maxcorr < 1e-13 * (1.0 + float(np.max(np.abs(z)))):
-            break
-    # written as "not <=" so that NaN from a diverged iteration fails the test
-    if not maxcorr <= 0.1 * max(tol, 1e-6) * (1.0 + float(np.max(np.abs(z)))):
-        # stalled (typically tight root clusters) or diverged; fall back to
-        # the companion-matrix eigenvalues and keep whichever answer has the
-        # smaller residual
-        alt = np.roots(a[::-1])
-        res_z = float(np.max(np.abs(np.polynomial.polynomial.polyval(z, a))))
-        res_alt = float(np.max(np.abs(np.polynomial.polynomial.polyval(alt, a))))
-        if res_alt <= res_z or not np.isfinite(res_z):
-            z = alt
-            res_z = res_alt
-        scale = float(np.max(np.abs(a)))
-        if not res_z <= 1e-5 * scale * (1.0 + float(np.max(np.abs(z)))) ** d:
-            raise RootFindingError(
-                f"root finding did not converge for coefficients {list(coeffs)}"
-            )
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -678,33 +578,51 @@ def _cluster(points, tol: float):
     return clusters
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def _companion_roots(monic) -> np.ndarray:
+    """All roots of the polynomial with the given ascending, exact, monic
+    coefficients: the eigenvalues of the companion matrix of its complex128
+    image, which are backward stable (Edelman & Murakami, Math. Comp. 64,
+    1995).  Raises RootFindingError when a coefficient or a root is not a
+    finite float, or when the eigenvalue solver fails."""
+    try:
+        a = np.array([complex(c) for c in monic])
+    except OverflowError as exc:
+        raise RootFindingError(f"coefficient too large for a float: {exc}") from exc
+    try:
+        z = np.roots(a[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingError(f"companion eigenvalues failed for {a.tolist()}: {exc}") from exc
+    if not np.all(np.isfinite(z)):
+        raise RootFindingError(f"non-finite root for coefficients {a.tolist()}")
+    return z
+
+
 def roots(f: UnivariatePolynomial, tol: float = 1e-6) -> list:
     """Root clusters of f with multiplicities summing to deg f.
 
-    Exact-coefficient input is first tested for squarefreeness modulo a
-    prime; a certified squarefree f is solved as its monic self with
-    multiplicity 1.  Otherwise (a repeated root, or an unlucky prime) Yun's
-    exact squarefree decomposition supplies the multiplicities, so nontrivial
-    multiplicities are detected structurally either way; the clustering pass
-    then only merges numerically coincident roots.
+    f is first tested for squarefreeness modulo a prime; a certified
+    squarefree f is solved as its monic self with multiplicity 1.  Otherwise
+    (a repeated root, or an unlucky prime) Yun's exact squarefree
+    decomposition supplies the multiplicities, so nontrivial multiplicities
+    are detected structurally either way.  Each squarefree factor is solved
+    by ``_companion_roots``; the clustering pass then only merges numerically
+    coincident roots.
     """
     if f.is_zero:
         raise InvalidInputError("roots of the zero polynomial")
     if f.degree == 0:
         return []
-    pairs = []
-    if f.exact:
-        monic = _xmonic(f.coeffs)
-        if _certified_squarefree(monic):
-            factors = [(monic, 1)]
-        else:
-            factors = squarefree_factors(f.coeffs)
-        for factor, mult in factors:
-            for r in _aberth(UnivariatePolynomial(factor).as_complex(), tol):
-                pairs.append((complex(r), mult))
+    monic = _xmonic(f.coeffs)
+    if _certified_squarefree(monic):
+        factors = [(monic, 1)]
     else:
-        for r in _aberth(f.as_complex(), tol):
-            pairs.append((complex(r), 1))
+        factors = squarefree_factors(f.coeffs)
+    pairs = [
+        (complex(r), mult)
+        for factor, mult in factors
+        for r in _companion_roots(factor)
+    ]
     return _cluster(pairs, tol)
 
 

@@ -10,7 +10,6 @@ from fractions import Fraction as F
 from corrdyn.bimodule import (
     FiniteBimodule,
     SampledFunction,
-    constant_function,
     fock_build,
     fock_relation_check,
     inner_product,
@@ -46,6 +45,8 @@ from corrdyn.ktheory import (
 )
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import GaussianRational, squarefree_check
+
+from support import constant_function
 
 GR = GaussianRational.of
 

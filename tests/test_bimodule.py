@@ -7,7 +7,6 @@ from corrdyn.bimodule import (
     FiniteBimodule,
     FockTruncation,
     SampledFunction,
-    constant_function,
     fock_build,
     fock_relation_check,
     fock_report,
@@ -23,6 +22,8 @@ from corrdyn.correspondence import Correspondence, SpherePoint, unit_circle_poin
 from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import GaussianRational
+
+from support import constant_function
 
 GR = GaussianRational.of
 
@@ -206,8 +207,11 @@ class TestFiniteBimodule:
     def test_edges(self):
         fb = FiniteBimodule.build(circle_rel(), [0, 1, -1])
         assert fb.edges == ((0, 1, 2), (0, 2, 2), (1, 0, 1), (2, 0, 1))
-        assert fb.dimension == 4
-        assert fb.fiber_degree == 2
+        # every backward fiber of z^2 + w^2 - 1 has total weight deg_z = 2
+        weights = {}
+        for _, wi, e in fb.edges:
+            weights[wi] = weights.get(wi, 0) + e
+        assert weights == {0: 2, 1: 2, 2: 2}
 
     def test_rejects_non_invariant(self):
         with pytest.raises(InvalidInputError):

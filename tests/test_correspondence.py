@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrdyn.correspondence import (
@@ -12,6 +12,7 @@ from corrdyn.correspondence import (
     SpherePoint,
     WeightedFiber,
     _chordal_merge,
+    _chordally_separated,
     chordal_distance,
     unit_circle_points,
 )
@@ -267,6 +268,15 @@ def _same_fiber(a, b, dist=1e-9):
 
 class TestFloatFirstFiber:
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @example(  # w^4 - zw - z^2 w^3 + z^3: roots near 315 beside one near 1e15
+        BP([[GR(0), GR(0), GR(0), GR(0), GR(1)], [GR(0), GR(-1)], [GR(0), GR(0), GR(0), GR(-1)],
+            [GR(1)]]),
+        "backward",
+        SpherePoint.from_complex(99140 + 0j),
+    )
+    @example(  # two certified roots about tol apart, one on each side of tol
+        ORBIT_FAMILIES[0], "forward", SpherePoint.from_complex(0.9999999999995 + 9.999999999998333e-07j)
+    )
     @settings(max_examples=150, deadline=None)
     def test_matches_exact_only_fiber(self, p, direction, base):
         poly, expected = _fiber_problem(p, direction)
@@ -279,14 +289,23 @@ class TestFloatFirstFiber:
                 Correspondence._fiber(FloatGrid(poly), poly, base, expected, 1e-6)
             return
         fast = Correspondence._fiber(FloatGrid(poly), poly, base, expected, 1e-6)
-        try:
-            _same_fiber(fast, exact)
-        except AssertionError:
-            # Aberth's stopping test on the exact path is relative to the
-            # largest root, so near infinity it can stop while a small root is
-            # still off by more than 1e-9; then the float fiber must be the
-            # one that matches the roots at 60 digits
-            _same_fiber(fast, _reference_fiber(poly, base, expected))
+        _same_fiber(fast, exact)
+
+    def test_exact_path_small_roots_beside_a_huge_one(self):
+        # the forward fiber of the survey-seed-29 raw polynomial here has a
+        # leading coefficient below its float error bound, so it takes the
+        # exact path; its two roots of modulus about 1 sit beside one near
+        # 4.5e15 and must still match the roots at 60 digits
+        p = BP([
+            [GR((1, -1)), GR((-1, -3)), GR((-1, -2)), GR((1, 0))],
+            [GR((0, 2)), GR((-1, -2)), GR((3, -2)), GR((-2, 0))],
+            [GR((2, 0)), GR((0, 0)), GR((-2, 1)), GR((-3, 0))],
+        ])
+        poly, expected = _fiber_problem(p, "forward")
+        base = SpherePoint.from_complex(-0.9999999999999997 + 0j)
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
+        fiber = Correspondence(p, check_squarefree=False).forward_fiber(base)
+        _same_fiber(fiber, _reference_fiber(poly, base, expected))
 
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
     @settings(max_examples=150, deadline=None)
@@ -355,7 +374,7 @@ class TestFloatFirstFiber:
         poly, expected = _fiber_problem(p, direction)
         grid = FloatGrid(poly)
         found = certified_roots(*grid.specialise(*base.chart_value()))
-        if found is None:
+        if found is None or not _chordally_separated([complex(z) for z in found[0]], 2e-6):
             return
         clusters = _cluster([(complex(z), 1) for z in found[0]], 1e-6)
         want = _chordal_merge(

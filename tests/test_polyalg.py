@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,9 @@ from corrdyn.polyalg import (
     BivariatePolynomial,
     GaussianRational,
     UnivariatePolynomial,
-    _aberth,
     _certified_squarefree,
     _cluster,
+    _companion_roots,
     _xmonic,
     resultant_w,
     resultant_z,
@@ -42,7 +43,7 @@ def reference_roots(f, tol=1e-6):
     """roots(f) for exact f, always through Yun's squarefree decomposition."""
     pairs = []
     for factor, mult in squarefree_factors(f.coeffs):
-        for r in _aberth(UnivariatePolynomial(factor).as_complex(), tol):
+        for r in _companion_roots(factor):
             pairs.append((complex(r), mult))
     return _cluster(pairs, tol)
 
@@ -117,6 +118,19 @@ class TestRoots:
     def test_coefficient_too_large_for_float(self):
         with pytest.raises(RootFindingError):
             roots(UnivariatePolynomial([GR(10**400), GR(1)]))
+
+    @pytest.mark.parametrize("outcome", [np.linalg.LinAlgError("no convergence"),
+                                         np.array([np.inf + 0j])],
+                             ids=["eigenvalues-fail", "non-finite-root"])
+    def test_companion_failure_is_a_root_finding_error(self, monkeypatch, outcome):
+        def fake_roots(_):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(polyalg.np, "roots", fake_roots)
+        with pytest.raises(RootFindingError):
+            roots(UnivariatePolynomial([GR(1), GR(1)]))
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)
