@@ -19,7 +19,7 @@ from .correspondence import (
     chordal_distance,
     unit_circle_points,
 )
-from .dynamics import invariant_check, paths_ending_at
+from .dynamics import PATH_CAP, invariant_check, paths_ending_at
 from .errors import InvalidInputError, ResourceLimitError
 
 __all__ = [
@@ -315,7 +315,7 @@ def _matsub_maxabs(A, B) -> float:
     return dev
 
 
-def fock_build(fb: FiniteBimodule, K: int, path_cap: int = 200000) -> FockTruncation:
+def fock_build(fb: FiniteBimodule, K: int, path_cap: int = PATH_CAP) -> FockTruncation:
     """Enumerate the path bases of the first K+1 Fock levels."""
     if K < 0 or K > 8:
         raise ResourceLimitError("Fock truncation level must be between 0 and 8")

@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 ARC_CAP = 10**6
+# most paths a path space or a Fock level may hold
+PATH_CAP = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +78,14 @@ class PathSample:
         return self.points[-1]
 
 
+def _check_path_count(starts: int, deg: int, n: int) -> None:
+    """Refuse when starts * deg^n, the most length-n paths there can be,
+    exceeds PATH_CAP; deg^n > PATH_CAP once n reaches PATH_CAP.bit_length(),
+    so the exponent stops there."""
+    if starts * deg ** min(n, PATH_CAP.bit_length()) > PATH_CAP:
+        raise ResourceLimitError(f"{starts} * {deg}^{n} paths may exceed {PATH_CAP}; lower n")
+
+
 def path_space(
     corr: Correspondence,
     start_set: Sequence[SpherePoint],
@@ -85,6 +95,7 @@ def path_space(
     """All length-n forward paths starting in start_set."""
     if n < 1:
         raise InvalidInputError("path length must be >= 1")
+    _check_path_count(len(start_set), corr.deg_w, n)
     paths = [PathSample(points=(p,), weight=1) for p in start_set]
     for _ in range(n):
         nxt = []
@@ -102,6 +113,7 @@ def paths_ending_at(
     fibers from the endpoint."""
     if n < 0:
         raise InvalidInputError("path length must be >= 0")
+    _check_path_count(1, corr.deg_z, n)
     paths = [PathSample(points=(w,), weight=1)]
     for _ in range(n):
         nxt = []

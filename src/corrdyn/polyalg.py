@@ -1,5 +1,6 @@
-"""Polynomial algebra: exact Gaussian-rational coefficients, resultants,
-gcds and root finding with multiplicity clustering.
+"""Polynomial algebra: exact Gaussian-rational coefficients, root finding
+with multiplicity clustering, and resultants and gcds on sympy Polys over the
+smallest exact domain of the coefficients (ZZ, QQ, ZZ_I or QQ_I).
 
 Coefficients are kept exact (rational real and imaginary parts) so that
 resultant and squarefree computations never depend on floating point luck.
@@ -627,60 +628,57 @@ def roots(f: UnivariatePolynomial, tol: float = 1e-6) -> list:
 
 
 # ---------------------------------------------------------------------------
-# resultants / gcd via sympy (exact, Gaussian-rational domain)
+# resultants / gcd via sympy Polys over the smallest exact domain
 
 
-def _sympy_ctx():
+def _sympy_poly(p: BivariatePolynomial):
+    """p as a sympy Poly in z, w.  No domain is given, so sympy picks the
+    smallest exact one that holds the coefficients: ZZ, QQ, ZZ_I or QQ_I."""
     import sympy as sp
 
-    return sp, sp.symbols("z w")
+    terms = {
+        (i, j): sp.Rational(c.re.numerator, c.re.denominator)
+        + sp.Rational(c.im.numerator, c.im.denominator) * sp.I
+        for i, row in enumerate(p.coeffs)
+        for j, c in enumerate(row)
+        if c
+    }
+    return sp.Poly.from_dict(terms, sp.symbols("z w"))
 
 
-def _to_sympy(p: BivariatePolynomial):
-    sp, (z, w) = _sympy_ctx()
-    expr = sp.Integer(0)
-    for i, row in enumerate(p.coeffs):
-        for j, c in enumerate(row):
-            if c:
-                expr += (
-                    sp.Rational(c.re.numerator, c.re.denominator)
-                    + sp.Rational(c.im.numerator, c.im.denominator) * sp.I
-                ) * z**i * w**j
-    return expr
+def _poly_terms(P) -> dict:
+    """{monomial: GaussianRational} of a Poly over ZZ, QQ, ZZ_I or QQ_I, read
+    exactly from its domain elements (those of ZZ_I and QQ_I carry x + y i)."""
+    out = {}
+    for m, c in P.rep.to_dict().items():
+        re, im = getattr(c, "x", c), getattr(c, "y", 0)
+        out[m] = GaussianRational(
+            Fraction(re.numerator, re.denominator), Fraction(im.numerator, im.denominator)
+        )
+    return out
 
 
-def _sympy_number_to_qqi(x) -> GaussianRational:
-    import sympy as sp
-
-    re, im = x.as_real_imag()
-    return GaussianRational(
-        Fraction(sp.Rational(re).p, sp.Rational(re).q),
-        Fraction(sp.Rational(im).p, sp.Rational(im).q),
-    )
-
-
-def _sympy_univariate(expr, var) -> UnivariatePolynomial:
-    import sympy as sp
-
-    expr = sp.expand(expr)
-    if expr == 0:
-        return UnivariatePolynomial([])
-    poly = sp.Poly(expr, var, domain="QQ_I")
-    coeffs = [_sympy_number_to_qqi(c) for c in reversed(poly.all_coeffs())]
+def _univariate(P) -> UnivariatePolynomial:
+    """P, which depends on its last generator only, as a polynomial in it."""
+    terms = _poly_terms(P)
+    coeffs = [QQI_ZERO] * (max((m[-1] for m in terms), default=-1) + 1)
+    for m, c in terms.items():
+        coeffs[m[-1]] = c
     return UnivariatePolynomial(coeffs)
 
 
 def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
-    """Res_z(f, g) as an exact univariate polynomial in w."""
+    """Res_z(f, g) as an exact univariate polynomial in w, by sympy's
+    subresultant algorithm over the smallest exact domain of f and g; the
+    resultant does not change when computed over the Gaussian rationals."""
     if f.deg_z == 0 and g.deg_z == 0:
         raise InvalidInputError("resultant in z of two z-constant polynomials")
-    sp, (z, w) = _sympy_ctx()
-    fe, ge = _to_sympy(f), _to_sympy(g)
+    F, G = _sympy_poly(f), _sympy_poly(g)
     if g.deg_z == 0:
-        return _sympy_univariate(ge**f.deg_z, w)
+        return _univariate(G**f.deg_z)
     if f.deg_z == 0:
-        return _sympy_univariate(fe**g.deg_z, w)
-    return _sympy_univariate(sp.resultant(fe, ge, z), w)
+        return _univariate(F**g.deg_z)
+    return _univariate(F.resultant(G))
 
 
 def resultant_w(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
@@ -691,27 +689,17 @@ def resultant_w(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePol
 def squarefree_check(p: BivariatePolynomial):
     """(True, None) when p has no repeated factor; else (False, witness)
     where witness is a nonconstant common factor of p and one of its
-    partial derivatives."""
-    sp, (z, w) = _sympy_ctx()
-    pe = _to_sympy(p)
-    for var in (z, w):
-        de = sp.diff(pe, var)
-        if de == 0:
+    partial derivatives.  The gcds run over the smallest exact domain of p;
+    the witness is made monic in lex order, as the gcd over QQ_I is."""
+    P = _sympy_poly(p)
+    for gen in P.gens:
+        D = P.diff(gen)
+        if D.is_zero:
             continue
-        g = sp.gcd(
-            sp.Poly(pe, z, w, domain="QQ_I"), sp.Poly(de, z, w, domain="QQ_I")
-        )
-        if sp.total_degree(g.as_expr(), z, w) > 0:
-            return False, _sympy_bivariate(g.as_expr())
+        G = P.gcd(D)
+        if G.total_degree() > 0:
+            grid = [[QQI_ZERO] * (G.degree(1) + 1) for _ in range(G.degree(0) + 1)]
+            for (i, j), c in _poly_terms(G.monic()).items():
+                grid[i][j] = c
+            return False, BivariatePolynomial(grid)
     return True, None
-
-
-def _sympy_bivariate(expr) -> BivariatePolynomial:
-    sp, (z, w) = _sympy_ctx()
-    poly = sp.Poly(sp.expand(expr), z, w, domain="QQ_I")
-    dz = poly.degree(z)
-    dw = poly.degree(w)
-    grid = [[QQI_ZERO] * (dw + 1) for _ in range(dz + 1)]
-    for (i, j), c in poly.terms():
-        grid[i][j] = _sympy_number_to_qqi(c)
-    return BivariatePolynomial(grid)

@@ -87,6 +87,18 @@ class TestInvariantAndPaths:
         assert rep["count"] == 2  # 0 -> +-1 -> 0
         assert all(p["weight"] == 2 for p in rep["paths"])
 
+    def test_paths_over_the_cap_refused_before_any_fiber(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fiber solved before the path count was checked")
+
+        monkeypatch.setattr(correspondence.Correspondence, "forward_fiber", refuse)
+        code = main([
+            "paths", "--poly", '{"family":"monomial","m":3,"n":3}',
+            "--start", "[[1,0]]", "--n", "30",
+        ])
+        assert code == 3
+        assert last_error(capsys) == "resource-refusal"
+
 
 class TestExpansive:
     def test_divisible_not_expansive(self, capsys):
@@ -232,21 +244,30 @@ class TestErrors:
     def test_bad_json(self, capsys):
         assert run(capsys, ["fibers", "--poly", "{oops", "--point", "[0,0]"])[0] == 2
 
+    def refusal(self, capsys, spec):
+        assert main(["fibers", "--poly", spec, "--point", "[0,0]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return json.loads(captured.err)
+
     def test_non_squarefree(self, capsys):
-        code, _ = run(capsys, [
-            "fibers", "--poly",
+        # (w - z^2)^2
+        assert self.refusal(
+            capsys,
             '{"factors":[[[[0,0],[1,0]],[[0,0]],[[-1,0]]],[[[0,0],[1,0]],[[0,0]],[[-1,0]]]]}',
-            "--point", "[0,0]",
-        ])
-        assert code == 2
+        ) == {
+            "error": "invalid-input",
+            "detail": "defining polynomial is not reduced; "
+                      "repeated factor (-1+0i)*z^0*w^1 + (1+0i)*z^2*w^0",
+        }
 
     def test_mixed_non_squarefree(self, capsys):
         # (z - w)(z^2 - w^2) has the repeated factor z - w
-        code, _ = run(capsys, [
-            "fibers", "--poly", '{"family":"mixed","pairs":[[1,1],[2,2]]}',
-            "--point", "[0,0]",
-        ])
-        assert code == 2
+        assert self.refusal(capsys, '{"family":"mixed","pairs":[[1,1],[2,2]]}') == {
+            "error": "invalid-input",
+            "detail": "defining polynomial is not reduced; "
+                      "repeated factor (-1+0i)*z^0*w^1 + (1+0i)*z^1*w^0",
+        }
 
     @pytest.mark.parametrize("argv", [
         ["fibers", "--poly", '{"family":"monomial"}', "--point", "[0,0]"],

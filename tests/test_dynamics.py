@@ -231,6 +231,22 @@ class TestPaths:
         assert len(path_space(corr, start, 2)) == 3 * 3
         assert len(paths_ending_at(corr, start[0], 2)) == 2 * 2
 
+    def test_path_cap(self, monkeypatch):
+        corr = Correspondence(BP.monomial_relation(2, 3))
+        start = [SpherePoint.from_complex(1 + 0j)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fiber solved before the path count was checked")
+
+        monkeypatch.setattr(corr, "forward_fiber", refuse)
+        monkeypatch.setattr(corr, "backward_fiber", refuse)
+        with pytest.raises(ResourceLimitError):
+            path_space(corr, start, 12)  # 3^12 > 200000
+        with pytest.raises(ResourceLimitError):
+            paths_ending_at(corr, start[0], 18)  # 2^18 > 200000
+        with pytest.raises(ResourceLimitError):
+            path_space(corr, start * 2, 10**12)
+
     def test_weights(self):
         corr = circle_rel()
         paths = paths_ending_at(corr, SpherePoint.from_complex(1 + 0j), 2)

@@ -23,6 +23,8 @@ from corrdyn.polyalg import (
     squarefree_factors,
 )
 
+from support import reference_resultant_z, reference_squarefree_check
+
 GR = GaussianRational.of
 
 
@@ -227,3 +229,65 @@ class TestBivariate:
         ok, witness = squarefree_check(bad)
         assert not ok and witness is not None
 
+    @pytest.mark.parametrize("factor,cofactor", [
+        ([[0, -1], [1]], [[0, 0, -1], [0], [1]]),  # (z - w)(z^2 - w^2)
+        ([[0, 1], [0], [-1]], [[0, 1], [0], [-1]]),  # (w - z^2)^2
+    ], ids=["mixed-1-1-2-2", "graph-squared"])
+    def test_witness_is_the_repeated_factor(self, factor, cofactor):
+        factor = BivariatePolynomial([[GR(c) for c in row] for row in factor])
+        cofactor = BivariatePolynomial([[GR(c) for c in row] for row in cofactor])
+        ok, witness = squarefree_check(BivariatePolynomial.product([factor, cofactor]))
+        assert not ok
+        assert witness.scalar_ratio_to(factor) is not None
+
+
+def _coefficient(kind):
+    """Coefficients whose smallest exact domain is ZZ, ZZ_I, QQ or QQ_I; the
+    rational ones are dyadic floats, which lift exactly."""
+    small = st.integers(-3, 3)
+    dyadic = st.builds(lambda k, e: k / 2**e, st.integers(-12, 12), st.integers(0, 3))
+    return {
+        "ZZ": small.map(GR),
+        "ZZ_I": st.tuples(small, small).map(GR),
+        "QQ": dyadic.map(GR),
+        "QQ_I": st.tuples(dyadic, dyadic).map(GR),
+    }[kind]
+
+
+@st.composite
+def bivariate(draw, max_dz=2, max_dw=2, min_dz=1):
+    kind = draw(st.sampled_from(["ZZ", "ZZ_I", "QQ", "QQ_I"]))
+    dz = draw(st.integers(min_dz, max_dz))
+    dw = draw(st.integers(1, max_dw))
+    grid = draw(st.lists(
+        st.lists(_coefficient(kind), min_size=dw + 1, max_size=dw + 1),
+        min_size=dz + 1, max_size=dz + 1,
+    ))
+    # nonzero z^dz and w^dw terms keep both degrees
+    grid[dz][0] = grid[dz][0] or GR(1)
+    grid[0][dw] = grid[0][dw] or GR(1)
+    return BivariatePolynomial(grid)
+
+
+with_repeated_factor = st.builds(
+    lambda q, r: BivariatePolynomial.product([q, r, r]),
+    bivariate(max_dz=1, max_dw=1), bivariate(max_dz=1, max_dw=1, min_dz=0),
+)
+
+
+class TestAgainstExpressionRoute:
+    """The Poly route over the smallest exact domain gives exactly what sympy
+    gives from expressions over QQ_I."""
+
+    @given(bivariate(max_dz=3), bivariate(min_dz=0))
+    @settings(max_examples=40, deadline=None)
+    def test_resultants(self, p, q):
+        for g in (p.partial_z(), p.partial_w(), q):
+            assert resultant_z(p, g) == reference_resultant_z(p, g)
+            assert resultant_w(p, g) == reference_resultant_z(p.transpose(), g.transpose())
+
+    @given(st.one_of(bivariate(), with_repeated_factor))
+    @settings(max_examples=40, deadline=None)
+    def test_squarefree_check(self, p):
+        ok, witness = squarefree_check(p)
+        assert (ok, witness) == reference_squarefree_check(p)
