@@ -20,7 +20,6 @@ from .errors import (
 from .polyalg import (
     BivariatePolynomial,
     GaussianRational,
-    RootCluster,
     UnivariatePolynomial,
     roots,
     squarefree_check,

@@ -30,6 +30,7 @@ __all__ = [
     "norm2",
     "norm_inf",
     "monomial_basis",
+    "monomial_basis_element",
     "tensor_isometry_check",
     "ideal_membership",
     "fock_build",
@@ -130,21 +131,21 @@ def norm_inf(
     return best
 
 
+def monomial_basis_element(m: int, i: int) -> SampledFunction:
+    """u_i(z, w) = z^i / sqrt(m), the i-th element of ``monomial_basis(m)``."""
+    if not 0 <= i < m or m > 2**1000:
+        raise InvalidInputError(f"basis element needs 0 <= i < m <= 2^1000, got {i}, {m}")
+    root = math.sqrt(m)
+    return SampledFunction("correspondence", lambda z, w: z.to_complex() ** i / root,
+                           label=f"u_{i}")
+
+
 def monomial_basis(m: int):
     """u_i(z, w) = z^i / sqrt(m) for i = 0..m-1: an orthonormal module basis
     for the family z^m = w^n restricted to the circle."""
     if m < 1:
         raise InvalidInputError("m must be >= 1")
-    root = math.sqrt(m)
-
-    def make(i):
-        return SampledFunction(
-            "correspondence",
-            lambda z, w, i=i: z.to_complex() ** i / root,
-            label=f"u_{i}",
-        )
-
-    return [make(i) for i in range(m)]
+    return [monomial_basis_element(m, i) for i in range(m)]
 
 
 def tensor_isometry_check(

@@ -117,11 +117,11 @@ def _load_json_arg(text):
                 return json.load(fh)
         except OSError as exc:
             raise InvalidInputError(f"cannot read {text[1:]}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of > 4300 digits
             raise InvalidInputError(f"bad JSON in {text[1:]}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidInputError(f"bad JSON argument: {exc}") from exc
 
 
@@ -148,7 +148,8 @@ def _emit(args, report: dict):
     if getattr(args, "timing", False):
         report["wall_time_s"] = time.monotonic() - args._t0
     indent = 2 if getattr(args, "pretty", False) else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
+    # flushed so that a closed stdout raises inside main
+    print(json.dumps(report, indent=indent, sort_keys=True), flush=True)
 
 
 def _seed(args) -> int:
@@ -301,7 +302,7 @@ def _parse_function(obj) -> bimodule.SampledFunction:
         c = complex(_coeff(obj["const"]))
         return bimodule.SampledFunction("correspondence", lambda z, w: c)
     if isinstance(obj, dict) and "zpoly" in obj:
-        coeffs = [complex(_coeff(c)) for c in obj["zpoly"]]
+        coeffs = [complex(_coeff(c)) for c in _json_list(obj["zpoly"], "zpoly")]
 
         def fn(z, w):
             zz = z.to_complex()
@@ -309,8 +310,12 @@ def _parse_function(obj) -> bimodule.SampledFunction:
 
         return bimodule.SampledFunction("correspondence", fn)
     if isinstance(obj, dict) and "basis" in obj:
-        m, i = int(obj["basis"]["m"]), int(obj["basis"]["i"])
-        return bimodule.monomial_basis(m)[i]
+        basis = obj["basis"]
+        if not isinstance(basis, dict):
+            raise InvalidInputError(f'basis must be {{"m": M, "i": I}}, got {basis!r}')
+        return bimodule.monomial_basis_element(
+            _integer(basis.get("m"), "basis m"), _integer(basis.get("i"), "basis i")
+        )
     raise InvalidInputError("function spec needs one of: const, zpoly, basis")
 
 
@@ -387,14 +392,17 @@ def cmd_render(args):
         start=start,
         workers=args.workers,
     )
-    if out.endswith(".csv"):
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("re,im,chart\n")
-            for p in pts:
-                v, inverted = p.chart_value()
-                fh.write(f"{v.real!r},{v.imag!r},{1 if inverted else 0}\n")
-    else:
-        _write_ppm(out, pts, args.px)
+    try:
+        if out.endswith(".csv"):
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write("re,im,chart\n")
+                for p in pts:
+                    v, inverted = p.chart_value()
+                    fh.write(f"{v.real!r},{v.imag!r},{1 if inverted else 0}\n")
+        else:
+            _write_ppm(out, pts, args.px)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out}: {exc}") from exc
     _emit(args, {
         "command": "render",
         "points": len(pts),
@@ -544,6 +552,10 @@ def main(argv=None) -> int:
         return 4
     except RootFindingError as exc:
         print(json.dumps({"error": "root-finding", "detail": str(exc)}), file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # stdout's reader left; keep the exit flush silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print('{"error": "broken-pipe", "detail": "stdout was closed"}', file=sys.stderr)
         return 2
     return 0
 

@@ -8,8 +8,9 @@ disjoint inclusion discs prove each of them simple.  Otherwise (a multiple
 point, a root near another, a vanishing leading coefficient, a non-finite
 base) the base point is lifted exactly to a rational and the fiber comes out
 of the exact squarefree machinery, so multiplicities never rest on float
-luck.  Points of large modulus and the point at infinity are handled through
-the chordal metric, which merges them naturally.
+luck.  One single-linkage merge in the chordal metric, ``_chordal_merge``,
+decides which fiber roots, and which branched-set candidates, are one point;
+points of large modulus and the point at infinity merge naturally.
 """
 
 from __future__ import annotations
@@ -237,10 +238,10 @@ class Correspondence:
         the float roots are kept when ``certified_roots`` proves them simple:
         then the exact polynomial has degree ``expected``, no point at
         infinity and no repeated root.  They are kept only when no two lie
-        within 2 tol, so that which roots cluster never depends on the path
+        within 2 tol, so that which roots merge never depends on the path
         that found them.  Otherwise the base point is lifted exactly, poly is
-        specialised exactly and ``roots`` solves it; roots within tol are
-        clustered and merged in the chordal metric, so two simple roots closer
+        specialised exactly, and its roots and the point at infinity go
+        through one ``_chordal_merge`` at tol, so two simple roots closer
         than tol still count as one double point.
         """
         v, inverted = base.chart_value()
@@ -248,11 +249,10 @@ class Correspondence:
         if grid is not None:
             found = certified_roots(*grid.specialise(v, inverted))
         if found is not None:
-            # adding 0j turns a -0.0 part into 0.0, as a cluster centre does
+            # adding 0j turns a -0.0 part into 0.0, as the merge's mean does
             simple = [complex(z) + 0j for z in found[0]]
             if _chordally_separated(simple, 2 * tol):
-                # no two roots within tol, even in the Euclidean metric, so
-                # clustering and the merge below would keep each one alone
+                # no two roots within tol: the merge would keep each alone
                 simple.sort(key=lambda z: (z.real, z.imag))
                 pairs = [(SpherePoint.from_complex(z), 1) for z in simple]
                 pairs.sort(key=lambda pe: _point_sort_key(pe[0]))
@@ -267,17 +267,10 @@ class Correspondence:
                 "the fiber polynomial vanishes identically; the defining "
                 "polynomial has a factor free of one variable"
             )
-        inf_mult = expected - f.degree
-        clusters = roots(f, tol)
-        pairs = []
-        if inf_mult > 0:
-            pairs.append((SpherePoint.infinity(), inf_mult))
-        for cluster in clusters:
-            pairs.append(
-                (SpherePoint.from_complex(cluster.center), cluster.multiplicity)
-            )
-        merged = _chordal_merge(pairs, tol)
-        fiber = WeightedFiber(base=base, points=tuple(merged))
+        pairs = roots(f)
+        if expected > f.degree:
+            pairs.append((None, expected - f.degree))
+        fiber = WeightedFiber(base=base, points=tuple(_chordal_merge(pairs, tol)))
         if fiber.total_multiplicity != expected:
             raise RootFindingError(
                 f"fiber multiplicities sum to {fiber.total_multiplicity}, "
@@ -359,21 +352,12 @@ class Correspondence:
 
     @staticmethod
     def _verified_candidates(res: UnivariatePolynomial, verify, tol: float):
-        candidates = [SpherePoint.infinity()]
+        """The roots of res and infinity, merged at tol, that pass verify."""
         if res.is_zero:
             raise InvalidInputError(
                 "resultant vanished identically; the polynomial is not reduced"
             )
-        if res.degree > 0:
-            for cluster in roots(res, tol):
-                candidates.append(SpherePoint.from_complex(cluster.center))
-        deduped = []
-        for c in candidates:
-            if all(chordal_distance(c, d) > 1e-9 for d in deduped):
-                deduped.append(c)
-        out = [c for c in deduped if verify(c)]
-        out.sort(key=_point_sort_key)
-        return out
+        return [c for c, _ in _chordal_merge(roots(res) + [(None, 1)], tol) if verify(c)]
 
 
 def _point_sort_key(p: SpherePoint):
@@ -395,20 +379,36 @@ def _chordally_separated(zs, limit: float) -> bool:
 
 
 def _chordal_merge(pairs, tol: float):
-    """Single-linkage merge of (SpherePoint, multiplicity) at chordal tol."""
-    pairs = list(pairs)
+    """Single-linkage merge at chordal tol of (z, multiplicity) pairs, z
+    complex or None for infinity, into (SpherePoint, multiplicity) sorted by
+    ``_point_sort_key``.  Members go in (real, imag) order, infinity last.  A
+    group holding infinity is infinity; any other is its weighted mean in
+    the chart of its first member: 1/z when |z| > 2, so that points near
+    infinity of opposite sign do not average to 0, else z, which keeps the
+    bytes of the plain mean (z*m/m for one point) near the unit circle.
+    """
+    pairs = sorted(pairs, key=lambda zm: (1, 0.0, 0.0) if zm[0] is None
+                   else (0, zm[0].real, zm[0].imag))
+    points = [SpherePoint.infinity() if z is None else SpherePoint.from_complex(z)
+              for z, _ in pairs]
     n = len(pairs)
     edges = (
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if chordal_distance(pairs[i][0], pairs[j][0]) <= tol
+        if chordal_distance(points[i], points[j]) <= tol
     )
     merged = []
     for group in linked_groups(n, edges):
         members = [pairs[i] for i in group]
-        total = sum(e for _, e in members)
-        rep = max(members, key=lambda pe: pe[1])[0]
+        total = sum(m for _, m in members)
+        if members[-1][0] is None:
+            rep = SpherePoint.infinity()
+        elif len(members) > 1 and abs(members[0][0]) > 2:
+            mean = sum(m / z for z, m in members) / total
+            rep = SpherePoint.from_complex(1 / mean) if mean else SpherePoint.infinity()
+        else:
+            rep = SpherePoint.from_complex(sum(z * m for z, m in members) / total)
         merged.append((rep, total))
     merged.sort(key=lambda pe: _point_sort_key(pe[0]))
     return merged

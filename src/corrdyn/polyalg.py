@@ -1,5 +1,5 @@
 """Polynomial algebra: exact Gaussian-rational coefficients, root finding
-with multiplicity clustering, and resultants and gcds on sympy Polys over the
+with exact multiplicities, and resultants and gcds on sympy Polys over the
 smallest exact domain of the coefficients (ZZ, QQ, ZZ_I or QQ_I).
 
 Coefficients are kept exact (rational real and imaginary parts) so that
@@ -8,9 +8,11 @@ Multiplicities come from an exact certificate that the polynomial is
 squarefree, computed modulo a prime, and from Yun's squarefree decomposition
 only when the certificate is undecided.  Each exact squarefree factor is then
 solved in floating point by one root finder, the eigenvalues of the companion
-matrix of its monic complex128 image (``np.roots``).  For float coefficients
-known to within a componentwise bound, ``certified_roots`` keeps the same
-``np.roots`` approximations only when inclusion discs prove every root simple.
+matrix of its monic complex128 image (``np.roots``).  ``roots`` returns these
+roots unclustered; which of them count as one point is decided in the
+chordal metric by ``correspondence``.  For float coefficients known to within
+a componentwise bound, ``certified_roots`` keeps the same ``np.roots``
+approximations only when inclusion discs prove every root simple.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "GaussianRational",
     "UnivariatePolynomial",
     "BivariatePolynomial",
-    "RootCluster",
     "FloatGrid",
     "certified_roots",
     "roots",
@@ -437,17 +438,6 @@ def _horner(cs, x: GaussianRational) -> GaussianRational:
 
 
 # ---------------------------------------------------------------------------
-# root finding
-
-
-@dataclass(frozen=True)
-class RootCluster:
-    center: complex
-    multiplicity: int
-    radius: float
-
-
-# ---------------------------------------------------------------------------
 # float specialisation with a certified root-inclusion test
 
 _U = 2.0**-53  # unit roundoff of IEEE double precision
@@ -558,25 +548,8 @@ def linked_groups(n: int, edges) -> list:
     return list(groups.values())
 
 
-def _cluster(points, tol: float):
-    """Single-linkage clustering of (center, multiplicity) pairs at radius tol."""
-    pts = sorted(points, key=lambda cm: (cm[0].real, cm[0].imag))
-    n = len(pts)
-    edges = (
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(pts[i][0] - pts[j][0]) <= tol
-    )
-    clusters = []
-    for group in linked_groups(n, edges):
-        members = [pts[i] for i in group]
-        total = sum(m for _, m in members)
-        center = sum(c * m for c, m in members) / total
-        radius = max((abs(c - center) for c, _ in members), default=0.0)
-        clusters.append(RootCluster(center, total, radius))
-    clusters.sort(key=lambda c: (c.center.real, c.center.imag))
-    return clusters
+# ---------------------------------------------------------------------------
+# root finding
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
@@ -599,16 +572,16 @@ def _companion_roots(monic) -> np.ndarray:
     return z
 
 
-def roots(f: UnivariatePolynomial, tol: float = 1e-6) -> list:
-    """Root clusters of f with multiplicities summing to deg f.
+def roots(f: UnivariatePolynomial) -> list:
+    """All roots of f as (root, multiplicity) pairs, multiplicities summing
+    to deg f.  Roots are not clustered: two pairs may lie arbitrarily close.
 
     f is first tested for squarefreeness modulo a prime; a certified
     squarefree f is solved as its monic self with multiplicity 1.  Otherwise
     (a repeated root, or an unlucky prime) Yun's exact squarefree
     decomposition supplies the multiplicities, so nontrivial multiplicities
     are detected structurally either way.  Each squarefree factor is solved
-    by ``_companion_roots``; the clustering pass then only merges numerically
-    coincident roots.
+    by ``_companion_roots``, and its roots come in the order it gives them.
     """
     if f.is_zero:
         raise InvalidInputError("roots of the zero polynomial")
@@ -619,12 +592,11 @@ def roots(f: UnivariatePolynomial, tol: float = 1e-6) -> list:
         factors = [(monic, 1)]
     else:
         factors = squarefree_factors(f.coeffs)
-    pairs = [
+    return [
         (complex(r), mult)
         for factor, mult in factors
         for r in _companion_roots(factor)
     ]
-    return _cluster(pairs, tol)
 
 
 # ---------------------------------------------------------------------------

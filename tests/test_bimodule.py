@@ -13,6 +13,7 @@ from corrdyn.bimodule import (
     ideal_membership,
     inner_product,
     monomial_basis,
+    monomial_basis_element,
     norm2,
     norm_inf,
     tensor_isometry_check,
@@ -132,6 +133,18 @@ class TestNorms:
 
 
 class TestBasis:
+    def test_element_matches_the_basis(self):
+        z, w = SpherePoint.from_complex(0.6 + 0.8j), SpherePoint.from_complex(1 + 0j)
+        for i, u in enumerate(monomial_basis(4)):
+            assert monomial_basis_element(4, i)(z, w) == u(z, w)
+        # one element of a huge basis is built alone
+        assert monomial_basis_element(10**12, 2)(z, w) == (0.6 + 0.8j) ** 2 / 10**6
+
+    @pytest.mark.parametrize("m,i", [(2, 2), (2, -1), (0, 0), (10**400, 0)])
+    def test_element_refuses_bad_indices(self, m, i):
+        with pytest.raises(InvalidInputError):
+            monomial_basis_element(m, i)
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_orthonormal(self, m):
         corr = Correspondence(BP.monomial_relation(m, 1))

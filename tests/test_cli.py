@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,6 +282,7 @@ class TestErrors:
         ["fibers", "--poly", '{"coeffs":5}', "--point", "[0,0]"],
         ["fibers", "--poly", GRAPH2, "--point", "[NaN,0]"],
         ["fibers", "--poly", GRAPH2, "--point", f"[1{'0' * 400},0]"],
+        ["fibers", "--poly", GRAPH2, "--point", f"[1{'0' * 5000},0]"],
         ["expansive", "--poly", '{"family":"monomial","m":2,"n":3}',
          "--oracle", "[[0,0,1,2]]"],
         ["inner", "--poly", GRAPH2, "--f", '{"const":[1,0]}', "--g", '{"const":[1,0]}',
@@ -286,9 +291,16 @@ class TestErrors:
         ["fibers", "--poly", '{"family":"monomial","m":2.5,"n":3}', "--point", "[0,0]"],
         ["fibers", "--poly", '{"family":"monomial","m":true,"n":3}', "--point", "[0,0]"],
         ["fibers", "--poly", '{"family":"product","exponents":"23"}', "--point", "[0,0]"],
+        *[["inner", "--poly", GRAPH2, "--f", f, "--g", '{"const":[1,0]}'] for f in (
+            '{"basis":{"m":2,"i":5}}', '{"basis":{"m":2,"i":-1}}', '{"basis":{"m":"x","i":0}}',
+            '{"basis":{"m":2}}', '{"basis":3}', f'{{"basis":{{"m":1{"0" * 400},"i":0}}}}',
+            '{"zpoly":5}',
+        )],
     ], ids=["no-m", "exponent-x", "short-pair", "nan-coeff", "coeffs-not-grid",
-            "nan-point", "huge-point", "oracle-denominator-0", "grid-0", "out-suffix",
-            "m-float", "m-bool", "exponents-string"])
+            "nan-point", "huge-point", "point-over-4300-digits", "oracle-denominator-0", "grid-0", "out-suffix",
+            "m-float", "m-bool", "exponents-string", "basis-i-too-large",
+            "basis-i-negative", "basis-m-string", "basis-no-i", "basis-not-object",
+            "basis-m-huge", "zpoly-not-list"])
     def test_malformed_input(self, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the input was checked")
@@ -314,17 +326,19 @@ class TestSquarefreeByConstruction:
 
 
 class TestEscapingOrbits:
-    @pytest.mark.parametrize("spec,direction", [
-        ('{"family":"monomial","m":2,"n":3}', "backward"),
-        ('{"family":"product","exponents":[2,3]}', "forward"),
-    ], ids=["monomial-backward", "product-forward"])
-    def test_render_ends_cleanly(self, capsys, tmp_path, spec, direction):
-        # the chain runs off towards infinity; the run must either refuse
-        # with a JSON error or write a chain that stays on the curve
+    @pytest.mark.parametrize("spec,direction,extra,must_render", [
+        ('{"family":"monomial","m":2,"n":3}', "backward", ["--iters", "200"], True),
+        ('{"family":"monomial","m":5,"n":2}', "forward", ["--seed", "1", "--iters", "300"], True),
+        ('{"family":"product","exponents":[2,3]}', "forward", ["--iters", "200"], False),
+    ], ids=["monomial-backward", "monomial-forward", "product-forward"])
+    def test_render_ends_cleanly(self, capsys, tmp_path, spec, direction, extra, must_render):
+        # the chain runs off towards infinity; the run must write a chain
+        # that stays on the curve and reaches the chart at infinity, or,
+        # where that is not yet possible, refuse with a JSON error
         out = tmp_path / "pts.csv"
-        code = main(["render", "--poly", spec, "--direction", direction,
-                     "--iters", "200", "--out", str(out)])
-        if code == 2:
+        code = main(["render", "--poly", spec, "--direction", direction, *extra,
+                     "--out", str(out)])
+        if code == 2 and not must_render:
             assert last_error(capsys) == "root-finding"
             return
         assert code == 0
@@ -334,6 +348,35 @@ class TestEscapingOrbits:
             re, im, chart = line.split(",")
             v = complex(float(re), float(im))
             chain.append(SpherePoint(1 + 0j, v) if chart == "1" else SpherePoint(v, 1 + 0j))
+        assert any(q.z1 == 1 and abs(q.z2) < 1 for q in chain)
         for a, b in zip(chain, chain[1:]):
             z, w = (b, a) if direction == "backward" else (a, b)
             assert corr.on_correspondence(z, w)
+
+
+class TestOutputErrors:
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        code = main(["render", "--poly", GRAPH2, "--iters", "5", "--out", str(out)])
+        assert code == 2
+        assert last_error(capsys) == "invalid-input"
+
+    def test_closed_stdout(self):
+        # stdout is a pipe whose reader is already gone, as for
+        # `corrdyn paths ... | head -c 50` once head has exited
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "corrdyn.cli", "paths", "--poly", GRAPH2,
+                 "--start", "[[1,0]]", "--n", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        errors = [json.loads(line)["error"] for line in proc.stderr.decode().splitlines()]
+        assert errors == ["broken-pipe"]

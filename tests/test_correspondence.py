@@ -18,7 +18,7 @@ from corrdyn.correspondence import (
 )
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import FloatGrid, GaussianRational, _cluster, certified_roots
+from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots
 
 GR = GaussianRational.of
 
@@ -108,6 +108,51 @@ class TestFibers:
         assert not corr.on_correspondence(
             SpherePoint.from_complex(2 + 0j), SpherePoint.from_complex(5 + 0j)
         )
+
+
+class TestChordalMerge:
+    def test_opposite_points_near_infinity_merge_at_infinity(self):
+        # averaged in z they would give 0; in 1/z they give infinity
+        merged = _chordal_merge([(1e20 + 0j, 1), (-1e20 + 0j, 1)], 1e-6)
+        assert merged == [(SpherePoint.infinity(), 2)]
+
+    def test_infinity_absorbs_a_point_within_tol(self):
+        merged = _chordal_merge([(None, 2), (1e7 + 0j, 1)], 1e-6)
+        assert merged == [(SpherePoint.infinity(), 3)]
+
+    def test_large_points_average_in_the_inverted_chart(self):
+        [(q, e)] = _chordal_merge([(1e5 + 1 + 0j, 1), (1e5 + 0j, 1)], 1e-6)
+        assert e == 2
+        assert q.z1 == 1 and q.z2 == pytest.approx((1 / 1e5 + 1 / (1e5 + 1)) / 2, rel=1e-15)
+
+    def test_points_just_off_the_circle_average_in_z(self):
+        # the plain mean, to the last bit, as the Euclidean clustering gave
+        a, b = 1.000000001 + 7e-8j, 1.00000016 - 7.7e-8j
+        [(q, e)] = _chordal_merge([(b, 1), (a, 1)], 1e-6)
+        p = SpherePoint.from_complex((0 + a * 1 + b * 1) / 2)
+        assert e == 2
+        assert (repr(q.z1), repr(q.z2)) == (repr(p.z1), repr(p.z2))
+
+    @pytest.mark.parametrize("z,m", [
+        (0.1 + 0.7j, 1), (-0.3 - 0.2j, 2), (1234.5 - 6.7j, 1), (-1 + 0j, 4),
+        (1 / 3 + 1e-300j, 1),
+    ])
+    def test_singleton_keeps_its_bytes(self, z, m):
+        [(q, e)] = _chordal_merge([(z, m)], 1e-6)
+        p = SpherePoint.from_complex(z)
+        assert e == m
+        assert (repr(q.z1), repr(q.z2)) == (repr(p.z1), repr(p.z2))
+
+    @pytest.mark.parametrize("im", [1.0003e-6, 0.9997e-6])
+    def test_double_point_is_the_mean_on_both_sides_of_tol(self, im):
+        # w = z^2 and w = z^3 lie just over tol apart in the Euclidean metric
+        # at the first base point and just under it at the second; both
+        # are within tol chordally, so both report their mean
+        z = complex(1, im)
+        corr = Correspondence(_power_product(2, 3), check_squarefree=False)
+        [(q, e)] = corr.forward_fiber(SpherePoint.from_complex(z)).points
+        assert e == 2
+        assert abs(q.to_complex() - (z**2 + z**3) / 2) < 1e-9
 
 
 class TestRationalMapBranchIndex:
@@ -252,8 +297,8 @@ def _reference_fiber(poly, base, expected):
     coeffs = _exact_coeffs(poly, base)
     while not coeffs[-1]:
         coeffs.pop()
-    pairs = [(SpherePoint.infinity(), expected - len(coeffs) + 1)] if len(coeffs) <= expected else []
-    pairs += [(SpherePoint.from_complex(complex(r)), 1) for r in _roots_60_digits(coeffs)]
+    pairs = [(None, expected - len(coeffs) + 1)] if len(coeffs) <= expected else []
+    pairs += [(complex(r), 1) for r in _roots_60_digits(coeffs)]
     return WeightedFiber(base=base, points=tuple(_chordal_merge(pairs, 1e-6)))
 
 
@@ -370,16 +415,13 @@ class TestFloatFirstFiber:
     @settings(max_examples=100, deadline=None)
     def test_separated_roots_skip_clustering_unchanged(self, p, direction, base):
         # the shortcut for roots more than 2 tol apart gives exactly, signed
-        # zeros included, what clustering and the chordal merge give
+        # zeros included, what the chordal merge gives
         poly, expected = _fiber_problem(p, direction)
         grid = FloatGrid(poly)
         found = certified_roots(*grid.specialise(*base.chart_value()))
         if found is None or not _chordally_separated([complex(z) for z in found[0]], 2e-6):
             return
-        clusters = _cluster([(complex(z), 1) for z in found[0]], 1e-6)
-        want = _chordal_merge(
-            [(SpherePoint.from_complex(c.center), c.multiplicity) for c in clusters], 1e-6
-        )
+        want = _chordal_merge([(complex(z), 1) for z in found[0]], 1e-6)
         got = Correspondence._fiber(grid, poly, base, expected, 1e-6).points
 
         def stored(pairs):
