@@ -9,8 +9,9 @@ point, a root near another, a vanishing leading coefficient, a non-finite
 base) the base point is lifted exactly to a rational and the fiber comes out
 of the exact squarefree machinery, so multiplicities never rest on float
 luck.  One single-linkage merge in the chordal metric, ``_chordal_merge``,
-decides which fiber roots, and which branched-set candidates, are one point;
-points of large modulus and the point at infinity merge naturally.
+decides which fiber roots are one point; points of large modulus and the
+point at infinity merge naturally.  Branched-set candidates, the distinct
+roots of exact resultants, go through it at tol 0 and are verified one by one.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .polyalg import (
     UnivariatePolynomial,
     certified_roots,
     linked_groups,
+    polish_root,
     resultant_w,
     resultant_z,
     roots,
@@ -102,9 +104,7 @@ class SpherePoint:
 
 def chordal_distance(a: SpherePoint, b: SpherePoint) -> float:
     num = abs(a.z1 * b.z2 - a.z2 * b.z1)
-    den = math.sqrt(
-        (abs(a.z1) ** 2 + abs(a.z2) ** 2) * (abs(b.z1) ** 2 + abs(b.z2) ** 2)
-    )
+    den = math.sqrt((abs(a.z1) ** 2 + abs(a.z2) ** 2) * (abs(b.z1) ** 2 + abs(b.z2) ** 2))
     return num / den
 
 
@@ -234,26 +234,23 @@ class Correspondence:
     ) -> WeightedFiber:
         """The fiber of poly over base, float first.
 
-        poly is specialised at the base point in complex128 (``grid``), and
-        the float roots are kept when ``certified_roots`` proves them simple:
-        then the exact polynomial has degree ``expected``, no point at
-        infinity and no repeated root.  They are kept only when no two lie
-        within 2 tol, so that which roots merge never depends on the path
-        that found them.  Otherwise the base point is lifted exactly, poly is
-        specialised exactly, and its roots and the point at infinity go
-        through one ``_chordal_merge`` at tol, so two simple roots closer
-        than tol still count as one double point.
+        poly is specialised at the base point in complex128 (``grid``); the
+        float roots are kept when ``certified_roots`` proves them simple (so
+        the exact polynomial has degree ``expected``, no point at infinity
+        and no repeated root) and no two lie within 2 tol, so that which
+        roots merge never depends on the path.  Otherwise poly is specialised
+        at the exact lift of the base point.  Either way the fiber is what
+        ``_chordal_merge`` at tol makes of the roots and the point at
+        infinity: two simple roots closer than tol count as one double point.
         """
         v, inverted = base.chart_value()
-        found = None
-        if grid is not None:
-            found = certified_roots(*grid.specialise(v, inverted))
+        found = None if grid is None else certified_roots(*grid.specialise(v, inverted))
         if found is not None:
             # adding 0j turns a -0.0 part into 0.0, as the merge's mean does
-            simple = [complex(z) + 0j for z in found[0]]
+            simple = sorted((complex(z) + 0j for z in found[0]), key=lambda z: (z.real, z.imag))
             if _chordally_separated(simple, 2 * tol):
-                # no two roots within tol: the merge would keep each alone
-                simple.sort(key=lambda z: (z.real, z.imag))
+                # each root is a group of its own; _chordal_merge would say so
+                # too, but calling it here cost 14 % of `orbit` ops/s (2 CPUs)
                 pairs = [(SpherePoint.from_complex(z), 1) for z in simple]
                 pairs.sort(key=lambda pe: _point_sort_key(pe[0]))
                 return WeightedFiber(base=base, points=tuple(pairs))
@@ -312,52 +309,42 @@ class Correspondence:
             return any(e >= 2 for _, e in self.backward_fiber(w, tol).points)
 
         def verify_branch_point(z):
-            for w, _ in self.forward_fiber(z, tol).points:
-                if self.backward_fiber(w, tol).multiplicity_at(z, max(tol, 1e-5)) >= 2:
-                    return True
-            return False
+            return any(self.backward_fiber(w, tol).multiplicity_at(z, max(tol, 1e-5)) >= 2
+                       for w, _ in self.forward_fiber(z, tol).points)
 
         def verify_cobranch_value(w):
-            for z, _ in self.backward_fiber(w, tol).points:
-                if self.forward_fiber(z, tol).multiplicity_at(w, max(tol, 1e-5)) >= 2:
-                    return True
-            return False
+            return any(self.forward_fiber(z, tol).multiplicity_at(w, max(tol, 1e-5)) >= 2
+                       for z, _ in self.backward_fiber(w, tol).points)
 
         def verify_cobranch_point(z):
             return any(e >= 2 for _, e in self.forward_fiber(z, tol).points)
 
-        bv = self._verified_candidates(
-            resultant_z(p, p_z), verify_branch_value, tol
-        )
-        bp = self._verified_candidates(
-            resultant_w(p, p_z), verify_branch_point, tol
-        )
-        cv = self._verified_candidates(
-            resultant_z(p, p_w), verify_cobranch_value, tol
-        )
-        cp = self._verified_candidates(
-            resultant_w(p, p_w), verify_cobranch_point, tol
-        )
+        bv = self._verified_candidates(resultant_z(p, p_z), verify_branch_value)
+        bp = self._verified_candidates(resultant_w(p, p_z), verify_branch_point)
+        cv = self._verified_candidates(resultant_z(p, p_w), verify_cobranch_value)
+        cp = self._verified_candidates(resultant_w(p, p_w), verify_cobranch_point)
+        sets = (bp, bv, cv, cp)  # in the field order of BranchedSets
         if restrict_to is not None:
-            bp = _restrict(bp, restrict_to, restrict_tol)
-            bv = _restrict(bv, restrict_to, restrict_tol)
-            cv = _restrict(cv, restrict_to, restrict_tol)
-            cp = _restrict(cp, restrict_to, restrict_tol)
-        return BranchedSets(
-            branch_points=tuple(bp),
-            branch_values=tuple(bv),
-            cobranch_values=tuple(cv),
-            cobranch_points=tuple(cp),
-        )
+            sets = [_restrict(s, restrict_to, restrict_tol) for s in sets]
+        return BranchedSets(*(tuple(s) for s in sets))
 
     @staticmethod
-    def _verified_candidates(res: UnivariatePolynomial, verify, tol: float):
-        """The roots of res and infinity, merged at tol, that pass verify."""
+    def _verified_candidates(res: UnivariatePolynomial, verify):
+        """The roots of res, and infinity, that pass verify.  Distinct roots
+        are distinct points however close, so the merge runs at tol 0 and
+        joins only coinciding floats.  A root that fails is retried once at
+        its ``polish_root``: rounding can split a multiple point past tol."""
         if res.is_zero:
             raise InvalidInputError(
                 "resultant vanished identically; the polynomial is not reduced"
             )
-        return [c for c, _ in _chordal_merge(roots(res) + [(None, 1)], tol) if verify(c)]
+        out = []
+        for c, m in _chordal_merge(roots(res) + [(None, 1)], 0.0):
+            if not (c.is_infinity or verify(c)):
+                c = SpherePoint.from_complex(polish_root(res, c.to_complex(), m))
+            if verify(c):  # a fiber cache hit when c was tried above
+                out.append(c)
+        return out
 
 
 def _point_sort_key(p: SpherePoint):
@@ -392,12 +379,8 @@ def _chordal_merge(pairs, tol: float):
     points = [SpherePoint.infinity() if z is None else SpherePoint.from_complex(z)
               for z, _ in pairs]
     n = len(pairs)
-    edges = (
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if chordal_distance(points[i], points[j]) <= tol
-    )
+    edges = ((i, j) for i in range(n) for j in range(i + 1, n)
+             if chordal_distance(points[i], points[j]) <= tol)
     merged = []
     for group in linked_groups(n, edges):
         members = [pairs[i] for i in group]
@@ -416,24 +399,13 @@ def _chordal_merge(pairs, tol: float):
 
 def _restrict(points, restrict_to, restrict_tol: float):
     if restrict_to == "circle":
-        kept = []
-        for p in points:
-            if p.is_infinity:
-                continue
-            if abs(abs(p.to_complex()) - 1.0) < restrict_tol:
-                kept.append(p)
-        return kept
-    kept = []
-    for q in restrict_to:
-        if any(chordal_distance(p, q) <= restrict_tol for p in points):
-            kept.append(q)
-    return kept
+        return [p for p in points if not p.is_infinity
+                and abs(abs(p.to_complex()) - 1.0) < restrict_tol]
+    return [q for q in restrict_to
+            if any(chordal_distance(p, q) <= restrict_tol for p in points)]
 
 
 def unit_circle_points(count: int):
     """Deterministic equispaced sample grid on the unit circle."""
-    out = []
-    for k in range(count):
-        theta = 2.0 * math.pi * k / count
-        out.append(SpherePoint.from_complex(complex(math.cos(theta), math.sin(theta))))
-    return out
+    thetas = (2.0 * math.pi * k / count for k in range(count))
+    return [SpherePoint.from_complex(complex(math.cos(t), math.sin(t))) for t in thetas]

@@ -18,7 +18,7 @@ from corrdyn.correspondence import (
 )
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots
+from corrdyn.polyalg import FloatGrid, GaussianRational, UnivariatePolynomial, certified_roots
 
 GR = GaussianRational.of
 
@@ -192,6 +192,41 @@ class TestBranchedSets:
         corr = Correspondence(BP.monomial_relation(2, 3))
         sets = corr.branched_sets(restrict_to="circle")
         assert sets.branch_points == ()
+
+    def test_close_branch_points_far_from_zero_are_both_kept(self):
+        # w^2 = (z - 2000)(z - 2001): 2000 and 2001 are 2.5e-7 apart
+        # chordally, less than tol, yet distinct branch points; their float
+        # roots are off by 1.4e-9, which splits w = 0 by more than tol
+        # until they are polished
+        corr = Correspondence(BP([[GR(-2000 * 2001), GR(0), GR(1)], [GR(4001)], [GR(-1)]]))
+        cobranch = corr.branched_sets().cobranch_points
+        assert [p.to_complex() for p in cobranch[:-1]] == [2000, 2001]
+        assert cobranch[-1].is_infinity
+
+    @pytest.mark.parametrize("res,want", [
+        ([GR(2000 * 2001), GR(-4001), GR(1)], [2000, 2001]),
+        ([GR(0), GR(-2 * 10**6), GR(1)], [0, 2e6]),
+        ([GR(0), GR(-2 * 10**9), GR(1)], [0, 2e9]),
+    ])
+    def test_candidates_are_every_root_and_infinity(self, res, want):
+        # distinct roots stay distinct candidates, at any distance from 0
+        # and from infinity
+        got = Correspondence._verified_candidates(UnivariatePolynomial(res), lambda c: True)
+        assert [c.to_complex() for c in got[:-1]] == pytest.approx(want, rel=1e-12)
+        assert len(got) == len(want) + 1 and got[-1].is_infinity
+
+    def test_branch_value_found_after_polishing(self):
+        # a pair of branch values 5.8e-3 apart whose float roots miss the
+        # double point by more than tol; at 50 digits the exact resultant
+        # roots lie within an ulp of these values, and the two z-roots over
+        # each of them agree to 1e-24
+        grid = [[(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
+                [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]]
+        values = Correspondence(BP([[GR(c) for c in row] for row in grid])).branched_sets().branch_values
+        got = [p.to_complex() for p in values]
+        for want in (-0.15449765791347173 - 0.1973676491038844j,
+                     -0.15351662635514438 - 0.20300831757837598j):
+            assert min(abs(z - want) for z in got) < 1e-15
 
     def test_every_branch_point_verified(self):
         factors = [BP.graph_of_power(2), BP.graph_of_power(4)]
