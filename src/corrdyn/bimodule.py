@@ -2,15 +2,17 @@
 isometry, and a truncated Fock representation over finite invariant sets.
 
 Continuous functions are represented by evaluable closed forms sampled on
-deterministic grids; everything over a finite invariant set J is exact
-(integer branch indices, Gaussian-rational matrix entries).
+deterministic grids; everything over a finite invariant set J is exact:
+branch indices are integers, and each Fock creation operator is a map from
+the path basis of one level to that of the next, so the Fock relations are
+checked by composing these maps in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .correspondence import (
@@ -264,61 +266,34 @@ class FockTruncation:
     def block_dims(self):
         return tuple(len(b) for b in self.blocks)
 
-    def creation_matrix(self, edge_index: int, k: int):
-        """T_{delta_edge}: level k -> level k+1 (zero matrix when k = K)."""
-        return _path_creation(self, self.base.edges[edge_index][:2], k)
+    @cached_property
+    def _levels(self):
+        # per level: the row of each path (its last one, should a path
+        # repeat) and the columns grouped by their first vertex
+        levels = []
+        for paths in self.blocks:
+            starts = {}
+            for c, q in enumerate(paths):
+                starts.setdefault(q[0], []).append(c)
+            levels.append(({q: r for r, q in enumerate(paths)}, starts))
+        return tuple(levels)
 
-    def annihilation_matrix(self, edge_index: int, k: int):
-        """T_{delta_edge}^*: level k -> level k-1, scaled by the branch
-        index of the edge."""
-        _, _, e = self.base.edges[edge_index]
-        return _scaled_transpose(self.creation_matrix(edge_index, k - 1), e)
-
-    def left_action_matrix(self, a: dict, k: int):
-        """Diagonal action of a in C(J) on level k: multiply by a at the
-        first vertex of the path."""
-        paths = self.blocks[k]
-        M = _zeros(len(paths), len(paths))
-        for i, q in enumerate(paths):
-            M[i][i] = a.get(q[0], 0)
-        return M
-
-
-def _zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def _matmul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Ai = A[i]
-        for t in range(inner):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(cols):
-                    row[j] += a * Bt[j]
-    return out
-
-
-def _scaled_transpose(M, s):
-    """s times the transpose of the matrix M."""
-    return [[s * M[r][c] for r in range(len(M))] for c in range(len(M[0]) if M else 0)]
-
-
-def _matsub_maxabs(A, B) -> float:
-    dev = 0.0
-    for ra, rb in zip(A, B):
-        for x, y in zip(ra, rb):
-            dev = max(dev, abs(x - y))
-    return dev
+    def creation_map(self, x: tuple, k: int) -> dict:
+        """T_{delta_x} for a basis path x with i edges, level k -> k+i, as a
+        column -> row map of its 1 entries; a column it sends to 0 is absent,
+        and so is every column when k + i > K."""
+        i = len(x) - 1
+        if k + i > self.K:
+            return {}
+        src, row = self.blocks[k], self._levels[k + i][0]
+        return {c: row[x[:-1] + src[c]] for c in self._levels[k][1].get(x[-1], ())}
 
 
 def fock_build(fb: FiniteBimodule, K: int, path_cap: int = PATH_CAP) -> FockTruncation:
     """Enumerate the path bases of the first K+1 Fock levels."""
-    if K < 0 or K > 8:
+    if K < 0:
+        raise InvalidInputError(f"Fock truncation level must be >= 0, got {K}")
+    if K > 8:
         raise ResourceLimitError("Fock truncation level must be between 0 and 8")
     out_edges = {}
     for z, w, _ in fb.edges:
@@ -340,37 +315,31 @@ def fock_build(fb: FiniteBimodule, K: int, path_cap: int = PATH_CAP) -> FockTrun
 def fock_relation_check(ft: FockTruncation) -> float:
     """Max deviation of T_xi^* T_eta from the left action of (xi|eta)_A over
     all pairs of edge indicators, on levels strictly below the truncation.
-    Exact arithmetic: the result should be exactly 0."""
-    fb = ft.base
+    Exact arithmetic: the result should be exactly 0.
+
+    T_eta is the creation map of eta and T_xi^* is e_xi times the transpose
+    of xi's, so column c of T_xi^* T_eta holds e_xi at each column that xi's
+    map sends to the row T_eta(c).  (delta_xi|delta_eta)_A is e_eta at the
+    range vertex of eta when xi = eta and 0 otherwise, so both sides vanish
+    on the columns that T_eta sends to 0, and only the others are visited."""
+    edges = ft.base.edges
     dev = 0.0
-    for ei in range(len(fb.edges)):
-        for ej in range(len(fb.edges)):
-            zi, wi, e_i = fb.edges[ei]
-            zj, wj, _ = fb.edges[ej]
-            ip = {}  # (delta_ei | delta_ej)_A as a function on J
-            if ei == ej:
-                ip[wi] = Fraction(e_i)
-            for k in range(ft.K):
-                lhs = _matmul(
-                    ft.annihilation_matrix(ei, k + 1), ft.creation_matrix(ej, k)
-                )
-                rhs = ft.left_action_matrix(ip, k)
-                dev = max(dev, _matsub_maxabs(lhs, rhs))
+    for k in range(ft.K):
+        maps = [ft.creation_map(edge[:2], k) for edge in edges]
+        reached_from = {}  # row of level k+1 -> the (edge, column) pairs mapped to it
+        for i, t in enumerate(maps):
+            for c, r in t.items():
+                reached_from.setdefault(r, []).append((i, c))
+        for j, t in enumerate(maps):
+            _, wj, ej = edges[j]
+            for c, r in t.items():
+                lhs = {}
+                for i, c2 in reached_from[r]:
+                    lhs[i, c2] = lhs.get((i, c2), 0) + edges[i][2]
+                rhs = {(j, c): ej if ft.blocks[k][c][0] == wj else 0}
+                dev = max(dev, *(abs(lhs.get(key, 0) - rhs.get(key, 0))
+                                 for key in lhs.keys() | rhs.keys()))
     return dev
-
-
-def _path_creation(ft: FockTruncation, x: tuple, k: int):
-    """Matrix of T_{delta_x} for a path basis vector x, level k -> k+i."""
-    i = len(x) - 1
-    if k + i > ft.K:
-        return _zeros(0, len(ft.blocks[k]))
-    src, dst = ft.blocks[k], ft.blocks[k + i]
-    index = {path: r for r, path in enumerate(dst)}
-    M = _zeros(len(dst), len(src))
-    for c, q in enumerate(src):
-        if q[0] == x[-1]:
-            M[index[x[:-1] + q]][c] = Fraction(1)
-    return M
 
 
 def _path_weight(fb: FiniteBimodule, x: tuple) -> int:
@@ -402,18 +371,20 @@ def vanishing_lemma_check(
                         f"path pair {p} / {q}"
                     )
     w_y = _path_weight(ft.base, y)
-    a_conj = {v: val.conjugate() for v, val in a.items()}
     for k in range(0, ft.K - max(i, j) + 1):
-        # T_y^*: level k+j -> level k is w_y times the transpose of creation
-        ann_y = _scaled_transpose(_path_creation(ft, y, k), w_y)
-        # operator on level k+j: La . T_x . T_y^* . La*
-        M = _matmul(ann_y, ft.left_action_matrix(a_conj, k + j))
-        M = _matmul(_path_creation(ft, x, k), M)
-        M = _matmul(ft.left_action_matrix(a, k + i), M)
-        for row in M:
-            for entry in row:
-                if entry != 0:
-                    return False
+        # operator on level k+j: La . T_x . T_y^* . La*, where T_y^* is w_y
+        # times the transpose of y's map: column c goes back to each column
+        # c2 with T_y(c2) = c, and on through T_x
+        t_x = ft.creation_map(x, k)
+        src, dst = ft.blocks[k + j], ft.blocks[k + i]
+        M = {}
+        for c2, c in ft.creation_map(y, k).items():
+            r = t_x.get(c2)
+            if r is not None:
+                M[r, c] = M.get((r, c), 0) + a.get(dst[r][0], 0) * (
+                    w_y * a.get(src[c][0], 0).conjugate())
+        if any(M.values()):
+            return False
     return True
 
 

@@ -322,6 +322,8 @@ def _parse_function(obj) -> bimodule.SampledFunction:
 def cmd_inner(args):
     if args.grid < 1:
         raise InvalidInputError("--grid must be >= 1")
+    if args.grid > dynamics.GRID_CAP:
+        raise ResourceLimitError(f"--grid exceeds {dynamics.GRID_CAP} points")
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
     f = _parse_function(_load_json_arg(args.f))
     g = _parse_function(_load_json_arg(args.g))
@@ -382,6 +384,12 @@ def cmd_render(args):
     out = args.out
     if not out.endswith((".csv", ".ppm")):
         raise InvalidInputError("--out must end in .csv or .ppm")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise InvalidInputError(f"cannot write {out}: no such directory")
+    if args.px < 1:
+        raise InvalidInputError("--px must be >= 1")
+    if args.px > PX_CAP:
+        raise ResourceLimitError(f"--px exceeds {PX_CAP} pixels per side")
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
     start = parse_point(_load_json_arg(args.start)) if args.start else None
     pts = dynamics.limit_set_sample(
@@ -409,6 +417,10 @@ def cmd_render(args):
         "out": out,
         "seed": _seed(args),
     })
+
+
+# most pixels per side of a .ppm render; its counts take 8 bytes a pixel
+PX_CAP = 4096
 
 
 def _write_ppm(path, pts, px):

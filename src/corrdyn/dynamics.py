@@ -51,6 +51,10 @@ __all__ = [
 ARC_CAP = 10**6
 # most paths a path space or a Fock level may hold
 PATH_CAP = 200_000
+# most points one chaos-game run may sample (iterations x workers), and the
+# most base points an inner-product grid may hold
+SAMPLE_CAP = 1_000_000
+GRID_CAP = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +628,12 @@ def limit_set_sample(
     probability proportional to its branch index (or uniformly when
     weighted=False).  Deterministic for a fixed (seed, workers) pair; the
     merged output is worker-ordered."""
-    if iterations < 1:
-        raise InvalidInputError("iterations must be >= 1")
+    if iterations < 1 or workers < 1:
+        raise InvalidInputError("iterations and workers must be >= 1")
+    if iterations * workers > SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"{iterations} iterations x {workers} workers exceed {SAMPLE_CAP} points"
+        )
     if direction not in ("forward", "backward", "mixed"):
         raise InvalidInputError(f"unknown direction {direction!r}")
     out = []

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import sympy as sp
 
-from corrdyn.bimodule import SampledFunction
+from corrdyn.bimodule import FockTruncation, SampledFunction
+from corrdyn.errors import InvalidInputError
 from corrdyn.polyalg import BivariatePolynomial, GaussianRational, UnivariatePolynomial
 
 
@@ -73,3 +74,126 @@ def reference_squarefree_check(p: BivariatePolynomial):
                 grid[i][j] = _qqi(c)
             return False, BivariatePolynomial(grid)
     return True, None
+
+
+# The dense route to the Fock relations: Fraction matrices over the path
+# bases, multiplied out in full.  corrdyn.bimodule composes index maps
+# instead; these are the oracle it is compared against.
+
+
+def _zeros(rows, cols):
+    return [[Fraction(0)] * cols for _ in range(rows)]
+
+
+def _matmul(A, B):
+    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        Ai = A[i]
+        for t in range(inner):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                row = out[i]
+                for j in range(cols):
+                    row[j] += a * Bt[j]
+    return out
+
+
+def _scaled_transpose(M, s):
+    """s times the transpose of the matrix M."""
+    return [[s * M[r][c] for r in range(len(M))] for c in range(len(M[0]) if M else 0)]
+
+
+def _matsub_maxabs(A, B) -> float:
+    dev = 0.0
+    for ra, rb in zip(A, B):
+        for x, y in zip(ra, rb):
+            dev = max(dev, abs(x - y))
+    return dev
+
+
+def _path_creation(ft: FockTruncation, x: tuple, k: int):
+    """Matrix of T_{delta_x} for a path basis vector x, level k -> k+i."""
+    i = len(x) - 1
+    if k + i > ft.K:
+        return _zeros(0, len(ft.blocks[k]))
+    src, dst = ft.blocks[k], ft.blocks[k + i]
+    index = {path: r for r, path in enumerate(dst)}
+    M = _zeros(len(dst), len(src))
+    for c, q in enumerate(src):
+        if q[0] == x[-1]:
+            M[index[x[:-1] + q]][c] = Fraction(1)
+    return M
+
+
+def creation_matrix(ft: FockTruncation, edge_index: int, k: int):
+    """T_{delta_edge}: level k -> level k+1 (zero matrix when k = K)."""
+    return _path_creation(ft, ft.base.edges[edge_index][:2], k)
+
+
+def annihilation_matrix(ft: FockTruncation, edge_index: int, k: int):
+    """T_{delta_edge}^*: level k -> level k-1, scaled by the branch index of
+    the edge."""
+    _, _, e = ft.base.edges[edge_index]
+    return _scaled_transpose(creation_matrix(ft, edge_index, k - 1), e)
+
+
+def left_action_matrix(ft: FockTruncation, a: dict, k: int):
+    """Diagonal action of a in C(J) on level k: multiply by a at the first
+    vertex of the path."""
+    paths = ft.blocks[k]
+    M = _zeros(len(paths), len(paths))
+    for i, q in enumerate(paths):
+        M[i][i] = a.get(q[0], 0)
+    return M
+
+
+def dense_relation_check(ft: FockTruncation) -> float:
+    """fock_relation_check by dense matrix products."""
+    fb = ft.base
+    dev = 0.0
+    for ei in range(len(fb.edges)):
+        for ej in range(len(fb.edges)):
+            _, wi, e_i = fb.edges[ei]
+            ip = {}  # (delta_ei | delta_ej)_A as a function on J
+            if ei == ej:
+                ip[wi] = Fraction(e_i)
+            for k in range(ft.K):
+                lhs = _matmul(annihilation_matrix(ft, ei, k + 1), creation_matrix(ft, ej, k))
+                rhs = left_action_matrix(ft, ip, k)
+                dev = max(dev, _matsub_maxabs(lhs, rhs))
+    return dev
+
+
+def dense_vanishing_lemma_check(ft: FockTruncation, a: dict, x: tuple, y: tuple) -> bool:
+    """vanishing_lemma_check by dense matrix products."""
+    i, j = len(x) - 1, len(y) - 1
+    if i == j:
+        raise InvalidInputError("the lemma requires i != j")
+    if x not in ft.blocks[i] or y not in ft.blocks[j]:
+        raise InvalidInputError("x and y must be basis paths of their levels")
+    for p in ft.blocks[i]:
+        for q in ft.blocks[j]:
+            if p[-1] == q[-1]:
+                prod = a.get(p[0], 0) * a.get(q[0], 0).conjugate()
+                if prod != 0:
+                    raise InvalidInputError(
+                        f"hypothesis fails: a({p[0]})a({q[0]}) != 0 for the "
+                        f"path pair {p} / {q}"
+                    )
+    w_y = 1
+    lookup = {(z, w): e for z, w, e in ft.base.edges}
+    for u, v in zip(y, y[1:]):
+        w_y *= lookup[(u, v)]
+    a_conj = {v: val.conjugate() for v, val in a.items()}
+    for k in range(0, ft.K - max(i, j) + 1):
+        # T_y^*: level k+j -> level k is w_y times the transpose of creation
+        ann_y = _scaled_transpose(_path_creation(ft, y, k), w_y)
+        # operator on level k+j: La . T_x . T_y^* . La*
+        M = _matmul(ann_y, left_action_matrix(ft, a_conj, k + j))
+        M = _matmul(_path_creation(ft, x, k), M)
+        M = _matmul(left_action_matrix(ft, a, k + i), M)
+        if any(entry != 0 for row in M for entry in row):
+            return False
+    return True

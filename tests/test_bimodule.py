@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrdyn.bimodule import (
     FiniteBimodule,
@@ -24,7 +26,13 @@ from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import GaussianRational
 
-from support import constant_function
+from support import (
+    constant_function,
+    creation_matrix,
+    dense_relation_check,
+    dense_vanishing_lemma_check,
+    left_action_matrix,
+)
 
 GR = GaussianRational.of
 
@@ -243,16 +251,27 @@ class TestFock:
         assert fock_relation_check(ft) == 0
 
     def test_creation_truncates(self, ft):
-        assert ft.creation_matrix(0, 3) == []
+        assert ft.creation_map(ft.base.edges[0][:2], 3) == {}
+        assert creation_matrix(ft, 0, 3) == []
+
+    def test_creation_map_is_the_dense_matrix(self, ft):
+        for ei, edge in enumerate(ft.base.edges):
+            for k in range(ft.K + 1):
+                M = creation_matrix(ft, ei, k)
+                ones = {c: r for r, row in enumerate(M) for c, v in enumerate(row) if v}
+                assert ft.creation_map(edge[:2], k) == ones
+                assert all(v in (0, 1) for row in M for v in row)
 
     def test_left_action_level0_diagonal(self, ft):
-        M = ft.left_action_matrix({0: 5, 1: 7}, 0)
+        M = left_action_matrix(ft, {0: 5, 1: 7}, 0)
         assert [M[i][i] for i in range(3)] == [5, 7, 0]
 
     def test_level_cap(self):
         fb = FiniteBimodule.build(circle_rel(), [0, 1, -1])
         with pytest.raises(ResourceLimitError):
             fock_build(fb, 9)
+        with pytest.raises(InvalidInputError):
+            fock_build(fb, -1)
 
     def test_report(self, ft):
         rep = fock_report(ft)
@@ -300,3 +319,54 @@ class TestVanishingLemma:
                 except InvalidInputError:
                     pass
         assert checked > 5
+
+
+@st.composite
+def finite_bimodules(draw):
+    """A FiniteBimodule with 1-4 vertices and weights 1-3, at times with one
+    (z, w) edge listed twice, so that the Fock relations fail."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n, unique=True))
+    edges = [(z, w, draw(st.integers(1, 3))) for z, w in pairs]
+    if edges and draw(st.booleans()):
+        z, w, _ = draw(st.sampled_from(edges))
+        edges.append((z, w, draw(st.integers(1, 3))))
+    J = tuple(SpherePoint.from_complex(complex(v)) for v in range(n))
+    return FiniteBimodule(J=J, edges=tuple(sorted(edges)))
+
+
+class TestFockAgainstDenseMatrices:
+    # the dense Fraction-matrix route in tests/support.py is the reference
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_bimodules(), st.integers(0, 3))
+    def test_relation_check(self, fb, K):
+        ft = fock_build(fb, K)
+        assert fock_relation_check(ft) == dense_relation_check(ft)
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_bimodules(), st.integers(0, 3), st.data())
+    def test_vanishing_lemma(self, fb, K, data):
+        ft = fock_build(fb, K)
+        a = data.draw(st.dictionaries(
+            st.integers(0, len(fb.J) - 1), st.sampled_from([0, 1, -2, 1j, 1 - 1j])))
+        i, j = (data.draw(st.integers(0, K)) for _ in range(2))
+        if not ft.blocks[i] or not ft.blocks[j]:
+            return
+        x = data.draw(st.sampled_from(ft.blocks[i]))
+        y = data.draw(st.sampled_from(ft.blocks[j]))
+        try:
+            expected = dense_vanishing_lemma_check(ft, a, x, y)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as raised:
+                vanishing_lemma_check(ft, a, x, y)
+            assert str(raised.value) == str(exc)
+        else:
+            assert vanishing_lemma_check(ft, a, x, y) == expected
+
+    def test_duplicated_edge_deviates(self):
+        # two indicators of the same (z, w) edge are not orthogonal
+        fb = FiniteBimodule(J=(SpherePoint.from_complex(0j),), edges=((0, 0, 1), (0, 0, 2)))
+        ft = fock_build(fb, 2)
+        assert fock_relation_check(ft) == dense_relation_check(ft) == 2

@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from corrdyn import correspondence, dynamics
+from corrdyn import cli, correspondence, dynamics
 from corrdyn.cli import main, parse_polynomial_spec
 from corrdyn.correspondence import SpherePoint
 
@@ -165,6 +167,34 @@ class TestInnerAndFock:
         ])
         assert code == 3
 
+    def test_fock_negative_level(self, capsys):
+        assert main([
+            "fock", "--poly", CIRCLE, "--set", "[[0,0],[1,0],[-1,0]]", "--K", "-1",
+        ]) == 2
+        assert last_error(capsys) == "invalid-input"
+
+    def test_largest_fock_within_deadline(self, capsys):
+        # monomial (2,2) over the eighth roots of unity: 16 edges, so the
+        # top level K = 8 holds 2048 paths, the most this set admits
+        roots = [[math.cos(math.pi * k / 4), math.sin(math.pi * k / 4)] for k in range(8)]
+        start = time.monotonic()
+        code, rep = run(capsys, [
+            "fock", "--poly", '{"family":"monomial","m":2,"n":2}',
+            "--set", json.dumps(roots), "--K", "8",
+        ])
+        assert time.monotonic() - start < 5
+        assert code == 0
+        assert len(rep["edges"]) == 16
+        assert rep["block_dims"] == [8 * 2**k for k in range(9)]
+        assert rep["relation_max_deviation"] == 0.0
+
+    def test_inner_grid_cap(self, capsys):
+        assert main([
+            "inner", "--poly", GRAPH2, "--f", '{"const":[1,0]}', "--g", '{"const":[1,0]}',
+            "--grid", str(dynamics.GRID_CAP + 1),
+        ]) == 3
+        assert last_error(capsys) == "resource-refusal"
+
 
 class TestKGroups:
     def test_monomial(self, capsys):
@@ -219,6 +249,35 @@ class TestRender:
             "--out", str(tmp_path / "x.txt"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, capsys, tmp_path, workers):
+        assert main([
+            "render", "--poly", GRAPH2, "--iters", "5", "--workers", workers,
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 2
+        assert last_error(capsys) == "invalid-input"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("px,code", [("0", 2), ("-3", 2), (str(cli.PX_CAP + 1), 3)])
+    def test_px_out_of_range(self, capsys, tmp_path, monkeypatch, px, code):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --px was checked")
+
+        monkeypatch.setattr(dynamics, "limit_set_sample", no_sampling)
+        assert main(["render", "--poly", GRAPH2, "--px", px,
+                     "--out", str(tmp_path / "x.ppm")]) == code
+        assert last_error(capsys) == ("invalid-input" if code == 2 else "resource-refusal")
+
+    @pytest.mark.parametrize("iters,workers", [
+        (dynamics.SAMPLE_CAP + 1, 1), (dynamics.SAMPLE_CAP // 2 + 1, 2),
+    ])
+    def test_sample_cap(self, capsys, tmp_path, iters, workers):
+        assert main([
+            "render", "--poly", GRAPH2, "--iters", str(iters), "--workers", str(workers),
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 3
+        assert last_error(capsys) == "resource-refusal"
 
 
 class TestDeterminism:
@@ -360,6 +419,17 @@ class TestOutputErrors:
         code = main(["render", "--poly", GRAPH2, "--iters", "5", "--out", str(out)])
         assert code == 2
         assert last_error(capsys) == "invalid-input"
+
+    def test_missing_out_directory_refused_before_sampling(self, capsys, tmp_path,
+                                                           monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the --out directory was checked")
+
+        monkeypatch.setattr(dynamics, "limit_set_sample", no_sampling)
+        for name in ("x.csv", "x.ppm"):
+            assert main(["render", "--poly", GRAPH2, "--out",
+                         str(tmp_path / "no" / name)]) == 2
+            assert last_error(capsys) == "invalid-input"
 
     def test_closed_stdout(self):
         # stdout is a pipe whose reader is already gone, as for
