@@ -192,10 +192,9 @@ def cmd_branch(args):
         restrict = "circle"
     elif args.restrict is not None:
         restrict = [parse_point(p) for p in _load_json_arg(args.restrict)]
-    sets = corr.branched_sets(restrict_to=restrict, tol=args.tol)
+    sets = corr.branched_sets(restrict_to=restrict)
     _emit(args, {
         "command": "branch",
-        "tol": args.tol,
         "restrict": args.restrict,
         "branch_points": [point_to_json(p) for p in sets.branch_points],
         "branch_values": [point_to_json(p) for p in sets.branch_values],
@@ -474,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--restrict", default=None,
                    help="'circle' or @file with a point list")
-    p.add_argument("--tol", type=float, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_branch)
 

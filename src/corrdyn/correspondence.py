@@ -10,8 +10,10 @@ base) the base point is lifted exactly to a rational and the fiber comes out
 of the exact squarefree machinery, so multiplicities never rest on float
 luck.  One single-linkage merge in the chordal metric, ``_chordal_merge``,
 decides which fiber roots are one point; points of large modulus and the
-point at infinity merge naturally.  Branched-set candidates, the distinct
-roots of exact resultants, go through it at tol 0 and are verified one by one.
+point at infinity merge naturally.  The branched sets solve no fiber: each
+is decided exactly from resultants and leading coefficients, and its finite
+points are the distinct roots of an exact polynomial, each refined by
+``polish_root``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .polyalg import (
     FloatGrid,
     GaussianRational,
     UnivariatePolynomial,
+    _xdeg,
+    _xderiv,
+    _xdivmod,
+    _xgcd,
+    _xstrip,
     certified_roots,
     linked_groups,
     polish_root,
@@ -288,63 +295,67 @@ class Correspondence:
     # -- branched sets -------------------------------------------------------
 
     def branched_sets(
-        self,
-        restrict_to=None,
-        tol: float = DEFAULT_FIBER_TOL,
-        restrict_tol: float = DEFAULT_RESTRICT_TOL,
+        self, restrict_to=None, restrict_tol: float = DEFAULT_RESTRICT_TOL
     ) -> BranchedSets:
-        """Compute the four branched sets from resultant candidates, each
-        verified by direct fiber recomputation (spurious resultant roots at
-        vanishing leading coefficients are dropped unless a genuine multiple
-        point exists there).
+        """The four branched sets, decided exactly from resultants; no fiber
+        is solved.  ``_branching`` of p gives the branch points and values,
+        and of the transpose the cobranch values and points.
 
         restrict_to may be "circle" (intersect with the unit circle) or a
         finite list of SpherePoint.
         """
-        p = self.p
-        p_z = p.partial_z() if p.deg_z >= 1 else None
-        p_w = p.partial_w() if p.deg_w >= 1 else None
-
-        def verify_branch_value(w):
-            return any(e >= 2 for _, e in self.backward_fiber(w, tol).points)
-
-        def verify_branch_point(z):
-            return any(self.backward_fiber(w, tol).multiplicity_at(z, max(tol, 1e-5)) >= 2
-                       for w, _ in self.forward_fiber(z, tol).points)
-
-        def verify_cobranch_value(w):
-            return any(self.forward_fiber(z, tol).multiplicity_at(w, max(tol, 1e-5)) >= 2
-                       for z, _ in self.backward_fiber(w, tol).points)
-
-        def verify_cobranch_point(z):
-            return any(e >= 2 for _, e in self.forward_fiber(z, tol).points)
-
-        bv = self._verified_candidates(resultant_z(p, p_z), verify_branch_value)
-        bp = self._verified_candidates(resultant_w(p, p_z), verify_branch_point)
-        cv = self._verified_candidates(resultant_z(p, p_w), verify_cobranch_value)
-        cp = self._verified_candidates(resultant_w(p, p_w), verify_cobranch_point)
+        bp, bv = _branching(self.p)
+        cv, cp = _branching(self._transposed)
         sets = (bp, bv, cv, cp)  # in the field order of BranchedSets
         if restrict_to is not None:
             sets = [_restrict(s, restrict_to, restrict_tol) for s in sets]
         return BranchedSets(*(tuple(s) for s in sets))
 
-    @staticmethod
-    def _verified_candidates(res: UnivariatePolynomial, verify):
-        """The roots of res, and infinity, that pass verify.  Distinct roots
-        are distinct points however close, so the merge runs at tol 0 and
-        joins only coinciding floats.  A root that fails is retried once at
-        its ``polish_root``: rounding can split a multiple point past tol."""
-        if res.is_zero:
-            raise InvalidInputError(
-                "resultant vanished identically; the polynomial is not reduced"
-            )
-        out = []
-        for c, m in _chordal_merge(roots(res) + [(None, 1)], 0.0):
-            if not (c.is_infinity or verify(c)):
-                c = SpherePoint.from_complex(polish_root(res, c.to_complex(), m))
-            if verify(c):  # a fiber cache hit when c was tried above
-                out.append(c)
-        return out
+
+def _branching(p: BivariatePolynomial):
+    """(branch points, branch values) of p = sum c[i][j] z^i w^j, m = deg_z,
+    n = deg_w: the z that are a multiple root of p(., w) for some w on the
+    sphere, and the w over which p(., w), a form of degree m, has a multiple
+    root on the sphere.  Resultants commute with specialisation (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 6.3), so each set is read off
+    exact polynomials.
+
+    Finite branch points are the roots of Res_w(p, p_z): a common root of
+    p(z0, .) and p_z(z0, .) at w = infinity is a multiple root z0 of lc_w(p),
+    which is one too (p_z has w-degree n unless lc_w(p) is constant).  Finite
+    branch values are the roots of Res_z(p, p_z) / lc_z(p), the discriminant
+    of p(., w) as a form of degree m, which drops exactly the spurious roots
+    of lc_z(p).  Infinity is a branch point when rows m and m - 1 of c, as
+    forms of degree n, share a root on the sphere, and a branch value when
+    column n has degree at most m - 2 or a repeated root.  Every finite point
+    is its resultant root after ``polish_root``."""
+    m, n = p.deg_z, p.deg_w
+    p_z = p.partial_z()
+    lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
+    disc, rem = _xdivmod(resultant_z(p, p_z).coeffs, lc)
+    if rem:
+        raise RootFindingError("Res_z(p, p_z) is not divisible by lc_z(p)")
+    points = _polished_roots(resultant_w(p, p_z))
+    values = _polished_roots(UnivariatePolynomial(disc))
+    if _xdeg(_xgcd(lc, below)) > 0 or max(_xdeg(lc), _xdeg(below)) < n:
+        points.append(SpherePoint.infinity())
+    top = _xstrip(row[n] for row in p.coeffs)
+    if _xdeg(top) <= m - 2 or _xdeg(_xgcd(top, _xderiv(top))) > 0:
+        values.append(SpherePoint.infinity())
+    return points, values
+
+
+def _polished_roots(f: UnivariatePolynomial) -> list:
+    """The distinct roots of f, each after ``polish_root``, in
+    ``_point_sort_key`` order.  Distinct roots are distinct points however
+    close, so the merge runs at tol 0 and joins only coinciding floats."""
+    if f.is_zero:
+        raise InvalidInputError(
+            "resultant vanished identically; the polynomial is not reduced"
+        )
+    found = [SpherePoint.from_complex(polish_root(f, c.to_complex(), e))
+             for c, e in _chordal_merge(roots(f), 0.0)]
+    return sorted(dict.fromkeys(found), key=_point_sort_key)
 
 
 def _point_sort_key(p: SpherePoint):

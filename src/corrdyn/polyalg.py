@@ -11,9 +11,10 @@ solved in floating point by one root finder, the eigenvalues of the companion
 matrix of its monic complex128 image (``np.roots``).  ``roots`` returns these
 roots unclustered; which of them count as one point is decided in the
 chordal metric by ``correspondence``.  ``polish_root`` refines one of them
-by Newton steps evaluated exactly.  For float coefficients known to within
-a componentwise bound, ``certified_roots`` keeps the same ``np.roots``
-approximations only when inclusion discs prove every root simple.
+by Newton steps evaluated exactly; every branched-set point is refined so.
+For float coefficients known to within a componentwise bound,
+``certified_roots`` keeps the same ``np.roots`` approximations only when
+inclusion discs prove every root simple.
 """
 
 from __future__ import annotations

@@ -68,6 +68,15 @@ class TestBranch:
         assert code == 0
         assert rep["branch_points"] == [[1.0, 0.0]]
 
+    def test_no_tolerance(self, capsys):
+        # membership is exact, so the report carries no tol and the
+        # option is gone
+        code, rep = run(capsys, ["branch", "--poly", CIRCLE])
+        assert code == 0 and "tol" not in rep
+        with pytest.raises(SystemExit) as exc:
+            main(["branch", "--poly", CIRCLE, "--tol", "1e-3"])
+        assert exc.value.code == 2
+
 
 class TestInvariantAndPaths:
     def test_invariant_true(self, capsys, tmp_path):

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrdyn.correspondence import (
     Correspondence,
     SpherePoint,
     WeightedFiber,
+    _branching,
     _chordal_merge,
     _chordally_separated,
     chordal_distance,
@@ -18,7 +19,7 @@ from corrdyn.correspondence import (
 )
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import FloatGrid, GaussianRational, UnivariatePolynomial, certified_roots
+from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots, roots
 
 GR = GaussianRational.of
 
@@ -167,6 +168,40 @@ class TestRationalMapBranchIndex:
             assert corr.branch_index(z, w) == 1
 
 
+@st.composite
+def lc_vanishing_polynomials(draw):
+    """(p, w0): a Gaussian-integer p(z, w) with deg_z = m in 1..3 whose
+    leading z-coefficient vanishes at the dyadic w0 = a / 2^s to order 1 or
+    2.  Row i of p is t_i + (2^s w - a) u_i(w), so p(., w0) has the drawn
+    coefficients t: at times with t_(m-1) = 0 too (infinity is a double root
+    over w0) or, for m = 3, a finite double root."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, s = draw(st.integers(-4, 4)), draw(st.integers(0, 2))
+    entry = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    nonzero = st.builds(complex, st.integers(1, 2), st.integers(-2, 2))
+    t = [draw(entry) for _ in range(m)]
+    kind = draw(st.sampled_from(["any", "infinity", "double"]))
+    if kind == "infinity":
+        t[m - 1] = 0
+    elif kind == "double" and m == 3:
+        c, z0 = draw(nonzero), draw(st.sampled_from([1, -1, 1j]))
+        t = [c * z0 * z0, -2 * c * z0, c]
+
+    def times_factor(u):  # (2^s w - a) u(w), ascending coefficients
+        return [2**s * (u[j - 1] if j else 0) - a * (u[j] if j < len(u) else 0)
+                for j in range(len(u) + 1)]
+
+    rows = []
+    for ti in t:
+        u = times_factor([draw(entry) for _ in range(n)])
+        rows.append([ti + u[0]] + u[1:])
+    lead = [draw(nonzero)]
+    for _ in range(draw(st.integers(1, 2))):
+        lead = times_factor(lead)
+    grid = [[GR((int(c.real), int(c.imag))) for c in row] for row in rows + [lead]]
+    return BP(grid), Fraction(a, 2**s)
+
+
 class TestBranchedSets:
     def test_graph_of_square(self):
         corr = Correspondence(BP.graph_of_power(2))
@@ -196,12 +231,28 @@ class TestBranchedSets:
     def test_close_branch_points_far_from_zero_are_both_kept(self):
         # w^2 = (z - 2000)(z - 2001): 2000 and 2001 are 2.5e-7 apart
         # chordally, less than tol, yet distinct branch points; their float
-        # roots are off by 1.4e-9, which splits w = 0 by more than tol
-        # until they are polished
+        # roots are off by 1.4e-9 until they are polished.  w = 0 is a
+        # double root over both, so 0 is a cobranch value
         corr = Correspondence(BP([[GR(-2000 * 2001), GR(0), GR(1)], [GR(4001)], [GR(-1)]]))
-        cobranch = corr.branched_sets().cobranch_points
-        assert [p.to_complex() for p in cobranch[:-1]] == [2000, 2001]
-        assert cobranch[-1].is_infinity
+        sets = corr.branched_sets()
+        assert [p.to_complex() for p in sets.cobranch_points[:-1]] == [2000, 2001]
+        assert sets.cobranch_points[-1].is_infinity
+        assert SpherePoint.from_complex(0j) in sets.cobranch_values
+
+    @pytest.mark.parametrize("spec,want", [
+        ([[0, 0, 1], [2 * 10**6], [-1]], [0, 2e6]),
+        ([[-30000 * 30001, 0, 1], [60001], [-1]], [30000, 30001]),
+    ])
+    def test_cobranch_points_far_from_zero(self, spec, want):
+        # w^2 = z(z - 2e6) and w^2 = (z - 30000)(z - 30001): a base point
+        # stored as 1/z splits the double point w = 0 by more than tol, so
+        # only an exact decision keeps them
+        corr = Correspondence(BP([[GR(c) for c in row] for row in spec]))
+        sets = corr.branched_sets()
+        got = sets.cobranch_points
+        assert [p.to_complex() for p in got[:-1]] == pytest.approx(want, rel=1e-15)
+        assert len(got) == len(want) + 1 and got[-1].is_infinity
+        assert SpherePoint.from_complex(0j) in sets.cobranch_values
 
     @pytest.mark.parametrize("res,want", [
         ([GR(2000 * 2001), GR(-4001), GR(1)], [2000, 2001]),
@@ -209,17 +260,20 @@ class TestBranchedSets:
         ([GR(0), GR(-2 * 10**9), GR(1)], [0, 2e9]),
     ])
     def test_candidates_are_every_root_and_infinity(self, res, want):
-        # distinct roots stay distinct candidates, at any distance from 0
-        # and from infinity
-        got = Correspondence._verified_candidates(UnivariatePolynomial(res), lambda c: True)
-        assert [c.to_complex() for c in got[:-1]] == pytest.approx(want, rel=1e-12)
-        assert len(got) == len(want) + 1 and got[-1].is_infinity
+        # the branch values of z^2 - res(w) are the roots of res and
+        # infinity: distinct roots stay distinct points, at any distance
+        # from 0 and from infinity
+        q = BP([[-c for c in res], [GR(0)], [GR(1)]])
+        points, values = _branching(q)
+        assert [c.to_complex() for c in values[:-1]] == pytest.approx(want, rel=1e-12)
+        assert len(values) == len(want) + 1 and values[-1].is_infinity
+        assert points == [SpherePoint.from_complex(0j), SpherePoint.infinity()]
 
     def test_branch_value_found_after_polishing(self):
-        # a pair of branch values 5.8e-3 apart whose float roots miss the
-        # double point by more than tol; at 50 digits the exact resultant
-        # roots lie within an ulp of these values, and the two z-roots over
-        # each of them agree to 1e-24
+        # a pair of branch values 5.8e-3 apart whose unpolished float roots
+        # miss the double point by more than the fiber tol; at 50 digits the
+        # exact resultant roots lie within an ulp of these values, and the
+        # two z-roots over each of them agree to 1e-24
         grid = [[(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
                 [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]]
         values = Correspondence(BP([[GR(c) for c in row] for row in grid])).branched_sets().branch_values
@@ -238,6 +292,56 @@ class TestBranchedSets:
                 if corr.branch_index(b, w) >= 2:
                     found = True
             assert found
+
+    @pytest.mark.parametrize("p", [
+        circle_poly(),
+        BP.product([BP.graph_of_power(2), BP.graph_of_power(3), BP.graph_of_power(4)]),
+        BP([[GR(c) for c in row] for row in [
+            [(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
+            [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]]]),
+    ])
+    def test_solves_no_fiber(self, monkeypatch, p):
+        want = Correspondence(p).branched_sets()
+
+        def refuse(*args):
+            raise AssertionError("branched_sets solved a fiber")
+
+        monkeypatch.setattr(Correspondence, "_fiber", staticmethod(refuse))
+        assert Correspondence(p).branched_sets() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(lc_vanishing_polynomials(), st.booleans())
+    def test_spurious_leading_coefficient_roots_match_exact_fibers(self, drawn, transpose):
+        # w0 is a root of lc_z(p), so of Res_z(p, p_z); it is a branch value
+        # exactly when the exact roots of p(., w0) repeat or the degree drops
+        # by 2 or more (infinity is a multiple root).  On the transpose the
+        # same w0 is tested as a cobranch point through the forward fiber.
+        p, w0 = drawn
+        try:
+            corr = Correspondence(p.transpose() if transpose else p)
+        except InvalidInputError:
+            assume(False)  # not squarefree
+        sets = corr.branched_sets()
+        found = sets.cobranch_points if transpose else sets.branch_values
+        f = (corr._transposed if transpose else corr.p).univariate_in_z(GR(w0))
+        branched = any(e >= 2 for _, e in roots(f)) or p.deg_z - f.degree >= 2
+        hit = [q for q in found if not q.is_infinity
+               and abs(q.to_complex() - float(w0)) <= 1e-12 * max(1, abs(w0))]
+        assert bool(hit) == branched
+        if p.deg_z - f.degree >= 2:  # so infinity is a multiple root over w0
+            assert (sets.cobranch_values if transpose else sets.branch_points)[-1].is_infinity
+
+    @pytest.mark.parametrize("grid,field,base", [
+        # (w - 1) z^2 + 2 (w - 1) z + w + 1: rows 2 and 1 share the root
+        # w = 1, over which infinity is a double root
+        ([[1, 1], [-2, 2], [-1, 1]], "branch_points", SpherePoint.from_complex(1)),
+        # w (z - 1)^2 + z^2: over w = infinity, z = 1 is a double root
+        ([[0, 1], [0, -2], [1, 1]], "branch_values", SpherePoint.infinity()),
+    ])
+    def test_infinity_from_a_common_or_repeated_root(self, grid, field, base):
+        corr = Correspondence(BP([[GR(c) for c in row] for row in grid]))
+        assert getattr(corr.branched_sets(), field)[-1].is_infinity
+        assert max(e for _, e in corr.backward_fiber(base).points) == 2
 
 
 class TestValidation:
