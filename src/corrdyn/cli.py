@@ -148,8 +148,12 @@ def _emit(args, report: dict):
     if getattr(args, "timing", False):
         report["wall_time_s"] = time.monotonic() - args._t0
     indent = 2 if getattr(args, "pretty", False) else None
+    try:  # NaN and Infinity are not JSON; stdout stays empty
+        text = json.dumps(report, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInputError(f"the report holds a non-finite number: {exc}") from exc
     # flushed so that a closed stdout raises inside main
-    print(json.dumps(report, indent=indent, sort_keys=True), flush=True)
+    print(text, flush=True)
 
 
 def _seed(args) -> int:

@@ -241,20 +241,22 @@ class Correspondence:
     ) -> WeightedFiber:
         """The fiber of poly over base, float first.
 
-        poly is specialised at the base point in complex128 (``grid``); the
-        float roots are kept when ``certified_roots`` proves them simple (so
-        the exact polynomial has degree ``expected``, no point at infinity
-        and no repeated root) and no two lie within 2 tol, so that which
-        roots merge never depends on the path.  Otherwise poly is specialised
-        at the exact lift of the base point.  Either way the fiber is what
-        ``_chordal_merge`` at tol makes of the roots and the point at
-        infinity: two simple roots closer than tol count as one double point.
+        poly is specialised at the base point in complex128 (``grid``); its
+        ``np.roots`` eigenvalues are kept when ``certified_roots``, run on
+        Python scalars, proves them simple (so the exact polynomial has degree
+        ``expected``, no point at infinity and no repeated root) and no two lie
+        within 2 tol, so that which roots merge never depends on the path.
+        Otherwise poly is specialised at the exact lift of the base point.
+        Either way the fiber is what ``_chordal_merge`` at tol makes of the
+        roots and the point at infinity: two simple roots closer than tol
+        count as one double point.
         """
         v, inverted = base.chart_value()
         found = None if grid is None else certified_roots(*grid.specialise(v, inverted))
         if found is not None:
-            # adding 0j turns a -0.0 part into 0.0, as the merge's mean does
-            simple = sorted((complex(z) + 0j for z in found[0]), key=lambda z: (z.real, z.imag))
+            # adding 0j turns a -0.0 part into 0.0, as the merge's mean does;
+            # for tol >= 1e-12 _point_sort_key ties no two, so it alone orders
+            simple = [z + 0j for z in found[0]]
             if _chordally_separated(simple, 2 * tol):
                 # each root is a group of its own; _chordal_merge would say so
                 # too, but calling it here cost 14 % of `orbit` ops/s (2 CPUs)

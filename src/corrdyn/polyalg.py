@@ -13,8 +13,8 @@ roots unclustered; which of them count as one point is decided in the
 chordal metric by ``correspondence``.  ``polish_root`` refines one of them
 by Newton steps evaluated exactly; every branched-set point is refined so.
 For float coefficients known to within a componentwise bound,
-``certified_roots`` keeps the same ``np.roots`` approximations only when
-inclusion discs prove every root simple.
+``certified_roots`` keeps the ``np.roots`` companion eigenvalues only when
+inclusion discs, checked on Python scalars, prove every root simple.
 """
 
 from __future__ import annotations
@@ -488,48 +488,57 @@ class FloatGrid:
         return c, e
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def certified_roots(c: np.ndarray, e: np.ndarray):
-    """(zeta, r) when every polynomial F with |F_k - c_k| <= e_k has degree
-    d = len(c) - 1 and exactly one root in each of the pairwise disjoint
-    discs D(zeta_i, r_i); None when this test is undecided.
+    """(zeta, r), two lists, when every polynomial F with |F_k - c_k| <= e_k
+    has degree d = len(c) - 1 and exactly one root in each of the pairwise
+    disjoint discs D(zeta_i, r_i); None when this test is undecided.
 
-    zeta are the ``np.roots`` approximations of c.  With the Weierstrass
-    corrections W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)),
-    F / lc(F) is the characteristic polynomial of diag(zeta) - W 1^T, whose
-    Gerschgorin discs D(zeta_i - W_i, (d - 1)|W_i|) lie in D(zeta_i, d|W_i|)
-    (Braess & Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59,
-    1991).  r_i bounds d|W_i| from above: |F(zeta_i)| is at most the computed
-    |c(zeta_i)| plus the coefficient error and the Horner rounding (Higham,
-    ch. 5), and |lc(F)| is at least |c_d| - e_d.  Disjoint discs make F
-    squarefree of degree d, so the exact path would also find d simple roots.
+    zeta are the roots ``np.roots`` gives for c, bit for bit: the companion
+    eigenvalues, then a 0 per zero low-order coefficient.  The test runs on
+    Python scalars, as numpy's per-call cost would exceed its arithmetic at
+    d <= 5; OverflowError and ZeroDivisionError, raised where numpy would
+    give inf, mean undecided.  With the Weierstrass corrections
+    W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)), F / lc(F) is
+    the characteristic polynomial of diag(zeta) - W 1^T, whose Gerschgorin
+    discs D(zeta_i - W_i, (d - 1)|W_i|) lie in D(zeta_i, d|W_i|) (Braess &
+    Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991).  r_i
+    bounds d|W_i| from above: |F(zeta_i)| is at most the computed |c(zeta_i)|
+    plus the coefficient error and the Horner rounding (Higham, ch. 5), and
+    |lc(F)| is at least |c_d| - e_d.  Disjoint discs make F squarefree of
+    degree d, so the exact path would also find d simple roots.
     """
     d = len(c) - 1
-    lead = abs(c[-1]) - e[-1]
-    if not lead > 0 or not np.all(np.isfinite(c / c[-1])):
-        return None
-    zeta = np.roots(c[::-1])
-    if not np.all(np.isfinite(zeta)):
-        return None
+    cs, es = c.tolist(), e.tolist()
     gamma = 8 * (d + 2) * _U
-    size = np.abs(zeta)
-    value = np.full(d, c[-1])
-    error = np.full(d, e[-1] + gamma * abs(c[-1]))
-    for k in range(d - 1, -1, -1):
-        value = value * zeta + c[k]
-        error = error * size + (e[k] + gamma * abs(c[k]))
-    dist = np.abs(zeta[:, None] - zeta[None, :])
-    np.fill_diagonal(dist, 1.0)
-    spread = np.prod(dist, axis=1)
-    r = d * (np.abs(value) + error) / (lead * spread) * (1 + gamma)
-    np.fill_diagonal(dist, np.inf)
-    if not (
-        np.all(np.isfinite(spread))
-        and np.all(np.isfinite(r))
-        and np.all(dist * (1 - gamma) > r[:, None] + r[None, :])
-    ):
+    try:
+        lead = abs(cs[d]) - es[d]
+        k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
+        with np.errstate(all="ignore"):
+            row = -c[k0:][::-1] / c[d]  # -c_d / c_d, then np.roots' companion row
+        if not (lead > 0 and np.isfinite(row).all()):
+            return None
+        companion = np.eye(d - k0, k=-1, dtype=complex)
+        companion[:1] = row[1:]
+        zeta = np.linalg.eigvals(companion).tolist() + [0j] * k0
+        size = [abs(z) for z in zeta]
+        slack = [ek + gamma * abs(ck) for ck, ek in zip(cs, es)]
+        pairs = [(abs(z - zeta[j]), i, j) for i, z in enumerate(zeta) for j in range(i)]
+        spread = [1.0] * d
+        for dist, i, j in pairs:
+            spread[i] *= dist
+            spread[j] *= dist
+        r = []
+        for z, zs, zp in zip(zeta, size, spread):
+            value, error = cs[d], slack[d]
+            for k in range(d - 1, -1, -1):
+                value, error = value * z + cs[k], error * zs + slack[k]
+            r.append(d * (abs(value) + error) / (lead * zp) * (1 + gamma))
+    except (OverflowError, ZeroDivisionError):
         return None
-    return zeta, r
+    finite = all(map(math.isfinite, size + spread + r))
+    if finite and all(dist * (1 - gamma) > r[i] + r[j] for dist, i, j in pairs):
+        return zeta, r
+    return None
 
 
 def linked_groups(n: int, edges) -> list:

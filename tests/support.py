@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 
 from corrdyn.bimodule import FockTruncation, SampledFunction
 from corrdyn.errors import InvalidInputError
-from corrdyn.polyalg import BivariatePolynomial, GaussianRational, UnivariatePolynomial
+from corrdyn.polyalg import _U, BivariatePolynomial, GaussianRational, UnivariatePolynomial
 
 
 def constant_function(value, domain: str = "correspondence") -> SampledFunction:
@@ -197,3 +198,53 @@ def dense_vanishing_lemma_check(ft: FockTruncation, a: dict, x: tuple, y: tuple)
         if any(entry != 0 for row in M for entry in row):
             return False
     return True
+
+
+# The numpy route to the float-fiber certificate: np.roots and array
+# arithmetic throughout.  corrdyn.polyalg.certified_roots computes the same
+# eigenvalues and runs the certificate on Python scalars; this is the oracle
+# it is compared against.
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def reference_certified_roots(c: np.ndarray, e: np.ndarray):
+    """(zeta, r) when every polynomial F with |F_k - c_k| <= e_k has degree
+    d = len(c) - 1 and exactly one root in each of the pairwise disjoint
+    discs D(zeta_i, r_i); None when this test is undecided.
+
+    zeta are the ``np.roots`` approximations of c.  With the Weierstrass
+    corrections W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)),
+    F / lc(F) is the characteristic polynomial of diag(zeta) - W 1^T, whose
+    Gerschgorin discs D(zeta_i - W_i, (d - 1)|W_i|) lie in D(zeta_i, d|W_i|)
+    (Braess & Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59,
+    1991).  r_i bounds d|W_i| from above: |F(zeta_i)| is at most the computed
+    |c(zeta_i)| plus the coefficient error and the Horner rounding (Higham,
+    ch. 5), and |lc(F)| is at least |c_d| - e_d.  Disjoint discs make F
+    squarefree of degree d, so the exact path would also find d simple roots.
+    """
+    d = len(c) - 1
+    lead = abs(c[-1]) - e[-1]
+    if not lead > 0 or not np.all(np.isfinite(c / c[-1])):
+        return None
+    zeta = np.roots(c[::-1])
+    if not np.all(np.isfinite(zeta)):
+        return None
+    gamma = 8 * (d + 2) * _U
+    size = np.abs(zeta)
+    value = np.full(d, c[-1])
+    error = np.full(d, e[-1] + gamma * abs(c[-1]))
+    for k in range(d - 1, -1, -1):
+        value = value * zeta + c[k]
+        error = error * size + (e[k] + gamma * abs(c[k]))
+    dist = np.abs(zeta[:, None] - zeta[None, :])
+    np.fill_diagonal(dist, 1.0)
+    spread = np.prod(dist, axis=1)
+    r = d * (np.abs(value) + error) / (lead * spread) * (1 + gamma)
+    np.fill_diagonal(dist, np.inf)
+    if not (
+        np.all(np.isfinite(spread))
+        and np.all(np.isfinite(r))
+        and np.all(dist * (1 - gamma) > r[:, None] + r[None, :])
+    ):
+        return None
+    return zeta, r

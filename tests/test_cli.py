@@ -197,6 +197,18 @@ class TestInnerAndFock:
         assert rep["block_dims"] == [8 * 2**k for k in range(9)]
         assert rep["relation_max_deviation"] == 0.0
 
+    def test_non_finite_report_is_invalid_input(self, capsys):
+        # f = 1e308 (1 + z) overflows, so the report would hold NaN and
+        # Infinity, which are not JSON: nothing goes to stdout
+        code = main([
+            "inner", "--poly", '{"family":"monomial","m":2,"n":3}',
+            "--f", '{"zpoly":[[1e308,0],[1e308,0]]}', "--g", '{"const":[1,0]}', "--grid", "4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err.strip().splitlines()[-1])["error"] == "invalid-input"
+
     def test_inner_grid_cap(self, capsys):
         assert main([
             "inner", "--poly", GRAPH2, "--f", '{"const":[1,0]}', "--g", '{"const":[1,0]}',

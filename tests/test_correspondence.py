@@ -21,6 +21,8 @@ from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots, roots
 
+from support import reference_certified_roots
+
 GR = GaussianRational.of
 
 
@@ -490,6 +492,20 @@ class TestFloatFirstFiber:
         assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
         fiber = Correspondence(p, check_squarefree=False).forward_fiber(base)
         _same_fiber(fiber, _reference_fiber(poly, base, expected))
+
+    @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @example(  # w - z + z^2 over w = 0: the root 0 of the zero constant term comes last
+        BP([[GR(0), GR(1)], [GR(-1)], [GR(1)]]), "backward", SpherePoint.from_complex(0j)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_matches_numpy_reference(self, p, direction, base):
+        # same decision, and the same roots to the bit, as the numpy route
+        poly, _ = _fiber_problem(p, direction)
+        c, e = FloatGrid(poly).specialise(*base.chart_value())
+        got, want = certified_roots(c, e), reference_certified_roots(c, e)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [repr(z) for z in got[0]] == [repr(complex(z)) for z in want[0]]
 
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
     @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from corrdyn.polyalg import (
     _certified_squarefree,
     _companion_roots,
     _xmonic,
+    certified_roots,
     polish_root,
     resultant_w,
     resultant_z,
@@ -172,6 +174,48 @@ class TestPolishRoot:
         # from z = 1e-310 the step to z^2 - 1 = 0 lands near 5e309
         f = UnivariatePolynomial([GR(-1), GR(0), GR(1)])
         assert polish_root(f, 1e-310 + 0j, 1) == 1e-310
+
+
+def _certify(c, e):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return certified_roots(np.array(c, dtype=complex), np.array(e, dtype=float))
+
+
+class TestCertifiedRoots:
+    # _certify makes every warning an error; where numpy gave inf or nan,
+    # Python raises instead, and that must mean undecided
+
+    def test_zero_constant_term_gives_root_zero_last(self):
+        # z (z - 1)(z - 2)(z + 3), in the order and bits of np.roots
+        c = [0, 6, -7, 0, 1]
+        zeta, r = _certify(c, [1e-15] * 5)
+        want = np.roots(np.array(c, dtype=complex)[::-1])
+        assert [repr(z) for z in zeta] == [repr(complex(z)) for z in want]
+        assert zeta[-1] == 0
+        assert sorted(round(z.real) for z in zeta) == [-3, 0, 1, 2]
+        assert all(0 < x < 1e-6 for x in r)
+
+    def test_coincident_roots_are_undecided(self):
+        # z^2 (z - 1): two roots at exactly 0, so a spread is 0
+        assert _certify([0, 0, -1, 1], [1e-16] * 4) is None
+
+    @pytest.mark.parametrize("c", [[1.5e308 + 1.5e308j, 0, 1], [1, 1, 1.5e308 + 1.5e308j]],
+                             ids=["constant", "leading"])
+    def test_modulus_beyond_float_range_is_undecided(self, c):
+        assert _certify(c, [1e-16] * 3) is None
+
+    def test_spread_beyond_float_range_is_undecided(self):
+        # 1e-225 z^3 + 1e-65 z^2 + 1e77 z + 1e-10 has a root near -1e160
+        # whose spread overflows, which would give its disc radius 0
+        c = [1e-10, 1e77, 1e-65, 1e-225]
+        assert _certify(c, [abs(x) * 1e-12 for x in c]) is None
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nan_coefficient_is_undecided(self, k):
+        c = [1, 2, 1j]
+        c[k] = complex(math.nan, 0)
+        assert _certify(c, [1e-16] * 3) is None
 
 
 class TestSquarefreeFactors:
