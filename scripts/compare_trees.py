@@ -3,8 +3,8 @@ their results byte for byte.
 
     python scripts/compare_trees.py [PARENT CHANGE]
 
-PARENT and CHANGE are the roots of two source checkouts.  Each line of
-tests/corpus/orbit.jsonl (next to this script) is one argv as a JSON list.
+PARENT and CHANGE are the roots of two source checkouts.  Each line of every
+tests/corpus/*.jsonl file of this checkout is one argv as a JSON list.
 Every argv runs as ``python -m corrdyn.cli`` once per tree, with corrdyn
 imported from that tree's src/ and a fixed PYTHONHASHSEED, each run in a
 fresh temporary working directory so that a relative ``--out`` lands there.
@@ -22,14 +22,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CORPUS = ROOT / "tests" / "corpus" / "orbit.jsonl"
+CORPUS = sorted((ROOT / "tests" / "corpus").glob("*.jsonl"))
 TIMEOUT_S = 60
 FIELDS = ("exit code", "stdout", "stderr", "--out bytes")
 
 
 def start(tree: Path, argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    env.pop("CORRDYN_SEED", None)  # it would override --seed
     return subprocess.Popen([sys.executable, "-m", "corrdyn.cli", *argv], cwd=cwd, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
@@ -58,8 +57,8 @@ def main(args) -> int:
         if not (tree / "src" / "corrdyn" / "cli.py").is_file():
             print(f"no corrdyn sources under {tree}", file=sys.stderr)
             return 2
-    cases = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()
-             if line.strip()]
+    cases = [json.loads(line) for path in CORPUS
+             for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
     differences = 0
     for argv in cases:
         with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:

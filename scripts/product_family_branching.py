@@ -22,8 +22,7 @@ def main():
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     assert 1 <= m < n
 
-    factors = [BP.graph_of_power(m), BP.graph_of_power(n)]
-    corr = Correspondence(BP.product(factors), factors=factors)
+    corr = Correspondence(BP.product([BP.graph_of_power(m), BP.graph_of_power(n)]))
     pts = corr.branched_sets(restrict_to="circle").branch_points
     print(f"(w - z^{m})(w - z^{n}): {len(pts)} branched points on the circle")
     for p in sorted(pts, key=lambda q: cmath.phase(q.to_complex()) % (2 * cmath.pi)):

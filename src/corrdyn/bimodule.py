@@ -13,14 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .correspondence import (
-    Correspondence,
-    SpherePoint,
-    chordal_distance,
-    unit_circle_points,
-)
+from .correspondence import Correspondence, SpherePoint, chordal_distance
 from .dynamics import PATH_CAP, invariant_check, paths_ending_at
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -41,8 +36,6 @@ __all__ = [
     "fock_report",
 ]
 
-DEFAULT_GRID = 512
-
 
 @dataclass(frozen=True)
 class SampledFunction:
@@ -56,7 +49,6 @@ class SampledFunction:
     domain: str
     fn: Callable
     path_length: int = 1
-    label: str = ""
 
     def __post_init__(self):
         if self.domain not in ("correspondence", "path", "base"):
@@ -99,36 +91,23 @@ def inner_product(
     raise InvalidInputError("inner_product needs correspondence or path domain")
 
 
-def _default_w_samples(count: int = DEFAULT_GRID):
-    return unit_circle_points(count)
-
-
 def norm2(
-    corr: Correspondence,
-    f: SampledFunction,
-    w_samples: Optional[Sequence[SpherePoint]] = None,
-    tol: float = 1e-6,
+    corr: Correspondence, f: SampledFunction, w_samples: Sequence[SpherePoint]
 ) -> float:
     """||f||_2 = sup_w (f|f)_A(w)^(1/2) over the sample grid."""
-    ws = list(w_samples) if w_samples is not None else _default_w_samples()
     best = 0.0
-    for w in ws:
-        val = inner_product(corr, f, f, w, tol).real
-        best = max(best, val)
+    for w in w_samples:
+        best = max(best, inner_product(corr, f, f, w).real)
     return math.sqrt(max(0.0, best))
 
 
 def norm_inf(
-    corr: Correspondence,
-    f: SampledFunction,
-    w_samples: Optional[Sequence[SpherePoint]] = None,
-    tol: float = 1e-6,
+    corr: Correspondence, f: SampledFunction, w_samples: Sequence[SpherePoint]
 ) -> float:
     """Sup norm of f over fiber points above the sample grid."""
-    ws = list(w_samples) if w_samples is not None else _default_w_samples()
     best = 0.0
-    for w in ws:
-        for z, _ in corr.backward_fiber(w, tol).points:
+    for w in w_samples:
+        for z, _ in corr.backward_fiber(w).points:
             best = max(best, abs(complex(f(z, w))))
     return best
 
@@ -138,8 +117,7 @@ def monomial_basis_element(m: int, i: int) -> SampledFunction:
     if not 0 <= i < m or m > 2**1000:
         raise InvalidInputError(f"basis element needs 0 <= i < m <= 2^1000, got {i}, {m}")
     root = math.sqrt(m)
-    return SampledFunction("correspondence", lambda z, w: z.to_complex() ** i / root,
-                           label=f"u_{i}")
+    return SampledFunction("correspondence", lambda z, w: z.to_complex() ** i / root)
 
 
 def monomial_basis(m: int):
@@ -154,8 +132,7 @@ def tensor_isometry_check(
     corr: Correspondence,
     f_list: Sequence[SampledFunction],
     g_list: Sequence[SampledFunction],
-    w_samples: Optional[Sequence[SpherePoint]] = None,
-    tol: float = 1e-6,
+    w_samples: Sequence[SpherePoint],
 ) -> float:
     """Max deviation over the sample grid between the recursive tensor inner
     product and the direct weighted path-space sum for
@@ -165,12 +142,11 @@ def tensor_isometry_check(
         raise InvalidInputError("lists must have equal length")
     if not 1 <= n <= 3:
         raise InvalidInputError("tensor length must be between 1 and 3")
-    ws = list(w_samples) if w_samples is not None else _default_w_samples(64)
 
     def recursive(k: int, w: SpherePoint) -> complex:
         # inner product of the first k factors, evaluated at w
         total = 0j
-        for z, e in corr.backward_fiber(w, tol).points:
+        for z, e in corr.backward_fiber(w).points:
             middle = recursive(k - 1, z) if k > 1 else 1.0
             total += (
                 e
@@ -182,7 +158,7 @@ def tensor_isometry_check(
 
     def direct(w: SpherePoint) -> complex:
         total = 0j
-        for path in paths_ending_at(corr, w, n, tol):
+        for path in paths_ending_at(corr, w, n):
             prod = complex(path.weight)
             for k in range(n):
                 zk, zk1 = path.points[k], path.points[k + 1]
@@ -192,21 +168,16 @@ def tensor_isometry_check(
             total += prod
         return total
 
-    return max(abs(recursive(n, w) - direct(w)) for w in ws)
+    return max(abs(recursive(n, w) - direct(w)) for w in w_samples)
 
 
-def ideal_membership(
-    corr: Correspondence,
-    a: SampledFunction,
-    restrict_to="circle",
-    tol: float = 1e-9,
-) -> bool:
-    """Whether a lies in the ideal of the module: |a| < tol on every branch
-    point of the correspondence inside J."""
+def ideal_membership(corr: Correspondence, a: SampledFunction) -> bool:
+    """Whether a lies in the ideal of the module: |a| < 1e-9 on every branch
+    point of the correspondence on the unit circle."""
     if a.domain != "base":
         raise InvalidInputError("ideal membership applies to base functions")
-    sets = corr.branched_sets(restrict_to=restrict_to)
-    return all(abs(complex(a(z))) < tol for z in sets.branch_points)
+    sets = corr.branched_sets(restrict_to="circle")
+    return all(abs(complex(a(z))) < 1e-9 for z in sets.branch_points)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +193,12 @@ class FiniteBimodule:
     edges: tuple  # of (int, int, int)
 
     @staticmethod
-    def build(
-        corr: Correspondence, points: Sequence, tol: float = 1e-7
-    ) -> "FiniteBimodule":
+    def build(corr: Correspondence, points: Sequence) -> "FiniteBimodule":
         J = tuple(
             p if isinstance(p, SpherePoint) else SpherePoint.from_complex(complex(p))
             for p in points
         )
-        ok, witness = invariant_check(corr, J, tol)
+        ok, witness = invariant_check(corr, J)
         if not ok:
             raise InvalidInputError(f"set is not invariant: escapes via {witness}")
         edges = []
@@ -239,10 +208,8 @@ class FiniteBimodule:
             total = 0
             for z, e in fiber.points:
                 zi = min(range(len(J)), key=lambda i: chordal_distance(J[i], z))
-                if chordal_distance(J[zi], z) > tol:
-                    raise InvalidInputError(
-                        f"fiber point {z} not within {tol} of the given set"
-                    )
+                if chordal_distance(J[zi], z) > 1e-7:
+                    raise InvalidInputError(f"fiber point {z} not within 1e-7 of the given set")
                 edges.append((zi, wi, e))
                 total += e
             if fiber.points and total != m:
@@ -289,7 +256,7 @@ class FockTruncation:
         return {c: row[x[:-1] + src[c]] for c in self._levels[k][1].get(x[-1], ())}
 
 
-def fock_build(fb: FiniteBimodule, K: int, path_cap: int = PATH_CAP) -> FockTruncation:
+def fock_build(fb: FiniteBimodule, K: int) -> FockTruncation:
     """Enumerate the path bases of the first K+1 Fock levels."""
     if K < 0:
         raise InvalidInputError(f"Fock truncation level must be >= 0, got {K}")
@@ -304,10 +271,8 @@ def fock_build(fb: FiniteBimodule, K: int, path_cap: int = PATH_CAP) -> FockTrun
         for q in blocks[-1]:
             for w in out_edges.get(q[-1], ()):
                 nxt.append(q + (w,))
-        if len(nxt) > path_cap:
-            raise ResourceLimitError(
-                f"path basis exceeded {path_cap} elements; lower K"
-            )
+        if len(nxt) > PATH_CAP:
+            raise ResourceLimitError(f"path basis exceeded {PATH_CAP} elements; lower K")
         blocks.append(tuple(sorted(nxt)))
     return FockTruncation(base=fb, K=K, blocks=tuple(blocks))
 

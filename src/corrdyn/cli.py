@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import time
 from fractions import Fraction
 
 from . import bimodule, dynamics, ktheory
@@ -99,11 +98,8 @@ def parse_polynomial_spec(obj):
             raise InvalidInputError(f"malformed {fam!r} family spec: {exc!r}") from exc
         return cc.to_correspondence(), cc
     if "factors" in obj:
-        factors = [_grid(g) for g in obj["factors"]]
-        return (
-            Correspondence(BivariatePolynomial.product(factors), factors=factors),
-            None,
-        )
+        factors = [_grid(g) for g in _json_list(obj["factors"], "factors")]
+        return Correspondence(BivariatePolynomial.product(factors)), None
     if "coeffs" in obj:
         return Correspondence(_grid(obj["coeffs"])), None
     raise InvalidInputError("spec needs one of: coeffs, factors, family")
@@ -137,6 +133,11 @@ def parse_point(obj) -> SpherePoint:
     raise InvalidInputError(f"point must be [re, im] or \"inf\", got {obj!r}")
 
 
+def _points(text, what: str) -> list:
+    """A point-set argument: a JSON list of points, inline or @file."""
+    return [parse_point(p) for p in _json_list(_load_json_arg(text), what)]
+
+
 def point_to_json(p: SpherePoint):
     if p.is_infinity:
         return "inf"
@@ -145,8 +146,6 @@ def point_to_json(p: SpherePoint):
 
 
 def _emit(args, report: dict):
-    if getattr(args, "timing", False):
-        report["wall_time_s"] = time.monotonic() - args._t0
     indent = 2 if getattr(args, "pretty", False) else None
     try:  # NaN and Infinity are not JSON; stdout stays empty
         text = json.dumps(report, indent=indent, sort_keys=True, allow_nan=False)
@@ -154,16 +153,6 @@ def _emit(args, report: dict):
         raise InvalidInputError(f"the report holds a non-finite number: {exc}") from exc
     # flushed so that a closed stdout raises inside main
     print(text, flush=True)
-
-
-def _seed(args) -> int:
-    env = os.environ.get("CORRDYN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidInputError(f"bad CORRDYN_SEED: {env!r}") from exc
-    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +184,7 @@ def cmd_branch(args):
     if args.restrict == "circle":
         restrict = "circle"
     elif args.restrict is not None:
-        restrict = [parse_point(p) for p in _load_json_arg(args.restrict)]
+        restrict = _points(args.restrict, "--restrict")
     sets = corr.branched_sets(restrict_to=restrict)
     _emit(args, {
         "command": "branch",
@@ -209,7 +198,7 @@ def cmd_branch(args):
 
 def cmd_paths(args):
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
-    start = [parse_point(p) for p in _load_json_arg(args.start)]
+    start = _points(args.start, "--start")
     paths = dynamics.path_space(corr, start, args.n, args.tol)
     _emit(args, {
         "command": "paths",
@@ -224,7 +213,7 @@ def cmd_paths(args):
 
 def cmd_invariant(args):
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
-    points = [parse_point(p) for p in _load_json_arg(args.set)]
+    points = _points(args.set, "--set")
     ok, witness = dynamics.invariant_check(corr, points, args.tol)
     _emit(args, {
         "command": "invariant",
@@ -237,10 +226,16 @@ def cmd_invariant(args):
 
 
 def cmd_expansive(args):
+    if args.max_steps < 1:
+        raise InvalidInputError("--max-steps must be >= 1")
     _, cc = parse_polynomial_spec(_load_json_arg(args.poly))
     if cc is None or cc.kind != "monomial":
         raise UndecidedError(
             "no expansiveness criterion for this polynomial; use the monomial family"
+        )
+    if args.max_steps * cc.m.bit_length() > dynamics.STEP_BITS_CAP:
+        raise ResourceLimitError(
+            f"m^{args.max_steps} may exceed {dynamics.STEP_BITS_CAP} bits; lower --max-steps"
         )
     decision = dynamics.expansive_decide(cc)
     report = {
@@ -267,12 +262,19 @@ def cmd_expansive(args):
 
 
 def cmd_free(args):
-    _, cc = parse_polynomial_spec(_load_json_arg(args.poly))
+    if args.sample is not None and args.sample < 1:
+        raise InvalidInputError("--sample must be >= 1")
+    corr, cc = parse_polynomial_spec(_load_json_arg(args.poly))
     if cc is None:
         raise UndecidedError("freeness criteria apply to the circle families only")
     decision = dynamics.free_decide(cc)
     if decision is None:
         raise UndecidedError("no freeness criterion covers this family")
+    N = min(args.gp or 2, 3)
+    if args.sample is not None and args.sample * corr.deg_w**N > dynamics.SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"{args.sample} samples * {corr.deg_w}^{N} paths exceed {dynamics.SAMPLE_CAP}"
+        )
     report = {"command": "free", "kind": cc.kind, "free": decision}
     if args.gp is not None:
         gp = dynamics.gp_enumerate(cc, args.gp)
@@ -283,14 +285,9 @@ def cmd_free(args):
             "angles": [[a.numerator, a.denominator] for a in gp.angles],
             "certificate": gp.certificate,
         }
-    if args.sample:
-        corr = cc.to_correspondence()
+    if args.sample is not None:
         rep = dynamics.gp_sample(
-            corr,
-            dynamics.circle_sampler,
-            N=min(args.gp or 2, 3),
-            samples=args.sample,
-            seed=_seed(args),
+            corr, dynamics.circle_sampler, N=N, samples=args.sample, seed=args.seed
         )
         report["sample"] = {
             "samples": rep.samples,
@@ -345,7 +342,7 @@ def cmd_inner(args):
 
 def cmd_fock(args):
     corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
-    points = [parse_point(p) for p in _load_json_arg(args.set)]
+    points = _points(args.set, "--set")
     fb = bimodule.FiniteBimodule.build(corr, points)
     ft = bimodule.fock_build(fb, args.K)
     report = bimodule.fock_report(ft)
@@ -398,7 +395,7 @@ def cmd_render(args):
     pts = dynamics.limit_set_sample(
         corr,
         iterations=args.iters,
-        seed=_seed(args),
+        seed=args.seed,
         direction=args.direction,
         start=start,
         workers=args.workers,
@@ -418,7 +415,7 @@ def cmd_render(args):
         "command": "render",
         "points": len(pts),
         "out": out,
-        "seed": _seed(args),
+        "seed": args.seed,
     })
 
 
@@ -453,9 +450,6 @@ def _write_ppm(path, pts, px):
 
 def _add_common(sp):
     sp.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sp.add_argument(
-        "--timing", action="store_true", help="include wall time (non-reproducible)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("free", help="freeness of a circle family")
     p.add_argument("--poly", required=True)
     p.add_argument("--gp", type=int, default=None, help="enumerate GP(N)")
-    p.add_argument("--sample", type=int, default=0, help="heuristic sampling count")
+    p.add_argument("--sample", type=int, default=None, help="heuristic sampling count")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_free)
@@ -550,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._t0 = time.monotonic()
     try:
         if args.cmd == "kgroups" and args.poly is None and args.table is None:
             raise InvalidInputError("kgroups needs --poly or --table")

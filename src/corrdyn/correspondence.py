@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
@@ -53,8 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_FIBER_TOL = 1e-6
-DEFAULT_ONCURVE_TOL = 1e-9
-DEFAULT_RESTRICT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -153,12 +151,7 @@ class Correspondence:
     """The zero set of a reduced polynomial p(z,w) viewed as the graph of
     the multivalued map z -> w."""
 
-    def __init__(
-        self,
-        p: BivariatePolynomial,
-        factors: Optional[Sequence[BivariatePolynomial]] = None,
-        check_squarefree: bool = True,
-    ):
+    def __init__(self, p: BivariatePolynomial, check_squarefree: bool = True):
         if p.deg_z < 1 or p.deg_w < 1:
             raise InvalidInputError(
                 "the defining polynomial must have positive degree in z and in w"
@@ -172,13 +165,6 @@ class Correspondence:
         self.p = p
         self.deg_z = p.deg_z
         self.deg_w = p.deg_w
-        self.factors = tuple(factors) if factors else None
-        if self.factors:
-            prod = BivariatePolynomial.product(self.factors)
-            if prod.scalar_ratio_to(p) is None:
-                raise InvalidInputError(
-                    "supplied factors do not multiply to the defining polynomial"
-                )
         self._transposed = p.transpose()
         self._fiber_cache: dict = {}
         # direction -> FloatGrid, or None when a coefficient is beyond float
@@ -187,11 +173,10 @@ class Correspondence:
 
     # -- membership ---------------------------------------------------------
 
-    def on_correspondence(
-        self, z: SpherePoint, w: SpherePoint, tol: float = DEFAULT_ONCURVE_TOL
-    ) -> bool:
+    def on_correspondence(self, z: SpherePoint, w: SpherePoint) -> bool:
         # p in separately homogeneous coordinates, so that points at infinity
-        # count too: sum c[i][j] z1^i z2^(m-i) w1^j w2^(n-j)
+        # count too: sum c[i][j] z1^i z2^(m-i) w1^j w2^(n-j), against 1e-9
+        # times the coefficient sum
         m, n = self.deg_z, self.deg_w
         val = 0j
         for i, row in enumerate(self.p.coeffs):
@@ -199,7 +184,7 @@ class Correspondence:
             for j, c in enumerate(row):
                 if c:
                     val += complex(c) * zterm * w.z1**j * w.z2 ** (n - j)
-        return abs(val) < tol * max(1.0, self.p.coeff_abs_sum())
+        return abs(val) < 1e-9 * max(1.0, self.p.coeff_abs_sum())
 
     # -- fibers --------------------------------------------------------------
 
@@ -284,33 +269,29 @@ class Correspondence:
             )
         return fiber
 
-    def branch_index(
-        self, z: SpherePoint, w: SpherePoint, tol: float = DEFAULT_FIBER_TOL
-    ) -> int:
-        """Multiplicity of z in the fiber over w; (z, w) must lie on the
-        correspondence."""
-        e = self.backward_fiber(w, tol).multiplicity_at(z, max(tol, 1e-5))
+    def branch_index(self, z: SpherePoint, w: SpherePoint) -> int:
+        """Multiplicity of z in the fiber over w, the fiber point within
+        chordal 1e-5 of z; (z, w) must lie on the correspondence."""
+        e = self.backward_fiber(w).multiplicity_at(z, 1e-5)
         if e == 0:
             raise InvalidInputError(f"({z}, {w}) is not on the correspondence")
         return e
 
     # -- branched sets -------------------------------------------------------
 
-    def branched_sets(
-        self, restrict_to=None, restrict_tol: float = DEFAULT_RESTRICT_TOL
-    ) -> BranchedSets:
+    def branched_sets(self, restrict_to=None) -> BranchedSets:
         """The four branched sets, decided exactly from resultants; no fiber
         is solved.  ``_branching`` of p gives the branch points and values,
         and of the transpose the cobranch values and points.
 
         restrict_to may be "circle" (intersect with the unit circle) or a
-        finite list of SpherePoint.
+        finite list of SpherePoint, each matched within 1e-7.
         """
         bp, bv = _branching(self.p)
         cv, cp = _branching(self._transposed)
         sets = (bp, bv, cv, cp)  # in the field order of BranchedSets
         if restrict_to is not None:
-            sets = [_restrict(s, restrict_to, restrict_tol) for s in sets]
+            sets = [_restrict(s, restrict_to) for s in sets]
         return BranchedSets(*(tuple(s) for s in sets))
 
 
@@ -410,12 +391,11 @@ def _chordal_merge(pairs, tol: float):
     return merged
 
 
-def _restrict(points, restrict_to, restrict_tol: float):
+def _restrict(points, restrict_to):
     if restrict_to == "circle":
         return [p for p in points if not p.is_infinity
-                and abs(abs(p.to_complex()) - 1.0) < restrict_tol]
-    return [q for q in restrict_to
-            if any(chordal_distance(p, q) <= restrict_tol for p in points)]
+                and abs(abs(p.to_complex()) - 1.0) < 1e-7]
+    return [q for q in restrict_to if any(chordal_distance(p, q) <= 1e-7 for p in points)]
 
 
 def unit_circle_points(count: int):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .correspondence import (
+    DEFAULT_FIBER_TOL,
     Correspondence,
     SpherePoint,
     chordal_distance,
@@ -55,6 +56,11 @@ PATH_CAP = 200_000
 # most base points an inner-product grid may hold
 SAMPLE_CAP = 1_000_000
 GRID_CAP = 100_000
+# most bits of m^r, the arc scale at the expansiveness oracle's last step r
+# (r * m.bit_length() bounds it): 10 000 steps for m = 2
+STEP_BITS_CAP = 20_000
+# chaos-game steps discarded before sampling starts
+BURN_IN = 100
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +74,6 @@ class PathSample:
 
     points: tuple  # of SpherePoint
     weight: int
-
-    @property
-    def length(self) -> int:
-        return len(self.points) - 1
 
     @property
     def start(self) -> SpherePoint:
@@ -150,19 +152,15 @@ def invariant_check(
     return True, None
 
 
-def propagate_finite(
-    corr: Correspondence,
-    start: Sequence[SpherePoint],
-    n: int,
-    tol: float = 1e-7,
-):
-    """The set reachable from start in exactly n forward steps."""
+def propagate_finite(corr: Correspondence, start: Sequence[SpherePoint], n: int):
+    """The set reachable from start in exactly n forward steps; points within
+    chordal 1e-7 count as one."""
     current = list(start)
     for _ in range(n):
         nxt = []
         for p in current:
             for w, _ in corr.forward_fiber(p).points:
-                if all(chordal_distance(w, q) > tol for q in nxt):
+                if all(chordal_distance(w, q) > 1e-7 for q in nxt):
                     nxt.append(w)
         current = nxt
     return current
@@ -295,38 +293,27 @@ class CircleCorrespondence:
             )
         if self.kind == "power_product":
             # squarefree: the factors w - z^e are distinct and irreducible
-            factors = [BP.graph_of_power(e) for e in self.params]
             return Correspondence(
-                BP.product(factors), factors=factors, check_squarefree=False
+                BP.product([BP.graph_of_power(e) for e in self.params]),
+                check_squarefree=False,
             )
-        factors = [BP.monomial_relation(i, j) for i, j in self.params]
-        return Correspondence(BP.product(factors), factors=factors)
+        return Correspondence(BP.product([BP.monomial_relation(i, j) for i, j in self.params]))
 
 
-def propagate_arcs(cc: CircleCorrespondence, arcs: ArcSet, steps: int = 1) -> ArcSet:
-    """Exact one-or-more-step image of an arc set under the angle relation
+def propagate_arcs(cc: CircleCorrespondence, arcs: ArcSet) -> ArcSet:
+    """Exact one-step image of an arc set under the angle relation
     m*alpha = n*beta (mod 1): each [a, b) maps to the n arcs
     [(m a + k)/n, (m b + k)/n)."""
     cc._require_monomial()
     m, n = cc.m, cc.n
-    current = arcs
-    for _ in range(steps):
-        if not current.arcs:
-            return current
-        images = []
-        for a, b in current.arcs:
-            if m * (b - a) >= 1:
-                return ArcSet.full()
-            for k in range(n):
-                images.append(
-                    (Fraction(m * a + k, n), Fraction(m * b + k, n))
-                )
-        if len(images) > ARC_CAP:
-            raise ResourceLimitError(
-                f"arc count exploded past {ARC_CAP} during propagation"
-            )
-        current = ArcSet.from_arcs(images)
-    return current
+    images = []
+    for a, b in arcs.arcs:
+        if m * (b - a) >= 1:
+            return ArcSet.full()
+        images.extend((Fraction(m * a + k, n), Fraction(m * b + k, n)) for k in range(n))
+    if len(images) > ARC_CAP:
+        raise ResourceLimitError(f"arc count exploded past {ARC_CAP} during propagation")
+    return ArcSet.from_arcs(images)
 
 
 def expansive_decide(cc: CircleCorrespondence) -> bool:
@@ -541,9 +528,6 @@ class GPSampleReport:
     N: int
     samples: int
     density: float
-    witnesses: tuple  # of SpherePoint, capped
-
-    heuristic: bool = True
 
 
 def gp_sample(
@@ -552,48 +536,25 @@ def gp_sample(
     N: int,
     samples: int,
     seed: int = 0,
-    tol: float = 1e-6,
-    witness_cap: int = 64,
 ):
     """Sample start points, grow all forward paths to each length <= N and
-    flag endpoints reached at two different lengths.  Heuristic only."""
+    flag endpoints reached at two different lengths, within the chordal
+    fiber tolerance.  Heuristic only."""
     rng = random.Random(seed)
-    witnesses = []
     hits = 0
     for _ in range(samples):
         z = sampler(rng)
-        by_length = {0: [z]}
-        current = [z]
-        for k in range(1, N + 1):
-            nxt = []
-            for p in current:
-                nxt.extend(w for w, _ in corr.forward_fiber(p, tol).points)
-            by_length[k] = nxt
-            current = nxt
-        found = False
-        for r in range(N + 1):
-            for s in range(r + 1, N + 1):
-                for a in by_length[r]:
-                    for b in by_length[s]:
-                        if chordal_distance(a, b) <= tol:
-                            found = True
-                            if len(witnesses) < witness_cap:
-                                witnesses.append(a)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            hits += 1
-    return GPSampleReport(
-        N=N,
-        samples=samples,
-        density=hits / samples if samples else 0.0,
-        witnesses=tuple(witnesses),
-    )
+        by_length = [[z]]
+        for _ in range(N):
+            by_length.append([w for p in by_length[-1] for w, _ in corr.forward_fiber(p).points])
+        hits += any(
+            chordal_distance(a, b) <= DEFAULT_FIBER_TOL
+            for r in range(N + 1)
+            for s in range(r + 1, N + 1)
+            for a in by_length[r]
+            for b in by_length[s]
+        )
+    return GPSampleReport(N=N, samples=samples, density=hits / samples if samples else 0.0)
 
 
 def circle_sampler(rng: random.Random) -> SpherePoint:
@@ -619,14 +580,11 @@ def limit_set_sample(
     seed: int,
     direction: str = "backward",
     start: Optional[SpherePoint] = None,
-    weighted: bool = True,
-    burn_in: int = 100,
     workers: int = 1,
-    tol: float = 1e-6,
 ):
     """Chaos-game orbit: repeatedly jump to a fiber point chosen with
-    probability proportional to its branch index (or uniformly when
-    weighted=False).  Deterministic for a fixed (seed, workers) pair; the
+    probability proportional to its branch index, keeping the points after
+    the first BURN_IN.  Deterministic for a fixed (seed, workers) pair; the
     merged output is worker-ordered."""
     if iterations < 1 or workers < 1:
         raise InvalidInputError("iterations and workers must be >= 1")
@@ -640,20 +598,16 @@ def limit_set_sample(
     for widx in range(workers):
         rng = random.Random(seed * 1000003 + widx)
         p = start if start is not None else sphere_sampler(rng)
-        for i in range(iterations + burn_in):
+        for i in range(iterations + BURN_IN):
             step_dir = direction
             if direction == "mixed":
                 step_dir = "forward" if rng.random() < 0.5 else "backward"
             if step_dir == "backward":
-                fiber = corr.backward_fiber(p, tol)
+                fiber = corr.backward_fiber(p)
             else:
-                fiber = corr.forward_fiber(p, tol)
+                fiber = corr.forward_fiber(p)
             pts = fiber.points
-            if weighted:
-                weights = [e for _, e in pts]
-            else:
-                weights = [1] * len(pts)
-            p = rng.choices([q for q, _ in pts], weights=weights, k=1)[0]
-            if i >= burn_in:
+            p = rng.choices([q for q, _ in pts], weights=[e for _, e in pts], k=1)[0]
+            if i >= BURN_IN:
                 out.append(p)
     return out

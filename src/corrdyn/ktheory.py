@@ -224,9 +224,9 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
     from .polyalg import BivariatePolynomial as BP
     from .correspondence import Correspondence
 
-    factors = [BP.graph_of_power(e) for e in exps]
     # squarefree: the factors w - z^e are distinct and irreducible
-    corr = Correspondence(BP.product(factors), factors=factors, check_squarefree=False)
+    corr = Correspondence(BP.product([BP.graph_of_power(e) for e in exps]),
+                          check_squarefree=False)
     b = len(corr.branched_sets(restrict_to="circle").branch_points)
     r = len(exps)
     Z = AbelianGroupPresentation(rank=1)

@@ -285,10 +285,6 @@ class UnivariatePolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __repr__(self):
-        terms = [f"{c!r}*x^{i}" for i, c in enumerate(self.coeffs)]
-        return " + ".join(terms) if terms else "0"
-
 
 class BivariatePolynomial:
     """Polynomial p(z, w) with an exact coefficient grid c[i][j] for z^i w^j."""
@@ -361,15 +357,6 @@ class BivariatePolynomial:
 
     # -- basic queries ------------------------------------------------------
 
-    def __call__(self, z: complex, w: complex) -> complex:
-        acc = 0j
-        for row in reversed(self.coeffs):
-            racc = 0j
-            for c in reversed(row):
-                racc = racc * w + complex(c)
-            acc = acc * z + racc
-        return acc
-
     def coeff_abs_sum(self) -> float:
         return sum(abs(c) for row in self.coeffs for c in row)
 
@@ -400,24 +387,6 @@ class BivariatePolynomial:
         """Exact coefficients of z -> v0^n p(z, 1/v0), n = deg_w (chart near
         infinity): row i gives the sum over j of c[i][j] v0^(n - j)."""
         return UnivariatePolynomial(_horner(row, v0) for row in self.coeffs)
-
-    def scalar_ratio_to(self, other: "BivariatePolynomial"):
-        """Return c with self == c * other exactly, or None."""
-        if (self.deg_z, self.deg_w) != (other.deg_z, other.deg_w):
-            return None
-        ratio = None
-        for i in range(self.deg_z + 1):
-            for j in range(self.deg_w + 1):
-                a, b = self.coeffs[i][j], other.coeffs[i][j]
-                if bool(a) != bool(b):
-                    return None
-                if a:
-                    r = a / b
-                    if ratio is None:
-                        ratio = r
-                    elif ratio != r:
-                        return None
-        return ratio
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePolynomial):

@@ -13,10 +13,10 @@ from corrdyn.polyalg import _U, BivariatePolynomial, GaussianRational, Univariat
 def constant_function(value, domain: str = "correspondence") -> SampledFunction:
     """The constant function value on the given domain."""
     if domain == "path":
-        return SampledFunction(domain, lambda pts: value, label=f"const {value}")
+        return SampledFunction(domain, lambda pts: value)
     if domain == "base":
-        return SampledFunction(domain, lambda z: value, label=f"const {value}")
-    return SampledFunction(domain, lambda z, w: value, label=f"const {value}")
+        return SampledFunction(domain, lambda z: value)
+    return SampledFunction(domain, lambda z, w: value)
 
 
 # An independent route to the resultants and the squarefree check: sympy

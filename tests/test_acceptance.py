@@ -97,7 +97,7 @@ def test_criterion_2_product_family():
             ok &= k0 == AbelianGroupPresentation(n - m) and k1.is_trivial
             # recompute b from the branched set against exact roots of unity
             factors = [BP.graph_of_power(m), BP.graph_of_power(n)]
-            corr = Correspondence(BP.product(factors), factors=factors)
+            corr = Correspondence(BP.product(factors))
             pts = corr.branched_sets(restrict_to="circle").branch_points
             ok &= len(pts) == n - m
             for k in range(n - m):

@@ -208,13 +208,13 @@ class TestTensorIsometry:
         corr = Correspondence(BP.monomial_relation(2, 1))
         one = constant_function(1.0)
         with pytest.raises(InvalidInputError):
-            tensor_isometry_check(corr, [one] * 4, [one] * 4)
+            tensor_isometry_check(corr, [one] * 4, [one] * 4, unit_circle_points(8))
 
 
 class TestIdeal:
     def test_product_family(self):
         factors = [BP.graph_of_power(2), BP.graph_of_power(3)]
-        corr = Correspondence(BP.product(factors), factors=factors)
+        corr = Correspondence(BP.product(factors))
         vanishing = SampledFunction("base", lambda z: z.to_complex() - 1)
         assert ideal_membership(corr, vanishing)
         assert not ideal_membership(corr, constant_function(1.0, "base"))

@@ -137,6 +137,34 @@ class TestExpansive:
         code, _ = run(capsys, ["expansive", "--poly", GRAPH2])
         assert code == 4
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 97])
+    def test_max_steps_cap(self, capsys, monkeypatch, m):
+        # the oracle's last step scales by m^steps; past the cap it is refused
+        # before any step
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle ran before --max-steps was checked")
+
+        monkeypatch.setattr(dynamics, "expansive_oracle", refuse)
+        steps = dynamics.STEP_BITS_CAP // m.bit_length() + 1
+        assert main([
+            "expansive", "--poly", f'{{"family":"monomial","m":{m},"n":{2 * m}}}',
+            "--oracle", "[[0,1,1,1000]]", "--max-steps", str(steps),
+        ]) == 3
+        assert last_error(capsys) == "resource-refusal"
+
+    def test_largest_max_steps_within_deadline(self, capsys):
+        # m = 2 admits the most steps; m^r | n^r means no step covers the circle
+        steps = dynamics.STEP_BITS_CAP // 2
+        start = time.monotonic()
+        code, rep = run(capsys, [
+            "expansive", "--poly", '{"family":"monomial","m":2,"n":4}',
+            "--oracle", "[[0,1,1,1000]]", "--max-steps", str(steps),
+        ])
+        assert time.monotonic() - start < 5
+        assert code == 0
+        assert rep["oracle"] == {"covered": False, "steps": steps, "max_steps": steps,
+                                 "agrees": True}
+
 
 class TestFree:
     def test_monomial_free_with_gp(self, capsys):
@@ -151,6 +179,19 @@ class TestFree:
             "free", "--poly", '{"family":"mixed","pairs":[[1,1],[2,1]]}',
         ])
         assert code == 4
+
+    @pytest.mark.parametrize("gp,N", [(None, 2), ("3", 3), ("5", 3)])
+    def test_sample_cap(self, capsys, monkeypatch, gp, N):
+        # monomial (2,3) grows 3^N paths from each sample
+        def refuse(*args, **kwargs):
+            raise AssertionError("fiber solved before --sample was checked")
+
+        monkeypatch.setattr(correspondence.Correspondence, "forward_fiber", refuse)
+        monkeypatch.setattr(dynamics, "gp_enumerate", refuse)
+        argv = ["free", "--poly", '{"family":"monomial","m":2,"n":3}',
+                "--sample", str(dynamics.SAMPLE_CAP // 3**N + 1)]
+        assert main(argv + (["--gp", gp] if gp else [])) == 3
+        assert last_error(capsys) == "resource-refusal"
 
 
 class TestInnerAndFock:
@@ -311,18 +352,6 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        main(["render", "--poly", GRAPH2, "--iters", "30", "--seed", "1",
-              "--out", str(out1)])
-        capsys.readouterr()
-        monkeypatch.setenv("CORRDYN_SEED", "1")
-        main(["render", "--poly", GRAPH2, "--iters", "30", "--seed", "999",
-              "--out", str(out2)])
-        capsys.readouterr()
-        assert out1.read_text() == out2.read_text()
-
 
 class TestErrors:
     def test_bad_json(self, capsys):
@@ -376,11 +405,23 @@ class TestErrors:
             '{"basis":{"m":2}}', '{"basis":3}', f'{{"basis":{{"m":1{"0" * 400},"i":0}}}}',
             '{"zpoly":5}',
         )],
+        ["paths", "--poly", GRAPH2, "--start", "5", "--n", "1"],
+        ["invariant", "--poly", GRAPH2, "--set", "5"],
+        ["invariant", "--poly", GRAPH2, "--set", "null"],
+        ["fock", "--poly", GRAPH2, "--set", "5", "--K", "1"],
+        ["branch", "--poly", GRAPH2, "--restrict", "5"],
+        ["fibers", "--poly", '{"factors":5}', "--point", "[0,0]"],
+        *[["expansive", "--poly", '{"family":"monomial","m":2,"n":3}',
+           "--oracle", "[[0,1,1,64]]", "--max-steps", s] for s in ("0", "-5")],
+        *[["free", "--poly", '{"family":"monomial","m":2,"n":3}', "--sample", s]
+          for s in ("0", "-3")],
     ], ids=["no-m", "exponent-x", "short-pair", "nan-coeff", "coeffs-not-grid",
             "nan-point", "huge-point", "point-over-4300-digits", "oracle-denominator-0", "grid-0", "out-suffix",
             "m-float", "m-bool", "exponents-string", "basis-i-too-large",
             "basis-i-negative", "basis-m-string", "basis-no-i", "basis-not-object",
-            "basis-m-huge", "zpoly-not-list"])
+            "basis-m-huge", "zpoly-not-list", "start-not-list", "set-not-list", "set-null",
+            "fock-set-not-list", "restrict-not-list", "factors-not-list", "max-steps-0",
+            "max-steps-negative", "sample-0", "sample-negative"])
     def test_malformed_input(self, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the input was checked")

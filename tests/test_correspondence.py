@@ -213,14 +213,14 @@ class TestBranchedSets:
 
     def test_product_family_global(self):
         factors = [BP.graph_of_power(2), BP.graph_of_power(3)]
-        corr = Correspondence(BP.product(factors), factors=factors)
+        corr = Correspondence(BP.product(factors))
         sets = corr.branched_sets()
         vals = {("inf" if p.is_infinity else round(p.to_complex().real)) for p in sets.branch_points}
         assert vals == {0, 1, "inf"}
 
     def test_product_family_on_circle(self):
         factors = [BP.graph_of_power(2), BP.graph_of_power(3)]
-        corr = Correspondence(BP.product(factors), factors=factors)
+        corr = Correspondence(BP.product(factors))
         sets = corr.branched_sets(restrict_to="circle")
         assert len(sets.branch_points) == 1
         assert sets.branch_points[0].to_complex() == pytest.approx(1 + 0j)
@@ -286,7 +286,7 @@ class TestBranchedSets:
 
     def test_every_branch_point_verified(self):
         factors = [BP.graph_of_power(2), BP.graph_of_power(4)]
-        corr = Correspondence(BP.product(factors), factors=factors)
+        corr = Correspondence(BP.product(factors))
         sets = corr.branched_sets()
         for b in sets.branch_points:
             found = False

@@ -36,6 +36,7 @@ class TestSNF:
             ([[1, 0], [0, 0]], [1, 0]),
             ([[2, 4], [6, 8]], [2, 4]),
             ([[1, 1]], [1]),
+            ([[2, 0], [0, 3]], [1, 6]),  # 2 does not divide 3: row 1 is added into row 0
         ],
     )
     def test_examples(self, rows, expected):

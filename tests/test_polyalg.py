@@ -314,7 +314,10 @@ class TestBivariate:
         cofactor = BivariatePolynomial([[GR(c) for c in row] for row in cofactor])
         ok, witness = squarefree_check(BivariatePolynomial.product([factor, cofactor]))
         assert not ok
-        assert witness.scalar_ratio_to(factor) is not None
+        # proportional: the witness is the factor times a nonzero scalar
+        a = next(c for row in factor.coeffs for c in row if c)
+        b = next(c for row in witness.coeffs for c in row if c)
+        assert witness == BivariatePolynomial([[c * (b / a) for c in row] for row in factor.coeffs])
 
 
 def _coefficient(kind):
@@ -361,6 +364,8 @@ class TestAgainstExpressionRoute:
         for g in (p.partial_z(), p.partial_w(), q):
             assert resultant_z(p, g) == reference_resultant_z(p, g)
             assert resultant_w(p, g) == reference_resultant_z(p.transpose(), g.transpose())
+        # q may be constant in z, so Res_z(q, p) = q^(deg_z p)
+        assert resultant_z(q, p) == reference_resultant_z(q, p)
 
     @given(st.one_of(bivariate(), with_repeated_factor))
     @settings(max_examples=40, deadline=None)
