@@ -251,6 +251,15 @@ def cmd_expansive(args):
             seed_arcs = ArcSet.from_json(arcs)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"malformed --oracle arcs: {exc!r}") from exc
+        # step r scales each seed arc's endpoints and length by m^r, so the
+        # bits of their denominators add to those of m^r
+        seed_bits = max((a.denominator.bit_length() + b.denominator.bit_length()
+                         for a, b in seed_arcs.arcs), default=0)
+        if (cc.m**args.max_steps).bit_length() + seed_bits > dynamics.STEP_BITS_CAP:
+            raise ResourceLimitError(
+                f"m^{args.max_steps} times the seed endpoints may exceed "
+                f"{dynamics.STEP_BITS_CAP} bits; lower --max-steps or the seed denominators"
+            )
         covered, steps = dynamics.expansive_oracle(cc, seed_arcs, args.max_steps)
         report["oracle"] = {
             "covered": covered,
@@ -445,108 +454,79 @@ def _write_ppm(path, pts, px):
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# argument wiring: one table, from which main() builds the invoked command's
+# parser alone, and the full tree only for help and errors
+
+REQ = {"required": True}
+TOL = ("--tol", {"type": float, "default": 1e-6})
+
+# name: (handler, help line, options as (flag, add_argument keywords))
+COMMANDS = {
+    "fibers": (cmd_fibers, "fiber of a point with branch indices", (
+        ("--poly", REQ), ("--point", REQ),
+        ("--direction", {"choices": ("forward", "backward"), "default": "backward"}), TOL)),
+    "branch": (cmd_branch, "branched point/value sets", (
+        ("--poly", REQ), ("--restrict", {"help": "'circle' or @file with a point list"}))),
+    "paths": (cmd_paths, "forward path space from a start set", (
+        ("--poly", REQ), ("--start", REQ), ("--n", {"type": int, "required": True}), TOL)),
+    "invariant": (cmd_invariant, "check a finite set for invariance", (
+        ("--poly", REQ), ("--set", REQ), ("--tol", {"type": float, "default": 1e-7}))),
+    "expansive": (cmd_expansive, "expansiveness of a circle family", (
+        ("--poly", REQ), ("--oracle", {"help": "seed arc set JSON for the oracle"}),
+        ("--max-steps", {"type": int, "default": 64}))),
+    "free": (cmd_free, "freeness of a circle family", (
+        ("--poly", REQ), ("--gp", {"type": int, "help": "enumerate GP(N)"}),
+        ("--sample", {"type": int, "help": "heuristic sampling count"}),
+        ("--seed", {"type": int, "default": 0}))),
+    "inner": (cmd_inner, "weighted inner product on a sample grid", (
+        ("--poly", REQ), ("--f", REQ), ("--g", REQ),
+        ("--grid", {"type": int, "default": 16}), TOL)),
+    "fock": (cmd_fock, "truncated Fock representation report", (
+        ("--poly", REQ), ("--set", REQ), ("--K", {"type": int, "required": True}))),
+    "kgroups": (cmd_kgroups, "K-groups of the circle families", (
+        ("--poly", {}), ("--table", {"type": int, "nargs": 2, "metavar": ("M", "N")}))),
+    "render": (cmd_render, "chaos-game point cloud to CSV or PPM", (
+        ("--poly", REQ), ("--iters", {"type": int, "default": 20000}),
+        ("--seed", {"type": int, "default": 0}), ("--start", {}),
+        ("--direction", {"choices": ("forward", "backward", "mixed"), "default": "backward"}),
+        ("--workers", {"type": int, "default": 1}), ("--out", REQ),
+        ("--px", {"type": int, "default": 800}))),
+}
 
 
-def _add_common(sp):
-    sp.add_argument("--pretty", action="store_true", help="indent JSON output")
+def _add_options(parser, name):
+    func, _, options = COMMANDS[name]
+    for flag, keywords in options:
+        parser.add_argument(flag, **keywords)
+    parser.add_argument("--pretty", action="store_true", help="indent JSON output")
+    parser.set_defaults(cmd=name, func=func)
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name=None) -> argparse.ArgumentParser:
+    """The parser of command ``name`` alone, or with no name the full tree."""
+    if name is not None:
+        return _add_options(argparse.ArgumentParser(prog=f"corrdyn {name}"), name)
     ap = argparse.ArgumentParser(
         prog="corrdyn",
         description="computations on algebraic correspondences of the sphere",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("fibers", help="fiber of a point with branch indices")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--direction", choices=["forward", "backward"], default="backward")
-    p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=cmd_fibers)
-
-    p = sub.add_parser("branch", help="branched point/value sets")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--restrict", default=None,
-                   help="'circle' or @file with a point list")
-    _add_common(p)
-    p.set_defaults(func=cmd_branch)
-
-    p = sub.add_parser("paths", help="forward path space from a start set")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=cmd_paths)
-
-    p = sub.add_parser("invariant", help="check a finite set for invariance")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--tol", type=float, default=1e-7)
-    _add_common(p)
-    p.set_defaults(func=cmd_invariant)
-
-    p = sub.add_parser("expansive", help="expansiveness of a circle family")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--oracle", default=None, help="seed arc set JSON for the oracle")
-    p.add_argument("--max-steps", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(func=cmd_expansive)
-
-    p = sub.add_parser("free", help="freeness of a circle family")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--gp", type=int, default=None, help="enumerate GP(N)")
-    p.add_argument("--sample", type=int, default=None, help="heuristic sampling count")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_free)
-
-    p = sub.add_parser("inner", help="weighted inner product on a sample grid")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=cmd_inner)
-
-    p = sub.add_parser("fock", help="truncated Fock representation report")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--K", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_fock)
-
-    p = sub.add_parser("kgroups", help="K-groups of the circle families")
-    p.add_argument("--poly", default=None)
-    p.add_argument("--table", type=int, nargs=2, default=None, metavar=("M", "N"))
-    _add_common(p)
-    p.set_defaults(func=cmd_kgroups)
-
-    p = sub.add_parser("render", help="chaos-game point cloud to CSV or PPM")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--iters", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--start", default=None)
-    p.add_argument("--direction", choices=["forward", "backward", "mixed"],
-                   default="backward")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--px", type=int, default=800)
-    _add_common(p)
-    p.set_defaults(func=cmd_render)
-
+    for command, (_, help_line, _) in COMMANDS.items():
+        _add_options(sub.add_parser(command, help=help_line), command)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(name).parse_args(argv[1:] if name else argv)
     try:
         if args.cmd == "kgroups" and args.poly is None and args.table is None:
             raise InvalidInputError("kgroups needs --poly or --table")
+        tol = getattr(args, "tol", 0.0)
+        if not (math.isfinite(tol) and tol >= 0):
+            raise InvalidInputError(f"--tol must be finite and >= 0, got {tol!r}")
         args.func(args)
     except (InvalidInputError,) as exc:
         print(json.dumps({"error": "invalid-input", "detail": str(exc)}), file=sys.stderr)

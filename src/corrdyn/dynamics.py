@@ -57,7 +57,8 @@ PATH_CAP = 200_000
 SAMPLE_CAP = 1_000_000
 GRID_CAP = 100_000
 # most bits of m^r, the arc scale at the expansiveness oracle's last step r
-# (r * m.bit_length() bounds it): 10 000 steps for m = 2
+# (r * m.bit_length() bounds it): 10 000 steps for m = 2; the CLI also
+# holds the bits of m^r and of the seed arcs' denominators together to it
 STEP_BITS_CAP = 20_000
 # chaos-game steps discarded before sampling starts
 BURN_IN = 100

@@ -243,6 +243,8 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
 
 def kgroup_table(max_m: int, max_n: int):
     """Rows (m, n, K_0, K_1) for the monomial family over the full grid."""
+    if max_m < 1 or max_n < 1:
+        raise InvalidInputError("table bounds must be >= 1")
     if max_m > 20 or max_n > 20:
         raise InvalidInputError("table bounds capped at 20")
     rows = []

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from corrdyn.correspondence import SpherePoint
 
 CIRCLE = '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}'  # z^2 + w^2 - 1
 GRAPH2 = '{"coeffs":[[[0,0],[1,0]],[[0,0]],[[-1,0]]]}'  # w - z^2
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 def run(capsys, argv):
@@ -165,6 +167,23 @@ class TestExpansive:
         assert rep["oracle"] == {"covered": False, "steps": steps, "max_steps": steps,
                                  "agrees": True}
 
+    def test_seed_bits_count_in_the_budget(self, capsys, monkeypatch):
+        # the seed denominators' bits add to those of m^r at every step, so a
+        # seed of 10^4000 is refused before any step where 1/1000 is not
+        ran = []
+        monkeypatch.setattr(dynamics, "expansive_oracle",
+                            lambda cc, seed, steps: ran.append(seed) or (False, steps))
+        argv = ["expansive", "--poly", '{"family":"monomial","m":2,"n":3}',
+                "--max-steps", "10000", "--oracle"]
+        assert main([*argv, f"[[0,1,1,1{'0' * 4000}]]"]) == 3
+        assert last_error(capsys) == "resource-refusal"
+        assert ran == []
+        # 2^10000 has 10001 bits, which leaves 9999 for the seed's two denominators
+        assert main([*argv, f"[[0,1,1,{2 ** 9997}]]"]) == 0
+        assert main([*argv, f"[[0,1,1,{2 ** 9998}]]"]) == 3
+        assert len(ran) == 1
+        capsys.readouterr()
+
 
 class TestFree:
     def test_monomial_free_with_gp(self, capsys):
@@ -281,6 +300,11 @@ class TestKGroups:
     def test_missing_args(self, capsys):
         assert run(capsys, ["kgroups"])[0] == 2
 
+    @pytest.mark.parametrize("bounds", [("0", "3"), ("3", "0"), ("-1", "2")])
+    def test_table_bounds_below_one(self, capsys, bounds):
+        assert main(["kgroups", "--table", *bounds]) == 2
+        assert last_error(capsys) == "invalid-input"
+
 
 class TestRender:
     def test_csv(self, capsys, tmp_path):
@@ -353,6 +377,89 @@ class TestDeterminism:
         assert first == second
 
 
+class TestParser:
+    def test_each_call_builds_only_its_command(self, capsys, monkeypatch):
+        # every main() call registers the invoked command's options and no
+        # others: neither the whole command tree nor a parser kept from a call
+        added = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(self, *flags, **keywords):
+            added.extend(flags)
+            return add_argument(self, *flags, **keywords)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        kgroups = ["-h", "--help", "--poly", "--table", "--pretty"]
+        for argv, flags in (
+            (["kgroups", "--table", "1", "1"], kgroups),
+            (["kgroups", "--table", "1", "1"], kgroups),
+            (["expansive", "--poly", '{"family":"monomial","m":3,"n":2}'],
+             ["-h", "--help", "--poly", "--oracle", "--max-steps", "--pretty"]),
+        ):
+            added.clear()
+            assert main(argv) == 0
+            assert added == flags
+        capsys.readouterr()
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv, usage", [
+        ([], "usage: corrdyn [-h]"),
+        (["frobnicate"], "usage: corrdyn [-h]"),
+        (["fibers", "--poly", GRAPH2, "--point", "[0,0]", "--bogus"], "usage: corrdyn fibers"),
+        (["fibers", "--poly", GRAPH2], "usage: corrdyn fibers"),
+        (["fock", "--poly", GRAPH2, "--set", "[[0,0]]", "--K", "two"], "usage: corrdyn fock"),
+    ], ids=["no-command", "unknown-command", "unknown-option", "missing-option",
+            "non-integer"])
+    def test_usage_errors(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
+
+def _exact_argvs():
+    # the corpus commands whose stdout is exact: K-groups, Fock reports, GP
+    # enumeration, expansiveness and invariance decisions
+    for path in sorted(CORPUS.glob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            argv = json.loads(line) if line.strip() else []
+            if argv[:1] in (["kgroups"], ["fock"], ["expansive"], ["invariant"]) or (
+                    argv[:1] == ["free"] and "--gp" in argv):
+                yield argv
+
+
+EXACT_ARGVS = list(_exact_argvs())
+GOLDEN = {json.dumps(entry["argv"]): entry["stdout"] for entry in json.loads(
+    (CORPUS / "exact_stdout.json").read_text(encoding="utf-8"))}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("argv", EXACT_ARGVS,
+                             ids=[f"{argv[0]}-{i}" for i, argv in enumerate(EXACT_ARGVS)])
+    def test_stdout_matches(self, capsys, argv):
+        # an exact command with a golden file exits 0 with those bytes on
+        # stdout; every other one exits nonzero
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        out = capsys.readouterr().out
+        golden = GOLDEN.get(json.dumps(argv))
+        if golden is None:
+            assert code != 0 and out == ""
+        else:
+            assert (code, out) == (0, golden)
+
+    def test_every_golden_output_is_in_the_corpus(self):
+        assert set(GOLDEN) <= {json.dumps(argv) for argv in EXACT_ARGVS}
+
+
 class TestErrors:
     def test_bad_json(self, capsys):
         assert run(capsys, ["fibers", "--poly", "{oops", "--point", "[0,0]"])[0] == 2
@@ -415,18 +522,30 @@ class TestErrors:
            "--oracle", "[[0,1,1,64]]", "--max-steps", s] for s in ("0", "-5")],
         *[["free", "--poly", '{"family":"monomial","m":2,"n":3}', "--sample", s]
           for s in ("0", "-3")],
+        *[["fibers", "--poly", GRAPH2, "--point", "[0.5,0]", f"--tol={t}"]
+          for t in ("nan", "-1", "inf")],
+        ["paths", "--poly", GRAPH2, "--start", "[[0.5,0]]", "--n", "1", "--tol", "nan"],
+        ["invariant", "--poly", GRAPH2, "--set", "[[0,0]]", "--tol=-inf"],
+        ["inner", "--poly", GRAPH2, "--f", '{"const":[1,0]}', "--g", '{"const":[1,0]}',
+         "--tol", "nan"],
     ], ids=["no-m", "exponent-x", "short-pair", "nan-coeff", "coeffs-not-grid",
             "nan-point", "huge-point", "point-over-4300-digits", "oracle-denominator-0", "grid-0", "out-suffix",
             "m-float", "m-bool", "exponents-string", "basis-i-too-large",
             "basis-i-negative", "basis-m-string", "basis-no-i", "basis-not-object",
             "basis-m-huge", "zpoly-not-list", "start-not-list", "set-not-list", "set-null",
             "fock-set-not-list", "restrict-not-list", "factors-not-list", "max-steps-0",
-            "max-steps-negative", "sample-0", "sample-negative"])
+            "max-steps-negative", "sample-0", "sample-negative", "fibers-tol-nan",
+            "fibers-tol-negative", "fibers-tol-inf", "paths-tol-nan", "invariant-tol-inf",
+            "inner-tol-nan"])
     def test_malformed_input(self, capsys, monkeypatch, argv):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the input was checked")
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked before the input was checked")
 
-        monkeypatch.setattr(dynamics, "limit_set_sample", no_sampling)
+        for module, name in ((dynamics, "limit_set_sample"), (dynamics, "path_space"),
+                             (dynamics, "invariant_check"), (cli.bimodule, "inner_product"),
+                             (cli.Correspondence, "forward_fiber"),
+                             (cli.Correspondence, "backward_fiber")):
+            monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
         assert last_error(capsys) == "invalid-input"
 
