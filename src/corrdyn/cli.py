@@ -503,11 +503,21 @@ def _add_options(parser, name):
     return parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 2 with the JSON error
+    object on stderr, as every other refusal does; its subparsers are of
+    this class too."""
+
+    def error(self, message):
+        detail = f"{self.prog}: {message}"
+        self.exit(2, json.dumps({"error": "invalid-input", "detail": detail}) + "\n")
+
+
 def build_parser(name=None) -> argparse.ArgumentParser:
     """The parser of command ``name`` alone, or with no name the full tree."""
     if name is not None:
-        return _add_options(argparse.ArgumentParser(prog=f"corrdyn {name}"), name)
-    ap = argparse.ArgumentParser(
+        return _add_options(_Parser(prog=f"corrdyn {name}"), name)
+    ap = _Parser(
         prog="corrdyn",
         description="computations on algebraic correspondences of the sphere",
     )

@@ -171,21 +171,6 @@ class Correspondence:
         # range; built on the first fiber request in that direction
         self._float_grids: dict = {}
 
-    # -- membership ---------------------------------------------------------
-
-    def on_correspondence(self, z: SpherePoint, w: SpherePoint) -> bool:
-        # p in separately homogeneous coordinates, so that points at infinity
-        # count too: sum c[i][j] z1^i z2^(m-i) w1^j w2^(n-j), against 1e-9
-        # times the coefficient sum
-        m, n = self.deg_z, self.deg_w
-        val = 0j
-        for i, row in enumerate(self.p.coeffs):
-            zterm = z.z1**i * z.z2 ** (m - i)
-            for j, c in enumerate(row):
-                if c:
-                    val += complex(c) * zterm * w.z1**j * w.z2 ** (n - j)
-        return abs(val) < 1e-9 * max(1.0, self.p.coeff_abs_sum())
-
     # -- fibers --------------------------------------------------------------
 
     def backward_fiber(

@@ -113,10 +113,6 @@ class AbelianGroupPresentation:
                 raise InvalidInputError("torsion must form a divisibility chain")
 
     @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    @property
     def is_free(self) -> bool:
         return not self.torsion
 

@@ -1,20 +1,27 @@
 """Polynomial algebra: exact Gaussian-rational coefficients, root finding
-with exact multiplicities, and resultants and gcds on sympy Polys over the
-smallest exact domain of the coefficients (ZZ, QQ, ZZ_I or QQ_I).
+with exact multiplicities, modular resultants, and the squarefree check on
+sympy Polys.
 
 Coefficients are kept exact (rational real and imaginary parts) so that
 resultant and squarefree computations never depend on floating point luck.
-Multiplicities come from an exact certificate that the polynomial is
-squarefree, computed modulo a prime, and from Yun's squarefree decomposition
-only when the certificate is undecided.  Each exact squarefree factor is then
-solved in floating point by one root finder, the eigenvalues of the companion
-matrix of its monic complex128 image (``np.roots``).  ``roots`` returns these
-roots unclustered; which of them count as one point is decided in the
-chordal metric by ``correspondence``.  ``polish_root`` refines one of them
-by Newton steps evaluated exactly; every branched-set point is refined so.
-For float coefficients known to within a componentwise bound,
-``certified_roots`` keeps the ``np.roots`` companion eigenvalues only when
-inclusion discs, checked on Python scalars, prove every root simple.
+Resultants are computed modulo primes p = 1 (mod 4) below 2^61, under the
+ideals over p of the Gaussian integers, by evaluation and interpolation, and
+combined by the Chinese remainder theorem past a bound on the coefficients
+(Collins, J. ACM 18, 1971).  Multiplicities come from Yun's squarefree
+decomposition, computed modulo a prime, rebuilt by rational reconstruction
+and kept only when verified exactly (Brown's lucky primes, J. ACM 18, 1971);
+Yun's algorithm over the Gaussian rationals runs only when that is
+undecided.  Each exact squarefree factor is then solved in floating point by
+one root finder, the eigenvalues of the companion matrix of its monic
+complex128 image (``np.roots``).  ``roots`` returns these roots unclustered;
+which of them count as one point is decided in the chordal metric by
+``correspondence``.  ``polish_root`` refines one of them by Newton steps
+evaluated exactly; every branched-set point is refined so.  For float
+coefficients known to within a componentwise bound, ``certified_roots``
+keeps the ``np.roots`` companion eigenvalues only when inclusion discs,
+checked on Python scalars, prove every root simple.  sympy serves only
+``squarefree_check``, the gcds of a defining polynomial with its partial
+derivatives, over the smallest exact domain of the coefficients.
 """
 
 from __future__ import annotations
@@ -206,47 +213,276 @@ def squarefree_factors(coeffs: Sequence[GaussianRational]):
     return out
 
 
+# ---------------------------------------------------------------------------
+# arithmetic modulo primes p = 1 (mod 4) below 2^61
+
 # A prime p = 2^61 - 31 with p = 1 (mod 4), and a square root I of -1 modulo
 # p.  Sending a + b*i to a + b*I (mod p) reduces Z[i] modulo the Gaussian prime
-# (p, i - I); it extends to Gaussian rationals whose denominators are prime to p.
+# (p, i - I), and sending it to a - b*I reduces Z[i] modulo the conjugate prime
+# (p, i + I); both extend to Gaussian rationals whose denominators are prime
+# to p.  Real input needs only the first.
 _P = 2305843009213693921
 _I = 583529827753931384
+# (p, I) pairs: _P, then the primes p = 1 (mod 4) below it in descending
+# order, each found on first use by ``_prime``
+_PRIMES = [(_P, _I)]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _fp_coprime(a: list, b: list) -> bool:
-    """gcd(a, b) == 1 in F_p[z], by Euclid's algorithm on ascending
-    coefficient lists whose leading entries are nonzero."""
-    while b:
-        inv = pow(b[-1], -1, _P)
-        a = list(a)
-        while len(a) >= len(b):
-            q = a[-1] * inv % _P
-            shift = len(a) - len(b)
-            for k, y in enumerate(b):
-                a[shift + k] = (a[shift + k] - q * y) % _P
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
-
-
-def _certified_squarefree(monic) -> bool:
-    """True when the monic polynomial f has no repeated root, proved modulo p.
-
-    If every coefficient reduces into F_p and gcd(f mod p, (f mod p)') = 1,
-    then disc(f) reduces to the nonzero disc(f mod p), so disc(f) != 0.  False
-    means undecided: f has a repeated root, or p divides disc(f) or one of
-    the denominators (Brown, J. ACM 18, 1971, on lucky primes)."""
-    if any(c.re.denominator % _P == 0 or c.im.denominator % _P == 0 for c in monic):
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the first 12 prime bases, which decides primality
+    exactly for n < 3.18e23, far above the primes used here (Sorenson &
+    Webster, Math. Comp. 86, 2017)."""
+    if n < 2:
         return False
-    f = [
-        (
-            c.re.numerator * pow(c.re.denominator, -1, _P)
-            + _I * c.im.numerator * pow(c.im.denominator, -1, _P)
-        ) % _P
-        for c in monic
-    ]
-    return _fp_coprime(f, [i * c % _P for i, c in enumerate(f)][1:])
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int):
+    """The k-th pair (p, I) of ``_PRIMES``, found and kept when first asked
+    for: I = c^((p - 1)/4) for the least quadratic non-residue c mod p."""
+    while len(_PRIMES) <= k:
+        p = _PRIMES[-1][0] - 4
+        while not _is_prime(p):
+            p -= 4
+        c = 2
+        while pow(c, (p - 1) // 2, p) != p - 1:
+            c += 1
+        _PRIMES.append((p, pow(c, (p - 1) // 4, p)))
+    return _PRIMES[k]
+
+
+def _fp_reduce(cs, p: int, unit: int):
+    """The images in F_p of the Gaussian rationals cs under i -> unit; None
+    when p divides a denominator."""
+    out = []
+    for c in cs:
+        re, im = c.re, c.im
+        if re.denominator % p == 0 or im.denominator % p == 0:
+            return None
+        out.append((re.numerator * pow(re.denominator, -1, p)
+                    + unit * im.numerator * pow(im.denominator, -1, p)) % p)
+    return out
+
+
+# Polynomials over F_p are lists of ascending coefficients in [0, p) whose
+# last entry is nonzero; [] is the zero polynomial.
+
+
+def _fp_strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a: list, b: list, p: int):
+    """(q, r) with a = q b + r and deg r < deg b in F_p[z]; b is nonzero."""
+    a, nb = list(a), len(b)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        t = q[k] = a[k + nb - 1] * inv % p
+        if t:
+            for j, y in enumerate(b):
+                a[k + j] = (a[k + j] - t * y) % p
+    return q, _fp_strip(a[: nb - 1])
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of a and b in F_p[z], not both zero, by Euclid's
+    algorithm."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _fp_deriv(a: list, p: int) -> list:
+    return _fp_strip([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _fp_mul(a: list, b: list, p: int) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _fp_squarefree(a: list, p: int) -> bool:
+    return len(_fp_gcd(a, _fp_deriv(a, p), p)) == 1
+
+
+def _fp_sub(a: list, b: list, p: int) -> list:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _fp_strip([(x - y) % p for x, y in zip(a, b)])
+
+
+def _fp_yun(f: list, p: int) -> list:
+    """Yun's squarefree decomposition of the monic f in F_p[z], deg f < p:
+    [(factor, multiplicity), ...] with monic nonconstant factors, in
+    increasing multiplicity, step for step as ``squarefree_factors``."""
+    df = _fp_deriv(f, p)
+    g = _fp_gcd(f, df, p)
+    c = _fp_divmod(f, g, p)[0]
+    d = _fp_sub(_fp_divmod(df, g, p)[0], _fp_deriv(c, p), p)
+    out, i = [], 1
+    while len(c) > 1:
+        a = _fp_gcd(c, d, p)
+        if len(a) > 1:
+            out.append((a, i))
+        c = _fp_divmod(c, a, p)[0]
+        d = _fp_sub(_fp_divmod(d, a, p)[0], _fp_deriv(c, p), p)
+        i += 1
+    return out
+
+
+def _fp_resultant(a: list, b: list, p: int) -> int:
+    """Res(a, b) in F_p of nonzero a and b, by Euclid's algorithm with
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for r the
+    remainder of a by b."""
+    res = 1
+    while len(b) > 1:
+        r = _fp_divmod(a, b, p)[1]
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _fp_interpolate(xs: list, ys: list, p: int) -> list:
+    """The ascending coefficients of the polynomial of degree < len(xs)
+    through the points (xs, ys) in F_p, by Newton's divided differences."""
+    c, inverse = list(ys), {}
+    for j in range(1, len(xs)):
+        for k in range(len(xs) - 1, j - 1, -1):
+            gap = xs[k] - xs[k - j]
+            if gap not in inverse:
+                inverse[gap] = pow(gap, -1, p)
+            c[k] = (c[k] - c[k - 1]) * inverse[gap] % p
+    out = [c[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        x = xs[k]
+        out = [(lo - x * hi) % p for lo, hi in zip([c[k]] + out, out + [0])]
+    return out
+
+
+def _rational(u: int, p: int):
+    """The fraction n/d with |n|, d <= sqrt(p/2) and n = u d (mod p), by the
+    extended Euclidean algorithm (Wang, SYMSAC 1981); None when there is
+    none."""
+    bound = math.isqrt(p // 2)
+    r0, r1, t0, t1 = p, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return Fraction(r1, t1)
+
+
+def _gaussian_integers(cs):
+    """(d, pairs): d the least common denominator of the Gaussian rationals
+    cs, and pairs the (re, im) integer parts of d c for each c."""
+    d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+    return d, [(c.re.numerator * (d // c.re.denominator),
+                c.im.numerator * (d // c.im.denominator)) for c in cs]
+
+
+def _gaussian_grid(p: "BivariatePolynomial"):
+    """(d, rows): d the least common denominator of p's coefficients, and
+    rows the grid of d p as (re, im) integer pairs."""
+    d, flat = _gaussian_integers([c for row in p.coeffs for c in row])
+    k = p.deg_w + 1
+    return d, [flat[i:i + k] for i in range(0, len(flat), k)]
+
+
+def _zi_mul(a: list, b: list) -> list:
+    """The product of two polynomials over Z[i] given as (re, im) pairs."""
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        for j, (br, bi) in enumerate(b):
+            xr, xi = out[i + j]
+            out[i + j] = (xr + ar * br - ai * bi, xi + ar * bi + ai * br)
+    return out
+
+
+def _modular_squarefree(monic):
+    """The squarefree decomposition of f = monic, as ``squarefree_factors``
+    gives it, computed modulo p = _P; None when this is undecided.
+
+    If f reduces into F_p and gcd(f mod p, (f mod p)') = 1, then disc(f)
+    reduces to the nonzero disc(f mod p), so f is squarefree and [(f, 1)] is
+    returned (Brown, J. ACM 18, 1971, on lucky primes).  Otherwise Yun's
+    algorithm runs in F_p, under both ideals over p for non-real f, and the
+    coefficients of each monic factor a_k are rebuilt by rational
+    reconstruction.  The result is kept only when prod a_k^k = f exactly and
+    prod (a_k mod p) is squarefree in F_p, that is, the images are
+    squarefree and pairwise coprime.  The rebuilt denominators are below p,
+    so each a_k is integral at the prime (p, i - I), and so is each monic
+    factor of a_k over Q(i), as the local ring there is integrally closed;
+    so a repeated factor of a_k, or a common factor of a_j and a_k, would
+    survive reduction mod p.  The a_k are therefore squarefree and
+    pairwise coprime over Q(i), and as the squarefree decomposition is
+    unique, they are the factors of Yun's algorithm over the Gaussian
+    rationals.  Otherwise (a repeated root with an unlucky prime, a
+    coefficient beyond the reconstruction bound of about 2^30, or a
+    denominator divisible by p) the answer is None."""
+    f = _fp_reduce(monic, _P, _I)
+    if f is None:
+        return None
+    if _fp_squarefree(f, _P):
+        return [(monic, 1)]
+    if all(not c.im for c in monic):
+        splits = [_fp_yun(f, _P)]
+    else:
+        splits = [_fp_yun(f, _P), _fp_yun(_fp_reduce(monic, _P, _P - _I), _P)]
+        if [(len(a), k) for a, k in splits[0]] != [(len(a), k) for a, k in splits[1]]:
+            return None
+    half, half_i = pow(2, -1, _P), pow(2 * _I, -1, _P)
+    factors = []
+    for parts in zip(*splits):
+        coeffs = []
+        for us in zip(*(a for a, _ in parts)):
+            if len(us) == 1:
+                re, im = _rational(us[0], _P), Fraction(0)
+            else:
+                re = _rational((us[0] + us[1]) * half % _P, _P)
+                im = _rational((us[0] - us[1]) * half_i % _P, _P)
+            if re is None or im is None:
+                return None
+            coeffs.append(GaussianRational(re, im))
+        factors.append((tuple(coeffs), parts[0][1]))
+    scale, product, image = 1, [(1, 0)], [1]
+    for a, k in factors:
+        d, a_zi = _gaussian_integers(a)
+        image = _fp_mul(image, _fp_reduce(a, _P, _I), _P)
+        for _ in range(k):
+            product = _zi_mul(product, a_zi)
+        scale *= d**k
+    if product != [(c.re * scale, c.im * scale) for c in monic]:
+        return None
+    return factors if _fp_squarefree(image, _P) else None
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +593,6 @@ class BivariatePolynomial:
 
     # -- basic queries ------------------------------------------------------
 
-    def coeff_abs_sum(self) -> float:
-        return sum(abs(c) for row in self.coeffs for c in row)
-
     def transpose(self) -> "BivariatePolynomial":
         grid = [
             [self.coeffs[i][j] for i in range(self.deg_z + 1)]
@@ -375,9 +608,6 @@ class BivariatePolynomial:
             for i in range(1, self.deg_z + 1)
         ]
         return BivariatePolynomial(grid)
-
-    def partial_w(self) -> "BivariatePolynomial":
-        return self.transpose().partial_z().transpose()
 
     def univariate_in_z(self, w0: GaussianRational) -> UnivariatePolynomial:
         """Exact coefficients of z -> p(z, w0)."""
@@ -558,21 +788,20 @@ def roots(f: UnivariatePolynomial) -> list:
     """All roots of f as (root, multiplicity) pairs, multiplicities summing
     to deg f.  Roots are not clustered: two pairs may lie arbitrarily close.
 
-    f is first tested for squarefreeness modulo a prime; a certified
-    squarefree f is solved as its monic self with multiplicity 1.  Otherwise
-    (a repeated root, or an unlucky prime) Yun's exact squarefree
-    decomposition supplies the multiplicities, so nontrivial multiplicities
-    are detected structurally either way.  Each squarefree factor is solved
-    by ``_companion_roots``, and its roots come in the order it gives them.
+    The multiplicities come from the squarefree decomposition of f, found
+    modulo a prime and verified exactly by ``_modular_squarefree`` (a
+    certified squarefree f is its monic self with multiplicity 1), or from
+    Yun's algorithm over the Gaussian rationals when that is undecided; the
+    two agree exactly, so nontrivial multiplicities are detected
+    structurally either way.  Each squarefree factor is solved by
+    ``_companion_roots``, and its roots come in the order it gives them.
     """
     if f.is_zero:
         raise InvalidInputError("roots of the zero polynomial")
     if f.degree == 0:
         return []
-    monic = _xmonic(f.coeffs)
-    if _certified_squarefree(monic):
-        factors = [(monic, 1)]
-    else:
+    factors = _modular_squarefree(_xmonic(f.coeffs))
+    if factors is None:
         factors = squarefree_factors(f.coeffs)
     return [
         (complex(r), mult)
@@ -607,7 +836,90 @@ def polish_root(f: UnivariatePolynomial, z: complex, m: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# resultants / gcd via sympy Polys over the smallest exact domain
+# resultants modulo primes, and the squarefree check on sympy Polys
+
+
+def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
+    """Res_z(f, g), the Sylvester determinant in z, as an exact polynomial in
+    w, by evaluation, interpolation and the Chinese remainder theorem
+    (Collins, J. ACM 18, 1971; von zur Gathen & Gerhard, Modern Computer
+    Algebra, 6.4-6.11).
+
+    With m = deg_z f and n = deg_z g, F = c f and G = d g have Gaussian-
+    integer coefficients for integers c and d, and Res(f, g) =
+    Res(F, G) / (c^n d^m).  Res(F, G) has w-degree at most D = n deg_w F +
+    m deg_w G, and its coefficients are Gaussian integers whose parts are at
+    most B = |F|_1^n |G|_1^m in size, the product of the 1-norms of the
+    Sylvester rows (|.|_1 sums |re| + |im| over the coefficients).  For each
+    prime in turn, under each ideal over it that is needed, Res(F, G) is
+    taken at D + 1 points w where neither lc_z vanishes, where it equals the
+    resultant of the specialisations, and interpolated; a prime that kills
+    lc_z(F) or lc_z(G) is skipped.  The images are combined by the Chinese
+    remainder theorem until the modulus exceeds 2B, and lifted to the
+    symmetric range."""
+    if f.deg_z == 0 and g.deg_z == 0:
+        raise InvalidInputError("resultant in z of two z-constant polynomials")
+    m, n = f.deg_z, g.deg_z
+    (c, F), (d, G) = _gaussian_grid(f), _gaussian_grid(g)
+    bound = 2 * sum(abs(x) + abs(y) for row in F for x, y in row) ** n
+    bound *= sum(abs(x) + abs(y) for row in G for x, y in row) ** m
+    real = not any(y for grid in (F, G) for row in grid for _, y in row)
+    D = n * f.deg_w + m * g.deg_w
+    modulus, re, im, k = 1, [0] * (D + 1), [0] * (D + 1), 0
+    while modulus <= bound:
+        p, unit = _prime(k)
+        k += 1
+        units = (unit,) if real else (unit, p - unit)
+        images = [_fp_resultant_z(F, G, p, u, D) for u in units]
+        if None in images:
+            continue
+        if real:
+            parts = [(images[0], re)]
+        else:
+            half, half_i = pow(2, -1, p), pow(2 * unit, -1, p)
+            parts = [([(a + b) * half % p for a, b in zip(*images)], re),
+                     ([(a - b) * half_i % p for a, b in zip(*images)], im)]
+        step = pow(modulus, -1, p)
+        for residues, acc in parts:
+            for i, r in enumerate(residues):
+                acc[i] += modulus * ((r - acc[i]) * step % p)
+        modulus *= p
+    lift = [x - modulus if 2 * x > modulus else x for x in re + im]
+    scale = Fraction(1, c**n * d**m)
+    return UnivariatePolynomial(GaussianRational(x * scale, y * scale)
+                                for x, y in zip(lift[: D + 1], lift[D + 1:]))
+
+
+def _fp_resultant_z(F, G, p: int, unit: int, D: int):
+    """Res_z(F, G) under i -> unit in F_p, for grids of (re, im) integer
+    pairs with rows in z and columns in w, as its D + 1 ascending
+    w-coefficients; None when lc_z(F) or lc_z(G) vanishes there."""
+    Fp = [[(x + unit * y) % p for x, y in row] for row in F]
+    Gp = [[(x + unit * y) % p for x, y in row] for row in G]
+    if not any(Fp[-1]) or not any(Gp[-1]):
+        return None
+    xs, ys, w = [], [], 0
+    while len(xs) <= D:
+        a = [_fp_horner(row, w, p) for row in Fp]
+        b = [_fp_horner(row, w, p) for row in Gp]
+        if a[-1] and b[-1]:
+            xs.append(w)
+            ys.append(_fp_resultant(a, b, p))
+        w += 1
+    return _fp_interpolate(xs, ys, p)
+
+
+def _fp_horner(row: list, w: int, p: int) -> int:
+    """The ascending coefficients row evaluated at w in F_p."""
+    acc = 0
+    for x in reversed(row):
+        acc = (acc * w + x) % p
+    return acc
+
+
+def resultant_w(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
+    """Res_w(f, g) as an exact univariate polynomial in z."""
+    return resultant_z(f.transpose(), g.transpose())
 
 
 def _sympy_poly(p: BivariatePolynomial):
@@ -635,34 +947,6 @@ def _poly_terms(P) -> dict:
             Fraction(re.numerator, re.denominator), Fraction(im.numerator, im.denominator)
         )
     return out
-
-
-def _univariate(P) -> UnivariatePolynomial:
-    """P, which depends on its last generator only, as a polynomial in it."""
-    terms = _poly_terms(P)
-    coeffs = [QQI_ZERO] * (max((m[-1] for m in terms), default=-1) + 1)
-    for m, c in terms.items():
-        coeffs[m[-1]] = c
-    return UnivariatePolynomial(coeffs)
-
-
-def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
-    """Res_z(f, g) as an exact univariate polynomial in w, by sympy's
-    subresultant algorithm over the smallest exact domain of f and g; the
-    resultant does not change when computed over the Gaussian rationals."""
-    if f.deg_z == 0 and g.deg_z == 0:
-        raise InvalidInputError("resultant in z of two z-constant polynomials")
-    F, G = _sympy_poly(f), _sympy_poly(g)
-    if g.deg_z == 0:
-        return _univariate(G**f.deg_z)
-    if f.deg_z == 0:
-        return _univariate(F**g.deg_z)
-    return _univariate(F.resultant(G))
-
-
-def resultant_w(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
-    """Res_w(f, g) as an exact univariate polynomial in z."""
-    return resultant_z(f.transpose(), g.transpose())
 
 
 def squarefree_check(p: BivariatePolynomial):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from corrdyn.bimodule import FockTruncation, SampledFunction
 from corrdyn.errors import InvalidInputError
@@ -19,24 +20,28 @@ def constant_function(value, domain: str = "correspondence") -> SampledFunction:
     return SampledFunction(domain, lambda z, w: value)
 
 
-# An independent route to the resultants and the squarefree check: sympy
-# expressions in z, w with I, re-parsed by sp.resultant and sp.gcd over the
-# Gaussian rationals QQ_I whatever the coefficients are.
+# Independent routes to the resultants and the squarefree check: sympy
+# expressions in z, w with I, over the Gaussian rationals QQ_I whatever the
+# coefficients are.
 
 Z, W = sp.symbols("z w")
 
 
-def _expr(p: BivariatePolynomial):
+def _in_w(row):
+    """sum c_j w^j over the Gaussian rationals c_j of row."""
     return sum(
         (
             (sp.Rational(c.re.numerator, c.re.denominator)
-             + sp.Rational(c.im.numerator, c.im.denominator) * sp.I) * Z**i * W**j
-            for i, row in enumerate(p.coeffs)
+             + sp.Rational(c.im.numerator, c.im.denominator) * sp.I) * W**j
             for j, c in enumerate(row)
             if c
         ),
         sp.Integer(0),
     )
+
+
+def _expr(p: BivariatePolynomial):
+    return sum((_in_w(row) * Z**i for i, row in enumerate(p.coeffs)), sp.Integer(0))
 
 
 def _qqi(x) -> GaussianRational:
@@ -45,15 +50,20 @@ def _qqi(x) -> GaussianRational:
 
 
 def reference_resultant_z(f: BivariatePolynomial, g: BivariatePolynomial):
-    """Res_z(f, g) as a polynomial in w, by sp.resultant over QQ_I."""
-    fe, ge = _expr(f), _expr(g)
-    if g.deg_z == 0:
-        r = ge**f.deg_z
-    elif f.deg_z == 0:
-        r = fe**g.deg_z
-    else:
-        r = sp.resultant(fe, ge, Z)
-    r = sp.expand(r)
+    """Res_z(f, g) as a polynomial in w: the determinant of the Sylvester
+    matrix, deg_z g rows of f's coefficients in descending powers of z above
+    deg_z f rows of g's, by fraction-free elimination over QQ_I[w].
+    (sp.resultant is no oracle: sympy 1.14 returns -Res(f, g) when
+    deg f < deg g and both are odd, e.g. 6 for Res(z + 2, z^3 + 2) = -6.)"""
+    m, n = f.deg_z, g.deg_z
+    size = m + n
+    rows = []
+    for poly, shifts in ((f, n), (g, m)):
+        column = [_in_w(row) for row in reversed(poly.coeffs)]
+        for s in range(shifts):
+            rows.append([0] * s + column + [0] * (size - s - len(column)))
+    ring = sp.QQ_I[W]
+    r = ring.to_sympy(DomainMatrix.from_list_sympy(size, size, rows).convert_to(ring).det())
     if r == 0:
         return UnivariatePolynomial([])
     poly = sp.Poly(r, W, domain="QQ_I")
@@ -75,6 +85,20 @@ def reference_squarefree_check(p: BivariatePolynomial):
                 grid[i][j] = _qqi(c)
             return False, BivariatePolynomial(grid)
     return True, None
+
+
+def on_correspondence(corr, z, w) -> bool:
+    """Whether (z, w) lies on corr: p in separately homogeneous coordinates,
+    so that points at infinity count too, sum c[i][j] z1^i z2^(m-i) w1^j
+    w2^(n-j), against 1e-9 times the coefficient sum."""
+    m, n = corr.deg_z, corr.deg_w
+    val = 0j
+    for i, row in enumerate(corr.p.coeffs):
+        zterm = z.z1**i * z.z2 ** (m - i)
+        for j, c in enumerate(row):
+            if c:
+                val += complex(c) * zterm * w.z1**j * w.z2 ** (n - j)
+    return abs(val) < 1e-9 * max(1.0, sum(abs(c) for row in corr.p.coeffs for c in row))
 
 
 # The dense route to the Fock relations: Fraction matrices over the path

@@ -13,9 +13,18 @@ from corrdyn import cli, correspondence, dynamics
 from corrdyn.cli import main, parse_polynomial_spec
 from corrdyn.correspondence import SpherePoint
 
+from support import on_correspondence
+
 CIRCLE = '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}'  # z^2 + w^2 - 1
 GRAPH2 = '{"coeffs":[[[0,0],[1,0]],[[0,0]],[[-1,0]]]}'  # w - z^2
 CORPUS = Path(__file__).resolve().parent / "corpus"
+
+
+def _subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run(capsys, argv):
@@ -78,6 +87,20 @@ class TestBranch:
         with pytest.raises(SystemExit) as exc:
             main(["branch", "--poly", CIRCLE, "--tol", "1e-3"])
         assert exc.value.code == 2
+
+    def test_resultants_load_no_sympy(self):
+        # the product family skips the constructor's squarefree check, so
+        # its branched sets are resultants and roots alone
+        script = (
+            "import sys\n"
+            "from corrdyn.cli import main\n"
+            "code = main(['branch', '--poly', '{\"family\":\"product\",\"exponents\":[2,5]}'])\n"
+            "print(code, 'sympy' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=_subprocess_env(), timeout=60)
+        assert json.loads(proc.stdout)["branch_points"]
+        assert proc.stderr.decode().split() == ["0", "False"]
 
 
 class TestInvariantAndPaths:
@@ -408,19 +431,30 @@ class TestParser:
         out = capsys.readouterr().out
         assert all(name in out for name in cli.COMMANDS)
 
-    @pytest.mark.parametrize("argv, usage", [
-        ([], "usage: corrdyn [-h]"),
-        (["frobnicate"], "usage: corrdyn [-h]"),
-        (["fibers", "--poly", GRAPH2, "--point", "[0,0]", "--bogus"], "usage: corrdyn fibers"),
-        (["fibers", "--poly", GRAPH2], "usage: corrdyn fibers"),
-        (["fock", "--poly", GRAPH2, "--set", "[[0,0]]", "--K", "two"], "usage: corrdyn fock"),
+    @pytest.mark.parametrize("argv, prog", [
+        ([], "corrdyn"),
+        (["frobnicate"], "corrdyn"),
+        (["fibers", "--poly", GRAPH2, "--point", "[0,0]", "--bogus"], "corrdyn fibers"),
+        (["fibers", "--poly", GRAPH2], "corrdyn fibers"),
+        (["fock", "--poly", GRAPH2, "--set", "[[0,0]]", "--K", "two"], "corrdyn fock"),
     ], ids=["no-command", "unknown-command", "unknown-option", "missing-option",
             "non-integer"])
-    def test_usage_errors(self, capsys, argv, usage):
+    def test_usage_errors(self, capsys, argv, prog):
+        # one JSON error object on stderr, naming the parser that refused
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith(usage)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "invalid-input"
+        assert error["detail"].startswith(f"{prog}: ")
+
+    def test_help_stays_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fibers", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: corrdyn fibers")
 
 
 def _exact_argvs():
@@ -591,7 +625,7 @@ class TestEscapingOrbits:
         assert any(q.z1 == 1 and abs(q.z2) < 1 for q in chain)
         for a, b in zip(chain, chain[1:]):
             z, w = (b, a) if direction == "backward" else (a, b)
-            assert corr.on_correspondence(z, w)
+            assert on_correspondence(corr, z, w)
 
 
 class TestOutputErrors:
@@ -615,16 +649,13 @@ class TestOutputErrors:
     def test_closed_stdout(self):
         # stdout is a pipe whose reader is already gone, as for
         # `corrdyn paths ... | head -c 50` once head has exited
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "corrdyn.cli", "paths", "--poly", GRAPH2,
                  "--start", "[[1,0]]", "--n", "3"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), timeout=60,
             )
         finally:
             os.close(write_end)

@@ -21,7 +21,7 @@ from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots, roots
 
-from support import reference_certified_roots
+from support import on_correspondence, reference_certified_roots
 
 GR = GaussianRational.of
 
@@ -104,11 +104,11 @@ class TestFibers:
 
     def test_on_correspondence(self):
         corr = Correspondence(BP.graph_of_power(2))
-        assert corr.on_correspondence(
+        assert on_correspondence(corr, 
             SpherePoint.from_complex(2 + 0j), SpherePoint.from_complex(4 + 0j)
         )
-        assert corr.on_correspondence(SpherePoint.infinity(), SpherePoint.infinity())
-        assert not corr.on_correspondence(
+        assert on_correspondence(corr, SpherePoint.infinity(), SpherePoint.infinity())
+        assert not on_correspondence(corr, 
             SpherePoint.from_complex(2 + 0j), SpherePoint.from_complex(5 + 0j)
         )
 

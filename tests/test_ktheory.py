@@ -78,7 +78,7 @@ class TestCokernelKernel:
         assert cokernel(IntegerMatrix.of([[4]])) == AbelianGroupPresentation(0, (4,))
         assert cokernel(IntegerMatrix.of([[0]])) == AbelianGroupPresentation(1)
         assert kernel(IntegerMatrix.of([[0]])) == AbelianGroupPresentation(1)
-        assert cokernel(IntegerMatrix.of([[1, 1]])).is_trivial
+        assert cokernel(IntegerMatrix.of([[1, 1]])) == AbelianGroupPresentation(0)
         assert kernel(IntegerMatrix.of([[1, 1]])) == AbelianGroupPresentation(1)
 
 
@@ -134,7 +134,7 @@ class TestProductFamily:
                 assert inp.K1_IX.rank == n - m  # b branched circle points
                 k0, k1 = pimsner_solve(inp)
                 assert k0 == AbelianGroupPresentation(n - m)
-                assert k1.is_trivial
+                assert k1 == AbelianGroupPresentation(0)
 
     def test_three_factors(self):
         inp = product_family_input([2, 3, 5])

@@ -13,8 +13,8 @@ from corrdyn.polyalg import (
     BivariatePolynomial,
     GaussianRational,
     UnivariatePolynomial,
-    _certified_squarefree,
     _companion_roots,
+    _modular_squarefree,
     _xmonic,
     certified_roots,
     polish_root,
@@ -229,11 +229,23 @@ class TestSquarefreeFactors:
 
 class TestSquarefreeCertificate:
     def test_prime_and_square_root_of_minus_one(self):
+        # _P and _I, and the primes made on demand after them
         import sympy
 
-        assert sympy.isprime(polyalg._P)
-        assert polyalg._P % 4 == 1
-        assert (polyalg._I ** 2 + 1) % polyalg._P == 0
+        pairs = [polyalg._prime(k) for k in range(6)]
+        assert pairs[0] == (polyalg._P, polyalg._I)
+        assert len({p for p, _ in pairs}) == len(pairs)
+        for p, unit in pairs:
+            assert p < 2**61 and p % 4 == 1 and sympy.isprime(p)
+            assert (unit * unit + 1) % p == 0
+
+    def test_miller_rabin_against_sympy(self):
+        import sympy
+
+        # small cases, Carmichael numbers, a strong pseudoprime to the bases
+        # 2, 3, 5 and 7, and the 200 numbers below 2^61
+        for n in [1, 2, 3, 4, 561, 1105, 3215031751, 2**61 - 1, *range(2**61 - 200, 2**61)]:
+            assert polyalg._is_prime(n) == sympy.isprime(n), n
 
     @given(small_gaussian_rationals.filter(bool), root_multisets)
     @settings(max_examples=80, deadline=None)
@@ -242,7 +254,8 @@ class TestSquarefreeCertificate:
         # so p never divides the discriminant of a squarefree draw
         f = from_roots(lead, root_mults)
         squarefree = all(m == 1 for _, m in root_mults)
-        assert _certified_squarefree(_xmonic(f.coeffs)) == squarefree
+        monic = _xmonic(f.coeffs)
+        assert (_modular_squarefree(monic) == [(monic, 1)]) == squarefree
 
     @given(small_gaussian_rationals.filter(bool), root_multisets)
     @settings(max_examples=40, deadline=None)
@@ -269,6 +282,60 @@ class TestSquarefreeCertificate:
         assert rs[0][0] == pytest.approx(1 / polyalg._P)
         assert rs[1][0] == pytest.approx(2)
 
+    def test_denominator_above_reconstruction_bound_takes_yun(self, monkeypatch):
+        # the factor z - 1/q, q = 2^30 + 3, has a coefficient beyond rational
+        # reconstruction modulo p, whose bound is sqrt(p / 2) < 2^30 + 3
+        calls = []
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return squarefree_factors(coeffs)
+
+        monkeypatch.setattr(polyalg, "squarefree_factors", counting)
+        f = from_roots(GR(1), [(GR(Fraction(1, 2**30 + 3)), 2), (GR(2), 1)])
+        assert _modular_squarefree(_xmonic(f.coeffs)) is None
+        rs = sorted(roots(f), key=lambda zm: zm[0].real)
+        assert len(calls) == 1
+        assert [m for _, m in rs] == [2, 1]
+
+
+def _coefficients(kind):
+    """Roots and leading coefficients in Z, Q or Z[i]."""
+    small = st.integers(-6, 6)
+    return {
+        "ZZ": small.map(GR),
+        "QQ": st.builds(Fraction, small, st.integers(1, 6)).map(GR),
+        "ZZ_I": st.tuples(small, small).map(GR),
+    }[kind]
+
+
+@st.composite
+def repeated_products(draw):
+    """lead * prod (z - r)^m with at least one m >= 2, over Z, Q or Z[i]."""
+    kind = draw(st.sampled_from(["ZZ", "QQ", "ZZ_I"]))
+    lead = draw(_coefficients(kind).filter(bool))
+    root_mults = draw(st.lists(st.tuples(_coefficients(kind), st.integers(1, 4)),
+                               min_size=1, max_size=4, unique_by=lambda rm: rm[0]))
+    if all(m == 1 for _, m in root_mults):
+        root_mults[0] = (root_mults[0][0], 2)
+    return from_roots(lead, root_mults)
+
+
+class TestModularSplit:
+    @given(repeated_products())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_yun(self, f):
+        assert _modular_squarefree(_xmonic(f.coeffs)) == squarefree_factors(f.coeffs)
+
+    def test_conjugate_ideals_rebuild_gaussian_factors(self):
+        # (z - (1 + 2i)/3)^2 (z - i)^3 (z + 5): the imaginary parts come from
+        # the two images, under i -> I and i -> -I
+        f = from_roots(GR((2, -1)), [(GR((Fraction(1, 3), Fraction(2, 3))), 2),
+                                     (GR((0, 1)), 3), (GR(-5), 1)])
+        split = _modular_squarefree(_xmonic(f.coeffs))
+        assert split == squarefree_factors(f.coeffs)
+        assert [(len(a) - 1, m) for a, m in split] == [(1, 1), (1, 2), (1, 3)]
+
 
 class TestBivariate:
     def test_degrees(self):
@@ -292,7 +359,7 @@ class TestBivariate:
 
     def test_resultant_w(self):
         p = BivariatePolynomial.monomial_relation(1, 2)
-        r = resultant_w(p, p.partial_w())
+        r = resultant_w(p, p.transpose().partial_z().transpose())
         assert complex(r(3.0)) == pytest.approx(12)
 
     def test_squarefree_check(self):
@@ -355,13 +422,22 @@ with_repeated_factor = st.builds(
 
 
 class TestAgainstExpressionRoute:
-    """The Poly route over the smallest exact domain gives exactly what sympy
-    gives from expressions over QQ_I."""
+    """The modular resultants equal the Sylvester determinants, and the Poly
+    route of the squarefree check over the smallest exact domain gives
+    exactly what sympy gives from expressions over QQ_I."""
+
+    def test_resultant_sign_for_odd_degrees(self):
+        # Res_z(w + z, w + z^3) = (-w)^3 + w; sympy 1.14's resultant gives
+        # w^3 - w here
+        f = BivariatePolynomial([[0, 1], [1]])
+        g = BivariatePolynomial([[0, 1], [0], [0], [1]])
+        want = UnivariatePolynomial([0, 1, 0, -1])
+        assert resultant_z(f, g) == want == reference_resultant_z(f, g)
 
     @given(bivariate(max_dz=3), bivariate(min_dz=0))
     @settings(max_examples=40, deadline=None)
     def test_resultants(self, p, q):
-        for g in (p.partial_z(), p.partial_w(), q):
+        for g in (p.partial_z(), p.transpose().partial_z().transpose(), q):
             assert resultant_z(p, g) == reference_resultant_z(p, g)
             assert resultant_w(p, g) == reference_resultant_z(p.transpose(), g.transpose())
         # q may be constant in z, so Res_z(q, p) = q^(deg_z p)
