@@ -251,8 +251,9 @@ def cmd_expansive(args):
             seed_arcs = ArcSet.from_json(arcs)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"malformed --oracle arcs: {exc!r}") from exc
-        # step r scales each seed arc's endpoints and length by m^r, so the
-        # bits of their denominators add to those of m^r
+        # the bits of m^r, the arc scale at step r, and of the seed arcs'
+        # denominators; the oracle's steps work on integers below q m / d,
+        # with q the lcm of those denominators, so this over-bounds its work
         seed_bits = max((a.denominator.bit_length() + b.denominator.bit_length()
                          for a, b in seed_arcs.arcs), default=0)
         if (cc.m**args.max_steps).bit_length() + seed_bits > dynamics.STEP_BITS_CAP:

@@ -13,7 +13,7 @@ decides which fiber roots are one point; points of large modulus and the
 point at infinity merge naturally.  The branched sets solve no fiber: each
 is decided exactly from resultants and leading coefficients, and its finite
 points are the distinct roots of an exact polynomial, each refined by
-``polish_root``.
+``polish_roots``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .polyalg import (
     _xstrip,
     certified_roots,
     linked_groups,
-    polish_root,
+    polish_roots,
     resultant_w,
     resultant_z,
     roots,
@@ -296,7 +296,7 @@ def _branching(p: BivariatePolynomial):
     of lc_z(p).  Infinity is a branch point when rows m and m - 1 of c, as
     forms of degree n, share a root on the sphere, and a branch value when
     column n has degree at most m - 2 or a repeated root.  Every finite point
-    is its resultant root after ``polish_root``."""
+    is its resultant root after ``polish_roots``."""
     m, n = p.deg_z, p.deg_w
     p_z = p.partial_z()
     lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
@@ -314,15 +314,15 @@ def _branching(p: BivariatePolynomial):
 
 
 def _polished_roots(f: UnivariatePolynomial) -> list:
-    """The distinct roots of f, each after ``polish_root``, in
+    """The distinct roots of f, each after ``polish_roots``, in
     ``_point_sort_key`` order.  Distinct roots are distinct points however
     close, so the merge runs at tol 0 and joins only coinciding floats."""
     if f.is_zero:
         raise InvalidInputError(
             "resultant vanished identically; the polynomial is not reduced"
         )
-    found = [SpherePoint.from_complex(polish_root(f, c.to_complex(), e))
-             for c, e in _chordal_merge(roots(f), 0.0)]
+    estimates = [(c.to_complex(), e) for c, e in _chordal_merge(roots(f), 0.0)]
+    found = [SpherePoint.from_complex(z) for z in polish_roots(f, estimates)]
     return sorted(dict.fromkeys(found), key=_point_sort_key)
 
 

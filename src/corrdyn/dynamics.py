@@ -58,8 +58,11 @@ SAMPLE_CAP = 1_000_000
 GRID_CAP = 100_000
 # most bits of m^r, the arc scale at the expansiveness oracle's last step r
 # (r * m.bit_length() bounds it): 10 000 steps for m = 2; the CLI also
-# holds the bits of m^r and of the seed arcs' denominators together to it
+# holds the bits of m^r and of the seed arcs' denominators together to it.
+# The oracle's integer steps no longer grow with r, so this over-bounds them
 STEP_BITS_CAP = 20_000
+# most line crossings (plus one per line) one GP enumeration may visit
+GP_WORK_CAP = 500_000
 # chaos-game steps discarded before sampling starts
 BURN_IN = 100
 
@@ -323,54 +326,78 @@ def expansive_decide(cc: CircleCorrespondence) -> bool:
     return cc.n % cc.m != 0
 
 
-def covering_step(cc: CircleCorrespondence, seed: ArcSet, r: int) -> bool:
-    """Exact test whether the r-step image of seed is the whole circle.
-
-    The r-step image is the union over k of (m^r U + d^(r-1) k) / n^r, i.e.
-    translates of m^r U / n^r by the lattice of spacing d^(r-1) / n^r.  It
-    covers the circle iff the arcs m^r U, reduced modulo d^(r-1), cover a
-    full period.
-    """
-    cc._require_monomial()
-    m, n, d = cc.m, cc.n, cc.d
-    if not seed.arcs:
-        return False
-    spacing = Fraction(d ** (r - 1))
-    scale = m**r
-    pieces = []
+def _integer_arcs(seed: ArcSet):
+    """(q, [(A, L), ...]): the seed arcs as [A/q, (A + L)/q) over q, the lcm
+    of their endpoints' denominators."""
+    q = math.lcm(*(x.denominator for arc in seed.arcs for x in arc))
+    out = []
     for a, b in seed.arcs:
-        length = scale * (b - a)
-        if length >= spacing:
+        start = a.numerator * (q // a.denominator)
+        out.append((start, b.numerator * (q // b.denominator) - start))
+    return q, out
+
+
+def _covers(arcs, q: int) -> bool:
+    """Whether the integer arcs [y, y + l), 0 <= y < q, cover R/qZ."""
+    pieces = []
+    for y, length in arcs:
+        if length >= q:
             return True
-        a2 = (scale * a) % spacing
-        b2 = a2 + length
-        if b2 <= spacing:
-            pieces.append((a2, b2))
+        end = y + length
+        if end <= q:
+            pieces.append((y, end))
         else:
-            pieces.append((a2, spacing))
-            pieces.append((Fraction(0), b2 - spacing))
+            pieces.append((y, q))
+            pieces.append((0, end - q))
     pieces.sort()
-    reach = Fraction(0)
+    reach = 0
     for a, b in pieces:
         if a > reach:
             return False
         reach = max(reach, b)
-    return bool(pieces) and reach >= spacing
+    return reach >= q
+
+
+def covering_step(cc: CircleCorrespondence, seed: ArcSet, r: int) -> bool:
+    """Exact test whether the r-step image of seed is the whole circle,
+    r >= 1.
+
+    The r-step image is the union over k of (m^r U + d^(r-1) k) / n^r, i.e.
+    translates of m^r U / n^r by the lattice of spacing d^(r-1) / n^r.  It
+    covers the circle iff the arcs m^r U, reduced modulo d^(r-1), cover a
+    full period.  With the seed arcs [A/q, (A + L)/q) over one denominator q
+    and e = m/d, that is a test on integers: m^r U mod d^(r-1) is d^(r-1)/q
+    times the arcs [A s mod q, A s mod q + L s) with s = m e^(r-1), which
+    must cover [0, q).
+    """
+    cc._require_monomial()
+    if not seed.arcs:
+        return False
+    q, arcs = _integer_arcs(seed)
+    scale = cc.m * (cc.m // cc.d) ** (r - 1)
+    return _covers([(a * scale % q, length * scale) for a, length in arcs], q)
 
 
 def expansive_oracle(
     cc: CircleCorrespondence, seed: ArcSet, max_steps: int = 64
 ):
     """(covered, steps): whether some iterate of the arc propagation reaches
-    the full circle within max_steps, by the exact per-step covering test."""
+    the full circle within max_steps, by the exact per-step covering test.
+    The integer arcs of ``covering_step`` go from step r to r + 1 by one
+    multiplication by e = m/d, the start reduced mod q; a length stays below
+    q until its step covers, so every step costs about the same."""
     cc._require_monomial()
     if not seed.arcs:
         raise InvalidInputError("the seed arc set must be nonempty")
     if seed.is_full:
         return True, 0
+    m, e = cc.m, cc.m // cc.d
+    q, arcs = _integer_arcs(seed)
+    arcs = [(a * m % q, length * m) for a, length in arcs]
     for r in range(1, max_steps + 1):
-        if covering_step(cc, seed, r):
+        if _covers(arcs, q):
             return True, r
+        arcs = [(a * e % q, length * e) for a, length in arcs]
     return False, max_steps
 
 
@@ -452,15 +479,28 @@ class GPReport:
 
     N: int
     finite: bool
-    points: tuple  # of SpherePoint, empty when infinite
-    angles: tuple  # of Fraction, circle angles of the points
+    angles: tuple  # of Fraction, the points' circle angles; empty when infinite
     certificate: str
 
 
 def gp_enumerate(cc: CircleCorrespondence, N: int) -> GPReport:
     """Exact generalized periodic points of the monomial family up to path
     length N: intersections of the torus line families of two different
-    iteration lengths, computed over the rationals."""
+    iteration lengths, computed on integers.
+
+    The length-r endpoint relation is the family of lines beta = (m^r alpha
+    + k d^(r-1)) / n^r (mod 1), 0 <= k < n^r / d^(r-1), and length 0 is beta
+    = alpha.  For lengths s < r everything is scaled by n^r: the length-r
+    lines have offsets C1 = 0, D, 2D, ... below n^r with D = d^(r-1); the
+    length-s offsets with their integer translates are the multiples of G =
+    d^(s-1) n^(r-s) (G = n^r for s = 0); and delta = m^r - m^s n^(r-s) is the
+    difference of the scaled slopes.  The line at C1 meets the length-s
+    lines at alpha = u / |delta| for the integers 0 <= u < |delta| with u =
+    -sign(delta) C1 mod G, each at the angle beta = (m^r u + C1 |delta|) /
+    (n^r |delta|) mod 1.  The angles are collected as integers over one
+    common denominator and only the distinct ones become Fractions.  Refused
+    before any work when N > 6 or when the crossings visited, plus one per
+    length-r line, exceed GP_WORK_CAP."""
     cc._require_monomial()
     if N < 1:
         raise InvalidInputError("N must be >= 1")
@@ -474,49 +514,35 @@ def gp_enumerate(cc: CircleCorrespondence, N: int) -> GPReport:
         return GPReport(
             N=N,
             finite=False,
-            points=(),
             angles=(),
             certificate="diagonal paths (z, z, ..., z) make every circle point "
             "generalized periodic",
         )
-
-    def lines(r):
-        # slope and offsets of the length-r endpoint relation on the torus
-        if r == 0:
-            return Fraction(1), [Fraction(0)]
-        slope = Fraction(m**r, n**r)
-        step = Fraction(d ** (r - 1), n**r)
-        count = n**r // d ** (r - 1)
-        return slope, [step * k for k in range(count)]
-
-    betas = set()
-    for r in range(1, N + 1):
-        slope_r, offs_r = lines(r)
-        for s in range(0, r):
-            slope_s, offs_s = lines(s)
-            delta = slope_r - slope_s
-            for c1 in offs_r:
-                for c2 in offs_s:
-                    # slope_r * alpha + c1 = slope_s * alpha + c2 + t,
-                    # so alpha = (c2 - c1 + t) / delta must land in [0, 1)
-                    lo = min(c1 - c2, c1 - c2 + delta)
-                    hi = max(c1 - c2, c1 - c2 + delta)
-                    for t in range(math.floor(lo), math.ceil(hi) + 1):
-                        alpha = (c2 - c1 + t) / delta
-                        if 0 <= alpha < 1:
-                            betas.add((slope_r * alpha + c1) % 1)
-    angles = tuple(sorted(betas))
-    points = tuple(
-        SpherePoint.from_complex(
-            complex(math.cos(2 * math.pi * b), math.sin(2 * math.pi * b))
+    pairs = [
+        (r, d ** (r - 1), d ** (s - 1) * n ** (r - s) if s else n**r, m**r - m**s * n ** (r - s))
+        for r in range(1, N + 1)
+        for s in range(r)
+    ]
+    work = sum(n**r // D * (-(-abs(delta) // G) + 1) for r, D, G, delta in pairs)
+    if work > GP_WORK_CAP:
+        raise ResourceLimitError(
+            f"GP({N}) of monomial ({m},{n}) visits {work} line crossings, "
+            f"more than {GP_WORK_CAP}; lower N"
         )
-        for b in angles
-    )
+    # every angle over one common denominator L, the lcm of the pairs' n^r |delta|
+    L = math.lcm(*(n**r * abs(delta) for r, _, _, delta in pairs))
+    betas = set()
+    for r, D, G, delta in pairs:
+        sign, width = (1, delta) if delta > 0 else (-1, -delta)
+        lift = L // (n**r * width)
+        slope = m**r * lift
+        for c1 in range(0, n**r, D):
+            start = c1 * width * lift
+            betas.update((slope * u + start) % L for u in range(-sign * c1 % G, width, G))
     return GPReport(
         N=N,
         finite=True,
-        points=points,
-        angles=angles,
+        angles=tuple(Fraction(x, L) for x in sorted(betas)),
         certificate=f"exact intersection of torus line families for lengths 0..{N}",
     )
 

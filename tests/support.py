@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -272,3 +273,69 @@ def reference_certified_roots(c: np.ndarray, e: np.ndarray):
     ):
         return None
     return zeta, r
+
+
+# The Fraction forms of the circle-family computations that corrdyn.dynamics
+# runs on integers over one common denominator; each is the oracle its
+# integer form is compared against.
+
+
+def reference_gp_angles(m: int, n: int, N: int) -> tuple:
+    """The sorted angles of dynamics.gp_enumerate for m != n and 1 <= N <= 6:
+    every pair of a length-r and a length-s line, s < r <= N, and every
+    integer translate t between them, in Fraction arithmetic."""
+    d = math.gcd(m, n)
+
+    def lines(r):
+        # slope and offsets of the length-r endpoint relation on the torus
+        if r == 0:
+            return Fraction(1), [Fraction(0)]
+        slope = Fraction(m**r, n**r)
+        step = Fraction(d ** (r - 1), n**r)
+        count = n**r // d ** (r - 1)
+        return slope, [step * k for k in range(count)]
+
+    betas = set()
+    for r in range(1, N + 1):
+        slope_r, offs_r = lines(r)
+        for s in range(0, r):
+            slope_s, offs_s = lines(s)
+            delta = slope_r - slope_s
+            for c1 in offs_r:
+                for c2 in offs_s:
+                    # slope_r * alpha + c1 = slope_s * alpha + c2 + t,
+                    # so alpha = (c2 - c1 + t) / delta must land in [0, 1)
+                    lo = min(c1 - c2, c1 - c2 + delta)
+                    hi = max(c1 - c2, c1 - c2 + delta)
+                    for t in range(math.floor(lo), math.ceil(hi) + 1):
+                        alpha = (c2 - c1 + t) / delta
+                        if 0 <= alpha < 1:
+                            betas.add((slope_r * alpha + c1) % 1)
+    return tuple(sorted(betas))
+
+
+def reference_covering_step(m: int, n: int, arcs, r: int) -> bool:
+    """dynamics.covering_step for the monomial family (m, n) and r >= 1, on
+    the normalized (a, b) Fraction pairs of a nonempty ArcSet: the arcs m^r
+    [a, b), reduced modulo d^(r-1), in Fraction arithmetic."""
+    spacing = Fraction(math.gcd(m, n) ** (r - 1))
+    scale = m**r
+    pieces = []
+    for a, b in arcs:
+        length = scale * (b - a)
+        if length >= spacing:
+            return True
+        a2 = (scale * a) % spacing
+        b2 = a2 + length
+        if b2 <= spacing:
+            pieces.append((a2, b2))
+        else:
+            pieces.append((a2, spacing))
+            pieces.append((Fraction(0), b2 - spacing))
+    pieces.sort()
+    reach = Fraction(0)
+    for a, b in pieces:
+        if a > reach:
+            return False
+        reach = max(reach, b)
+    return bool(pieces) and reach >= spacing

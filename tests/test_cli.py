@@ -222,6 +222,26 @@ class TestFree:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("m,n", [(2, 101), (101, 2)])
+    def test_gp_work_cap(self, capsys, m, n):
+        # about 10^7 line crossings at N = 3, refused from their count alone
+        start = time.monotonic()
+        assert main(["free", "--poly", f'{{"family":"monomial","m":{m},"n":{n}}}',
+                     "--gp", "3"]) == 3
+        assert time.monotonic() - start < 1
+        assert last_error(capsys) == "resource-refusal"
+
+    def test_largest_gp_work_within_deadline(self, capsys):
+        # (1,353) at N = 2 is among the largest enumerations the cap admits,
+        # with 248 512 angles; (1,354) is refused
+        poly = '{{"family":"monomial","m":1,"n":{}}}'
+        start = time.monotonic()
+        code, rep = run(capsys, ["free", "--poly", poly.format(353), "--gp", "2"])
+        assert time.monotonic() - start < 5
+        assert code == 0 and rep["gp"]["count"] == 248512
+        assert main(["free", "--poly", poly.format(354), "--gp", "2"]) == 3
+        assert last_error(capsys) == "resource-refusal"
+
     @pytest.mark.parametrize("gp,N", [(None, 2), ("3", 3), ("5", 3)])
     def test_sample_cap(self, capsys, monkeypatch, gp, N):
         # monomial (2,3) grows 3^N paths from each sample

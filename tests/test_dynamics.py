@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrdyn.correspondence import Correspondence, SpherePoint, unit_circle_points
@@ -30,6 +30,8 @@ from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import GaussianRational
 
+from support import reference_covering_step, reference_gp_angles
+
 GR = GaussianRational.of
 
 
@@ -40,6 +42,23 @@ def circle_rel():
 rational = st.fractions(
     min_value=F(0), max_value=F(1), max_denominator=64
 )
+
+
+@st.composite
+def seed_arcs(draw):
+    """One to three arcs with endpoint denominators up to about 2^64; about
+    half of them straddle 1, so that they wrap.  Length denominators of every
+    bit size make some images of a step nest inside others."""
+    arcs = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = F(draw(st.integers(1, 9)), draw(st.integers(10, 2 ** draw(st.integers(4, 64)))))
+        if draw(st.booleans()):
+            a = 1 - length * F(draw(st.integers(1, 9)), 10)
+        else:
+            q = draw(st.integers(1, 2**64))
+            a = F(draw(st.integers(0, 2 * q)), q)
+        arcs.append((a, a + length))
+    return ArcSet.from_arcs(arcs)
 
 
 class TestArcSet:
@@ -125,6 +144,24 @@ class TestExpansiveness:
         with pytest.raises(InvalidInputError):
             expansive_oracle(CircleCorrespondence.monomial(2, 3), ArcSet.empty())
 
+    @given(st.integers(1, 7), st.integers(1, 7), seed_arcs())
+    # step 1 doubles these to [0, 3/5), [1/10, 1/5) and [1/2, 1): the nested
+    # middle arc must not pull back the reach of the first
+    @example(2, 3, ArcSet.from_arcs([(F(0), F(3, 10)), (F(11, 20), F(3, 5)), (F(3, 4), F(1))]))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_covering_matches_fraction_oracle(self, m, n, seed):
+        # the integer arcs over one denominator decide every step as the
+        # Fraction arcs do, and the oracle's step-to-step update agrees
+        cc = CircleCorrespondence.monomial(m, n)
+        decisions = [reference_covering_step(m, n, seed.arcs, r) for r in range(1, 41)]
+        assert [covering_step(cc, seed, r) for r in range(1, 41)] == decisions
+        if seed.is_full:
+            expected = (True, 0)
+        else:
+            expected = next(((True, r) for r, hit in enumerate(decisions, 1) if hit),
+                            (False, 40))
+        assert expansive_oracle(cc, seed, max_steps=40) == expected
+
 
 class TestComponents:
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (4, 6), (3, 3), (1, 5)])
@@ -177,6 +214,13 @@ class TestGP:
     def test_resource_refusal(self):
         with pytest.raises(ResourceLimitError):
             gp_enumerate(CircleCorrespondence.monomial(2, 3), 7)
+
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_angles_match_fraction_oracle(self, m, n, N):
+        assume(m != n)
+        rep = gp_enumerate(CircleCorrespondence.monomial(m, n), N)
+        assert rep.angles == reference_gp_angles(m, n, N)
 
     def test_gp_points_really_are_generalized_periodic(self):
         m, n = 2, 3

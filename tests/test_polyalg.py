@@ -17,7 +17,7 @@ from corrdyn.polyalg import (
     _modular_squarefree,
     _xmonic,
     certified_roots,
-    polish_root,
+    polish_roots,
     resultant_w,
     resultant_z,
     roots,
@@ -150,30 +150,30 @@ class TestPolishRoot:
         f = UnivariatePolynomial([GR(2000 * 2001), GR(-4001), GR(1)])
         rough = sorted(z.real for z, _ in roots(f))
         assert rough != [2000, 2001]
-        assert [polish_root(f, complex(z), 1) for z in rough] == [2000, 2001]
+        assert polish_roots(f, [(complex(z), 1) for z in rough]) == [2000, 2001]
 
     def test_rational_coefficients(self):
         # (z - 1/3)(z - (1 + 2i)/7), from 1e-7 off: within rounding of both
         # roots (an imaginary part that should be 0 shrinks like its square)
         r, s = GR(Fraction(1, 3)), GR((Fraction(1, 7), Fraction(2, 7)))
         f = from_roots(GR(Fraction(5, 2)), [(r, 1), (s, 1)])
-        got = sorted((polish_root(f, z * (1 + 1e-7), 1) for z, _ in roots(f)), key=abs)
+        got = sorted(polish_roots(f, [(z * (1 + 1e-7), 1) for z, _ in roots(f)]), key=abs)
         for z, want in zip(got, (complex(s), complex(r))):
             assert abs(z - want) <= 1e-30 + 2**-53 * abs(want)
 
     def test_multiple_root_converges_with_its_multiplicity(self):
         # (z - i)^3 from 1e-6 off: a plain Newton step would only take a third
         f = UnivariatePolynomial([GR((0, 1)), GR(-3), GR((0, -3)), GR(1)])
-        assert abs(polish_root(f, 1e-6 + 1.000001j, 3) - 1j) < 1e-15
+        assert abs(polish_roots(f, [(1e-6 + 1.000001j, 3)])[0] - 1j) < 1e-15
 
     def test_stops_at_a_critical_point(self):
         f = UnivariatePolynomial([GR(-1), GR(0), GR(1)])
-        assert polish_root(f, 0j, 1) == 0j
+        assert polish_roots(f, [(0j, 1)]) == [0j]
 
     def test_stops_before_leaving_float_range(self):
         # from z = 1e-310 the step to z^2 - 1 = 0 lands near 5e309
         f = UnivariatePolynomial([GR(-1), GR(0), GR(1)])
-        assert polish_root(f, 1e-310 + 0j, 1) == 1e-310
+        assert polish_roots(f, [(1e-310 + 0j, 1)]) == [1e-310]
 
 
 def _certify(c, e):
