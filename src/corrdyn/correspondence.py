@@ -6,34 +6,33 @@ coefficient polynomial is evaluated first in complex128, with a rigorous
 bound on its distance to the exact one, and the float roots are kept when
 disjoint inclusion discs prove each of them simple.  Otherwise (a multiple
 point, a root near another, a vanishing leading coefficient, a non-finite
-base) the base point is lifted exactly to a rational and the fiber comes out
-of the exact squarefree machinery, so multiplicities never rest on float
-luck.  One single-linkage merge in the chordal metric, ``_chordal_merge``,
-decides which fiber roots are one point; points of large modulus and the
-point at infinity merge naturally.  The branched sets solve no fiber: each
-is decided exactly from resultants and leading coefficients, and its finite
-points are the distinct roots of an exact polynomial, each refined by
-``polish_roots``.
+base) the float chart value is read exactly as x / q, x a Gaussian integer
+and q a power of 2, the polynomial is specialised there on Gaussian
+integers, and the fiber comes out of the exact squarefree machinery on those
+integers, so multiplicities never rest on float luck.  One single-linkage
+merge in the chordal metric, ``_chordal_merge``, decides which fiber roots
+are one point; points of large modulus and the point at infinity merge
+naturally.  The branched sets solve no fiber: each is decided exactly from
+resultants and leading coefficients, and its finite points are the distinct
+roots of an exact polynomial, each refined by ``polish_roots``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
     BivariatePolynomial,
     FloatGrid,
-    GaussianRational,
-    UnivariatePolynomial,
+    _gaussian_integers,
     _xdeg,
     _xderiv,
-    _xdivmod,
     _xgcd,
     _xstrip,
+    _zi_quotient,
     certified_roots,
     linked_groups,
     polish_roots,
@@ -93,13 +92,6 @@ class SpherePoint:
         if self.z2 == 1:
             return self.z1, False
         return self.z2, True
-
-    def exact_chart_value(self):
-        v, inverted = self.chart_value()
-        return (
-            GaussianRational(Fraction(v.real), Fraction(v.imag)),
-            inverted,
-        )
 
     def __repr__(self):
         if self.is_infinity:
@@ -216,7 +208,9 @@ class Correspondence:
         Python scalars, proves them simple (so the exact polynomial has degree
         ``expected``, no point at infinity and no repeated root) and no two lie
         within 2 tol, so that which roots merge never depends on the path.
-        Otherwise poly is specialised at the exact lift of the base point.
+        Otherwise poly is specialised exactly at the chart value, read as
+        x / q with x a Gaussian integer and q a power of 2, and ``roots``
+        solves the Gaussian-integer coefficients that come out.
         Either way the fiber is what ``_chordal_merge`` at tol makes of the
         roots and the point at infinity: two simple roots closer than tol
         count as one double point.
@@ -233,19 +227,18 @@ class Correspondence:
                 pairs = [(SpherePoint.from_complex(z), 1) for z in simple]
                 pairs.sort(key=lambda pe: _point_sort_key(pe[0]))
                 return WeightedFiber(base=base, points=tuple(pairs))
-        v, inverted = base.exact_chart_value()
         if inverted:
-            f = poly.univariate_in_z_inverted(v)
+            _, f = poly.univariate_in_z_inverted(v)
         else:
-            f = poly.univariate_in_z(v)
-        if f.is_zero:
+            _, f = poly.univariate_in_z(v)
+        if not f:
             raise InvalidInputError(
                 "the fiber polynomial vanishes identically; the defining "
                 "polynomial has a factor free of one variable"
             )
-        pairs = roots(f)
-        if expected > f.degree:
-            pairs.append((None, expected - f.degree))
+        pairs, degree = roots(f), len(f) - 1
+        if expected > degree:
+            pairs.append((None, expected - degree))
         fiber = WeightedFiber(base=base, points=tuple(_chordal_merge(pairs, tol)))
         if fiber.total_multiplicity != expected:
             raise RootFindingError(
@@ -293,18 +286,21 @@ def _branching(p: BivariatePolynomial):
     which is one too (p_z has w-degree n unless lc_w(p) is constant).  Finite
     branch values are the roots of Res_z(p, p_z) / lc_z(p), the discriminant
     of p(., w) as a form of degree m, which drops exactly the spurious roots
-    of lc_z(p).  Infinity is a branch point when rows m and m - 1 of c, as
-    forms of degree n, share a root on the sphere, and a branch value when
-    column n has degree at most m - 2 or a repeated root.  Every finite point
-    is its resultant root after ``polish_roots``."""
+    of lc_z(p); the division runs on Gaussian integers (``_zi_quotient``),
+    since no root depends on a scale.  Infinity is a branch point when rows
+    m and m - 1 of c, as forms of degree n, share a root on the sphere, and
+    a branch value when column n has degree at most m - 2 or a repeated
+    root.  Every finite point is its resultant root after
+    ``polish_roots``."""
     m, n = p.deg_z, p.deg_w
     p_z = p.partial_z()
     lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
-    disc, rem = _xdivmod(resultant_z(p, p_z).coeffs, lc)
-    if rem:
+    disc = _zi_quotient(_gaussian_integers(resultant_z(p, p_z).coeffs)[1],
+                        _gaussian_integers(lc)[1])
+    if disc is None:
         raise RootFindingError("Res_z(p, p_z) is not divisible by lc_z(p)")
-    points = _polished_roots(resultant_w(p, p_z))
-    values = _polished_roots(UnivariatePolynomial(disc))
+    points = _polished_roots(_gaussian_integers(resultant_w(p, p_z).coeffs)[1])
+    values = _polished_roots(disc)
     if _xdeg(_xgcd(lc, below)) > 0 or max(_xdeg(lc), _xdeg(below)) < n:
         points.append(SpherePoint.infinity())
     top = _xstrip(row[n] for row in p.coeffs)
@@ -313,11 +309,12 @@ def _branching(p: BivariatePolynomial):
     return points, values
 
 
-def _polished_roots(f: UnivariatePolynomial) -> list:
-    """The distinct roots of f, each after ``polish_roots``, in
+def _polished_roots(f: list) -> list:
+    """The distinct roots of the polynomial with the ascending Gaussian-
+    integer coefficients f, each after ``polish_roots``, in
     ``_point_sort_key`` order.  Distinct roots are distinct points however
     close, so the merge runs at tol 0 and joins only coinciding floats."""
-    if f.is_zero:
+    if not f:
         raise InvalidInputError(
             "resultant vanished identically; the polynomial is not reduced"
         )

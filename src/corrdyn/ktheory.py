@@ -15,8 +15,7 @@ __all__ = [
     "AbelianGroupPresentation",
     "PimsnerInput",
     "smith_normal_form",
-    "cokernel",
-    "kernel",
+    "cokernel_and_kernel",
     "pimsner_solve",
     "monomial_family_input",
     "product_family_input",
@@ -126,19 +125,17 @@ class AbelianGroupPresentation:
         return " (+) ".join(parts) if parts else "0"
 
 
-def cokernel(M: IntegerMatrix) -> AbelianGroupPresentation:
-    """Z^rows / im(M) for M : Z^cols -> Z^rows."""
+def cokernel_and_kernel(M: IntegerMatrix):
+    """(Z^rows / im(M), ker(M) <= Z^cols) for M : Z^cols -> Z^rows, both
+    read off one Smith normal form; the kernel is always free."""
     nonzero = [d for d in smith_normal_form(M) if d]
-    return AbelianGroupPresentation(
-        rank=M.rows - len(nonzero),
-        torsion=tuple(d for d in nonzero if d >= 2),
+    return (
+        AbelianGroupPresentation(
+            rank=M.rows - len(nonzero),
+            torsion=tuple(d for d in nonzero if d >= 2),
+        ),
+        AbelianGroupPresentation(rank=M.cols - len(nonzero)),
     )
-
-
-def kernel(M: IntegerMatrix) -> AbelianGroupPresentation:
-    """ker(M) <= Z^cols; always free."""
-    nonzero = len([d for d in smith_normal_form(M) if d])
-    return AbelianGroupPresentation(rank=M.cols - nonzero)
 
 
 @dataclass(frozen=True)
@@ -173,9 +170,9 @@ def pimsner_solve(inp: PimsnerInput):
 
     Kernels of integer matrices are free, so both extensions split; the
     solver asserts that and refuses otherwise."""
-    k0 = _solve_extension(cokernel(inp.map0), kernel(inp.map1))
-    k1 = _solve_extension(cokernel(inp.map1), kernel(inp.map0))
-    return k0, k1
+    coker0, ker0 = cokernel_and_kernel(inp.map0)
+    coker1, ker1 = cokernel_and_kernel(inp.map1)
+    return _solve_extension(coker0, ker1), _solve_extension(coker1, ker0)
 
 
 def _solve_extension(sub, quot):

@@ -7,21 +7,27 @@ resultant and squarefree computations never depend on floating point luck.
 Resultants are computed modulo primes p = 1 (mod 4) below 2^61, under the
 ideals over p of the Gaussian integers, by evaluation and interpolation, and
 combined by the Chinese remainder theorem past a bound on the coefficients
-(Collins, J. ACM 18, 1971).  Multiplicities come from Yun's squarefree
-decomposition, computed modulo a prime, rebuilt by rational reconstruction
-and kept only when verified exactly (Brown's lucky primes, J. ACM 18, 1971);
-Yun's algorithm over the Gaussian rationals runs only when that is
-undecided.  Each exact squarefree factor is then solved in floating point by
-one root finder, the eigenvalues of the companion matrix of its monic
-complex128 image (``np.roots``).  ``roots`` returns these roots unclustered;
-which of them count as one point is decided in the chordal metric by
-``correspondence``.  ``polish_roots`` refines them by Newton steps
-evaluated exactly; every branched-set point is refined so.  For float
-coefficients known to within a componentwise bound, ``certified_roots``
-keeps the ``np.roots`` companion eigenvalues only when inclusion discs,
-checked on Python scalars, prove every root simple.  sympy serves only
-``squarefree_check``, the gcds of a defining polynomial with its partial
-derivatives, over the smallest exact domain of the coefficients.
+(Collins, J. ACM 18, 1971).  The exact specialisation of a bivariate
+polynomial at a float base point, and everything ``roots`` does after it,
+runs on Gaussian integers over one denominator: the coefficient grid is
+scaled to Gaussian integers once, the base point is read exactly as x / q
+with q a power of 2, and each coefficient is a dot product with the powers
+x^j q^(n - j).  Multiplicities come from Yun's squarefree decomposition of
+those integers, computed modulo a prime, rebuilt by rational reconstruction
+over one denominator per factor and kept only when verified exactly in
+Z[i] (Brown's lucky primes, J. ACM 18, 1971); Yun's algorithm over the
+Gaussian rationals runs only when that is undecided.  Each exact squarefree
+factor is then solved in floating point by one root finder, the eigenvalues
+of the companion matrix of its monic complex128 image (``np.roots``), each
+part of which is one correctly rounded integer division.  ``roots`` returns
+these roots unclustered; which of them count as one point is decided in the
+chordal metric by ``correspondence``.  ``polish_roots`` refines them by
+Newton steps evaluated exactly; every branched-set point is refined so.
+For float coefficients known to within a componentwise bound,
+``certified_roots`` keeps the ``np.roots`` companion eigenvalues only when
+inclusion discs, checked on Python scalars, prove every root simple.  sympy
+serves only ``squarefree_check``, the gcds of a defining polynomial with its
+partial derivatives, over the smallest exact domain of the coefficients.
 """
 
 from __future__ import annotations
@@ -268,19 +274,6 @@ def _prime(k: int):
     return _PRIMES[k]
 
 
-def _fp_reduce(cs, p: int, unit: int):
-    """The images in F_p of the Gaussian rationals cs under i -> unit; None
-    when p divides a denominator."""
-    out = []
-    for c in cs:
-        re, im = c.re, c.im
-        if re.denominator % p == 0 or im.denominator % p == 0:
-            return None
-        out.append((re.numerator * pow(re.denominator, -1, p)
-                    + unit * im.numerator * pow(im.denominator, -1, p)) % p)
-    return out
-
-
 # Polynomials over F_p are lists of ascending coefficients in [0, p) whose
 # last entry is nonzero; [] is the zero polynomial.
 
@@ -388,7 +381,7 @@ def _fp_interpolate(xs: list, ys: list, p: int) -> list:
 
 
 def _rational(u: int, p: int):
-    """The fraction n/d with |n|, d <= sqrt(p/2) and n = u d (mod p), by the
+    """(n, d), d > 0, with |n|, |d| <= sqrt(p/2) and n = u d (mod p), by the
     extended Euclidean algorithm (Wang, SYMSAC 1981); None when there is
     none."""
     bound = math.isqrt(p // 2)
@@ -398,7 +391,7 @@ def _rational(u: int, p: int):
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _gaussian_integers(cs):
@@ -407,14 +400,6 @@ def _gaussian_integers(cs):
     d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
     return d, [(c.re.numerator * (d // c.re.denominator),
                 c.im.numerator * (d // c.im.denominator)) for c in cs]
-
-
-def _gaussian_grid(p: "BivariatePolynomial"):
-    """(d, rows): d the least common denominator of p's coefficients, and
-    rows the grid of d p as (re, im) integer pairs."""
-    d, flat = _gaussian_integers([c for row in p.coeffs for c in row])
-    k = p.deg_w + 1
-    return d, [flat[i:i + k] for i in range(0, len(flat), k)]
 
 
 def _zi_mul(a: list, b: list) -> list:
@@ -427,60 +412,99 @@ def _zi_mul(a: list, b: list) -> list:
     return out
 
 
-def _modular_squarefree(monic):
-    """The squarefree decomposition of f = monic, as ``squarefree_factors``
-    gives it, computed modulo p = _P; None when this is undecided.
+def _zi_quotient(a: list, b: list):
+    """a / b up to a positive integer factor, as Gaussian-integer pairs, for
+    polynomials a and b != 0 over Z[i] given as ascending (re, im) pairs;
+    None when b does not divide a over Q(i).  Each quotient coefficient is
+    x conj(l) / |l|^2 for the leading x of the remainder and l = lc(b); when
+    that is not a Gaussian integer, the remainder and the quotient so far are
+    first scaled by |l|^2, which makes it x conj(l)."""
+    lr, li = b[-1]
+    norm, nb = lr * lr + li * li, len(b)
+    a, q = list(a), [(0, 0)] * max(0, len(a) - nb + 1)
+    for k in range(len(q) - 1, -1, -1):
+        xr, xi = a[k + nb - 1]
+        tr, ti = xr * lr + xi * li, xi * lr - xr * li
+        if tr % norm or ti % norm:
+            a = [(x * norm, y * norm) for x, y in a]
+            q = [(x * norm, y * norm) for x, y in q]
+        else:
+            tr, ti = tr // norm, ti // norm
+        q[k] = (tr, ti)
+        for j, (br, bi) in enumerate(b):
+            x, y = a[k + j]
+            a[k + j] = (x - tr * br + ti * bi, y - tr * bi - ti * br)
+    return None if any(x or y for x, y in a) else q
 
-    If f reduces into F_p and gcd(f mod p, (f mod p)') = 1, then disc(f)
-    reduces to the nonzero disc(f mod p), so f is squarefree and [(f, 1)] is
-    returned (Brown, J. ACM 18, 1971, on lucky primes).  Otherwise Yun's
-    algorithm runs in F_p, under both ideals over p for non-real f, and the
-    coefficients of each monic factor a_k are rebuilt by rational
-    reconstruction.  The result is kept only when prod a_k^k = f exactly and
-    prod (a_k mod p) is squarefree in F_p, that is, the images are
-    squarefree and pairwise coprime.  The rebuilt denominators are below p,
-    so each a_k is integral at the prime (p, i - I), and so is each monic
-    factor of a_k over Q(i), as the local ring there is integrally closed;
-    so a repeated factor of a_k, or a common factor of a_j and a_k, would
-    survive reduction mod p.  The a_k are therefore squarefree and
-    pairwise coprime over Q(i), and as the squarefree decomposition is
-    unique, they are the factors of Yun's algorithm over the Gaussian
-    rationals.  Otherwise (a repeated root with an unlucky prime, a
-    coefficient beyond the reconstruction bound of about 2^30, or a
-    denominator divisible by p) the answer is None."""
-    f = _fp_reduce(monic, _P, _I)
-    if f is None:
-        return None
-    if _fp_squarefree(f, _P):
-        return [(monic, 1)]
-    if all(not c.im for c in monic):
-        splits = [_fp_yun(f, _P)]
-    else:
-        splits = [_fp_yun(f, _P), _fp_yun(_fp_reduce(monic, _P, _P - _I), _P)]
-        if [(len(a), k) for a, k in splits[0]] != [(len(a), k) for a, k in splits[1]]:
+
+def _modular_squarefree(coeffs):
+    """The squarefree decomposition of the polynomial f with the ascending
+    Gaussian-integer coefficients coeffs, (re, im) pairs with a nonzero last
+    one, computed modulo p = _P: [(a_k, k), ...] with Gaussian-integer a_k
+    whose monic forms a_k / lc(a_k) are the factors ``squarefree_factors``
+    gives; None when this is undecided.
+
+    Reduction modulo the Gaussian prime (p, i - I) sends c = x + y i to
+    x + y I mod p.  When lc(f) is a unit there, f mod p keeps the degree of
+    f, and gcd(f mod p, (f mod p)') = 1 makes disc(f) nonzero modulo the
+    prime, so f is squarefree and [(coeffs, 1)] is returned (Brown, J. ACM
+    18, 1971, on lucky primes).  Otherwise Yun's algorithm runs on the monic
+    image in F_p, under both ideals over p for non-real f (lc(f) must be a
+    unit under each), and the real and imaginary parts of each monic factor
+    are rebuilt by rational reconstruction and brought to one denominator
+    D_k, so that a_k has leading coefficient D_k.  The result is kept only
+    when prod a_k^k lc(f) = prod D_k^k f holds exactly in Z[i], that is,
+    f = lc(f) prod (a_k / D_k)^k, and prod (a_k mod p) is squarefree in F_p,
+    that is, the images are squarefree and pairwise coprime.  The rebuilt
+    denominators are below p, so each a_k / D_k is integral at (p, i - I),
+    and so is each monic factor of it over Q(i), as the local ring there is
+    integrally closed; so a repeated factor of a_k, or a common factor of
+    a_j and a_k, would survive reduction mod p.  The a_k are therefore
+    squarefree and pairwise coprime over Q(i), and as the squarefree
+    decomposition is unique, their monic forms are the factors of Yun's
+    algorithm over the Gaussian rationals.  Otherwise (a repeated root with
+    an unlucky prime, a leading coefficient in an ideal over p, or a
+    coefficient beyond the reconstruction bound of about 2^30) the answer is
+    None."""
+    units = (_I,) if not any(y for _, y in coeffs) else (_I, _P - _I)
+    images = []
+    for unit in units:
+        image = [(x + unit * y) % _P for x, y in coeffs]
+        if not image[-1]:
             return None
+        if not images and _fp_squarefree(image, _P):
+            return [(coeffs, 1)]
+        inv = pow(image[-1], -1, _P)
+        images.append([c * inv % _P for c in image])
+    splits = [_fp_yun(image, _P) for image in images]
+    if len(splits) == 2 and ([(len(a), k) for a, k in splits[0]]
+                             != [(len(a), k) for a, k in splits[1]]):
+        return None
     half, half_i = pow(2, -1, _P), pow(2 * _I, -1, _P)
     factors = []
     for parts in zip(*splits):
-        coeffs = []
+        fractions = []
         for us in zip(*(a for a, _ in parts)):
             if len(us) == 1:
-                re, im = _rational(us[0], _P), Fraction(0)
+                re, im = _rational(us[0], _P), (0, 1)
             else:
                 re = _rational((us[0] + us[1]) * half % _P, _P)
                 im = _rational((us[0] - us[1]) * half_i % _P, _P)
             if re is None or im is None:
                 return None
-            coeffs.append(GaussianRational(re, im))
-        factors.append((tuple(coeffs), parts[0][1]))
+            fractions.append((re, im))
+        d = math.lcm(*(den for c in fractions for _, den in c))
+        factors.append(([(nr * (d // dr), ni * (d // di)) for (nr, dr), (ni, di) in fractions],
+                        parts[0][1]))
     scale, product, image = 1, [(1, 0)], [1]
     for a, k in factors:
-        d, a_zi = _gaussian_integers(a)
-        image = _fp_mul(image, _fp_reduce(a, _P, _I), _P)
+        image = _fp_mul(image, [(x + _I * y) % _P for x, y in a], _P)
         for _ in range(k):
-            product = _zi_mul(product, a_zi)
-        scale *= d**k
-    if product != [(c.re * scale, c.im * scale) for c in monic]:
+            product = _zi_mul(product, a)
+        scale *= a[-1][0] ** k
+    lr, li = coeffs[-1]
+    if ([(x * lr - y * li, x * li + y * lr) for x, y in product]
+            != [(x * scale, y * scale) for x, y in coeffs]):
         return None
     return factors if _fp_squarefree(image, _P) else None
 
@@ -525,7 +549,7 @@ class UnivariatePolynomial:
 class BivariatePolynomial:
     """Polynomial p(z, w) with an exact coefficient grid c[i][j] for z^i w^j."""
 
-    __slots__ = ("coeffs", "deg_z", "deg_w")
+    __slots__ = ("coeffs", "deg_z", "deg_w", "_integer_grid")
 
     def __init__(self, grid: Sequence[Sequence]):
         rows = [[GaussianRational.of(c) for c in row] for row in grid]
@@ -543,6 +567,7 @@ class BivariatePolynomial:
         self.coeffs = tuple(tuple(row) for row in rows)
         self.deg_z = len(rows) - 1
         self.deg_w = width - 1
+        self._integer_grid = None
 
     # -- constructors -------------------------------------------------------
 
@@ -609,14 +634,52 @@ class BivariatePolynomial:
         ]
         return BivariatePolynomial(grid)
 
-    def univariate_in_z(self, w0: GaussianRational) -> UnivariatePolynomial:
-        """Exact coefficients of z -> p(z, w0)."""
-        return UnivariatePolynomial(_horner(reversed(row), w0) for row in self.coeffs)
+    def gaussian_grid(self):
+        """(d, rows): d the least common denominator of the coefficients, and
+        rows the grid of d p as (re, im) integer pairs; computed once."""
+        if self._integer_grid is None:
+            d, flat = _gaussian_integers([c for row in self.coeffs for c in row])
+            k = self.deg_w + 1
+            self._integer_grid = d, [flat[i:i + k] for i in range(0, len(flat), k)]
+        return self._integer_grid
 
-    def univariate_in_z_inverted(self, v0: GaussianRational) -> UnivariatePolynomial:
-        """Exact coefficients of z -> v0^n p(z, 1/v0), n = deg_w (chart near
-        infinity): row i gives the sum over j of c[i][j] v0^(n - j)."""
-        return UnivariatePolynomial(_horner(row, v0) for row in self.coeffs)
+    def univariate_in_z(self, v: complex):
+        """(s, coeffs): the ascending coefficients of z -> s p(z, v) as
+        Gaussian-integer (re, im) pairs, trailing zeros stripped, for the
+        float v read exactly as x / q (x a Gaussian integer, q a power of 2)
+        and s = d q^n, n = deg_w; row i is the dot product of d c[i] with
+        the powers x^j q^(n - j).  A NaN part of v raises ValueError and an
+        infinite one OverflowError."""
+        return self._specialise(v, False)
+
+    def univariate_in_z_inverted(self, v: complex):
+        """(s, coeffs) as ``univariate_in_z`` for z -> s v^n p(z, 1/v), the
+        chart near infinity: row i is the dot product of d c[i] with the
+        powers x^(n - j) q^j."""
+        return self._specialise(v, True)
+
+    def _specialise(self, v: complex, inverted: bool):
+        (xr, sr), (xi, si) = v.real.as_integer_ratio(), v.imag.as_integer_ratio()
+        q, n = max(sr, si), self.deg_w
+        xr, xi = xr * (q // sr), xi * (q // si)
+        powers, pr, pi = [], 1, 0  # x^j q^(n - j) from x^j
+        for j in range(n + 1):
+            t = q ** (n - j)
+            powers.append((pr * t, pi * t))
+            pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+        if inverted:
+            powers.reverse()
+        d, rows = self.gaussian_grid()
+        coeffs = []
+        for row in rows:
+            re = im = 0
+            for (cr, ci), (wr, wi) in zip(row, powers):
+                re += cr * wr - ci * wi
+                im += cr * wi + ci * wr
+            coeffs.append((re, im))
+        while coeffs and coeffs[-1] == (0, 0):
+            coeffs.pop()
+        return d * q**n, coeffs
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePolynomial):
@@ -630,14 +693,6 @@ class BivariatePolynomial:
                 if c:
                     terms.append(f"{c!r}*z^{i}*w^{j}")
         return " + ".join(terms)
-
-
-def _horner(cs, x: GaussianRational) -> GaussianRational:
-    """cs[0] x^k + cs[1] x^(k-1) + ... + cs[k], exactly, by Horner's rule."""
-    acc = QQI_ZERO
-    for c in cs:
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +711,14 @@ class FloatGrid:
     ``specialise(v, inverted)`` returns the ascending coefficients c_i in the
     first variable of p(., v), or of v^n p(., 1/v) when inverted, from one
     matrix-vector product with the power vector of v.  With them comes a
-    componentwise bound e_i >= |c_i - c_i^exact|, where c^exact is what
-    ``univariate_in_z`` (``univariate_in_z_inverted``) computes from v lifted
-    exactly.  The bound counts the rounding of the grid, of the powers, of
-    the products and of the sums (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.6), with about twice the worst-case number
-    of roundings, which also covers the rounding of the bound itself.
+    componentwise bound e_i >= |c_i - c_i^exact|, where c^exact is the exact
+    specialisation at v, read as x / q with x a Gaussian integer and q a
+    power of 2: the Gaussian integers that ``univariate_in_z``
+    (``univariate_in_z_inverted``) computes, divided by their scale.  The
+    bound counts the rounding of the grid, of the powers, of the products
+    and of the sums (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.6), with about twice the worst-case number of
+    roundings, which also covers the rounding of the bound itself.
     Building the grid raises OverflowError for a coefficient beyond float
     range.
     """
@@ -693,10 +750,12 @@ def certified_roots(c: np.ndarray, e: np.ndarray):
     disjoint discs D(zeta_i, r_i); None when this test is undecided.
 
     zeta are the roots ``np.roots`` gives for c, bit for bit: the companion
-    eigenvalues, then a 0 per zero low-order coefficient.  The test runs on
-    Python scalars, as numpy's per-call cost would exceed its arithmetic at
-    d <= 5; OverflowError and ZeroDivisionError, raised where numpy would
-    give inf, mean undecided.  With the Weierstrass corrections
+    eigenvalues, then a 0 per zero low-order coefficient; two or more such
+    zeros are a multiple root, so the answer is None before any eigenvalue
+    is computed.  The test runs on Python scalars, as numpy's per-call cost
+    would exceed its arithmetic at d <= 5; OverflowError and
+    ZeroDivisionError, raised where numpy would give inf, mean undecided.
+    With the Weierstrass corrections
     W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)), F / lc(F) is
     the characteristic polynomial of diag(zeta) - W 1^T, whose Gerschgorin
     discs D(zeta_i - W_i, (d - 1)|W_i|) lie in D(zeta_i, d|W_i|) (Braess &
@@ -712,6 +771,8 @@ def certified_roots(c: np.ndarray, e: np.ndarray):
     try:
         lead = abs(cs[d]) - es[d]
         k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
+        if k0 >= 2:
+            return None  # 0 is a root twice over, and its discs meet
         with np.errstate(all="ignore"):
             row = -c[k0:][::-1] / c[d]  # -c_d / c_d, then np.roots' companion row
         if not (lead > 0 and np.isfinite(row).all()):
@@ -764,17 +825,27 @@ def linked_groups(n: int, edges) -> list:
 # root finding
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def _companion_roots(monic) -> np.ndarray:
-    """All roots of the polynomial with the given ascending, exact, monic
-    coefficients: the eigenvalues of the companion matrix of its complex128
-    image, which are backward stable (Edelman & Murakami, Math. Comp. 64,
-    1995).  Raises RootFindingError when a coefficient or a root is not a
-    finite float, or when the eigenvalue solver fails."""
+def _monic_image(a) -> list:
+    """The complex128 image of a / lc(a), for the Gaussian-integer pairs a:
+    each part of c / l = c conj(l) / |l|^2 is one correctly rounded int/int
+    division, so it has the bits ``complex`` gives the Gaussian rational.
+    Raises RootFindingError when a part is beyond float range."""
+    lr, li = a[-1]
+    norm = lr * lr + li * li
     try:
-        a = np.array([complex(c) for c in monic])
+        return [complex((x * lr + y * li) / norm, (y * lr - x * li) / norm) for x, y in a]
     except OverflowError as exc:
         raise RootFindingError(f"coefficient too large for a float: {exc}") from exc
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def _companion_roots(monic: list) -> np.ndarray:
+    """All roots of the polynomial with the ascending, monic, complex128
+    coefficients monic: the eigenvalues of its companion matrix, which are
+    backward stable (Edelman & Murakami, Math. Comp. 64, 1995).  Raises
+    RootFindingError when a root is not a finite float, or when the
+    eigenvalue solver fails."""
+    a = np.array(monic, dtype=complex)
     try:
         z = np.roots(a[::-1])
     except np.linalg.LinAlgError as exc:
@@ -784,41 +855,43 @@ def _companion_roots(monic) -> np.ndarray:
     return z
 
 
-def roots(f: UnivariatePolynomial) -> list:
-    """All roots of f as (root, multiplicity) pairs, multiplicities summing
-    to deg f.  Roots are not clustered: two pairs may lie arbitrarily close.
+def roots(coeffs) -> list:
+    """All roots of the polynomial with the ascending Gaussian-integer
+    coefficients coeffs, (re, im) pairs with a nonzero last one, as (root,
+    multiplicity) pairs, multiplicities summing to the degree.  Roots are
+    not clustered: two pairs may lie arbitrarily close.
 
-    The multiplicities come from the squarefree decomposition of f, found
-    modulo a prime and verified exactly by ``_modular_squarefree`` (a
-    certified squarefree f is its monic self with multiplicity 1), or from
-    Yun's algorithm over the Gaussian rationals when that is undecided; the
-    two agree exactly, so nontrivial multiplicities are detected
-    structurally either way.  Each squarefree factor is solved by
-    ``_companion_roots``, and its roots come in the order it gives them.
+    The multiplicities come from the squarefree decomposition, found modulo
+    a prime and verified exactly by ``_modular_squarefree`` (a certified
+    squarefree polynomial is its own one factor), or from Yun's algorithm
+    over the Gaussian rationals when that is undecided; the two agree
+    exactly, so nontrivial multiplicities are detected structurally either
+    way.  Each squarefree factor is solved by ``_companion_roots`` on its
+    ``_monic_image``, and its roots come in the order it gives them.
     """
-    if f.is_zero:
+    if not coeffs:
         raise InvalidInputError("roots of the zero polynomial")
-    if f.degree == 0:
+    if len(coeffs) == 1:
         return []
-    factors = _modular_squarefree(_xmonic(f.coeffs))
+    factors = _modular_squarefree(coeffs)
     if factors is None:
-        factors = squarefree_factors(f.coeffs)
+        exact = [GaussianRational(Fraction(x), Fraction(y)) for x, y in coeffs]
+        factors = [(_gaussian_integers(a)[1], k) for a, k in squarefree_factors(exact)]
     return [
         (complex(r), mult)
         for factor, mult in factors
-        for r in _companion_roots(factor)
+        for r in _companion_roots(_monic_image(factor))
     ]
 
 
-def polish_roots(f: UnivariatePolynomial, estimates) -> list:
+def polish_roots(coeffs, estimates) -> list:
     """Each (z, m) of estimates as z after three Newton steps z - m f(z)/f'(z)
-    toward a root of f of multiplicity m, each exact at the float z and then
-    rounded; a root's steps stop early where f'(z) = 0 or a step leaves
-    float range.  The steps run on Gaussian integers, with f scaled to them
-    once for all the estimates: Fraction arithmetic is about 20 times
-    slower."""
-    den = math.lcm(*(c.re.denominator * c.im.denominator for c in f.coeffs))
-    cs = [(int(c.re * den), int(c.im * den)) for c in reversed(f.coeffs)]
+    toward a root of multiplicity m of the polynomial f with the ascending
+    Gaussian-integer coefficients coeffs, each step exact at the float z and
+    then rounded; a root's steps stop early where f'(z) = 0 or a step leaves
+    float range.  The step does not depend on the scale of f, and the
+    integers make it about 20 times faster than Fraction arithmetic."""
+    cs = coeffs[::-1]
     return [_newton_steps(cs, z, m) for z, m in estimates]
 
 
@@ -866,7 +939,7 @@ def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePol
     if f.deg_z == 0 and g.deg_z == 0:
         raise InvalidInputError("resultant in z of two z-constant polynomials")
     m, n = f.deg_z, g.deg_z
-    (c, F), (d, G) = _gaussian_grid(f), _gaussian_grid(g)
+    (c, F), (d, G) = f.gaussian_grid(), g.gaussian_grid()
     bound = 2 * sum(abs(x) + abs(y) for row in F for x, y in row) ** n
     bound *= sum(abs(x) + abs(y) for row in G for x, y in row) ** m
     real = not any(y for grid in (F, G) for row in grid for _, y in row)

@@ -9,7 +9,14 @@ from sympy.polys.matrices import DomainMatrix
 
 from corrdyn.bimodule import FockTruncation, SampledFunction
 from corrdyn.errors import InvalidInputError
-from corrdyn.polyalg import _U, BivariatePolynomial, GaussianRational, UnivariatePolynomial
+from corrdyn.polyalg import (
+    _U,
+    QQI_ZERO,
+    BivariatePolynomial,
+    GaussianRational,
+    UnivariatePolynomial,
+    _gaussian_integers,
+)
 
 
 def constant_function(value, domain: str = "correspondence") -> SampledFunction:
@@ -19,6 +26,37 @@ def constant_function(value, domain: str = "correspondence") -> SampledFunction:
     if domain == "base":
         return SampledFunction(domain, lambda z: value)
     return SampledFunction(domain, lambda z, w: value)
+
+
+def integer_coeffs(f: UnivariatePolynomial) -> list:
+    """f's ascending coefficients times their least common denominator, as
+    the Gaussian-integer (re, im) pairs that polyalg.roots takes."""
+    return _gaussian_integers(f.coeffs)[1]
+
+
+# The Fraction route to the exact specialisation of a bivariate polynomial
+# in its second variable, by Horner's rule over the Gaussian rationals.
+# BivariatePolynomial.univariate_in_z and its inverted form compute the same
+# coefficients times a scale, on Gaussian integers; this is the oracle.
+
+
+def _horner(cs, x: GaussianRational) -> GaussianRational:
+    """cs[0] x^k + cs[1] x^(k-1) + ... + cs[k], exactly, by Horner's rule."""
+    acc = QQI_ZERO
+    for c in cs:
+        acc = acc * x + c
+    return acc
+
+
+def reference_univariate_in_z(p: BivariatePolynomial, w0: GaussianRational):
+    """Exact coefficients of z -> p(z, w0)."""
+    return UnivariatePolynomial(_horner(reversed(row), w0) for row in p.coeffs)
+
+
+def reference_univariate_in_z_inverted(p: BivariatePolynomial, v0: GaussianRational):
+    """Exact coefficients of z -> v0^n p(z, 1/v0), n = deg_w (chart near
+    infinity): row i gives the sum over j of c[i][j] v0^(n - j)."""
+    return UnivariatePolynomial(_horner(row, v0) for row in p.coeffs)
 
 
 # Independent routes to the resultants and the squarefree check: sympy

@@ -21,7 +21,13 @@ from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots, roots
 
-from support import on_correspondence, reference_certified_roots
+from support import (
+    integer_coeffs,
+    on_correspondence,
+    reference_certified_roots,
+    reference_univariate_in_z,
+    reference_univariate_in_z_inverted,
+)
 
 GR = GaussianRational.of
 
@@ -325,8 +331,8 @@ class TestBranchedSets:
             assume(False)  # not squarefree
         sets = corr.branched_sets()
         found = sets.cobranch_points if transpose else sets.branch_values
-        f = (corr._transposed if transpose else corr.p).univariate_in_z(GR(w0))
-        branched = any(e >= 2 for _, e in roots(f)) or p.deg_z - f.degree >= 2
+        f = reference_univariate_in_z(corr._transposed if transpose else corr.p, GR(w0))
+        branched = any(e >= 2 for _, e in roots(integer_coeffs(f))) or p.deg_z - f.degree >= 2
         hit = [q for q in found if not q.is_infinity
                and abs(q.to_complex() - float(w0)) <= 1e-12 * max(1, abs(w0))]
         assert bool(hit) == branched
@@ -406,8 +412,9 @@ def _fiber_problem(p, direction):
 
 
 def _exact_coeffs(poly, base):
-    v, inverted = base.exact_chart_value()
-    f = poly.univariate_in_z_inverted(v) if inverted else poly.univariate_in_z(v)
+    v, inverted = base.chart_value()
+    specialise = reference_univariate_in_z_inverted if inverted else reference_univariate_in_z
+    f = specialise(poly, GR(v))
     return list(f.coeffs) + [GR(0)] * (poly.deg_z + 1 - len(f.coeffs))
 
 
@@ -558,6 +565,28 @@ class TestFloatFirstFiber:
         fiber = Correspondence(poly, check_squarefree=False).backward_fiber(base)
         assert [e for _, e in fiber.points] == [2]
         assert abs(fiber.points[0][0].to_complex()) < 1e-7
+
+    @pytest.mark.parametrize("p,direction,base", [
+        (circle_poly(), "backward", 1 + 0j),
+        (BP([[GR(c) for c in row] for row in [[(-5, 6), (-2, -4), (1, 0)], [(-1, 0)]]]),
+         "forward", -2 + 2j),
+    ], ids=["circle-at-1", "non-real-double-root-inverted-chart"])
+    def test_exact_path_does_no_fraction_arithmetic(self, monkeypatch, p, direction, base):
+        # when the modular test decides, the exact path runs on Gaussian
+        # integers from the specialisation to the float images
+        poly, expected = _fiber_problem(p, direction)
+        grid, base = FloatGrid(poly), SpherePoint.from_complex(base)
+        assert certified_roots(*grid.specialise(*base.chart_value())) is None
+        want = Correspondence._fiber(grid, poly, base, expected, 1e-6)
+        assert max(e for _, e in want.points) == 2
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic on the exact path")
+
+        for op in ("add", "sub", "mul", "truediv", "pow"):
+            monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+            monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+        assert Correspondence._fiber(grid, poly, base, expected, 1e-6) == want
 
     def test_nan_base_takes_the_exact_path(self):
         poly = BP.monomial_relation(2, 3)

@@ -12,8 +12,7 @@ from corrdyn.ktheory import (
     AbelianGroupPresentation,
     IntegerMatrix,
     PimsnerInput,
-    cokernel,
-    kernel,
+    cokernel_and_kernel,
     kgroup_table,
     monomial_family_input,
     pimsner_solve,
@@ -59,7 +58,7 @@ class TestSNF:
     def test_cokernel_invariant_under_row_shuffle(self, rows):
         M = IntegerMatrix.of(rows)
         shuffled = IntegerMatrix.of(list(reversed(rows)))
-        assert cokernel(M) == cokernel(shuffled)
+        assert cokernel_and_kernel(M)[0] == cokernel_and_kernel(shuffled)[0]
 
 
 class TestGroups:
@@ -75,11 +74,26 @@ class TestGroups:
 
 class TestCokernelKernel:
     def test_multiplication_map(self):
-        assert cokernel(IntegerMatrix.of([[4]])) == AbelianGroupPresentation(0, (4,))
-        assert cokernel(IntegerMatrix.of([[0]])) == AbelianGroupPresentation(1)
-        assert kernel(IntegerMatrix.of([[0]])) == AbelianGroupPresentation(1)
-        assert cokernel(IntegerMatrix.of([[1, 1]])) == AbelianGroupPresentation(0)
-        assert kernel(IntegerMatrix.of([[1, 1]])) == AbelianGroupPresentation(1)
+        assert cokernel_and_kernel(IntegerMatrix.of([[4]]))[0] == AbelianGroupPresentation(0, (4,))
+        assert cokernel_and_kernel(IntegerMatrix.of([[0]]))[0] == AbelianGroupPresentation(1)
+        assert cokernel_and_kernel(IntegerMatrix.of([[0]]))[1] == AbelianGroupPresentation(1)
+        assert cokernel_and_kernel(IntegerMatrix.of([[1, 1]]))[0] == AbelianGroupPresentation(0)
+        assert cokernel_and_kernel(IntegerMatrix.of([[1, 1]]))[1] == AbelianGroupPresentation(1)
+
+    def test_one_smith_normal_form_per_map(self, monkeypatch):
+        from corrdyn import ktheory
+
+        seen = []
+
+        def counting(M):
+            seen.append(M)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(ktheory, "smith_normal_form", counting)
+        inp = monomial_family_input(4, 3)
+        assert pimsner_solve(inp) == (AbelianGroupPresentation(0, (3,)),
+                                      AbelianGroupPresentation(0, (2,)))
+        assert seen == [inp.map0, inp.map1]
 
 
 def closed_form_monomial(m, n):

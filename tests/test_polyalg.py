@@ -15,7 +15,10 @@ from corrdyn.polyalg import (
     UnivariatePolynomial,
     _companion_roots,
     _modular_squarefree,
+    _xdivmod,
     _xmonic,
+    _zi_mul,
+    _zi_quotient,
     certified_roots,
     polish_roots,
     resultant_w,
@@ -25,7 +28,14 @@ from corrdyn.polyalg import (
     squarefree_factors,
 )
 
-from support import reference_resultant_z, reference_squarefree_check
+from support import (
+    integer_coeffs,
+    reference_certified_roots,
+    reference_resultant_z,
+    reference_squarefree_check,
+    reference_univariate_in_z,
+    reference_univariate_in_z_inverted,
+)
 
 GR = GaussianRational.of
 
@@ -44,12 +54,22 @@ def from_roots(lead, root_mults):
 
 
 def reference_roots(f):
-    """roots(f) for exact f, always through Yun's squarefree decomposition."""
+    """roots of exact f, always through Yun's squarefree decomposition."""
     return [
         (complex(r), mult)
         for factor, mult in squarefree_factors(f.coeffs)
-        for r in _companion_roots(factor)
+        for r in _companion_roots([complex(c) for c in factor])
     ]
+
+
+def modular_split(f):
+    """_modular_squarefree on f's Gaussian-integer coefficients, with each
+    factor made a monic tuple of Gaussian rationals, as squarefree_factors
+    gives it."""
+    split = _modular_squarefree(integer_coeffs(f))
+    if split is None:
+        return None
+    return [(_xmonic(tuple(GR(c) for c in a)), k) for a, k in split]
 
 
 small_gaussian_rationals = st.builds(
@@ -92,13 +112,13 @@ class TestRoots:
         f = UnivariatePolynomial([GR(-2), GR(3), GR(0), GR(1)])
         # coefficients of (z-1)^2 (z+2) = z^3 - 3z + 2
         f = UnivariatePolynomial([GR(2), GR(-3), GR(0), GR(1)])
-        rs = roots(f)
+        rs = roots(integer_coeffs(f))
         got = sorted((round(z.real), m) for z, m in rs)
         assert got == [(-2, 1), (1, 2)]
 
     def test_roots_of_unity(self):
         f = UnivariatePolynomial([GR(-1)] + [GR(0)] * 6 + [GR(1)])
-        rs = roots(f)
+        rs = roots(integer_coeffs(f))
         assert len(rs) == 7
         for z, m in rs:
             assert abs(abs(z) - 1) < 1e-9
@@ -106,7 +126,7 @@ class TestRoots:
 
     def test_float_coefficients(self):
         f = UnivariatePolynomial([-1.0, 0.0, 1.0])
-        centers = sorted(z.real for z, _ in roots(f))
+        centers = sorted(z.real for z, _ in roots(integer_coeffs(f)))
         assert centers == pytest.approx([-1.0, 1.0])
 
     def test_high_multiplicity(self):
@@ -114,14 +134,14 @@ class TestRoots:
         f = UnivariatePolynomial([GR((0, 1)), GR(-3), GR((0, -3)), GR(1)])
         # coefficients of (z - i)^3 = z^3 - 3iz^2 - 3z + i
         f = UnivariatePolynomial([GR((0, 1)), GR(-3), GR((0, -3)), GR(1)])
-        rs = roots(f)
+        rs = roots(integer_coeffs(f))
         assert len(rs) == 1
         assert rs[0][1] == 3
         assert rs[0][0] == pytest.approx(1j)
 
     def test_coefficient_too_large_for_float(self):
         with pytest.raises(RootFindingError):
-            roots(UnivariatePolynomial([GR(10**400), GR(1)]))
+            roots(integer_coeffs(UnivariatePolynomial([GR(10**400), GR(1)])))
 
     @pytest.mark.parametrize("outcome", [np.linalg.LinAlgError("no convergence"),
                                          np.array([np.inf + 0j])],
@@ -134,13 +154,13 @@ class TestRoots:
 
         monkeypatch.setattr(polyalg.np, "roots", fake_roots)
         with pytest.raises(RootFindingError):
-            roots(UnivariatePolynomial([GR(1), GR(1)]))
+            roots(integer_coeffs(UnivariatePolynomial([GR(1), GR(1)])))
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_root_count_matches_degree(self, coeffs):
         f = UnivariatePolynomial([GR(c) for c in coeffs] + [GR(1)])
-        rs = roots(f)
+        rs = roots(integer_coeffs(f))
         assert sum(m for _, m in rs) == len(coeffs)
 
 
@@ -148,32 +168,33 @@ class TestPolishRoot:
     def test_reaches_the_exact_roots(self):
         # the companion roots of (z - 2000)(z - 2001) are off by 1.4e-9
         f = UnivariatePolynomial([GR(2000 * 2001), GR(-4001), GR(1)])
-        rough = sorted(z.real for z, _ in roots(f))
+        rough = sorted(z.real for z, _ in roots(integer_coeffs(f)))
         assert rough != [2000, 2001]
-        assert polish_roots(f, [(complex(z), 1) for z in rough]) == [2000, 2001]
+        assert polish_roots(integer_coeffs(f), [(complex(z), 1) for z in rough]) == [2000, 2001]
 
     def test_rational_coefficients(self):
         # (z - 1/3)(z - (1 + 2i)/7), from 1e-7 off: within rounding of both
         # roots (an imaginary part that should be 0 shrinks like its square)
         r, s = GR(Fraction(1, 3)), GR((Fraction(1, 7), Fraction(2, 7)))
         f = from_roots(GR(Fraction(5, 2)), [(r, 1), (s, 1)])
-        got = sorted(polish_roots(f, [(z * (1 + 1e-7), 1) for z, _ in roots(f)]), key=abs)
+        cs = integer_coeffs(f)
+        got = sorted(polish_roots(cs, [(z * (1 + 1e-7), 1) for z, _ in roots(cs)]), key=abs)
         for z, want in zip(got, (complex(s), complex(r))):
             assert abs(z - want) <= 1e-30 + 2**-53 * abs(want)
 
     def test_multiple_root_converges_with_its_multiplicity(self):
         # (z - i)^3 from 1e-6 off: a plain Newton step would only take a third
         f = UnivariatePolynomial([GR((0, 1)), GR(-3), GR((0, -3)), GR(1)])
-        assert abs(polish_roots(f, [(1e-6 + 1.000001j, 3)])[0] - 1j) < 1e-15
+        assert abs(polish_roots(integer_coeffs(f), [(1e-6 + 1.000001j, 3)])[0] - 1j) < 1e-15
 
     def test_stops_at_a_critical_point(self):
         f = UnivariatePolynomial([GR(-1), GR(0), GR(1)])
-        assert polish_roots(f, [(0j, 1)]) == [0j]
+        assert polish_roots(integer_coeffs(f), [(0j, 1)]) == [0j]
 
     def test_stops_before_leaving_float_range(self):
         # from z = 1e-310 the step to z^2 - 1 = 0 lands near 5e309
         f = UnivariatePolynomial([GR(-1), GR(0), GR(1)])
-        assert polish_roots(f, [(1e-310 + 0j, 1)]) == [1e-310]
+        assert polish_roots(integer_coeffs(f), [(1e-310 + 0j, 1)]) == [1e-310]
 
 
 def _certify(c, e):
@@ -217,6 +238,24 @@ class TestCertifiedRoots:
         c[k] = complex(math.nan, 0)
         assert _certify(c, [1e-16] * 3) is None
 
+    @given(st.integers(2, 5), st.lists(st.complex_numbers(max_magnitude=1e6), max_size=4),
+           st.floats(0, 1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_two_zero_low_order_coefficients_are_undecided_before_eigenvalues(
+            self, k0, rest, err):
+        # 0 is then a root k0 >= 2 times: no two of its discs are disjoint,
+        # which the numpy route finds from the eigenvalues
+        c = np.array([0j] * k0 + rest + [1 + 0j])
+        e = np.full(len(c), err)
+        assert reference_certified_roots(c, e) is None
+
+        def refuse(_):
+            raise AssertionError("companion eigenvalues computed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyalg.np.linalg, "eigvals", refuse)
+            assert certified_roots(c, e) is None
+
 
 class TestSquarefreeFactors:
     def test_yun(self):
@@ -255,13 +294,13 @@ class TestSquarefreeCertificate:
         f = from_roots(lead, root_mults)
         squarefree = all(m == 1 for _, m in root_mults)
         monic = _xmonic(f.coeffs)
-        assert (_modular_squarefree(monic) == [(monic, 1)]) == squarefree
+        assert (modular_split(f) == [(monic, 1)]) == squarefree
 
     @given(small_gaussian_rationals.filter(bool), root_multisets)
     @settings(max_examples=40, deadline=None)
     def test_roots_match_yun_reference(self, lead, root_mults):
         f = from_roots(lead, root_mults)
-        rs = roots(f)
+        rs = roots(integer_coeffs(f))
         assert rs == reference_roots(f)
         assert sorted(m for _, m in rs) == sorted(m for _, m in root_mults)
 
@@ -276,7 +315,7 @@ class TestSquarefreeCertificate:
         monkeypatch.setattr(polyalg, "squarefree_factors", counting)
         tiny = GR(Fraction(1, polyalg._P))
         f = from_roots(GR(1), [(tiny, mults[0]), (GR(2), mults[1])])
-        rs = sorted(roots(f), key=lambda zm: zm[0].real)
+        rs = sorted(roots(integer_coeffs(f)), key=lambda zm: zm[0].real)
         assert len(calls) == 1
         assert [m for _, m in rs] == list(mults)
         assert rs[0][0] == pytest.approx(1 / polyalg._P)
@@ -293,8 +332,8 @@ class TestSquarefreeCertificate:
 
         monkeypatch.setattr(polyalg, "squarefree_factors", counting)
         f = from_roots(GR(1), [(GR(Fraction(1, 2**30 + 3)), 2), (GR(2), 1)])
-        assert _modular_squarefree(_xmonic(f.coeffs)) is None
-        rs = sorted(roots(f), key=lambda zm: zm[0].real)
+        assert modular_split(f) is None
+        rs = sorted(roots(integer_coeffs(f)), key=lambda zm: zm[0].real)
         assert len(calls) == 1
         assert [m for _, m in rs] == [2, 1]
 
@@ -325,16 +364,150 @@ class TestModularSplit:
     @given(repeated_products())
     @settings(max_examples=80, deadline=None)
     def test_equals_yun(self, f):
-        assert _modular_squarefree(_xmonic(f.coeffs)) == squarefree_factors(f.coeffs)
+        assert modular_split(f) == squarefree_factors(f.coeffs)
 
     def test_conjugate_ideals_rebuild_gaussian_factors(self):
         # (z - (1 + 2i)/3)^2 (z - i)^3 (z + 5): the imaginary parts come from
         # the two images, under i -> I and i -> -I
         f = from_roots(GR((2, -1)), [(GR((Fraction(1, 3), Fraction(2, 3))), 2),
                                      (GR((0, 1)), 3), (GR(-5), 1)])
-        split = _modular_squarefree(_xmonic(f.coeffs))
+        split = modular_split(f)
         assert split == squarefree_factors(f.coeffs)
         assert [(len(a) - 1, m) for a, m in split] == [(1, 1), (1, 2), (1, 3)]
+
+    @given(st.lists(st.tuples(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
+                                        st.integers(1, 6)), st.integers(1, 3)),
+                    min_size=1, max_size=3, unique_by=lambda rm: rm[0][:2]),
+           st.tuples(st.integers(-6, 6), st.integers(1, 6)))
+    @settings(max_examples=60, deadline=None)
+    def test_non_real_split_uses_both_ideals_and_equals_yun(self, drawn, lead):
+        # a non-real root of multiplicity >= 2 and a non-real leading
+        # coefficient: Yun runs modulo p under i -> I and under i -> -I
+        root_mults = [(GR((Fraction(a, d), Fraction(b, d))), m) for (a, b, d), m in drawn]
+        (a, b, d), m = drawn[0]
+        root_mults[0] = (GR((Fraction(a, d), Fraction(abs(b), d) + 1)), max(2, m))
+        f = from_roots(GR(lead), root_mults)
+        images = []
+
+        def recording(g, p):
+            images.append(list(g))
+            return fp_yun(g, p)
+
+        fp_yun = polyalg._fp_yun
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyalg, "_fp_yun", recording)
+            split = modular_split(f)
+        assert len(images) == 2 and images[0] != images[1]
+        assert split == squarefree_factors(f.coeffs)
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["squarefree", "repeated"])
+    def test_leading_coefficient_in_the_conjugate_ideal_only(self, monkeypatch, repeated):
+        # lc = I + i vanishes under i -> -I and not under i -> I: the
+        # squarefree test needs only the first, Yun's split needs both
+        calls = []
+
+        def counting(coeffs):
+            calls.append(coeffs)
+            return squarefree_factors(coeffs)
+
+        monkeypatch.setattr(polyalg, "squarefree_factors", counting)
+        lc = GR((polyalg._I, 1))
+        f = from_roots(lc, [(GR((0, 1)), 2 if repeated else 1), (GR(-1), 1)])
+        coeffs = integer_coeffs(f)
+        assert (coeffs[-1][0] - polyalg._I * coeffs[-1][1]) % polyalg._P == 0
+        assert (coeffs[-1][0] + polyalg._I * coeffs[-1][1]) % polyalg._P != 0
+        assert _modular_squarefree(coeffs) == (None if repeated else [(coeffs, 1)])
+        rs = roots(coeffs)
+        assert len(calls) == int(repeated)
+        assert rs == reference_roots(f)
+        assert sorted(m for _, m in rs) == ([1, 2] if repeated else [1, 1])
+
+    def test_leading_coefficient_in_the_first_ideal_is_undecided(self):
+        # lc = I - i vanishes under i -> I, so not even the squarefree test
+        # is sound there
+        f = from_roots(GR((polyalg._I, -1)), [(GR(1), 1), (GR(2), 1)])
+        assert _modular_squarefree(integer_coeffs(f)) is None
+        assert roots(integer_coeffs(f)) == reference_roots(f)
+
+
+rational_grids = st.lists(
+    st.lists(small_gaussian_rationals, min_size=1, max_size=4), min_size=1, max_size=4,
+).filter(lambda grid: any(c for row in grid for c in row))
+# parts of base points: any finite float, and the subnormal, huge and signed
+# zero extremes, for which the reading x / q has the most bits
+float_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -3 * 2.0**-1074, 2.0**-1022, 1.7976931348623157e308,
+                     -1e300, 0.1]),
+)
+
+
+def _specialise(p, v: complex, inverted: bool):
+    return p.univariate_in_z_inverted(v) if inverted else p.univariate_in_z(v)
+
+
+def _oracle(p, v: complex, inverted: bool):
+    specialise = reference_univariate_in_z_inverted if inverted else reference_univariate_in_z
+    return specialise(p, GR(v))
+
+
+class TestIntegerSpecialisation:
+    @given(rational_grids, float_parts, float_parts, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fraction_oracle_times_its_scale(self, grid, re, im, inverted):
+        p = BivariatePolynomial(grid)
+        v = complex(re, im)
+        scale, coeffs = _specialise(p, v, inverted)
+        assert isinstance(scale, int) and scale > 0
+        assert coeffs == [(c.re * scale, c.im * scale) for c in _oracle(p, v, inverted).coeffs]
+
+    @pytest.mark.parametrize("v,error,match", [
+        (complex(math.nan, 0.0), ValueError, "NaN"),
+        (complex(0.5, math.nan), ValueError, "NaN"),
+        (complex(math.inf, 0.0), OverflowError, "Infinity"),
+    ], ids=["nan-real", "nan-imag", "inf-real"])
+    @pytest.mark.parametrize("inverted", [False, True])
+    def test_non_finite_base_raises_as_the_fraction_lift(self, v, error, match, inverted):
+        p = BivariatePolynomial.monomial_relation(2, 3)
+        for specialise in (_specialise, _oracle):
+            with pytest.raises(error, match=match):
+                specialise(p, v, inverted)
+
+    def test_integer_grid_is_computed_once(self):
+        p = BivariatePolynomial.monomial_relation(2, 3)
+        assert p.gaussian_grid() is p.gaussian_grid()
+        assert p.gaussian_grid() == (1, [[(0, 0), (0, 0), (0, 0), (-1, 0)],
+                                         [(0, 0)] * 4, [(1, 0), (0, 0), (0, 0), (0, 0)]])
+
+
+gaussian_integer_polys = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=5,
+).filter(lambda a: a[-1] != (0, 0))
+
+
+class TestGaussianIntegerQuotient:
+    @given(gaussian_integer_polys, gaussian_integer_polys, st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_fraction_division(self, q, b, r):
+        # a = q b + r, r often zero; the Fraction route is _xdivmod
+        a = _zi_mul(q, b)
+        a = [(x + (r[i][0] if i < len(r) else 0), y + (r[i][1] if i < len(r) else 0))
+             for i, (x, y) in enumerate(a)]
+        exact = [GR(c) for c in a]
+        fq, rem = _xdivmod(exact, [GR(c) for c in b])
+        got = _zi_quotient(a, b)
+        assert (got is None) == bool(rem)
+        if got is not None:
+            # the same quotient up to a positive integer factor
+            scale = Fraction(got[-1][0], 1) / fq[-1].re if fq[-1].re else (
+                Fraction(got[-1][1], 1) / fq[-1].im)
+            assert scale > 0 and scale.denominator == 1
+            assert [GR(c) for c in got] == [c * GR(scale) for c in fq]
+
+    def test_zero_dividend_and_short_remainder(self):
+        assert _zi_quotient([], [(2, 1)]) == []
+        assert _zi_quotient([(1, 0)], [(0, 1), (1, 0)]) is None
 
 
 class TestBivariate:
