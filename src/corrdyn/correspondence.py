@@ -4,17 +4,21 @@ points, fibers in both directions with multiplicities, and branched sets.
 Fibers are computed in the affine chart where the base point lives.  The
 coefficient polynomial is evaluated first in complex128, with a rigorous
 bound on its distance to the exact one, and the float roots are kept when
-disjoint inclusion discs prove each of them simple.  Otherwise (a multiple
-point, a root near another, a vanishing leading coefficient, a non-finite
-base) the float chart value is read exactly as x / q, x a Gaussian integer
+disjoint inclusion discs prove each of them simple and no two lie within
+chordal 2 tol; both tests run in one loop over the root pairs, under one
+``np.errstate`` per fiber, and the kept roots are sorted on their raw real
+parts unless two could round alike.  Otherwise (a multiple point, a root
+near another, a vanishing leading coefficient, a non-finite base) the float
+chart value is read exactly as x / q, x a Gaussian integer
 and q a power of 2, the polynomial is specialised there on Gaussian
 integers, and the fiber comes out of the exact squarefree machinery on those
 integers, so multiplicities never rest on float luck.  One single-linkage
 merge in the chordal metric, ``_chordal_merge``, decides which fiber roots
 are one point; points of large modulus and the point at infinity merge
 naturally.  The branched sets solve no fiber: each is decided exactly from
-resultants and leading coefficients, and its finite points are the distinct
-roots of an exact polynomial, each refined by ``polish_roots``.
+resultants and leading coefficients, with each gcd test at infinity decided
+modulo a prime first, and its finite points are the distinct roots of an
+exact polynomial, each refined by ``polish_roots``.
 """
 
 from __future__ import annotations
@@ -23,14 +27,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
     BivariatePolynomial,
     FloatGrid,
     _gaussian_integers,
+    _xcoprime,
     _xdeg,
     _xderiv,
-    _xgcd,
     _xstrip,
     _zi_quotient,
     certified_roots,
@@ -194,6 +200,7 @@ class Correspondence:
         return self._fiber_cache[key]
 
     @staticmethod
+    @np.errstate(all="ignore")
     def _fiber(
         grid: Optional[FloatGrid],
         poly: BivariatePolynomial,
@@ -201,32 +208,28 @@ class Correspondence:
         expected: int,
         tol: float,
     ) -> WeightedFiber:
-        """The fiber of poly over base, float first.
+        """The fiber of poly over base, float first, under one
+        ``np.errstate``: every overflow or NaN is tested for explicitly.
 
         poly is specialised at the base point in complex128 (``grid``); its
-        ``np.roots`` eigenvalues are kept when ``certified_roots``, run on
-        Python scalars, proves them simple (so the exact polynomial has degree
-        ``expected``, no point at infinity and no repeated root) and no two lie
-        within 2 tol, so that which roots merge never depends on the path.
-        Otherwise poly is specialised exactly at the chart value, read as
-        x / q with x a Gaussian integer and q a power of 2, and ``roots``
-        solves the Gaussian-integer coefficients that come out.
-        Either way the fiber is what ``_chordal_merge`` at tol makes of the
-        roots and the point at infinity: two simple roots closer than tol
-        count as one double point.
+        ``np.roots`` eigenvalues, from a copy of a cached shift matrix, are
+        kept when ``certified_roots``, run on Python scalars, proves them
+        simple (so the exact polynomial has degree ``expected``, no point at
+        infinity and no repeated root) and no two lie within chordal 2 tol,
+        so that which roots merge never depends on the path.  Otherwise poly
+        is specialised exactly at the chart value, read as x / q with x a
+        Gaussian integer and q a power of 2, and ``roots`` solves the
+        Gaussian-integer coefficients that come out.  Either way the fiber
+        is what ``_chordal_merge`` at tol makes of the roots and the point at
+        infinity: two simple roots closer than tol count as one double point.
         """
         v, inverted = base.chart_value()
-        found = None if grid is None else certified_roots(*grid.specialise(v, inverted))
+        found = None if grid is None else certified_roots(
+            *grid.specialise(v, inverted), 2 * tol)
         if found is not None:
-            # adding 0j turns a -0.0 part into 0.0, as the merge's mean does;
-            # for tol >= 1e-12 _point_sort_key ties no two, so it alone orders
-            simple = [z + 0j for z in found[0]]
-            if _chordally_separated(simple, 2 * tol):
-                # each root is a group of its own; _chordal_merge would say so
-                # too, but calling it here cost 14 % of `orbit` ops/s (2 CPUs)
-                pairs = [(SpherePoint.from_complex(z), 1) for z in simple]
-                pairs.sort(key=lambda pe: _point_sort_key(pe[0]))
-                return WeightedFiber(base=base, points=tuple(pairs))
+            # each root is a group of its own; _chordal_merge would say so too,
+            # but calling it here cost 14 % of `orbit` ops/s (2 CPUs)
+            return WeightedFiber(base=base, points=tuple(_separated_points(found[0])))
         if inverted:
             _, f = poly.univariate_in_z_inverted(v)
         else:
@@ -301,10 +304,10 @@ def _branching(p: BivariatePolynomial):
         raise RootFindingError("Res_z(p, p_z) is not divisible by lc_z(p)")
     points = _polished_roots(_gaussian_integers(resultant_w(p, p_z).coeffs)[1])
     values = _polished_roots(disc)
-    if _xdeg(_xgcd(lc, below)) > 0 or max(_xdeg(lc), _xdeg(below)) < n:
+    if max(_xdeg(lc), _xdeg(below)) < n or not _xcoprime(lc, below):
         points.append(SpherePoint.infinity())
     top = _xstrip(row[n] for row in p.coeffs)
-    if _xdeg(top) <= m - 2 or _xdeg(_xgcd(top, _xderiv(top))) > 0:
+    if _xdeg(top) <= m - 2 or not _xcoprime(top, _xderiv(top)):
         values.append(SpherePoint.infinity())
     return points, values
 
@@ -330,15 +333,26 @@ def _point_sort_key(p: SpherePoint):
     return (0, round(v.real, 12), round(v.imag, 12))
 
 
-def _chordally_separated(zs, limit: float) -> bool:
-    """Whether every two of the finite points zs are more than limit apart
-    in the chordal metric |a - b| / (sqrt(1 + |a|^2) sqrt(1 + |b|^2))."""
-    scale = [math.hypot(1.0, abs(z)) for z in zs]
-    return all(
-        abs(zs[i] - zs[j]) > limit * scale[i] * scale[j]
-        for i in range(len(zs))
-        for j in range(i)
-    )
+def _separated_points(simple) -> list:
+    """(SpherePoint, 1) for each of the finite roots simple, pairwise more
+    than 2 tol apart, in ``_point_sort_key`` order: what ``_chordal_merge``
+    at tol gives for them.
+
+    Adding 0j turns a -0.0 part into 0.0, as the merge's mean does.  The
+    sort runs on the real part of the value ``to_complex`` returns, z or
+    1 / (1.0 / z), without rounding: rounding to 12 digits is monotone, so
+    this is ``_point_sort_key``'s order unless two adjacent real parts lie
+    within 2e-12 and could round alike.  Only then are the points sorted
+    by ``_point_sort_key`` itself, from the order they came in."""
+    pairs, keys = [], []
+    for z in simple:
+        p = SpherePoint.from_complex(z + 0j)
+        pairs.append((p, 1))
+        keys.append(p.z1.real if p.z2 == 1 else (1 / p.z2).real)
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    if any(keys[j] - keys[i] <= 2e-12 for i, j in zip(order, order[1:])):
+        return sorted(pairs, key=lambda pe: _point_sort_key(pe[0]))
+    return [pairs[i] for i in order]
 
 
 def _chordal_merge(pairs, tol: float):

@@ -25,13 +25,16 @@ chordal metric by ``correspondence``.  ``polish_roots`` refines them by
 Newton steps evaluated exactly; every branched-set point is refined so.
 For float coefficients known to within a componentwise bound,
 ``certified_roots`` keeps the ``np.roots`` companion eigenvalues only when
-inclusion discs, checked on Python scalars, prove every root simple.  sympy
+inclusion discs, checked on Python scalars, prove every root simple and no
+two roots lie within a given chordal separation.  Whether two polynomials
+are coprime (``_xcoprime``) is decided modulo a prime first.  sympy
 serves only ``squarefree_check``, the gcds of a defining polynomial with its
 partial derivatives, over the smallest exact domain of the coefficients.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -509,6 +512,23 @@ def _modular_squarefree(coeffs):
     return factors if _fp_squarefree(image, _P) else None
 
 
+def _xcoprime(a, b) -> bool:
+    """Whether gcd(a, b) = 1 for polynomials a != 0 and b over the Gaussian
+    rationals.  Decided modulo the Gaussian prime (p, i - I), p = _P, when it
+    keeps both leading coefficients of the Gaussian-integer forms A and B:
+    a primitive gcd g over Z[i] then divides A with the leading coefficient
+    of its image kept, so g mod p divides gcd(A mod p, B mod p) with the
+    degree of g, and gcd 1 modulo p proves gcd 1 (Brown, J. ACM 18, 1971).
+    Otherwise, or when the gcd modulo p is not 1, by Euclid's algorithm over
+    the Gaussian rationals (``_xgcd``)."""
+    a, b = _xstrip(a), _xstrip(b)
+    if b:
+        images = [[(x + _I * y) % _P for x, y in _gaussian_integers(f)[1]] for f in (a, b)]
+        if images[0][-1] and images[1][-1] and len(_fp_gcd(*images, _P)) == 1:
+            return True
+    return _xdeg(_xgcd(a, b)) == 0
+
+
 # ---------------------------------------------------------------------------
 # polynomial value types
 
@@ -720,11 +740,13 @@ class FloatGrid:
     2nd ed., section 3.6), with about twice the worst-case number of
     roundings, which also covers the rounding of the bound itself.
     Building the grid raises OverflowError for a coefficient beyond float
-    range.
+    range; a modulus or a row sum that overflows is inf, silently, and
+    leaves every certificate on the grid undecided.
     """
 
     __slots__ = ("grid", "abs_grid", "n", "gamma", "floor")
 
+    @np.errstate(over="ignore")
     def __init__(self, poly: BivariatePolynomial):
         self.grid = np.array([[complex(c) for c in row] for row in poly.coeffs])
         self.abs_grid = np.abs(self.grid)
@@ -732,29 +754,44 @@ class FloatGrid:
         self.gamma = 8 * (self.n + 2) * _U
         self.floor = 8 * (self.n + 2) * _UNDERFLOW * (1.0 + self.abs_grid.sum(axis=1))
 
-    @np.errstate(over="ignore", invalid="ignore", under="ignore")
     def specialise(self, v: complex, inverted: bool):
-        powers = np.full(self.n + 1, v, dtype=complex)
-        powers[0] = 1.0
-        powers = np.cumprod(powers)
+        # the powers 1, v, v^2, ... on Python scalars, by the products that
+        # np.cumprod makes; the dot products stay in numpy, for its bits
+        powers, t = [1.0 + 0j], 1.0 + 0j
+        for _ in range(self.n):
+            t *= v
+            powers.append(t)
+        powers = np.array(powers)
         if inverted:
+            # a reversed view: a reversed copy gives the products other bits
             powers = powers[::-1]
         c = self.grid @ powers
         e = self.gamma * (self.abs_grid @ np.abs(powers)) + self.floor
         return c, e
 
 
-def certified_roots(c: np.ndarray, e: np.ndarray):
+# np.eye(n, k=-1) by size n, read-only: a companion matrix is a copy of one
+# with row 0 set
+_SHIFTS: dict = {}
+
+
+def certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
     """(zeta, r), two lists, when every polynomial F with |F_k - c_k| <= e_k
     has degree d = len(c) - 1 and exactly one root in each of the pairwise
-    disjoint discs D(zeta_i, r_i); None when this test is undecided.
+    disjoint discs D(zeta_i, r_i), and every two zeta lie more than
+    separation apart in the chordal metric; None when this test is
+    undecided or a pair is closer.
 
     zeta are the roots ``np.roots`` gives for c, bit for bit: the companion
     eigenvalues, then a 0 per zero low-order coefficient; two or more such
     zeros are a multiple root, so the answer is None before any eigenvalue
-    is computed.  The test runs on Python scalars, as numpy's per-call cost
-    would exceed its arithmetic at d <= 5; OverflowError and
-    ZeroDivisionError, raised where numpy would give inf, mean undecided.
+    is computed.  The companion matrix is a copy of a shift matrix cached
+    per size, with row 0 set from one numpy division, which may overflow:
+    numpy's floating-point warnings are left to the caller
+    (``Correspondence._fiber`` runs under one ``np.errstate``).  The test
+    runs on Python scalars, as numpy's per-call cost would exceed its
+    arithmetic at d <= 5; OverflowError and ZeroDivisionError, raised where
+    numpy would give inf, mean undecided.
     With the Weierstrass corrections
     W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)), F / lc(F) is
     the characteristic polynomial of diag(zeta) - W 1^T, whose Gerschgorin
@@ -763,7 +800,9 @@ def certified_roots(c: np.ndarray, e: np.ndarray):
     bounds d|W_i| from above: |F(zeta_i)| is at most the computed |c(zeta_i)|
     plus the coefficient error and the Horner rounding (Higham, ch. 5), and
     |lc(F)| is at least |c_d| - e_d.  Disjoint discs make F squarefree of
-    degree d, so the exact path would also find d simple roots.
+    degree d, so the exact path would also find d simple roots.  The chordal
+    test |zeta_i - zeta_j| > separation sqrt(1 + |zeta_i|^2) sqrt(1 + |zeta_j|^2)
+    runs in the same loop over the pairs, on the same distances and moduli.
     """
     d = len(c) - 1
     cs, es = c.tolist(), e.tolist()
@@ -771,13 +810,16 @@ def certified_roots(c: np.ndarray, e: np.ndarray):
     try:
         lead = abs(cs[d]) - es[d]
         k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
-        if k0 >= 2:
-            return None  # 0 is a root twice over, and its discs meet
-        with np.errstate(all="ignore"):
-            row = -c[k0:][::-1] / c[d]  # -c_d / c_d, then np.roots' companion row
-        if not (lead > 0 and np.isfinite(row).all()):
+        if k0 >= 2 or not lead > 0:
+            return None  # k0 >= 2: 0 is a root twice over, and its discs meet
+        row = -c[k0:][::-1] / c[d]  # -c_d / c_d, then np.roots' companion row
+        if not all(map(cmath.isfinite, row.tolist())):
             return None
-        companion = np.eye(d - k0, k=-1, dtype=complex)
+        shift = _SHIFTS.get(d - k0)
+        if shift is None:
+            shift = _SHIFTS[d - k0] = np.eye(d - k0, k=-1, dtype=complex)
+            shift.flags.writeable = False
+        companion = shift.copy()
         companion[:1] = row[1:]
         zeta = np.linalg.eigvals(companion).tolist() + [0j] * k0
         size = [abs(z) for z in zeta]
@@ -795,10 +837,14 @@ def certified_roots(c: np.ndarray, e: np.ndarray):
             r.append(d * (abs(value) + error) / (lead * zp) * (1 + gamma))
     except (OverflowError, ZeroDivisionError):
         return None
-    finite = all(map(math.isfinite, size + spread + r))
-    if finite and all(dist * (1 - gamma) > r[i] + r[j] for dist, i, j in pairs):
-        return zeta, r
-    return None
+    if not all(map(math.isfinite, size + spread + r)):
+        return None
+    shrink = 1 - gamma
+    scale = [math.hypot(1.0, zs) for zs in size]
+    for dist, i, j in pairs:
+        if not (dist * shrink > r[i] + r[j] and dist > separation * scale[i] * scale[j]):
+            return None
+    return zeta, r
 
 
 def linked_groups(n: int, edges) -> list:

@@ -313,6 +313,32 @@ def reference_certified_roots(c: np.ndarray, e: np.ndarray):
     return zeta, r
 
 
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
+def reference_float_specialise(grid, v: complex, inverted: bool):
+    """(c, e) as corrdyn.polyalg.FloatGrid.specialise gives them, with the
+    power vector built by np.cumprod; the oracle for its Python products."""
+    powers = np.full(grid.n + 1, v, dtype=complex)
+    powers[0] = 1.0
+    powers = np.cumprod(powers)
+    if inverted:
+        powers = powers[::-1]
+    c = grid.grid @ powers
+    e = grid.gamma * (grid.abs_grid @ np.abs(powers)) + grid.floor
+    return c, e
+
+
+def chordally_separated(zs, limit: float) -> bool:
+    """Whether every two of the finite points zs are more than limit apart
+    in the chordal metric |a - b| / (sqrt(1 + |a|^2) sqrt(1 + |b|^2)); the
+    oracle for the separation test inside corrdyn.polyalg.certified_roots."""
+    scale = [math.hypot(1.0, abs(z)) for z in zs]
+    return all(
+        abs(zs[i] - zs[j]) > limit * scale[i] * scale[j]
+        for i in range(len(zs))
+        for j in range(i)
+    )
+
+
 # The Fraction forms of the circle-family computations that corrdyn.dynamics
 # runs on integers over one common denominator; each is the oracle its
 # integer form is compared against.

@@ -1,8 +1,10 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from corrdyn.correspondence import (
     WeightedFiber,
     _branching,
     _chordal_merge,
-    _chordally_separated,
     chordal_distance,
     unit_circle_points,
 )
@@ -22,9 +23,11 @@ from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots, roots
 
 from support import (
+    chordally_separated,
     integer_coeffs,
     on_correspondence,
     reference_certified_roots,
+    reference_float_specialise,
     reference_univariate_in_z,
     reference_univariate_in_z_inverted,
 )
@@ -496,7 +499,7 @@ class TestFloatFirstFiber:
         ])
         poly, expected = _fiber_problem(p, "forward")
         base = SpherePoint.from_complex(-0.9999999999999997 + 0j)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is None
         fiber = Correspondence(p, check_squarefree=False).forward_fiber(base)
         _same_fiber(fiber, _reference_fiber(poly, base, expected))
 
@@ -509,7 +512,7 @@ class TestFloatFirstFiber:
         # same decision, and the same roots to the bit, as the numpy route
         poly, _ = _fiber_problem(p, direction)
         c, e = FloatGrid(poly).specialise(*base.chart_value())
-        got, want = certified_roots(c, e), reference_certified_roots(c, e)
+        got, want = certified_roots(c, e, 0), reference_certified_roots(c, e)
         assert (got is None) == (want is None)
         if got is not None:
             assert [repr(z) for z in got[0]] == [repr(complex(z)) for z in want[0]]
@@ -528,7 +531,7 @@ class TestFloatFirstFiber:
     @settings(max_examples=200, deadline=None)
     def test_inclusion_discs_hold_one_exact_root_each(self, p, direction, base):
         poly, _ = _fiber_problem(p, direction)
-        found = certified_roots(*FloatGrid(poly).specialise(*base.chart_value()))
+        found = certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0)
         if found is None:
             return
         exact_roots = _roots_60_digits(_exact_coeffs(poly, base))
@@ -549,7 +552,7 @@ class TestFloatFirstFiber:
     def test_multiple_points_take_the_exact_path(self, p, direction, base, points):
         poly, _ = _fiber_problem(p, direction)
         base = SpherePoint.infinity() if base is None else SpherePoint.from_complex(base)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is None
         corr = Correspondence(p, check_squarefree=False)
         fiber = corr.backward_fiber(base) if direction == "backward" else corr.forward_fiber(base)
         want = [(SpherePoint.infinity() if z is None else SpherePoint.from_complex(z), e)
@@ -561,7 +564,7 @@ class TestFloatFirstFiber:
         # the float test, still make one double point at tol 1e-6
         poly = BP.monomial_relation(2, 1)
         base = SpherePoint.from_complex(1e-16 + 0j)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is not None
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is not None
         fiber = Correspondence(poly, check_squarefree=False).backward_fiber(base)
         assert [e for _, e in fiber.points] == [2]
         assert abs(fiber.points[0][0].to_complex()) < 1e-7
@@ -576,7 +579,7 @@ class TestFloatFirstFiber:
         # integers from the specialisation to the float images
         poly, expected = _fiber_problem(p, direction)
         grid, base = FloatGrid(poly), SpherePoint.from_complex(base)
-        assert certified_roots(*grid.specialise(*base.chart_value())) is None
+        assert certified_roots(*grid.specialise(*base.chart_value()), 0) is None
         want = Correspondence._fiber(grid, poly, base, expected, 1e-6)
         assert max(e for _, e in want.points) == 2
 
@@ -591,7 +594,7 @@ class TestFloatFirstFiber:
     def test_nan_base_takes_the_exact_path(self):
         poly = BP.monomial_relation(2, 3)
         base = SpherePoint(complex(math.nan, 0.0), 1 + 0j)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value())) is None
+        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is None
         with pytest.raises(ValueError, match="NaN"):
             Correspondence(poly, check_squarefree=False).backward_fiber(base)
 
@@ -602,8 +605,8 @@ class TestFloatFirstFiber:
         # zeros included, what the chordal merge gives
         poly, expected = _fiber_problem(p, direction)
         grid = FloatGrid(poly)
-        found = certified_roots(*grid.specialise(*base.chart_value()))
-        if found is None or not _chordally_separated([complex(z) for z in found[0]], 2e-6):
+        found = certified_roots(*grid.specialise(*base.chart_value()), 0)
+        if found is None or not chordally_separated([complex(z) for z in found[0]], 2e-6):
             return
         want = _chordal_merge([(complex(z), 1) for z in found[0]], 1e-6)
         got = Correspondence._fiber(grid, poly, base, expected, 1e-6).points
@@ -613,3 +616,56 @@ class TestFloatFirstFiber:
 
         assert stored(got) == stored(want)
 
+    def test_real_parts_that_round_alike_sort_as_the_merge_does(self):
+        # p(., 0) = (z - 2 - 3i)(z - 2 - 2^-42 + 3i): the real parts of the two
+        # roots round alike at 12 digits, so _point_sort_key orders them by
+        # their imaginary parts, against the order of the raw real parts
+        d = Fraction(1, 2**42)
+        poly = BP([[GR((13 + 2 * d, 3 * d)), GR(-1)], [GR(-4 - d)], [GR(1)]])
+        grid, base = FloatGrid(poly), SpherePoint.from_complex(0j)
+        found = certified_roots(*grid.specialise(*base.chart_value()), 2e-6)
+        assert found is not None
+        low, high = sorted(found[0], key=lambda z: z.real)
+        assert low.real < high.real and round(low.real, 12) == round(high.real, 12)
+        assert low.imag > 0 > high.imag
+        got = Correspondence._fiber(grid, poly, base, 2, 1e-6).points
+        want = _chordal_merge([(complex(z), 1) for z in found[0]], 1e-6)
+        assert _stored(got) == _stored(want)
+        assert [q.to_complex().imag < 0 for q, _ in got] == [True, False]
+
+    @pytest.mark.parametrize("base,error", [
+        (SpherePoint.from_complex(0.9 + 0j), None),
+        (SpherePoint(complex(math.nan, 0.0), 1 + 0j), ValueError),
+        (SpherePoint(complex(math.inf, 0.0), 1 + 0j), OverflowError),
+    ], ids=["finite-base", "nan-base", "infinite-base"])
+    def test_no_runtime_warning_escapes_the_float_path(self, base, error):
+        # K (z^2 + (1 + w) z + w - 1) with K = 10^308: the grid's row sums
+        # and a coefficient of the float specialisation at w = 0.9 overflow
+        k = 10**308
+        poly = BP([[GR(-k), GR(k)], [GR(k), GR(k)], [GR(k)]])
+        if error is None:
+            with pytest.warns(RuntimeWarning):
+                FloatGrid(poly).grid @ np.array([1, base.to_complex()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            corr = Correspondence(poly, check_squarefree=False)
+            if error is not None:
+                with pytest.raises(error):
+                    corr.backward_fiber(base)
+                return
+            fiber = corr.backward_fiber(base)
+        _same_fiber(fiber, _reference_fiber(poly, base, 2))
+
+    @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
+    @settings(max_examples=150, deadline=None)
+    def test_float_specialisation_has_the_cumprod_bits(self, p, direction, base):
+        poly, _ = _fiber_problem(p, direction)
+        grid = FloatGrid(poly)
+        got = grid.specialise(*base.chart_value())
+        want = reference_float_specialise(grid, *base.chart_value())
+        for a, b in zip(got, want):
+            assert [repr(x) for x in a.tolist()] == [repr(x) for x in b.tolist()]
+
+
+def _stored(pairs):
+    return [(repr(q.z1), repr(q.z2), e) for q, e in pairs]

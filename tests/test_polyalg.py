@@ -14,8 +14,12 @@ from corrdyn.polyalg import (
     GaussianRational,
     UnivariatePolynomial,
     _companion_roots,
+    _P,
     _modular_squarefree,
+    _xcoprime,
+    _xdeg,
     _xdivmod,
+    _xgcd,
     _xmonic,
     _zi_mul,
     _zi_quotient,
@@ -29,6 +33,7 @@ from corrdyn.polyalg import (
 )
 
 from support import (
+    chordally_separated,
     integer_coeffs,
     reference_certified_roots,
     reference_resultant_z,
@@ -200,7 +205,7 @@ class TestPolishRoot:
 def _certify(c, e):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return certified_roots(np.array(c, dtype=complex), np.array(e, dtype=float))
+        return certified_roots(np.array(c, dtype=complex), np.array(e, dtype=float), 0)
 
 
 class TestCertifiedRoots:
@@ -254,7 +259,32 @@ class TestCertifiedRoots:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyalg.np.linalg, "eigvals", refuse)
-            assert certified_roots(c, e) is None
+            assert certified_roots(c, e, 0) is None
+
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=5),
+           st.lists(st.tuples(st.integers(0, 4), st.floats(-9, -3),
+                              st.floats(0, 2 * math.pi)), max_size=3),
+           st.floats(-16, -8))
+    @settings(max_examples=200, deadline=None)
+    def test_separation_rejects_exactly_what_the_separate_check_rejects(
+            self, zeros, near, log_err):
+        # roots moved next to others by 1e-9 to 1e-3, around the chordal
+        # separation 2e-6 a fiber at tol 1e-6 asks for
+        zeros = list(zeros)
+        for k, log_gap, angle in near:
+            zeros.append(zeros[k % len(zeros)] + 10**log_gap * complex(math.cos(angle),
+                                                                        math.sin(angle)))
+        c = np.poly(np.array(zeros))[::-1].astype(complex)
+        e = np.abs(c) * 10**log_err
+        with np.errstate(all="ignore"):
+            got, first = certified_roots(c, e, 2e-6), certified_roots(c, e, 0)
+        rejected = first is None or not chordally_separated([z + 0j for z in first[0]], 2e-6)
+        assert (got is None) == rejected
+        if got is not None:
+            assert [repr(z) for z in got[0]] == [repr(z) for z in first[0]]
+            assert got[1] == first[1]
 
 
 class TestSquarefreeFactors:
@@ -508,6 +538,52 @@ class TestGaussianIntegerQuotient:
     def test_zero_dividend_and_short_remainder(self):
         assert _zi_quotient([], [(2, 1)]) == []
         assert _zi_quotient([(1, 0)], [(0, 1), (1, 0)]) is None
+
+
+
+class TestCoprime:
+    @given(gaussian_integer_polys, st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                                            max_size=5),
+           gaussian_integer_polys, st.integers(1, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_euclid(self, f, g, h, den):
+        # a = f h and b = g h share the factor h, which is often a constant
+        a = [GR((Fraction(x, den), Fraction(y, den))) for x, y in _zi_mul(f, h)]
+        b = [GR(c) for c in _zi_mul(g, h)] if g else []
+        assert _xcoprime(a, b) == (_xdeg(_xgcd(a, b)) == 0)
+
+    @pytest.mark.parametrize("a,b,coprime", [
+        ([1, _P], [2, 1], True),  # lc(a) = p vanishes modulo p
+        ([0, 1], [_P, 1], True),  # w and w + p share the root 0 modulo p only
+        ([0, 1, 1], [0, 1], False),  # w (w + 1) and w share w
+        ([3], [], True),  # gcd(3, 0) is the constant 1
+        ([1, 1], [], False),  # gcd(w + 1, 0) = w + 1
+    ])
+    def test_undecided_modulo_p_falls_back_to_euclid(self, monkeypatch, a, b, coprime):
+        calls, xgcd = [], polyalg._xgcd
+        monkeypatch.setattr(polyalg, "_xgcd", lambda *args: calls.append(args) or xgcd(*args))
+        assert _xcoprime([GR(x) for x in a], [GR(x) for x in b]) is coprime
+        assert len(calls) == 1
+
+    def test_decided_modulo_p_runs_no_euclid(self, monkeypatch):
+        # the infinity tests of the branched sets of these two polynomials are
+        # all decided modulo p
+        from corrdyn.correspondence import _branching
+
+        def refuse(*args):
+            raise AssertionError("Euclid's algorithm over the Gaussian rationals")
+
+        monkeypatch.setattr(polyalg, "_xgcd", refuse)
+        seed29 = BivariatePolynomial([
+            [GR((1, -1)), GR((-1, -3)), GR((-1, -2)), GR((1, 0))],
+            [GR((0, 2)), GR((-1, -2)), GR((3, -2)), GR((-2, 0))],
+            [GR((2, 0)), GR((0, 0)), GR((-2, 1)), GR((-3, 0))],
+        ])
+        product = BivariatePolynomial.product(
+            [BivariatePolynomial.graph_of_power(4), BivariatePolynomial.graph_of_power(5)])
+        for p in (seed29, product):
+            _branching(p)
+            _branching(p.transpose())
 
 
 class TestBivariate:
