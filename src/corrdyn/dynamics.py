@@ -63,6 +63,12 @@ GRID_CAP = 100_000
 STEP_BITS_CAP = 20_000
 # most line crossings (plus one per line) one GP enumeration may visit
 GP_WORK_CAP = 500_000
+# most arc-steps one expansiveness oracle may run: seed arcs x (max_steps +
+# 16, the cost of bringing the seed to one denominator q), each weighted by
+# 1 + b // 2048 for the b bits of q, the size of its integers.  Sized so
+# that the largest admitted run ends within 2 s: an arc-step took 0.3-0.4 us
+# at small b and 2.3 us at b = 16 384
+ORACLE_WORK_CAP = 3_000_000
 # chaos-game steps discarded before sampling starts
 BURN_IN = 100
 
@@ -224,7 +230,9 @@ class ArcSet:
 
     @property
     def is_full(self) -> bool:
-        return self.measure == 1
+        # normalized arcs cover the circle only as the one arc [0, 1); the
+        # measure would sum over every denominator
+        return self.arcs == ((0, 1),)
 
     @staticmethod
     def from_json(data) -> "ArcSet":
@@ -326,15 +334,14 @@ def expansive_decide(cc: CircleCorrespondence) -> bool:
     return cc.n % cc.m != 0
 
 
-def _integer_arcs(seed: ArcSet):
-    """(q, [(A, L), ...]): the seed arcs as [A/q, (A + L)/q) over q, the lcm
-    of their endpoints' denominators."""
-    q = math.lcm(*(x.denominator for arc in seed.arcs for x in arc))
+def _integer_arcs(seed: ArcSet, q: int):
+    """[(A, L), ...]: the seed arcs as [A/q, (A + L)/q) over q, a common
+    multiple of their endpoints' denominators."""
     out = []
     for a, b in seed.arcs:
         start = a.numerator * (q // a.denominator)
         out.append((start, b.numerator * (q // b.denominator) - start))
-    return q, out
+    return out
 
 
 def _covers(arcs, q: int) -> bool:
@@ -373,7 +380,8 @@ def covering_step(cc: CircleCorrespondence, seed: ArcSet, r: int) -> bool:
     cc._require_monomial()
     if not seed.arcs:
         return False
-    q, arcs = _integer_arcs(seed)
+    q = math.lcm(*(x.denominator for arc in seed.arcs for x in arc))
+    arcs = _integer_arcs(seed, q)
     scale = cc.m * (cc.m // cc.d) ** (r - 1)
     return _covers([(a * scale % q, length * scale) for a, length in arcs], q)
 
@@ -385,14 +393,26 @@ def expansive_oracle(
     the full circle within max_steps, by the exact per-step covering test.
     The integer arcs of ``covering_step`` go from step r to r + 1 by one
     multiplication by e = m/d, the start reduced mod q; a length stays below
-    q until its step covers, so every step costs about the same."""
+    q until its step covers, so every step costs about the same.  Refused
+    before the first step when the weighted arc-steps exceed
+    ORACLE_WORK_CAP."""
     cc._require_monomial()
     if not seed.arcs:
         raise InvalidInputError("the seed arc set must be nonempty")
     if seed.is_full:
         return True, 0
+    # q, the lcm of the denominators, is built arc by arc and refused as soon
+    # as the weight 1 + b // 2048 of its b bits passes what the budget leaves
+    words, q = ORACLE_WORK_CAP // (len(seed.arcs) * (max_steps + 16)), 1
+    for arc in seed.arcs:
+        q = math.lcm(q, *(x.denominator for x in arc))
+        if q.bit_length() >= 2048 * words:
+            raise ResourceLimitError(
+                f"{len(seed.arcs)} seed arcs over {max_steps} steps pass "
+                f"{ORACLE_WORK_CAP} weighted arc-steps; lower the steps or the arcs"
+            )
     m, e = cc.m, cc.m // cc.d
-    q, arcs = _integer_arcs(seed)
+    arcs = _integer_arcs(seed, q)
     arcs = [(a * m % q, length * m) for a, length in arcs]
     for r in range(1, max_steps + 1):
         if _covers(arcs, q):

@@ -207,6 +207,30 @@ class TestExpansive:
         assert len(ran) == 1
         capsys.readouterr()
 
+    SEED_1000 = json.dumps([[4 * k, 4000, 4 * k + 1, 4000] for k in range(1000)])
+
+    def test_seed_arcs_count_in_the_budget(self, capsys, monkeypatch):
+        # every step visits every seed arc: 1000 arcs for 10 000 steps took
+        # 3.5 s, and are refused before the first step
+        def refuse(*args):
+            raise AssertionError("oracle stepped before the arcs were counted")
+
+        monkeypatch.setattr(dynamics, "_covers", refuse)
+        assert main(["expansive", "--poly", '{"family":"monomial","m":2,"n":4}',
+                     "--oracle", self.SEED_1000, "--max-steps", "10000"]) == 3
+        assert last_error(capsys) == "resource-refusal"
+
+    def test_largest_arc_budget_within_deadline(self, capsys):
+        steps = dynamics.ORACLE_WORK_CAP // 1000 - 16
+        argv = ["expansive", "--poly", '{"family":"monomial","m":2,"n":4}',
+                "--oracle", self.SEED_1000, "--max-steps"]
+        start = time.monotonic()
+        code, rep = run(capsys, [*argv, str(steps)])
+        assert time.monotonic() - start < 5
+        assert code == 0 and rep["oracle"]["steps"] == steps
+        assert main([*argv, str(steps + 1)]) == 3
+        assert last_error(capsys) == "resource-refusal"
+
 
 class TestFree:
     def test_monomial_free_with_gp(self, capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+import time
 import warnings
 from fractions import Fraction
 
@@ -650,8 +652,8 @@ def _coefficient(kind):
 
 
 @st.composite
-def bivariate(draw, max_dz=2, max_dw=2, min_dz=1):
-    kind = draw(st.sampled_from(["ZZ", "ZZ_I", "QQ", "QQ_I"]))
+def bivariate(draw, max_dz=2, max_dw=2, min_dz=1, kinds=("ZZ", "ZZ_I", "QQ", "QQ_I")):
+    kind = draw(st.sampled_from(kinds))
     dz = draw(st.integers(min_dz, max_dz))
     dw = draw(st.integers(1, max_dw))
     grid = draw(st.lists(
@@ -667,6 +669,21 @@ def bivariate(draw, max_dz=2, max_dw=2, min_dz=1):
 with_repeated_factor = st.builds(
     lambda q, r: BivariatePolynomial.product([q, r, r]),
     bivariate(max_dz=1, max_dw=1), bivariate(max_dz=1, max_dw=1, min_dz=0),
+)
+
+# inputs whose norm p p-bar has a repeated factor or a factor free of one
+# variable, so that squarefree_check falls back to the gcds over Q(i)
+REAL, GAUSSIAN = ("ZZ", "QQ"), ("ZZ_I", "QQ_I")
+real_times_gaussian = st.builds(
+    lambda q, r: BivariatePolynomial.product([q, r]),
+    bivariate(max_dz=1, max_dw=1, kinds=REAL), bivariate(max_dz=1, max_dw=2, kinds=GAUSSIAN),
+)
+i_times_real = bivariate(kinds=REAL).map(
+    lambda p: BivariatePolynomial([[c * GR(1j) for c in row] for row in p.coeffs]))
+# bivariate(max_dz=0) is a polynomial in w alone; transposed, in z alone
+with_factor_free_of_one_variable = st.builds(
+    lambda q, r, flip: BivariatePolynomial.product([q.transpose() if flip else q, r]),
+    bivariate(min_dz=0, max_dz=0, max_dw=1), bivariate(max_dz=1, max_dw=1), st.booleans(),
 )
 
 
@@ -692,8 +709,60 @@ class TestAgainstExpressionRoute:
         # q may be constant in z, so Res_z(q, p) = q^(deg_z p)
         assert resultant_z(q, p) == reference_resultant_z(q, p)
 
-    @given(st.one_of(bivariate(), with_repeated_factor))
-    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(bivariate(), with_repeated_factor, real_times_gaussian, i_times_real,
+                     with_factor_free_of_one_variable))
+    @settings(max_examples=80, deadline=None)
     def test_squarefree_check(self, p):
         ok, witness = squarefree_check(p)
         assert (ok, witness) == reference_squarefree_check(p)
+
+
+# one polynomial of each (deg_z, deg_w) the benchmark's survey rounds draw,
+# from its generator of raw polynomials (bench/workloads.raw_polynomial)
+RAW_SPECS = [
+    [[[2, 2], [1, 0]], [[-2, -1], [2, 2]], [[-1, 0], [3, -1]]],
+    [[[2, 2], [-1, -1], [1, 0]], [[2, 1], [3, 3], [0, 0]], [[1, 0], [1, -2], [-3, -2]]],
+    [[[3, 3], [-2, 1], [1, 0]], [[-3, 3], [2, 1], [-1, -1]], [[-2, 2], [2, -1], [1, 2]],
+     [[2, 0], [2, -1], [1, 3]]],
+    [[[1, -3], [1, -2], [0, -2], [1, 0]], [[-3, -3], [3, -1], [-3, 3], [2, 3]],
+     [[-1, 0], [2, 0], [0, 1], [3, 3]]],
+    [[[2, -3], [2, 3], [-1, 2], [1, 0]], [[-3, -2], [-2, 1], [1, 2], [-3, -2]],
+     [[-3, 2], [2, 1], [-2, -1], [3, -2]], [[1, 0], [-3, 0], [-3, -2], [-2, -2]]],
+]
+
+
+class TestNormRoute:
+    """squarefree_check decides on the norm p p-bar over ZZ first, and runs
+    the gcds over the Gaussian domain only when the norm is inconclusive."""
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        sympy_poly = polyalg._sympy_poly
+        monkeypatch.setattr(polyalg, "_sympy_poly", lambda p: calls.append(p) or sympy_poly(p))
+        return calls
+
+    @pytest.mark.parametrize("rows", RAW_SPECS, ids=[f"raw-{i}" for i in range(len(RAW_SPECS))])
+    def test_raw_polynomials_never_fall_back(self, fallbacks, rows):
+        assert squarefree_check(BivariatePolynomial(rows)) == (True, None)
+        assert fallbacks == []
+
+    def test_shared_factor_with_the_conjugate_falls_back(self, fallbacks):
+        # (z + w)(z + i w + 1): the norm holds (z + w)^2, so only the gcds
+        # over Z[i] can accept
+        p = BivariatePolynomial.product([
+            BivariatePolynomial([[[0, 0], [1, 0]], [[1, 0]]]),
+            BivariatePolynomial([[[1, 0], [0, 1]], [[1, 0]]]),
+        ])
+        assert squarefree_check(p) == (True, None) == reference_squarefree_check(p)
+        assert fallbacks == [p]
+
+    def test_dense_gaussian_within_a_second(self):
+        # the gcds over Z[i] alone took 2.6 s on this (8, 8) polynomial
+        rng = random.Random(8)
+        rows = [[[rng.randint(-3, 3), rng.randint(-3, 3)] for _ in range(9)] for _ in range(9)]
+        rows[8][0] = rows[0][8] = [1, 0]
+        p = BivariatePolynomial(rows)
+        start = time.perf_counter()
+        assert squarefree_check(p) == (True, None)
+        assert time.perf_counter() - start < 1.0
