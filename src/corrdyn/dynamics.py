@@ -23,7 +23,6 @@ from .correspondence import (
 )
 from .errors import InvalidInputError, ResourceLimitError
 from .polyalg import BivariatePolynomial as BP
-from .polyalg import linked_groups
 
 __all__ = [
     "PathSample",
@@ -40,7 +39,6 @@ __all__ = [
     "expansive_oracle",
     "covering_step",
     "component_count",
-    "component_count_oracle",
     "free_decide",
     "gp_enumerate",
     "gp_sample",
@@ -425,32 +423,6 @@ def component_count(cc: CircleCorrespondence) -> int:
     """Number of connected components of the circle correspondence:
     gcd(m, n)."""
     return cc.d
-
-
-def component_count_oracle(cc: CircleCorrespondence, samples: int = 10**4) -> int:
-    """Union-find on a sampled graph of the torus curve m*alpha = n*beta
-    (mod 1): nodes are exact rational samples along the n offset lines,
-    consecutive samples along a line are joined, and coinciding sample
-    points (including the wrap-around) are identified."""
-    cc._require_monomial()
-    m, n = cc.m, cc.n
-    if samples < 4 * n * (m + 1):
-        raise InvalidInputError(
-            f"need at least {4 * n * (m + 1)} samples for m={m}, n={n}"
-        )
-    per_line = samples // n
-    nodes = {}
-    edges = []
-    for k in range(n):
-        prev = None
-        for i in range(per_line + 1):
-            alpha = Fraction(i, per_line)
-            beta = (Fraction(m, n) * alpha + Fraction(k, n)) % 1
-            idx = nodes.setdefault((alpha % 1, beta % 1), len(nodes))
-            if prev is not None:
-                edges.append((prev, idx))
-            prev = idx
-    return len(linked_groups(len(nodes), edges))
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,26 @@ polynomial at a float base point, and everything ``roots`` does after it,
 runs on Gaussian integers over one denominator: the coefficient grid is
 scaled to Gaussian integers once, the base point is read exactly as x / q
 with q a power of 2, and each coefficient is a dot product with the powers
-x^j q^(n - j).  Multiplicities come from Yun's squarefree decomposition of
-those integers, computed modulo a prime, rebuilt by rational reconstruction
-over one denominator per factor and kept only when verified exactly in
-Z[i] (Brown's lucky primes, J. ACM 18, 1971); Yun's algorithm over the
-Gaussian rationals runs only when that is undecided.  Each exact squarefree
-factor is then solved in floating point by one root finder, the eigenvalues
-of the companion matrix of its monic complex128 image (``np.roots``), each
-part of which is one correctly rounded integer division.  ``roots`` returns
-these roots unclustered; which of them count as one point is decided in the
-chordal metric by ``correspondence``.  ``polish_roots`` refines them by
-Newton steps evaluated exactly; every branched-set point is refined so.
-For float coefficients known to within a componentwise bound,
+x^j q^(n - j).  Multiplicities come from one engine, ``squarefree_factors``:
+Yun's squarefree decomposition of those integers modulo primes, combined
+by the Chinese remainder theorem, rebuilt by rational reconstruction over
+one denominator per factor and kept only when verified exactly in Z[i]
+(Brown's lucky primes, J. ACM 18, 1971), within a bound in primes derived
+from the input; neither Yun's nor Euclid's algorithm runs over the
+Gaussian rationals.  Each exact squarefree factor is then solved in
+floating point by one root finder, the eigenvalues of the companion matrix
+of its monic complex128 image (``np.roots``), each part of which is one
+correctly rounded integer division.  ``roots`` returns these roots
+unclustered; which of them count as one point is decided in the chordal
+metric by ``correspondence``.  ``polish_roots`` refines them by Newton
+steps evaluated exactly; every branched-set point is refined so.  For
+float coefficients known to within a componentwise bound,
 ``certified_roots`` keeps the ``np.roots`` companion eigenvalues only when
 inclusion discs, checked on Python scalars, prove every root simple and no
 two roots lie within a given chordal separation.  Whether two polynomials
-are coprime (``_xcoprime``) is decided modulo a prime first.  sympy
-serves only ``squarefree_check``: the gcds of the norm p p-bar of a defining
+are coprime (``_xcoprime``) is decided modulo a prime first, and by their
+exact modular resultant otherwise.  sympy serves only
+``squarefree_check``: the gcds of the norm p p-bar of a defining
 polynomial with its partial derivatives over the integers, and, only when
 that is inconclusive or p is refused, the gcds of p itself with its partial
 derivatives over the smallest exact domain of its coefficients.
@@ -131,11 +134,10 @@ class GaussianRational:
 
 
 QQI_ZERO = GaussianRational(Fraction(0), Fraction(0))
-QQI_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
-# exact univariate arithmetic on coefficient tuples (ascending degree)
+# exact univariate helpers on coefficient tuples (ascending degree)
 
 
 def _xstrip(c: Sequence[GaussianRational]) -> tuple:
@@ -149,79 +151,8 @@ def _xdeg(c) -> int:
     return len(c) - 1
 
 
-def _xadd(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else QQI_ZERO
-        y = b[i] if i < len(b) else QQI_ZERO
-        out.append(x + y)
-    return _xstrip(out)
-
-
-def _xscale(a, s: GaussianRational):
-    return _xstrip([x * s for x in a])
-
-
-def _xdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [QQI_ZERO] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
-    while len(a) >= len(b) and _xstrip(a):
-        a = list(_xstrip(a))
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        factor = a[-1] / lb
-        q[k] = factor
-        for i, y in enumerate(b):
-            a[k + i] = a[k + i] - factor * y
-        a.pop()
-    return _xstrip(q), _xstrip(a)
-
-
-def _xmonic(a):
-    if not a:
-        return a
-    return _xscale(a, QQI_ONE / a[-1])
-
-
-def _xgcd(a, b):
-    a, b = _xstrip(a), _xstrip(b)
-    while b:
-        _, r = _xdivmod(a, b)
-        a, b = b, r
-    return _xmonic(a)
-
-
 def _xderiv(a):
     return _xstrip([a[i] * GaussianRational.of(i) for i in range(1, len(a))])
-
-
-def squarefree_factors(coeffs: Sequence[GaussianRational]):
-    """Yun's algorithm: return [(factor_coeffs, multiplicity), ...] with each
-    factor monic and squarefree, product of factor^mult = input up to scalar."""
-    f = _xmonic(_xstrip(coeffs))
-    if not f:
-        raise InvalidInputError("squarefree decomposition of the zero polynomial")
-    if _xdeg(f) == 0:
-        return []
-    df = _xderiv(f)
-    g = _xgcd(f, df)
-    c, _ = _xdivmod(f, g)
-    d = _xadd(_xdivmod(df, g)[0], _xscale(_xderiv(c), GaussianRational.of(-1)))
-    out = []
-    i = 1
-    while _xdeg(c) > 0:
-        a = _xgcd(c, d)
-        if _xdeg(a) > 0:
-            out.append((a, i))
-        c, _ = _xdivmod(c, a)
-        d = _xadd(_xdivmod(d, a)[0], _xscale(_xderiv(c), GaussianRational.of(-1)))
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +267,7 @@ def _fp_sub(a: list, b: list, p: int) -> list:
 def _fp_yun(f: list, p: int) -> list:
     """Yun's squarefree decomposition of the monic f in F_p[z], deg f < p:
     [(factor, multiplicity), ...] with monic nonconstant factors, in
-    increasing multiplicity, step for step as ``squarefree_factors``."""
+    increasing multiplicity."""
     df = _fp_deriv(f, p)
     g = _fp_gcd(f, df, p)
     c = _fp_divmod(f, g, p)[0]
@@ -385,12 +316,12 @@ def _fp_interpolate(xs: list, ys: list, p: int) -> list:
     return out
 
 
-def _rational(u: int, p: int):
-    """(n, d), d > 0, with |n|, |d| <= sqrt(p/2) and n = u d (mod p), by the
+def _rational(u: int, m: int):
+    """(n, d), d > 0, with |n|, |d| <= sqrt(m/2) and n = u d (mod m), by the
     extended Euclidean algorithm (Wang, SYMSAC 1981); None when there is
     none."""
-    bound = math.isqrt(p // 2)
-    r0, r1, t0, t1 = p, u, 0, 1
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, u, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
@@ -423,10 +354,15 @@ def _zi_quotient(a: list, b: list):
     None when b does not divide a over Q(i).  Each quotient coefficient is
     x conj(l) / |l|^2 for the leading x of the remainder and l = lc(b); when
     that is not a Gaussian integer, the remainder and the quotient so far are
-    first scaled by |l|^2, which makes it x conj(l)."""
+    first scaled by |l|^2, which makes it x conj(l).  Zero leading pairs of
+    a are dropped first, so a quotient has a nonzero leading pair, and a = 0
+    gives []."""
     lr, li = b[-1]
     norm, nb = lr * lr + li * li, len(b)
-    a, q = list(a), [(0, 0)] * max(0, len(a) - nb + 1)
+    a = list(a)
+    while a and a[-1] == (0, 0):
+        a.pop()
+    q = [(0, 0)] * max(0, len(a) - nb + 1)
     for k in range(len(q) - 1, -1, -1):
         xr, xi = a[k + nb - 1]
         tr, ti = xr * lr + xi * li, xi * lr - xr * li
@@ -442,76 +378,165 @@ def _zi_quotient(a: list, b: list):
     return None if any(x or y for x, y in a) else q
 
 
-def _modular_squarefree(coeffs):
-    """The squarefree decomposition of the polynomial f with the ascending
-    Gaussian-integer coefficients coeffs, (re, im) pairs with a nonzero last
-    one, computed modulo p = _P: [(a_k, k), ...] with Gaussian-integer a_k
-    whose monic forms a_k / lc(a_k) are the factors ``squarefree_factors``
-    gives; None when this is undecided.
+def _crt(acc, modulus: int, images, p: int, unit: int) -> int:
+    """Fold one prime's images into the Chinese-remainder accumulators acc =
+    (re, im), lists of residues modulo modulus, in place, and return the
+    new modulus, modulus p.  images are the residues of Gaussian integers
+    x + y i under i -> unit and, for non-real input, under i -> p - unit:
+    x is their half-sum and y their half-difference over unit.  Real input
+    gives one list, of the x, and leaves im as it is."""
+    if len(images) == 1:
+        parts = [(images[0], acc[0])]
+    else:
+        half, half_i = pow(2, -1, p), pow(2 * unit, -1, p)
+        parts = [([(a + b) * half % p for a, b in zip(*images)], acc[0]),
+                 ([(a - b) * half_i % p for a, b in zip(*images)], acc[1])]
+    step = pow(modulus, -1, p)
+    for residues, out in parts:
+        for i, r in enumerate(residues):
+            out[i] += modulus * ((r - out[i]) * step % p)
+    return modulus * p
 
-    Reduction modulo the Gaussian prime (p, i - I) sends c = x + y i to
-    x + y I mod p.  When lc(f) is a unit there, f mod p keeps the degree of
-    f, and gcd(f mod p, (f mod p)') = 1 makes disc(f) nonzero modulo the
-    prime, so f is squarefree and [(coeffs, 1)] is returned (Brown, J. ACM
-    18, 1971, on lucky primes).  Otherwise Yun's algorithm runs on the monic
-    image in F_p, under both ideals over p for non-real f (lc(f) must be a
-    unit under each), and the real and imaginary parts of each monic factor
-    are rebuilt by rational reconstruction and brought to one denominator
-    D_k, so that a_k has leading coefficient D_k.  The result is kept only
-    when prod a_k^k lc(f) = prod D_k^k f holds exactly in Z[i], that is,
-    f = lc(f) prod (a_k / D_k)^k, and prod (a_k mod p) is squarefree in F_p,
-    that is, the images are squarefree and pairwise coprime.  The rebuilt
-    denominators are below p, so each a_k / D_k is integral at (p, i - I),
-    and so is each monic factor of it over Q(i), as the local ring there is
-    integrally closed; so a repeated factor of a_k, or a common factor of
-    a_j and a_k, would survive reduction mod p.  The a_k are therefore
-    squarefree and pairwise coprime over Q(i), and as the squarefree
-    decomposition is unique, their monic forms are the factors of Yun's
-    algorithm over the Gaussian rationals.  Otherwise (a repeated root with
-    an unlucky prime, a leading coefficient in an ideal over p, or a
-    coefficient beyond the reconstruction bound of about 2^30) the answer is
-    None."""
-    units = (_I,) if not any(y for _, y in coeffs) else (_I, _P - _I)
+
+def _fp_splits(coeffs, p: int, units):
+    """Yun's splits of the monic images modulo p of the Gaussian-integer
+    polynomial coeffs, one per i -> u of units; [] when the image under the
+    first keeps its degree and is squarefree; None when the leading
+    coefficient vanishes under some unit."""
     images = []
     for unit in units:
-        image = [(x + unit * y) % _P for x, y in coeffs]
+        image = [(x + unit * y) % p for x, y in coeffs]
         if not image[-1]:
             return None
-        if not images and _fp_squarefree(image, _P):
-            return [(coeffs, 1)]
-        inv = pow(image[-1], -1, _P)
-        images.append([c * inv % _P for c in image])
-    splits = [_fp_yun(image, _P) for image in images]
-    if len(splits) == 2 and ([(len(a), k) for a, k in splits[0]]
-                             != [(len(a), k) for a, k in splits[1]]):
-        return None
-    half, half_i = pow(2, -1, _P), pow(2 * _I, -1, _P)
-    factors = []
-    for parts in zip(*splits):
-        fractions = []
-        for us in zip(*(a for a, _ in parts)):
-            if len(us) == 1:
-                re, im = _rational(us[0], _P), (0, 1)
-            else:
-                re = _rational((us[0] + us[1]) * half % _P, _P)
-                im = _rational((us[0] - us[1]) * half_i % _P, _P)
+        if not images and _fp_squarefree(image, p):
+            return []
+        inv = pow(image[-1], -1, p)
+        images.append([c * inv % p for c in image])
+    return [_fp_yun(image, p) for image in images]
+
+
+def _prime_limit(coeffs) -> int:
+    """(U + 1) R of ``squarefree_factors``, from the bit lengths of
+    L = |lc(f)|^2 and S = sum |f_j|^2, each at least the log2 it stands
+    for."""
+    n, (lr, li) = len(coeffs) - 1, coeffs[-1]
+    lead = (lr * lr + li * li).bit_length()
+    size = sum(x * x + y * y for x, y in coeffs).bit_length()
+    rounds = (1 + 2 * n + size + lead) // 60 + 1
+    unlucky = (lead + 2 * n * n.bit_length() + (2 * n - 1) * (2 * n + size)) // 60
+    return (unlucky + 1) * rounds
+
+
+def _rebuilt(coeffs, acc, modulus: int, shape, p: int, unit: int):
+    """The factors [(a_k, k), ...] of shape whose coefficients' parts are
+    rebuilt from acc modulo modulus, each factor over one denominator D_k,
+    its leading coefficient; kept only when prod a_k^k lc(f) = prod D_k^k f
+    holds exactly in Z[i] for f = coeffs and, under i -> unit in F_p, every
+    D_k survives and prod (a_k mod p) is squarefree; else None."""
+    factors, start, scale, product, image = [], 0, 1, [(1, 0)], [1]
+    for size, k in shape:
+        parts = []
+        for j in range(start, start + size):
+            re = _rational(acc[0][j], modulus)
+            im = _rational(acc[1][j], modulus) if acc[1][j] else (0, 1)
             if re is None or im is None:
                 return None
-            fractions.append((re, im))
-        d = math.lcm(*(den for c in fractions for _, den in c))
-        factors.append(([(nr * (d // dr), ni * (d // di)) for (nr, dr), (ni, di) in fractions],
-                        parts[0][1]))
-    scale, product, image = 1, [(1, 0)], [1]
-    for a, k in factors:
-        image = _fp_mul(image, [(x + _I * y) % _P for x, y in a], _P)
+            parts.append((re, im))
+        start += size
+        d = math.lcm(*(den for c in parts for _, den in c))
+        a = [(nr * (d // dr), ni * (d // di)) for (nr, dr), (ni, di) in parts]
+        factor = [(x + unit * y) % p for x, y in a]
+        if not factor[-1]:
+            return None
+        factors.append((a, k))
+        image = _fp_mul(image, factor, p)
         for _ in range(k):
             product = _zi_mul(product, a)
-        scale *= a[-1][0] ** k
+        scale *= d**k
     lr, li = coeffs[-1]
     if ([(x * lr - y * li, x * li + y * lr) for x, y in product]
             != [(x * scale, y * scale) for x, y in coeffs]):
         return None
-    return factors if _fp_squarefree(image, _P) else None
+    return factors if _fp_squarefree(image, p) else None
+
+
+def squarefree_factors(coeffs):
+    """The squarefree decomposition of the polynomial f with the ascending
+    Gaussian-integer coefficients coeffs, (re, im) pairs with a nonzero last
+    one, n = deg f >= 1: [(a_k, k), ...] in increasing k, with Gaussian-
+    integer a_k whose monic forms g_k = a_k / lc(a_k) are nonconstant,
+    squarefree and pairwise coprime, and f = lc(f) prod g_k^k; a squarefree
+    f is its own one factor, [(coeffs, 1)].  Raises RootFindingError past
+    the bound in primes below, which the primes of ``_prime`` never reach.
+
+    The primes p = _prime(0), _prime(1), ... are tried in turn; reduction
+    modulo the Gaussian prime (p, i - I) sends x + y i to x + y I mod p, and
+    a prime under which lc(f) vanishes is skipped.  When f mod p is
+    squarefree, disc(f) is nonzero modulo the prime, so f is squarefree
+    (Brown, J. ACM 18, 1971, on lucky primes).  Otherwise Yun's algorithm
+    runs on the monic image, under both ideals over p for non-real f, and a
+    prime whose two splits differ in shape (degrees and multiplicities) is
+    skipped.  The parts of the monic factors' coefficients are combined over
+    the primes by the Chinese remainder theorem (``_crt``), restarting
+    whenever the shape differs from that of the primes before, and after
+    each prime they are rebuilt against the product M of the primes by
+    rational reconstruction (Wang, SYMSAC 1981; Monagan, ISSAC 2004).  Each
+    factor is brought to one denominator D_k = lc(a_k), and the result is
+    kept only when prod a_k^k lc(f) = prod D_k^k f exactly in Z[i], that is,
+    f = lc(f) prod (a_k / D_k)^k, and at the current prime every D_k
+    survives and prod (a_k mod p) is squarefree.  Then a repeated factor of
+    some a_k, or a common factor of a_j and a_k, would give a primitive h in
+    Z[i][z] dividing it (Gauss's lemma), whose image keeps its degree, as
+    that of a_k does, and divides the squarefree image twice.  So the g_k are
+    squarefree and pairwise coprime, and as the squarefree decomposition is
+    unique, they are its factors.
+
+    The bound.  Let L = |lc(f)|^2 and S = sum |f_j|^2.  Each g_k is
+    h / lc(h) for a primitive h in Z[i][z] dividing f, so lc(h) | lc(f), and
+    by the Landau-Mignotte bound |h_j| <= C(e, j) M(h) <= 2^n |lc(h)|
+    sqrt(S) / |lc(f)|, for M the Mahler measure, e = deg h and M(f) <=
+    sqrt(S).  Each part of a coefficient h_j conj(lc(h)) / |lc(h)|^2 of g_k
+    is thus a fraction whose denominator divides L and whose numerator is at
+    most B = 2^n sqrt(S L) >= L in size.  Wang's condition M > 2 B^2 then
+    holds after R = floor(log2(2 B^2) / 60) + 1 lucky primes, each above
+    2^60: primes under which lc(f) survives and the images of the g_k stay
+    squarefree and pairwise coprime, so that Yun's split modulo p is the
+    image of the true one, with its shape.  A prime is unlucky only if it
+    divides L or N(Res(h, h')) for h the primitive squarefree part of f,
+    and by Hadamard's inequality |Res(h, h')| <= e^e |h|_2^(2e - 1), with
+    |h|_2 <= 2^n sqrt(S) as above; so at most U = floor(log2(L n^(2n)
+    (4^n S)^(2n - 1)) / 60) primes are unlucky.  They cut the sequence into
+    at most U + 1 runs of lucky primes, and a run restarts nothing after
+    its first prime.  Among the first (U + 1) R primes, at least
+    (U + 1)(R - 1) + 1 are lucky, so some run holds R of them, and the
+    result is kept at the last.  ``_prime_limit`` computes this bound, only
+    when the first prime does not decide."""
+    real = not any(y for _, y in coeffs)
+    shape, k, limit = None, 0, None
+    while True:
+        if k == 1:
+            limit = _prime_limit(coeffs)
+        if k == limit:
+            raise RootFindingError(f"squarefree split of a degree-{len(coeffs) - 1} "
+                                   f"polynomial undecided after {k} primes")
+        p, unit = _prime(k)
+        k += 1
+        splits = _fp_splits(coeffs, p, (unit,) if real else (unit, p - unit))
+        if splits == []:
+            return [(coeffs, 1)]
+        if splits is None:
+            continue
+        shapes = [[(len(a), m) for a, m in split] for split in splits]
+        if shapes[-1] != shapes[0]:
+            continue
+        if shapes[0] != shape:
+            shape, modulus, width = shapes[0], 1, sum(size for size, _ in shapes[0])
+            acc = ([0] * width, [0] * width)
+        modulus = _crt(acc, modulus, [[c for a, _ in split for c in a] for split in splits],
+                       p, unit)
+        factors = _rebuilt(coeffs, acc, modulus, shape, p, unit)
+        if factors is not None:
+            return factors
 
 
 def _xcoprime(a, b) -> bool:
@@ -521,14 +546,21 @@ def _xcoprime(a, b) -> bool:
     a primitive gcd g over Z[i] then divides A with the leading coefficient
     of its image kept, so g mod p divides gcd(A mod p, B mod p) with the
     degree of g, and gcd 1 modulo p proves gcd 1 (Brown, J. ACM 18, 1971).
-    Otherwise, or when the gcd modulo p is not 1, by Euclid's algorithm over
-    the Gaussian rationals (``_xgcd``)."""
+    Otherwise, or when the gcd modulo p is not 1, by the degrees when a
+    or b is constant (gcd(a, 0) = a), and else by the exact modular
+    resultant: Res(a, b) != 0 exactly when gcd(a, b) = 1 (``resultant_z``
+    of a and b as polynomials constant in w)."""
     a, b = _xstrip(a), _xstrip(b)
     if b:
         images = [[(x + _I * y) % _P for x, y in _gaussian_integers(f)[1]] for f in (a, b)]
         if images[0][-1] and images[1][-1] and len(_fp_gcd(*images, _P)) == 1:
             return True
-    return _xdeg(_xgcd(a, b)) == 0
+    if len(a) == 1 or len(b) == 1:
+        return True  # a nonzero constant
+    if not b:
+        return False  # gcd(a, 0) = a, of positive degree
+    a, b = (BivariatePolynomial([[c] for c in f]) for f in (a, b))
+    return not resultant_z(a, b).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -910,24 +942,20 @@ def roots(coeffs) -> list:
     not clustered: two pairs may lie arbitrarily close.
 
     The multiplicities come from the squarefree decomposition, found modulo
-    a prime and verified exactly by ``_modular_squarefree`` (a certified
-    squarefree polynomial is its own one factor), or from Yun's algorithm
-    over the Gaussian rationals when that is undecided; the two agree
-    exactly, so nontrivial multiplicities are detected structurally either
-    way.  Each squarefree factor is solved by ``_companion_roots`` on its
-    ``_monic_image``, and its roots come in the order it gives them.
+    primes and verified exactly by ``squarefree_factors`` (a certified
+    squarefree polynomial is its own one factor), so nontrivial
+    multiplicities are detected structurally; it raises RootFindingError
+    past its bound in primes.  Each squarefree factor is solved by
+    ``_companion_roots`` on its ``_monic_image``, and its roots come in the
+    order it gives them.
     """
     if not coeffs:
         raise InvalidInputError("roots of the zero polynomial")
     if len(coeffs) == 1:
         return []
-    factors = _modular_squarefree(coeffs)
-    if factors is None:
-        exact = [GaussianRational(Fraction(x), Fraction(y)) for x, y in coeffs]
-        factors = [(_gaussian_integers(a)[1], k) for a, k in squarefree_factors(exact)]
     return [
         (complex(r), mult)
-        for factor, mult in factors
+        for factor, mult in squarefree_factors(coeffs)
         for r in _companion_roots(_monic_image(factor))
     ]
 
@@ -992,26 +1020,15 @@ def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePol
     bound *= sum(abs(x) + abs(y) for row in G for x, y in row) ** m
     real = not any(y for grid in (F, G) for row in grid for _, y in row)
     D = n * f.deg_w + m * g.deg_w
-    modulus, re, im, k = 1, [0] * (D + 1), [0] * (D + 1), 0
+    modulus, acc, k = 1, ([0] * (D + 1), [0] * (D + 1)), 0
     while modulus <= bound:
         p, unit = _prime(k)
         k += 1
         units = (unit,) if real else (unit, p - unit)
         images = [_fp_resultant_z(F, G, p, u, D) for u in units]
-        if None in images:
-            continue
-        if real:
-            parts = [(images[0], re)]
-        else:
-            half, half_i = pow(2, -1, p), pow(2 * unit, -1, p)
-            parts = [([(a + b) * half % p for a, b in zip(*images)], re),
-                     ([(a - b) * half_i % p for a, b in zip(*images)], im)]
-        step = pow(modulus, -1, p)
-        for residues, acc in parts:
-            for i, r in enumerate(residues):
-                acc[i] += modulus * ((r - acc[i]) * step % p)
-        modulus *= p
-    lift = [x - modulus if 2 * x > modulus else x for x in re + im]
+        if None not in images:
+            modulus = _crt(acc, modulus, images, p, unit)
+    lift = [x - modulus if 2 * x > modulus else x for x in acc[0] + acc[1]]
     scale = Fraction(1, c**n * d**m)
     return UnivariatePolynomial(GaussianRational(x * scale, y * scale)
                                 for x, y in zip(lift[: D + 1], lift[D + 1:]))

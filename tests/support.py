@@ -8,6 +8,7 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from corrdyn.bimodule import FockTruncation, SampledFunction
+from corrdyn.dynamics import CircleCorrespondence
 from corrdyn.errors import InvalidInputError
 from corrdyn.polyalg import (
     _U,
@@ -16,6 +17,9 @@ from corrdyn.polyalg import (
     GaussianRational,
     UnivariatePolynomial,
     _gaussian_integers,
+    _xderiv,
+    _xstrip,
+    linked_groups,
 )
 
 
@@ -32,6 +36,86 @@ def integer_coeffs(f: UnivariatePolynomial) -> list:
     """f's ascending coefficients times their least common denominator, as
     the Gaussian-integer (re, im) pairs that polyalg.roots takes."""
     return _gaussian_integers(f.coeffs)[1]
+
+
+# Euclid's and Yun's algorithms over the Gaussian rationals, on ascending
+# coefficient tuples.  corrdyn.polyalg decides gcds and squarefree
+# decompositions modulo primes, with exact verification; these are the
+# oracles it is compared against.
+
+QQI_ONE = GaussianRational(Fraction(1), Fraction(0))
+
+
+def xadd(a, b):
+    n = max(len(a), len(b))
+    out = []
+    for i in range(n):
+        x = a[i] if i < len(a) else QQI_ZERO
+        y = b[i] if i < len(b) else QQI_ZERO
+        out.append(x + y)
+    return _xstrip(out)
+
+
+def xscale(a, s: GaussianRational):
+    return _xstrip([x * s for x in a])
+
+
+def xdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [QQI_ZERO] * max(0, len(a) - len(b) + 1)
+    lb = b[-1]
+    while len(a) >= len(b) and _xstrip(a):
+        a = list(_xstrip(a))
+        if len(a) < len(b):
+            break
+        k = len(a) - len(b)
+        factor = a[-1] / lb
+        q[k] = factor
+        for i, y in enumerate(b):
+            a[k + i] = a[k + i] - factor * y
+        a.pop()
+    return _xstrip(q), _xstrip(a)
+
+
+def xmonic(a):
+    if not a:
+        return a
+    return xscale(a, QQI_ONE / a[-1])
+
+
+def xgcd(a, b):
+    a, b = _xstrip(a), _xstrip(b)
+    while b:
+        _, r = xdivmod(a, b)
+        a, b = b, r
+    return xmonic(a)
+
+
+def reference_squarefree_factors(coeffs):
+    """Yun's algorithm: [(factor, multiplicity), ...] with each factor monic,
+    squarefree and nonconstant, in increasing multiplicity, whose product
+    of factor^multiplicity is coeffs up to a scalar."""
+    f = xmonic(_xstrip(coeffs))
+    if not f:
+        raise InvalidInputError("squarefree decomposition of the zero polynomial")
+    if len(f) == 1:
+        return []
+    df = _xderiv(f)
+    g = xgcd(f, df)
+    c, _ = xdivmod(f, g)
+    d = xadd(xdivmod(df, g)[0], xscale(_xderiv(c), GaussianRational.of(-1)))
+    out = []
+    i = 1
+    while len(c) > 1:
+        a = xgcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+        c = xdivmod(c, a)[0]
+        d = xadd(xdivmod(d, a)[0], xscale(_xderiv(c), GaussianRational.of(-1)))
+        i += 1
+    return out
 
 
 # The Fraction route to the exact specialisation of a bivariate polynomial
@@ -403,3 +487,28 @@ def reference_covering_step(m: int, n: int, arcs, r: int) -> bool:
             return False
         reach = max(reach, b)
     return bool(pieces) and reach >= spacing
+
+
+def reference_component_count(cc: CircleCorrespondence, samples: int = 10**4) -> int:
+    """The connected components of the monomial circle correspondence cc, by
+    union-find on a sampled graph of the torus curve m alpha = n beta (mod
+    1): nodes are exact rational samples along the n offset lines,
+    consecutive samples along a line are joined, and coinciding sample
+    points (including the wrap-around) are identified; the oracle for
+    dynamics.component_count."""
+    cc._require_monomial()
+    m, n = cc.m, cc.n
+    if samples < 4 * n * (m + 1):
+        raise InvalidInputError(f"need at least {4 * n * (m + 1)} samples for m={m}, n={n}")
+    per_line = samples // n
+    nodes, edges = {}, []
+    for k in range(n):
+        prev = None
+        for i in range(per_line + 1):
+            alpha = Fraction(i, per_line)
+            beta = (Fraction(m, n) * alpha + Fraction(k, n)) % 1
+            idx = nodes.setdefault((alpha % 1, beta % 1), len(nodes))
+            if prev is not None:
+                edges.append((prev, idx))
+            prev = idx
+    return len(linked_groups(len(nodes), edges))

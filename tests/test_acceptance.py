@@ -29,7 +29,6 @@ from corrdyn.dynamics import (
     ArcSet,
     CircleCorrespondence,
     component_count,
-    component_count_oracle,
     expansive_decide,
     expansive_oracle,
     free_decide,
@@ -46,7 +45,7 @@ from corrdyn.ktheory import (
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import GaussianRational, squarefree_check
 
-from support import constant_function
+from support import constant_function, reference_component_count
 
 GR = GaussianRational.of
 
@@ -141,7 +140,7 @@ def test_criterion_4_component_count():
             cc = CircleCorrespondence.monomial(m, n)
             if component_count(cc) != math.gcd(m, n):
                 ok = False
-            if component_count_oracle(cc, samples=800) != math.gcd(m, n):
+            if reference_component_count(cc, samples=800) != math.gcd(m, n):
                 ok = False
     report(4, ok, "gcd component count == sampled union-find oracle on [1,6]^2")
 

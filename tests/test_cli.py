@@ -69,6 +69,19 @@ class TestFibers:
         ])
         assert code == 0
 
+    def test_double_point_past_one_prime(self, capsys):
+        # (z - w)^2 - w + c at w = c = 98765432123/2^39 is (z - c)^2, whose
+        # monic factor z - c has a coefficient past the reconstruction bound
+        # of one prime, about 2^30
+        c = "98765432123/549755813888"
+        code, rep = run(capsys, [
+            "fibers", "--poly",
+            json.dumps({"coeffs": [[[c, 0], [-1, 0], [1, 0]], [[0, 0], [-2, 0]], [[1, 0]]]}),
+            "--point", json.dumps([c, 0]), "--direction", "backward",
+        ])
+        assert code == 0
+        assert rep["points"] == [{"multiplicity": 2, "point": [0.17965327446836454, 0.0]}]
+
 
 class TestBranch:
     def test_circle_restriction(self, capsys):
@@ -78,6 +91,16 @@ class TestBranch:
         ])
         assert code == 0
         assert rep["branch_points"] == [[1.0, 0.0]]
+
+    def test_shared_leading_rows_put_infinity_in(self, capsys):
+        # w z^2 + w z + (w + 1): rows 2 and 1 are both w, which share their
+        # root, so infinity is a branch point; their gcd modulo p is not 1,
+        # and the exact resultant Res(w, w) = 0 decides
+        code, rep = run(capsys, [
+            "branch", "--poly", '{"coeffs":[[[1,0],[1,0]],[[0,0],[1,0]],[[0,0],[1,0]]]}',
+        ])
+        assert code == 0
+        assert rep["branch_points"] == [[-0.5, 0.0], "inf"]
 
     def test_no_tolerance(self, capsys):
         # membership is exact, so the report carries no tol and the

@@ -12,7 +12,6 @@ from corrdyn.dynamics import (
     CircleCorrespondence,
     circle_sampler,
     component_count,
-    component_count_oracle,
     covering_step,
     expansive_decide,
     expansive_oracle,
@@ -30,7 +29,7 @@ from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import GaussianRational
 
-from support import reference_covering_step, reference_gp_angles
+from support import reference_component_count, reference_covering_step, reference_gp_angles
 
 GR = GaussianRational.of
 
@@ -168,11 +167,11 @@ class TestComponents:
     def test_gcd_vs_oracle(self, m, n):
         cc = CircleCorrespondence.monomial(m, n)
         assert component_count(cc) == math.gcd(m, n)
-        assert component_count_oracle(cc, samples=600) == math.gcd(m, n)
+        assert reference_component_count(cc, samples=600) == math.gcd(m, n)
 
     def test_oracle_refuses_tiny_sample(self):
         with pytest.raises(InvalidInputError):
-            component_count_oracle(CircleCorrespondence.monomial(5, 5), samples=10)
+            reference_component_count(CircleCorrespondence.monomial(5, 5), samples=10)
 
 
 class TestFreeness:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrdyn import polyalg
@@ -17,12 +17,8 @@ from corrdyn.polyalg import (
     UnivariatePolynomial,
     _companion_roots,
     _P,
-    _modular_squarefree,
     _xcoprime,
     _xdeg,
-    _xdivmod,
-    _xgcd,
-    _xmonic,
     _zi_mul,
     _zi_quotient,
     certified_roots,
@@ -40,8 +36,12 @@ from support import (
     reference_certified_roots,
     reference_resultant_z,
     reference_squarefree_check,
+    reference_squarefree_factors,
     reference_univariate_in_z,
     reference_univariate_in_z_inverted,
+    xdivmod,
+    xgcd,
+    xmonic,
 )
 
 GR = GaussianRational.of
@@ -61,22 +61,30 @@ def from_roots(lead, root_mults):
 
 
 def reference_roots(f):
-    """roots of exact f, always through Yun's squarefree decomposition."""
+    """roots of exact f, always through Yun's squarefree decomposition over
+    the Gaussian rationals."""
     return [
         (complex(r), mult)
-        for factor, mult in squarefree_factors(f.coeffs)
+        for factor, mult in reference_squarefree_factors(f.coeffs)
         for r in _companion_roots([complex(c) for c in factor])
     ]
 
 
 def modular_split(f):
-    """_modular_squarefree on f's Gaussian-integer coefficients, with each
-    factor made a monic tuple of Gaussian rationals, as squarefree_factors
+    """squarefree_factors on f's Gaussian-integer coefficients, with each
+    factor made a monic tuple of Gaussian rationals, as the Yun oracle
     gives it."""
-    split = _modular_squarefree(integer_coeffs(f))
-    if split is None:
-        return None
-    return [(_xmonic(tuple(GR(c) for c in a)), k) for a, k in split]
+    return [(xmonic(tuple(GR(c) for c in a)), k)
+            for a, k in squarefree_factors(integer_coeffs(f))]
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The indices k of the primes _prime(k) hands out during a test, in
+    order."""
+    used, prime = [], polyalg._prime
+    monkeypatch.setattr(polyalg, "_prime", lambda k: used.append(k) or prime(k))
+    return used
 
 
 small_gaussian_rationals = st.builds(
@@ -292,10 +300,11 @@ class TestCertifiedRoots:
 class TestSquarefreeFactors:
     def test_yun(self):
         # (z-1)^2 (z+2)
-        f = [GR(2), GR(-3), GR(0), GR(1)]
-        factors = squarefree_factors(f)
+        f = UnivariatePolynomial([GR(2), GR(-3), GR(0), GR(1)])
+        factors = squarefree_factors(integer_coeffs(f))
         mults = sorted(m for _, m in factors)
         assert mults == [1, 2]
+        assert modular_split(f) == reference_squarefree_factors(f.coeffs)
 
 
 class TestSquarefreeCertificate:
@@ -325,7 +334,7 @@ class TestSquarefreeCertificate:
         # so p never divides the discriminant of a squarefree draw
         f = from_roots(lead, root_mults)
         squarefree = all(m == 1 for _, m in root_mults)
-        monic = _xmonic(f.coeffs)
+        monic = xmonic(f.coeffs)
         assert (modular_split(f) == [(monic, 1)]) == squarefree
 
     @given(small_gaussian_rationals.filter(bool), root_multisets)
@@ -337,37 +346,43 @@ class TestSquarefreeCertificate:
         assert sorted(m for _, m in rs) == sorted(m for _, m in root_mults)
 
     @pytest.mark.parametrize("mults", [(2, 1), (1, 1)])
-    def test_denominator_divisible_by_p_takes_yun(self, monkeypatch, mults):
-        calls = []
-
-        def counting(coeffs):
-            calls.append(coeffs)
-            return squarefree_factors(coeffs)
-
-        monkeypatch.setattr(polyalg, "squarefree_factors", counting)
+    def test_denominator_divisible_by_p_takes_yun(self, primes_used, mults):
+        # lc(f) = p^m vanishes modulo p = _prime(0), so that prime is
+        # skipped; the squarefree f is decided at _prime(1), and the split of
+        # the repeated one, whose monic factor z - 1/p needs a modulus above
+        # 2 p^2 for its reconstruction, at _prime(3)
         tiny = GR(Fraction(1, polyalg._P))
         f = from_roots(GR(1), [(tiny, mults[0]), (GR(2), mults[1])])
         rs = sorted(roots(integer_coeffs(f)), key=lambda zm: zm[0].real)
-        assert len(calls) == 1
+        assert primes_used == ([0, 1, 2, 3] if mults[0] == 2 else [0, 1])
         assert [m for _, m in rs] == list(mults)
         assert rs[0][0] == pytest.approx(1 / polyalg._P)
         assert rs[1][0] == pytest.approx(2)
+        assert modular_split(f) == reference_squarefree_factors(f.coeffs)
 
-    def test_denominator_above_reconstruction_bound_takes_yun(self, monkeypatch):
+    def test_denominator_above_reconstruction_bound_takes_yun(self, primes_used):
         # the factor z - 1/q, q = 2^30 + 3, has a coefficient beyond rational
-        # reconstruction modulo p, whose bound is sqrt(p / 2) < 2^30 + 3
-        calls = []
-
-        def counting(coeffs):
-            calls.append(coeffs)
-            return squarefree_factors(coeffs)
-
-        monkeypatch.setattr(polyalg, "squarefree_factors", counting)
+        # reconstruction modulo one prime, whose bound is sqrt(p / 2) < q, and
+        # within it modulo the product of two
         f = from_roots(GR(1), [(GR(Fraction(1, 2**30 + 3)), 2), (GR(2), 1)])
-        assert modular_split(f) is None
         rs = sorted(roots(integer_coeffs(f)), key=lambda zm: zm[0].real)
-        assert len(calls) == 1
+        assert primes_used == [0, 1]
         assert [m for _, m in rs] == [2, 1]
+        assert modular_split(f) == reference_squarefree_factors(f.coeffs)
+
+    @pytest.mark.parametrize("repeated", [False, True], ids=["squarefree", "repeated"])
+    def test_prime_bound_raises_root_finding_error(self, monkeypatch, repeated):
+        # _prime patched to hand out only p = _P, which kills lc(f) = p (and,
+        # for the repeated f, would leave 1/p beyond reconstruction): the
+        # loop stops at the bound in primes derived from f
+        used = []
+        monkeypatch.setattr(polyalg, "_prime", lambda k: used.append(k) or (_P, polyalg._I))
+        f = from_roots(GR(_P), [(GR(1), 2 if repeated else 1), (GR(2), 1)])
+        coeffs = integer_coeffs(f)
+        with pytest.raises(RootFindingError, match="undecided after"):
+            squarefree_factors(coeffs)
+        assert used == list(range(polyalg._prime_limit(coeffs)))
+        assert len(used) > 1
 
 
 def _coefficients(kind):
@@ -392,11 +407,40 @@ def repeated_products(draw):
     return from_roots(lead, root_mults)
 
 
+@st.composite
+def wide_products(draw):
+    """lead * prod (z - r)^m with at least one m >= 2, real or not, with
+    root parts of up to 41 bits over denominators of up to 40, so that the
+    monic factors often pass the reconstruction bound of one prime, about
+    2^30, and a leading coefficient that often vanishes modulo _P under
+    i -> I."""
+    real = draw(st.booleans())
+    part = st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**40))
+    root = part.map(GR) if real else st.tuples(part, part).map(GR)
+    root_mults = draw(st.lists(st.tuples(root, st.integers(1, 3)), min_size=1, max_size=3,
+                               unique_by=lambda rm: rm[0]))
+    if all(m == 1 for _, m in root_mults):
+        root_mults[0] = (root_mults[0][0], 2)
+    scales = [GR(1), GR(_P)] + ([] if real else [GR((polyalg._I, -1)), GR((polyalg._I, 1))])
+    lead = draw(_coefficients("ZZ" if real else "ZZ_I").filter(bool)) * draw(st.sampled_from(scales))
+    return from_roots(lead, root_mults)
+
+
 class TestModularSplit:
-    @given(repeated_products())
-    @settings(max_examples=80, deadline=None)
+    @given(repeated_products() | wide_products())
+    @settings(max_examples=160, deadline=None)
     def test_equals_yun(self, f):
-        assert modular_split(f) == squarefree_factors(f.coeffs)
+        used, prime = [], polyalg._prime
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyalg, "_prime", lambda k: used.append(k) or prime(k))
+            split = modular_split(f)
+        reference = reference_squarefree_factors(f.coeffs)
+        assert split == reference
+        # a part past sqrt(p / 2) cannot be rebuilt modulo one prime
+        widest = max(max(abs(x.numerator), x.denominator)
+                     for a, _ in reference for c in a for x in (c.re, c.im))
+        if widest > math.isqrt(_P // 2):
+            assert len(used) >= 2
 
     def test_conjugate_ideals_rebuild_gaussian_factors(self):
         # (z - (1 + 2i)/3)^2 (z - i)^3 (z + 5): the imaginary parts come from
@@ -404,7 +448,7 @@ class TestModularSplit:
         f = from_roots(GR((2, -1)), [(GR((Fraction(1, 3), Fraction(2, 3))), 2),
                                      (GR((0, 1)), 3), (GR(-5), 1)])
         split = modular_split(f)
-        assert split == squarefree_factors(f.coeffs)
+        assert split == reference_squarefree_factors(f.coeffs)
         assert [(len(a) - 1, m) for a, m in split] == [(1, 1), (1, 2), (1, 3)]
 
     @given(st.lists(st.tuples(st.tuples(st.integers(-6, 6), st.integers(-6, 6),
@@ -430,35 +474,31 @@ class TestModularSplit:
             mp.setattr(polyalg, "_fp_yun", recording)
             split = modular_split(f)
         assert len(images) == 2 and images[0] != images[1]
-        assert split == squarefree_factors(f.coeffs)
+        assert split == reference_squarefree_factors(f.coeffs)
 
     @pytest.mark.parametrize("repeated", [False, True], ids=["squarefree", "repeated"])
-    def test_leading_coefficient_in_the_conjugate_ideal_only(self, monkeypatch, repeated):
+    def test_leading_coefficient_in_the_conjugate_ideal_only(self, primes_used, repeated):
         # lc = I + i vanishes under i -> -I and not under i -> I: the
-        # squarefree test needs only the first, Yun's split needs both
-        calls = []
-
-        def counting(coeffs):
-            calls.append(coeffs)
-            return squarefree_factors(coeffs)
-
-        monkeypatch.setattr(polyalg, "squarefree_factors", counting)
+        # squarefree test needs only the first, Yun's split needs both, so
+        # it waits for the next prime
         lc = GR((polyalg._I, 1))
         f = from_roots(lc, [(GR((0, 1)), 2 if repeated else 1), (GR(-1), 1)])
         coeffs = integer_coeffs(f)
         assert (coeffs[-1][0] - polyalg._I * coeffs[-1][1]) % polyalg._P == 0
         assert (coeffs[-1][0] + polyalg._I * coeffs[-1][1]) % polyalg._P != 0
-        assert _modular_squarefree(coeffs) == (None if repeated else [(coeffs, 1)])
+        split = squarefree_factors(coeffs)
+        assert primes_used == ([0, 1] if repeated else [0])
+        assert (split == [(coeffs, 1)]) is not repeated
         rs = roots(coeffs)
-        assert len(calls) == int(repeated)
         assert rs == reference_roots(f)
         assert sorted(m for _, m in rs) == ([1, 2] if repeated else [1, 1])
 
-    def test_leading_coefficient_in_the_first_ideal_is_undecided(self):
+    def test_leading_coefficient_in_the_first_ideal_is_undecided(self, primes_used):
         # lc = I - i vanishes under i -> I, so not even the squarefree test
-        # is sound there
+        # is sound modulo _prime(0); the next prime decides
         f = from_roots(GR((polyalg._I, -1)), [(GR(1), 1), (GR(2), 1)])
-        assert _modular_squarefree(integer_coeffs(f)) is None
+        assert squarefree_factors(integer_coeffs(f)) == [(integer_coeffs(f), 1)]
+        assert primes_used == [0, 1]
         assert roots(integer_coeffs(f)) == reference_roots(f)
 
 
@@ -521,17 +561,22 @@ class TestGaussianIntegerQuotient:
     @given(gaussian_integer_polys, gaussian_integer_polys, st.lists(
         st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4))
     @settings(max_examples=150, deadline=None)
+    @example([(-1, 0)], [(-1, 0)], [(-1, 0)])  # a = 0
+    @example([(1, 0), (1, 0)], [(1, 0)], [(0, 0), (-1, 0)])  # a = 1 + 0 z
     def test_agrees_with_fraction_division(self, q, b, r):
-        # a = q b + r, r often zero; the Fraction route is _xdivmod
+        # a = q b + r, r often zero; the Fraction route is xdivmod
         a = _zi_mul(q, b)
         a = [(x + (r[i][0] if i < len(r) else 0), y + (r[i][1] if i < len(r) else 0))
              for i, (x, y) in enumerate(a)]
         exact = [GR(c) for c in a]
-        fq, rem = _xdivmod(exact, [GR(c) for c in b])
+        fq, rem = xdivmod(exact, [GR(c) for c in b])
         got = _zi_quotient(a, b)
         assert (got is None) == bool(rem)
         if got is not None:
-            # the same quotient up to a positive integer factor
+            # the same quotient up to a positive integer factor; q b + r = 0
+            # has the quotient 0, and a zero leading pair of a lowers its degree
+            assert len(got) == len(fq)
+        if got:
             scale = Fraction(got[-1][0], 1) / fq[-1].re if fq[-1].re else (
                 Fraction(got[-1][1], 1) / fq[-1].im)
             assert scale > 0 and scale.denominator == 1
@@ -546,13 +591,20 @@ class TestGaussianIntegerQuotient:
 class TestCoprime:
     @given(gaussian_integer_polys, st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                                             max_size=5),
-           gaussian_integer_polys, st.integers(1, 6))
-    @settings(max_examples=150, deadline=None)
-    def test_agrees_with_euclid(self, f, g, h, den):
-        # a = f h and b = g h share the factor h, which is often a constant
+           gaussian_integer_polys, st.integers(1, 6), st.none() | st.integers(-9, 9))
+    @settings(max_examples=200, deadline=None)
+    @example([(1, 0)], [(1, 0), (1, 0)], [(0, 0), (1, 0)], 1, 1)  # w (p w + 1) and w (w + 1)
+    @example([(1, 0)], [(2, 0), (1, 0)], [(1, 0)], 1, 3)  # p w + 3 and w + 2
+    def test_agrees_with_euclid(self, f, g, h, den, low):
+        # a = f h / den and b = g h share the factor h, which is often a
+        # constant; with low drawn, f is first multiplied by p w + low, whose
+        # leading coefficient vanishes modulo p, so that the exact resultant
+        # gives both verdicts
+        if low is not None:
+            f = _zi_mul([(low, 0), (_P, 0)], f)
         a = [GR((Fraction(x, den), Fraction(y, den))) for x, y in _zi_mul(f, h)]
         b = [GR(c) for c in _zi_mul(g, h)] if g else []
-        assert _xcoprime(a, b) == (_xdeg(_xgcd(a, b)) == 0)
+        assert _xcoprime(a, b) == (_xdeg(xgcd(a, b)) == 0)
 
     @pytest.mark.parametrize("a,b,coprime", [
         ([1, _P], [2, 1], True),  # lc(a) = p vanishes modulo p
@@ -561,21 +613,40 @@ class TestCoprime:
         ([3], [], True),  # gcd(3, 0) is the constant 1
         ([1, 1], [], False),  # gcd(w + 1, 0) = w + 1
     ])
-    def test_undecided_modulo_p_falls_back_to_euclid(self, monkeypatch, a, b, coprime):
-        calls, xgcd = [], polyalg._xgcd
-        monkeypatch.setattr(polyalg, "_xgcd", lambda *args: calls.append(args) or xgcd(*args))
+    def test_undecided_modulo_p_falls_back_to_euclid(self, primes_used, a, b, coprime):
+        # the fallback is the exact resultant, by Euclid's algorithm in F_p
+        # for each prime resultant_z takes; it skips a prime that kills a
+        # leading coefficient and stops once the modulus exceeds
+        # 2 |a|_1^deg b |b|_1^deg a.  With b = 0 the degrees decide.
+        fallback_primes = {
+            ((1, _P), (2, 1)): [0, 1, 2],  # lc(a) = p; the bound 6 (p + 1)
+            ((0, 1), (_P, 1)): [0, 1],  # the bound 2 (p + 1)
+            ((0, 1, 1), (0, 1)): [0],  # the bound 4
+            ((3,), ()): [],
+            ((1, 1), ()): [],
+        }
         assert _xcoprime([GR(x) for x in a], [GR(x) for x in b]) is coprime
-        assert len(calls) == 1
+        assert primes_used == fallback_primes[tuple(a), tuple(b)]
 
     def test_decided_modulo_p_runs_no_euclid(self, monkeypatch):
         # the infinity tests of the branched sets of these two polynomials are
-        # all decided modulo p
+        # all decided modulo p: each _xcoprime call runs with its resultant
+        # fallback refused, and the branched sets' own resultants untouched
+        from corrdyn import correspondence
         from corrdyn.correspondence import _branching
 
         def refuse(*args):
-            raise AssertionError("Euclid's algorithm over the Gaussian rationals")
+            raise AssertionError("the resultant fallback of _xcoprime")
 
-        monkeypatch.setattr(polyalg, "_xgcd", refuse)
+        calls = []
+
+        def decided_modulo_p(a, b):
+            calls.append((a, b))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polyalg, "resultant_z", refuse)
+                return _xcoprime(a, b)
+
+        monkeypatch.setattr(correspondence, "_xcoprime", decided_modulo_p)
         seed29 = BivariatePolynomial([
             [GR((1, -1)), GR((-1, -3)), GR((-1, -2)), GR((1, 0))],
             [GR((0, 2)), GR((-1, -2)), GR((3, -2)), GR((-2, 0))],
@@ -586,6 +657,7 @@ class TestCoprime:
         for p in (seed29, product):
             _branching(p)
             _branching(p.transpose())
+        assert calls
 
 
 class TestBivariate:
