@@ -7,12 +7,14 @@ bound on its distance to the exact one, and the float roots are kept when
 disjoint inclusion discs prove each of them simple and no two lie within
 chordal 2 tol; both tests run in one loop over the root pairs, under one
 ``np.errstate`` per fiber, and the kept roots are sorted on their raw real
-parts unless two could round alike.  Otherwise (a multiple point, a root
-near another, a vanishing leading coefficient, a non-finite base) the float
-chart value is read exactly as x / q, x a Gaussian integer
-and q a power of 2, the polynomial is specialised there on Gaussian
-integers, and the fiber comes out of the exact squarefree machinery on those
-integers, so multiplicities never rest on float luck.  One single-linkage
+parts unless two could round alike.  The roots come from the gufunc
+``numpy.linalg._umath_linalg.eigvals``, NaN where LAPACK does not converge.
+Otherwise (a multiple point, a root near another, a NaN root, a vanishing
+leading coefficient, a non-finite base) the float chart value is read
+exactly as x / q, x a Gaussian integer and q a power of 2, the polynomial
+is specialised there on Gaussian integers, and the fiber comes out of the
+exact squarefree machinery on those integers, so multiplicities never rest
+on float luck.  One single-linkage
 merge in the chordal metric, ``_chordal_merge``, decides which fiber roots
 are one point; points of large modulus and the point at infinity merge
 naturally.  The branched sets solve no fiber: each is decided exactly from
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -60,24 +63,29 @@ __all__ = [
 DEFAULT_FIBER_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class SpherePoint(tuple):
     """Point [z1 : z2] of the complex projective line.
 
     Normalized so that max(|z1|, |z2|) = 1 and the larger-modulus coordinate
     is exactly 1 (real positive); ties go to z2, so finite points with
-    |z| <= 1 are stored as (z, 1) and the rest as (1, 1/z).
+    |z| <= 1 are stored as (z, 1) and the rest as (1, 1/z).  A tuple, equal
+    and hashed as (z1, z2), at a third of a frozen dataclass's cost.
     """
 
-    z1: complex
-    z2: complex
+    __slots__ = ()
+    z1 = property(itemgetter(0))
+    z2 = property(itemgetter(1))
+
+    def __new__(cls, z1: complex, z2: complex):
+        return tuple.__new__(cls, (z1, z2))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @staticmethod
     def from_complex(z: complex) -> "SpherePoint":
         z = complex(z)
-        if abs(z) <= 1:
-            return SpherePoint(z, 1.0 + 0j)
-        return SpherePoint(1.0 + 0j, 1.0 / z)
+        return tuple.__new__(SpherePoint, (z, 1.0 + 0j) if abs(z) <= 1 else (1.0 + 0j, 1.0 / z))
 
     @staticmethod
     def infinity() -> "SpherePoint":
@@ -186,7 +194,8 @@ class Correspondence:
 
     def _cached_fiber(self, direction, poly, base, expected, tol):
         key = (direction, base, tol)
-        if key not in self._fiber_cache:
+        fiber = self._fiber_cache.get(key)
+        if fiber is None:
             if len(self._fiber_cache) > 20000:
                 self._fiber_cache.clear()
             if direction not in self._float_grids:
@@ -194,10 +203,10 @@ class Correspondence:
                     self._float_grids[direction] = FloatGrid(poly)
                 except OverflowError:
                     self._float_grids[direction] = None
-            self._fiber_cache[key] = self._fiber(
+            fiber = self._fiber_cache[key] = self._fiber(
                 self._float_grids[direction], poly, base, expected, tol
             )
-        return self._fiber_cache[key]
+        return fiber
 
     @staticmethod
     @np.errstate(all="ignore")
@@ -212,10 +221,10 @@ class Correspondence:
         ``np.errstate``: every overflow or NaN is tested for explicitly.
 
         poly is specialised at the base point in complex128 (``grid``); its
-        ``np.roots`` eigenvalues, from a copy of a cached shift matrix, are
-        kept when ``certified_roots``, run on Python scalars, proves them
-        simple (so the exact polynomial has degree ``expected``, no point at
-        infinity and no repeated root) and no two lie within chordal 2 tol,
+        companion eigenvalues, with the bits of ``np.roots``, are kept when
+        ``certified_roots``, run on Python scalars, proves them simple (so
+        the exact polynomial has degree ``expected``, no point at infinity
+        and no repeated root) and no two lie within chordal 2 tol,
         so that which roots merge never depends on the path.  Otherwise poly
         is specialised exactly at the chart value, read as x / q with x a
         Gaussian integer and q a power of 2, and ``roots`` solves the
@@ -346,7 +355,8 @@ def _separated_points(simple) -> list:
     by ``_point_sort_key`` itself, from the order they came in."""
     pairs, keys = [], []
     for z in simple:
-        p = SpherePoint.from_complex(z + 0j)
+        z += 0j
+        p = tuple.__new__(SpherePoint, (z, 1.0 + 0j) if abs(z) <= 1 else (1.0 + 0j, 1.0 / z))
         pairs.append((p, 1))
         keys.append(p.z1.real if p.z2 == 1 else (1 / p.z2).real)
     order = sorted(range(len(pairs)), key=keys.__getitem__)

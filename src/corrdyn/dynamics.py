@@ -622,11 +622,13 @@ def limit_set_sample(
             if direction == "mixed":
                 step_dir = "forward" if rng.random() < 0.5 else "backward"
             if step_dir == "backward":
-                fiber = corr.backward_fiber(p)
+                pts, degree = corr.backward_fiber(p).points, corr.deg_z
             else:
-                fiber = corr.forward_fiber(p)
-            pts = fiber.points
-            p = rng.choices([q for q, _ in pts], weights=[e for _, e in pts], k=1)[0]
+                pts, degree = corr.forward_fiber(p).points, corr.deg_w
+            if len(pts) == degree:  # all simple: rng.choices' pick and draw at unit weights
+                p = pts[math.floor(rng.random() * degree)][0]
+            else:
+                p = rng.choices([q for q, _ in pts], weights=[e for _, e in pts], k=1)[0]
             if i >= BURN_IN:
                 out.append(p)
     return out

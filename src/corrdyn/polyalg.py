@@ -20,13 +20,13 @@ one denominator per factor and kept only when verified exactly in Z[i]
 from the input; neither Yun's nor Euclid's algorithm runs over the
 Gaussian rationals.  Each exact squarefree factor is then solved in
 floating point by one root finder, the eigenvalues of the companion matrix
-of its monic complex128 image (``np.roots``), each part of which is one
-correctly rounded integer division.  ``roots`` returns these roots
-unclustered; which of them count as one point is decided in the chordal
-metric by ``correspondence``.  ``polish_roots`` refines them by Newton
-steps evaluated exactly; every branched-set point is refined so.  For
-float coefficients known to within a componentwise bound,
-``certified_roots`` keeps the ``np.roots`` companion eigenvalues only when
+of its monic complex128 image (``_companion_eigenvalues``, the bits of
+``np.roots``), each part of which is one correctly rounded integer
+division.  ``roots`` returns these roots unclustered; which of them count
+as one point is decided in the chordal metric by ``correspondence``.
+``polish_roots`` refines them by Newton steps evaluated exactly; every
+branched-set point is refined so.  For float coefficients known to within
+a componentwise bound, ``certified_roots`` keeps the same eigenvalues only when
 inclusion discs, checked on Python scalars, prove every root simple and no
 two roots lie within a given chordal separation.  Whether two polynomials
 are coprime (``_xcoprime``) is decided modulo a prime first, and by their
@@ -46,6 +46,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError, RootFindingError
 
@@ -804,9 +805,27 @@ class FloatGrid:
         return c, e
 
 
-# np.eye(n, k=-1) by size n, read-only: a companion matrix is a copy of one
-# with row 0 set
-_SHIFTS: dict = {}
+_SHIFTS: dict = {}  # np.eye(n, k=-1) by size n, read-only
+
+
+def _companion_eigenvalues(c: np.ndarray, k0: int) -> list:
+    """``np.roots`` of the ascending complex128 c, top nonzero and k0 lowest 0,
+    bit for bit: the eigenvalues of a copy of a cached shift matrix with row
+    0 the companion row, by ``numpy.linalg._umath_linalg.eigvals`` ("D->D"),
+    the gufunc ``np.linalg.eigvals`` wraps, then k0 zeros.  NaN where that
+    wrapper raised LinAlgError (a row not finite, LAPACK not converging);
+    numpy's floating-point warnings are left to the caller."""
+    row = -c[k0:][::-1] / c[-1]  # -c_d / c_d, then np.roots' companion row
+    if not all(map(cmath.isfinite, row.tolist())):
+        return [complex(math.nan, 0)] * (len(c) - 1)
+    n = len(row) - 1
+    shift = _SHIFTS.get(n)
+    if shift is None:
+        shift = _SHIFTS[n] = np.eye(n, k=-1, dtype=complex)
+        shift.flags.writeable = False
+    companion = shift.copy()
+    companion[:1] = row[1:]
+    return _umath_linalg.eigvals(companion, signature="D->D").tolist() + [0j] * k0
 
 
 def certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
@@ -816,12 +835,12 @@ def certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
     separation apart in the chordal metric; None when this test is
     undecided or a pair is closer.
 
-    zeta are the roots ``np.roots`` gives for c, bit for bit: the companion
-    eigenvalues, then a 0 per zero low-order coefficient; two or more such
-    zeros are a multiple root, so the answer is None before any eigenvalue
-    is computed.  The companion matrix is a copy of a shift matrix cached
-    per size, with row 0 set from one numpy division, which may overflow:
-    numpy's floating-point warnings are left to the caller
+    zeta are the roots ``np.roots`` gives for c, bit for bit, from the gufunc
+    ``numpy.linalg._umath_linalg.eigvals`` (``_companion_eigenvalues``); two
+    or more zero low-order coefficients are a multiple root 0, so the answer
+    is None before any eigenvalue is computed.  A NaN root (an overflowing
+    row, LAPACK not converging) means undecided, and the fiber falls back
+    to the exact path.  numpy's floating-point warnings are left to the caller
     (``Correspondence._fiber`` runs under one ``np.errstate``).  The test
     runs on Python scalars, as numpy's per-call cost would exceed its
     arithmetic at d <= 5; OverflowError and ZeroDivisionError, raised where
@@ -846,16 +865,7 @@ def certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
         k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
         if k0 >= 2 or not lead > 0:
             return None  # k0 >= 2: 0 is a root twice over, and its discs meet
-        row = -c[k0:][::-1] / c[d]  # -c_d / c_d, then np.roots' companion row
-        if not all(map(cmath.isfinite, row.tolist())):
-            return None
-        shift = _SHIFTS.get(d - k0)
-        if shift is None:
-            shift = _SHIFTS[d - k0] = np.eye(d - k0, k=-1, dtype=complex)
-            shift.flags.writeable = False
-        companion = shift.copy()
-        companion[:1] = row[1:]
-        zeta = np.linalg.eigvals(companion).tolist() + [0j] * k0
+        zeta = _companion_eigenvalues(c, k0)
         size = [abs(z) for z in zeta]
         slack = [ek + gamma * abs(ck) for ck, ek in zip(cs, es)]
         pairs = [(abs(z - zeta[j]), i, j) for i, z in enumerate(zeta) for j in range(i)]
@@ -919,19 +929,17 @@ def _monic_image(a) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
-def _companion_roots(monic: list) -> np.ndarray:
+def _companion_roots(monic: list) -> list:
     """All roots of the polynomial with the ascending, monic, complex128
     coefficients monic: the eigenvalues of its companion matrix, which are
-    backward stable (Edelman & Murakami, Math. Comp. 64, 1995).  Raises
-    RootFindingError when a root is not a finite float, or when the
-    eigenvalue solver fails."""
-    a = np.array(monic, dtype=complex)
-    try:
-        z = np.roots(a[::-1])
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"companion eigenvalues failed for {a.tolist()}: {exc}") from exc
-    if not np.all(np.isfinite(z)):
-        raise RootFindingError(f"non-finite root for coefficients {a.tolist()}")
+    backward stable (Edelman & Murakami, Math. Comp. 64, 1995), from the
+    gufunc ``numpy.linalg._umath_linalg.eigvals`` through
+    ``_companion_eigenvalues``.  Raises RootFindingError when a root is not
+    a finite float; a NaN root is LAPACK not converging."""
+    k0 = next(k for k, x in enumerate(monic) if x)
+    z = _companion_eigenvalues(np.array(monic, dtype=complex), k0)
+    if not all(map(cmath.isfinite, z)):
+        raise RootFindingError(f"non-finite root for coefficients {monic}")
     return z
 
 

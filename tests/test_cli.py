@@ -7,9 +7,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from corrdyn import cli, correspondence, dynamics
+from corrdyn import cli, correspondence, dynamics, polyalg
 from corrdyn.cli import main, parse_polynomial_spec
 from corrdyn.correspondence import SpherePoint
 
@@ -581,6 +582,18 @@ class TestErrors:
             "detail": "defining polynomial is not reduced; "
                       "repeated factor (-1+0i)*z^0*w^1 + (1+0i)*z^2*w^0",
         }
+
+    def test_eigenvalues_not_converging(self, capsys, monkeypatch):
+        # LAPACK's non-convergence, NaN from the gufunc, on both paths
+        class Failing:
+            @staticmethod
+            def eigvals(a, signature):
+                return np.full(len(a), complex(math.nan, 0))
+
+        monkeypatch.setattr(polyalg, "_umath_linalg", Failing)
+        assert main(["fibers", "--poly", '{"family":"monomial","m":5,"n":2}',
+                     "--point", "[0.6,0.8]"]) == 2
+        assert last_error(capsys) == "root-finding"
 
     def test_mixed_non_squarefree(self, capsys):
         # (z - w)(z^2 - w^2) has the repeated factor z - w

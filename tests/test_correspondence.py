@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from corrdyn import polyalg
 from corrdyn.correspondence import (
     Correspondence,
     SpherePoint,
@@ -68,6 +71,28 @@ class TestSpherePoint:
         assert chordal_distance(pa, pc) <= (
             chordal_distance(pa, pb) + chordal_distance(pb, pc) + 1e-9
         )
+
+    def test_value_semantics(self):
+        # an immutable pair, equal and hashed as the tuple (z1, z2)
+        p, q = SpherePoint.from_complex(0.6 + 0.8j), SpherePoint(0.6 + 0.8j, 1 + 0j)
+        assert p == q and p != SpherePoint.from_complex(0.6 - 0.8j)
+        assert hash(p) == hash((p.z1, p.z2)) == hash(q)
+        with pytest.raises(AttributeError):
+            p.z1 = 0j
+        assert copy.deepcopy(p) == p and pickle.loads(pickle.dumps(p)) == p
+
+    def test_repr(self):
+        assert repr(SpherePoint.from_complex(0.5 - 0.25j)) == "SpherePoint((0.5-0.25j))"
+        assert repr(SpherePoint.from_complex(4 + 0j)) == "SpherePoint((4+0j))"
+        assert repr(SpherePoint.infinity()) == "SpherePoint(inf)"
+
+    def test_dict_fromkeys_keeps_the_first_of_equal_points(self):
+        points = [SpherePoint.from_complex(z) for z in (2 + 0j, 0.5j, 2 + 0j, -3 + 0j, 0.5j)]
+        points.append(SpherePoint.infinity())
+        points.append(SpherePoint.infinity())
+        kept = list(dict.fromkeys(points))
+        assert kept == points[:2] + points[3:4] + points[5:6]
+        assert all(k is points[i] for k, i in zip(kept, (0, 1, 3, 5)))
 
 
 class TestFibers:
@@ -590,6 +615,34 @@ class TestFloatFirstFiber:
             monkeypatch.setattr(Fraction, f"__{op}__", refuse)
             monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
         assert Correspondence._fiber(grid, poly, base, expected, 1e-6) == want
+
+    def test_eigenvalues_not_converging_is_a_decision(self, monkeypatch):
+        # LAPACK's non-convergence comes back from the gufunc as NaN: the
+        # float path is then undecided and the exact path gives the fiber;
+        # where the exact path's eigenvalues fail too, RootFindingError
+        poly, expected = _fiber_problem(ORBIT_FAMILIES[2], "backward")
+        grid, base = FloatGrid(poly), SpherePoint.from_complex(complex(0.6, 0.8))
+        assert certified_roots(*grid.specialise(*base.chart_value()), 0) is not None
+        want = Correspondence._fiber(None, poly, base, expected, 1e-6)
+        gufunc, calls = polyalg._umath_linalg.eigvals, []
+
+        class Failing:
+            @staticmethod
+            def eigvals(a, signature):
+                calls.append(len(a))
+                if len(calls) > failures:
+                    return gufunc(a, signature=signature)
+                return np.full(len(a), complex(math.nan, 0))
+
+        monkeypatch.setattr(polyalg, "_umath_linalg", Failing)
+        failures = 1
+        assert Correspondence._fiber(grid, poly, base, expected, 1e-6) == want
+        assert calls == [5, 5]  # the float companion, then the exact squarefree one's
+        failures = math.inf
+        with pytest.raises(RootFindingError, match="non-finite root"):
+            Correspondence._fiber(grid, poly, base, expected, 1e-6)
+        with pytest.raises(RootFindingError, match="non-finite root"):
+            roots([(-1, 0), (0, 0), (1, 0)])
 
     def test_nan_base_takes_the_exact_path(self):
         poly = BP.monomial_relation(2, 3)

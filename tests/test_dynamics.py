@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corrdyn.correspondence import Correspondence, SpherePoint, unit_circle_points
 from corrdyn.dynamics import (
+    BURN_IN,
     ArcSet,
     CircleCorrespondence,
     circle_sampler,
@@ -326,3 +327,29 @@ class TestLimitSet:
         corr = Correspondence(BP.graph_of_power(2))
         with pytest.raises(InvalidInputError):
             limit_set_sample(corr, 5, seed=0, direction="sideways")
+
+    @given(st.integers(0, 2**64), st.integers(1, 8), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_plain_draw_is_choices_with_unit_weights(self, seed, n, draws):
+        # rng.choices bisects cum_weights [1..n] at random() * n: the floor
+        a, b = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            assert math.floor(a.random() * n) == b.choices(range(n), weights=[1] * n, k=1)[0]
+        assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("direction", ["backward", "forward", "mixed"])
+    def test_orbit_of_weighted_choices(self, direction):
+        # the orbit that rng.choices by branch index gives at every step; the
+        # forward orbit leaves the circle for 0 and infinity, double points
+        corr = Correspondence(BP.product([BP.graph_of_power(2), BP.graph_of_power(3)]))
+        start = SpherePoint.from_complex(0.6 + 0.8j)
+        rng, p, want = random.Random(5 * 1000003), start, []
+        for i in range(300 + BURN_IN):
+            step = direction if direction != "mixed" else (
+                "forward" if rng.random() < 0.5 else "backward")
+            pts = (corr.forward_fiber(p) if step == "forward" else corr.backward_fiber(p)).points
+            p = rng.choices([q for q, _ in pts], weights=[e for _, e in pts], k=1)[0]
+            want += [p] if i >= BURN_IN else []
+        assert limit_set_sample(corr, 300, seed=5, direction=direction, start=start) == want
+        if direction == "forward":
+            assert max(e for _, e in corr.forward_fiber(want[-1]).points) > 1
