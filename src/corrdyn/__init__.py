@@ -20,7 +20,6 @@ from .errors import (
 from .polyalg import (
     BivariatePolynomial,
     GaussianRational,
-    UnivariatePolynomial,
     roots,
     squarefree_check,
 )

@@ -176,8 +176,7 @@ def ideal_membership(corr: Correspondence, a: SampledFunction) -> bool:
     point of the correspondence on the unit circle."""
     if a.domain != "base":
         raise InvalidInputError("ideal membership applies to base functions")
-    sets = corr.branched_sets(restrict_to="circle")
-    return all(abs(complex(a(z))) < 1e-9 for z in sets.branch_points)
+    return all(abs(complex(a(z))) < 1e-9 for z in corr.branch_points(restrict_to="circle"))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,16 @@ are one point; points of large modulus and the point at infinity merge
 naturally.  The branched sets solve no fiber: each is decided exactly from
 resultants and leading coefficients, with each gcd test at infinity decided
 modulo a prime first, and its finite points are the distinct roots of an
-exact polynomial, each refined by ``polish_roots``.
+exact polynomial, each refined by ``polish_roots``.  All of it runs on the
+Gaussian-integer grid of p (``BivariatePolynomial.gaussian_grid``) and its
+transpose, with no Fraction arithmetic from there to the printed points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -36,12 +39,9 @@ from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
     BivariatePolynomial,
     FloatGrid,
-    _gaussian_integers,
     _xcoprime,
-    _xdeg,
-    _xderiv,
-    _xstrip,
     _zi_quotient,
+    _zi_strip,
     certified_roots,
     linked_groups,
     polish_roots,
@@ -171,11 +171,15 @@ class Correspondence:
         self.p = p
         self.deg_z = p.deg_z
         self.deg_w = p.deg_w
-        self._transposed = p.transpose()
         self._fiber_cache: dict = {}
         # direction -> FloatGrid, or None when a coefficient is beyond float
         # range; built on the first fiber request in that direction
         self._float_grids: dict = {}
+
+    @cached_property
+    def _transposed(self) -> BivariatePolynomial:
+        """p with z and w exchanged, which forward fibers solve."""
+        return self.p.transpose()
 
     # -- fibers --------------------------------------------------------------
 
@@ -271,52 +275,67 @@ class Correspondence:
 
     def branched_sets(self, restrict_to=None) -> BranchedSets:
         """The four branched sets, decided exactly from resultants; no fiber
-        is solved.  ``_branching`` of p gives the branch points and values,
-        and of the transpose the cobranch values and points.
+        is solved.  ``_branching`` of p's Gaussian-integer grid gives the
+        branch points and values, and of its transpose the cobranch values
+        and points.
 
         restrict_to may be "circle" (intersect with the unit circle) or a
         finite list of SpherePoint, each matched within 1e-7.
         """
-        bp, bv = _branching(self.p)
-        cv, cp = _branching(self._transposed)
+        grid = self.p.gaussian_grid()[1]
+        bp, bv = _branching(grid)
+        cv, cp = _branching(list(zip(*grid)))
         sets = (bp, bv, cv, cp)  # in the field order of BranchedSets
         if restrict_to is not None:
             sets = [_restrict(s, restrict_to) for s in sets]
         return BranchedSets(*(tuple(s) for s in sets))
 
+    def branch_points(self, restrict_to=None) -> tuple:
+        """``branched_sets(restrict_to).branch_points`` from one
+        ``_branching``, of p alone: the cobranch half is never solved."""
+        points, _ = _branching(self.p.gaussian_grid()[1])
+        return tuple(points if restrict_to is None else _restrict(points, restrict_to))
 
-def _branching(p: BivariatePolynomial):
+
+def _branching(F):
     """(branch points, branch values) of p = sum c[i][j] z^i w^j, m = deg_z,
-    n = deg_w: the z that are a multiple root of p(., w) for some w on the
-    sphere, and the w over which p(., w), a form of degree m, has a multiple
-    root on the sphere.  Resultants commute with specialisation (von zur
-    Gathen & Gerhard, Modern Computer Algebra, 6.3), so each set is read off
-    exact polynomials.
+    n = deg_w, from F, the grid of p times a positive integer as Gaussian-
+    integer (re, im) pairs, rows in z and columns in w
+    (``BivariatePolynomial.gaussian_grid``; ``zip(*F)`` is the transpose):
+    the z that are a multiple root of p(., w) for some w on the sphere, and
+    the w over which p(., w), a form of degree m, has a multiple root on the
+    sphere.  Resultants commute with specialisation (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 6.3), so each set is read off exact
+    polynomials, and every step runs on Gaussian integers.
 
     Finite branch points are the roots of Res_w(p, p_z): a common root of
     p(z0, .) and p_z(z0, .) at w = infinity is a multiple root z0 of lc_w(p),
     which is one too (p_z has w-degree n unless lc_w(p) is constant).  Finite
     branch values are the roots of Res_z(p, p_z) / lc_z(p), the discriminant
     of p(., w) as a form of degree m, which drops exactly the spurious roots
-    of lc_z(p); the division runs on Gaussian integers (``_zi_quotient``),
-    since no root depends on a scale.  Infinity is a branch point when rows
-    m and m - 1 of c, as forms of degree n, share a root on the sphere, and
-    a branch value when column n has degree at most m - 2 or a repeated
+    of lc_z(p); the division runs on Gaussian integers (``_zi_quotient``).
+    No root depends on the scale of F, of p_z or of the quotient: the
+    monic images ``roots`` solves and each exact Newton step are rational
+    numbers free of it, each rounded once.  Infinity is a branch point when
+    rows m and m - 1 of c, as forms of degree n, share a root on the sphere,
+    and a branch value when column n has degree at most m - 2 or a repeated
     root.  Every finite point is its resultant root after
     ``polish_roots``."""
-    m, n = p.deg_z, p.deg_w
-    p_z = p.partial_z()
-    lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
-    disc = _zi_quotient(_gaussian_integers(resultant_z(p, p_z).coeffs)[1],
-                        _gaussian_integers(lc)[1])
+    m, n = len(F) - 1, len(F[0]) - 1
+    # p_z as the rows i c[i], i >= 1, without the zero columns at the end
+    width = 1 + max(j for row in F[1:] for j, c in enumerate(row) if c != (0, 0))
+    F_z = [[(i * x, i * y) for x, y in F[i][:width]] for i in range(1, m + 1)]
+    lc, below = _zi_strip(F[m]), _zi_strip(F[m - 1])
+    disc = _zi_quotient(resultant_z(F, F_z), lc)
     if disc is None:
         raise RootFindingError("Res_z(p, p_z) is not divisible by lc_z(p)")
-    points = _polished_roots(_gaussian_integers(resultant_w(p, p_z).coeffs)[1])
+    points = _polished_roots(resultant_w(F, F_z))
     values = _polished_roots(disc)
-    if max(_xdeg(lc), _xdeg(below)) < n or not _xcoprime(lc, below):
+    if max(len(lc), len(below)) <= n or not _xcoprime(lc, below):
         points.append(SpherePoint.infinity())
-    top = _xstrip(row[n] for row in p.coeffs)
-    if _xdeg(top) <= m - 2 or not _xcoprime(top, _xderiv(top)):
+    top = _zi_strip(row[n] for row in F)
+    d_top = [(j * x, j * y) for j, (x, y) in enumerate(top)][1:]
+    if len(top) <= m - 1 or not _xcoprime(top, d_top):
         values.append(SpherePoint.infinity())
     return points, values
 

@@ -220,7 +220,7 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
     # squarefree: the factors w - z^e are distinct and irreducible
     corr = Correspondence(BP.product([BP.graph_of_power(e) for e in exps]),
                           check_squarefree=False)
-    b = len(corr.branched_sets(restrict_to="circle").branch_points)
+    b = len(corr.branch_points(restrict_to="circle"))
     r = len(exps)
     Z = AbelianGroupPresentation(rank=1)
     return PimsnerInput(

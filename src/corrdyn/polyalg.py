@@ -4,11 +4,14 @@ sympy Polys.
 
 Coefficients are kept exact (rational real and imaginary parts) so that
 resultant and squarefree computations never depend on floating point luck.
-Resultants are computed modulo primes p = 1 (mod 4) below 2^61, under the
-ideals over p of the Gaussian integers, by evaluation and interpolation, and
-combined by the Chinese remainder theorem past a bound on the coefficients
-(Collins, J. ACM 18, 1971).  The exact specialisation of a bivariate
-polynomial at a float base point, and everything ``roots`` does after it,
+Resultants take and return Gaussian integers, (re, im) pairs of Python
+ints: the coefficient grids that ``BivariatePolynomial.gaussian_grid``
+caches, and the ascending coefficients of the resultant.  They are computed
+modulo primes p = 1 (mod 4) below 2^61, under the ideals over p of the
+Gaussian integers, by evaluation and interpolation, and combined by the
+Chinese remainder theorem past a bound on the coefficients (Collins, J. ACM
+18, 1971).  The exact specialisation of a bivariate polynomial at a float
+base point, and everything ``roots`` does after it,
 runs on Gaussian integers over one denominator: the coefficient grid is
 scaled to Gaussian integers once, the base point is read exactly as x / q
 with q a power of 2, and each coefficient is a dot product with the powers
@@ -24,13 +27,14 @@ of its monic complex128 image (``_companion_eigenvalues``, the bits of
 ``np.roots``), each part of which is one correctly rounded integer
 division.  ``roots`` returns these roots unclustered; which of them count
 as one point is decided in the chordal metric by ``correspondence``.
-``polish_roots`` refines them by Newton steps evaluated exactly; every
-branched-set point is refined so.  For float coefficients known to within
-a componentwise bound, ``certified_roots`` keeps the same eigenvalues only when
-inclusion discs, checked on Python scalars, prove every root simple and no
-two roots lie within a given chordal separation.  Whether two polynomials
-are coprime (``_xcoprime``) is decided modulo a prime first, and by their
-exact modular resultant otherwise.  sympy serves only
+``polish_roots`` refines them by Newton steps evaluated exactly, at most
+three and none past a fixed point; every branched-set point is refined so.
+For float coefficients known to within a componentwise bound,
+``certified_roots`` keeps the same eigenvalues only when inclusion discs,
+checked on Python scalars, prove every root simple and no two roots lie
+within a given chordal separation.  Whether two Gaussian-integer
+polynomials are coprime (``_xcoprime``) is decided modulo a prime first,
+and by their exact modular resultant otherwise.  sympy serves only
 ``squarefree_check``: the gcds of the norm p p-bar of a defining
 polynomial with its partial derivatives over the integers, and, only when
 that is inconclusive or p is refused, the gcds of p itself with its partial
@@ -43,7 +47,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -52,7 +56,6 @@ from .errors import InvalidInputError, RootFindingError
 
 __all__ = [
     "GaussianRational",
-    "UnivariatePolynomial",
     "BivariatePolynomial",
     "FloatGrid",
     "certified_roots",
@@ -135,25 +138,6 @@ class GaussianRational:
 
 
 QQI_ZERO = GaussianRational(Fraction(0), Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# exact univariate helpers on coefficient tuples (ascending degree)
-
-
-def _xstrip(c: Sequence[GaussianRational]) -> tuple:
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
-def _xdeg(c) -> int:
-    return len(c) - 1
-
-
-def _xderiv(a):
-    return _xstrip([a[i] * GaussianRational.of(i) for i in range(1, len(a))])
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +323,14 @@ def _gaussian_integers(cs):
                 c.im.numerator * (d // c.im.denominator)) for c in cs]
 
 
+def _zi_strip(pairs) -> list:
+    """The (re, im) pairs without the zero pairs at the end, as a list."""
+    out = list(pairs)
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
 def _zi_mul(a: list, b: list) -> list:
     """The product of two polynomials over Z[i] given as (re, im) pairs."""
     out = [(0, 0)] * (len(a) + len(b) - 1)
@@ -360,9 +352,7 @@ def _zi_quotient(a: list, b: list):
     gives []."""
     lr, li = b[-1]
     norm, nb = lr * lr + li * li, len(b)
-    a = list(a)
-    while a and a[-1] == (0, 0):
-        a.pop()
+    a = _zi_strip(a)
     q = [(0, 0)] * max(0, len(a) - nb + 1)
     for k in range(len(q) - 1, -1, -1):
         xr, xi = a[k + nb - 1]
@@ -542,63 +532,28 @@ def squarefree_factors(coeffs):
 
 def _xcoprime(a, b) -> bool:
     """Whether gcd(a, b) = 1 for polynomials a != 0 and b over the Gaussian
-    rationals.  Decided modulo the Gaussian prime (p, i - I), p = _P, when it
-    keeps both leading coefficients of the Gaussian-integer forms A and B:
-    a primitive gcd g over Z[i] then divides A with the leading coefficient
-    of its image kept, so g mod p divides gcd(A mod p, B mod p) with the
-    degree of g, and gcd 1 modulo p proves gcd 1 (Brown, J. ACM 18, 1971).
-    Otherwise, or when the gcd modulo p is not 1, by the degrees when a
-    or b is constant (gcd(a, 0) = a), and else by the exact modular
-    resultant: Res(a, b) != 0 exactly when gcd(a, b) = 1 (``resultant_z``
-    of a and b as polynomials constant in w)."""
-    a, b = _xstrip(a), _xstrip(b)
+    integers, ascending (re, im) pairs with a nonzero last pair, [] for
+    b = 0.  Decided modulo the Gaussian prime (p, i - I), p = _P, when it
+    keeps both leading coefficients: a primitive gcd g over Z[i] then
+    divides a with the leading coefficient of its image kept, so g mod p
+    divides gcd(a mod p, b mod p) with the degree of g, and gcd 1 modulo p
+    proves gcd 1 (Brown, J. ACM 18, 1971).  Otherwise, or when the gcd
+    modulo p is not 1, by the degrees when a or b is constant (gcd(a, 0) =
+    a), and else by the exact modular resultant: Res(a, b) != 0 exactly when
+    gcd(a, b) = 1 (``resultant_z`` of a and b as grids constant in w)."""
     if b:
-        images = [[(x + _I * y) % _P for x, y in _gaussian_integers(f)[1]] for f in (a, b)]
+        images = [[(x + _I * y) % _P for x, y in f] for f in (a, b)]
         if images[0][-1] and images[1][-1] and len(_fp_gcd(*images, _P)) == 1:
             return True
     if len(a) == 1 or len(b) == 1:
         return True  # a nonzero constant
     if not b:
         return False  # gcd(a, 0) = a, of positive degree
-    a, b = (BivariatePolynomial([[c] for c in f]) for f in (a, b))
-    return not resultant_z(a, b).is_zero
+    return bool(resultant_z([[c] for c in a], [[c] for c in b]))
 
 
 # ---------------------------------------------------------------------------
 # polynomial value types
-
-
-class UnivariatePolynomial:
-    """Dense univariate polynomial, ascending exact coefficients.
-
-    Coefficients are lifted exactly by ``GaussianRational.of`` (a float keeps
-    its binary value), and trailing zeros are stripped so the leading
-    coefficient is nonzero unless this is the zero polynomial.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        self.coeffs = _xstrip([GaussianRational.of(c) for c in coeffs])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + complex(c)
-        return acc
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariatePolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
 
 class BivariatePolynomial:
@@ -677,15 +632,6 @@ class BivariatePolynomial:
         grid = [
             [self.coeffs[i][j] for i in range(self.deg_z + 1)]
             for j in range(self.deg_w + 1)
-        ]
-        return BivariatePolynomial(grid)
-
-    def partial_z(self) -> "BivariatePolynomial":
-        if self.deg_z == 0:
-            raise InvalidInputError("z-derivative of a z-constant polynomial")
-        grid = [
-            [c * GaussianRational.of(i) for c in self.coeffs[i]]
-            for i in range(1, self.deg_z + 1)
         ]
         return BivariatePolynomial(grid)
 
@@ -972,9 +918,11 @@ def polish_roots(coeffs, estimates) -> list:
     """Each (z, m) of estimates as z after three Newton steps z - m f(z)/f'(z)
     toward a root of multiplicity m of the polynomial f with the ascending
     Gaussian-integer coefficients coeffs, each step exact at the float z and
-    then rounded; a root's steps stop early where f'(z) = 0 or a step leaves
-    float range.  The step does not depend on the scale of f, and the
-    integers make it about 20 times faster than Fraction arithmetic."""
+    then rounded; a root's steps stop early where f'(z) = 0, where a step
+    leaves float range, and where a step gives back the z it started from,
+    which every later step would give again.  The step does not depend on
+    the scale of f, and the integers make it about 20 times faster than
+    Fraction arithmetic."""
     cs = coeffs[::-1]
     return [_newton_steps(cs, z, m) for z, m in estimates]
 
@@ -992,9 +940,14 @@ def _newton_steps(cs, z: complex, m: int) -> complex:
         nr, ni, dr, di = xr * br - xi * bi - m * ar, xr * bi + xi * br - m * ai, s * br, s * bi
         norm = dr * dr + di * di
         try:
-            z = complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
+            step = complex((nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm)
         except (ZeroDivisionError, OverflowError):
             break
+        # a step reads only the value of z (as_integer_ratio reads -0.0 as
+        # 0.0), so from a fixed point every later step gives these bits
+        if step == z:
+            return step
+        z = step
     return z
 
 
@@ -1002,32 +955,32 @@ def _newton_steps(cs, z: complex, m: int) -> complex:
 # resultants modulo primes, and the squarefree check on sympy Polys
 
 
-def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
-    """Res_z(f, g), the Sylvester determinant in z, as an exact polynomial in
-    w, by evaluation, interpolation and the Chinese remainder theorem
-    (Collins, J. ACM 18, 1971; von zur Gathen & Gerhard, Modern Computer
-    Algebra, 6.4-6.11).
+def resultant_z(F, G) -> list:
+    """Res_z(F, G), the Sylvester determinant in z, as its ascending
+    w-coefficients, (re, im) integer pairs with trailing zeros stripped, by
+    evaluation, interpolation and the Chinese remainder theorem (Collins,
+    J. ACM 18, 1971; von zur Gathen & Gerhard, Modern Computer Algebra,
+    6.4-6.11).  F and G are grids of Gaussian-integer (re, im) pairs, rows
+    in z and columns in w, each with a nonzero last row; a bivariate
+    polynomial gives its own by ``BivariatePolynomial.gaussian_grid``.
 
-    With m = deg_z f and n = deg_z g, F = c f and G = d g have Gaussian-
-    integer coefficients for integers c and d, and Res(f, g) =
-    Res(F, G) / (c^n d^m).  Res(F, G) has w-degree at most D = n deg_w F +
-    m deg_w G, and its coefficients are Gaussian integers whose parts are at
-    most B = |F|_1^n |G|_1^m in size, the product of the 1-norms of the
-    Sylvester rows (|.|_1 sums |re| + |im| over the coefficients).  For each
-    prime in turn, under each ideal over it that is needed, Res(F, G) is
-    taken at D + 1 points w where neither lc_z vanishes, where it equals the
-    resultant of the specialisations, and interpolated; a prime that kills
-    lc_z(F) or lc_z(G) is skipped.  The images are combined by the Chinese
-    remainder theorem until the modulus exceeds 2B, and lifted to the
-    symmetric range."""
-    if f.deg_z == 0 and g.deg_z == 0:
+    With m = deg_z F and n = deg_z G, Res(F, G) has w-degree at most D =
+    n deg_w F + m deg_w G, and its coefficients are Gaussian integers whose
+    parts are at most B = |F|_1^n |G|_1^m in size, the product of the
+    1-norms of the Sylvester rows (|.|_1 sums |re| + |im| over the
+    coefficients).  For each prime in turn, under each ideal over it that is
+    needed, Res(F, G) is taken at D + 1 points w where neither lc_z
+    vanishes, where it equals the resultant of the specialisations, and
+    interpolated; a prime that kills lc_z(F) or lc_z(G) is skipped.  The
+    images are combined by the Chinese remainder theorem until the modulus
+    exceeds 2B, and lifted to the symmetric range."""
+    m, n = len(F) - 1, len(G) - 1
+    if m == 0 and n == 0:
         raise InvalidInputError("resultant in z of two z-constant polynomials")
-    m, n = f.deg_z, g.deg_z
-    (c, F), (d, G) = f.gaussian_grid(), g.gaussian_grid()
     bound = 2 * sum(abs(x) + abs(y) for row in F for x, y in row) ** n
     bound *= sum(abs(x) + abs(y) for row in G for x, y in row) ** m
     real = not any(y for grid in (F, G) for row in grid for _, y in row)
-    D = n * f.deg_w + m * g.deg_w
+    D = n * (max(map(len, F)) - 1) + m * (max(map(len, G)) - 1)
     modulus, acc, k = 1, ([0] * (D + 1), [0] * (D + 1)), 0
     while modulus <= bound:
         p, unit = _prime(k)
@@ -1036,10 +989,8 @@ def resultant_z(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePol
         images = [_fp_resultant_z(F, G, p, u, D) for u in units]
         if None not in images:
             modulus = _crt(acc, modulus, images, p, unit)
-    lift = [x - modulus if 2 * x > modulus else x for x in acc[0] + acc[1]]
-    scale = Fraction(1, c**n * d**m)
-    return UnivariatePolynomial(GaussianRational(x * scale, y * scale)
-                                for x, y in zip(lift[: D + 1], lift[D + 1:]))
+    return _zi_strip((x - modulus if 2 * x > modulus else x, y - modulus if 2 * y > modulus else y)
+                     for x, y in zip(*acc))
 
 
 def _fp_resultant_z(F, G, p: int, unit: int, D: int):
@@ -1069,9 +1020,10 @@ def _fp_horner(row: list, w: int, p: int) -> int:
     return acc
 
 
-def resultant_w(f: BivariatePolynomial, g: BivariatePolynomial) -> UnivariatePolynomial:
-    """Res_w(f, g) as an exact univariate polynomial in z."""
-    return resultant_z(f.transpose(), g.transpose())
+def resultant_w(F, G) -> list:
+    """Res_w(F, G) as its ascending z-coefficients: ``resultant_z`` of the
+    transposed grids, for rectangular grids with a nonzero last column."""
+    return resultant_z(list(zip(*F)), list(zip(*G)))
 
 
 def _sympy_poly(p: BivariatePolynomial):

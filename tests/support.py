@@ -15,10 +15,8 @@ from corrdyn.polyalg import (
     QQI_ZERO,
     BivariatePolynomial,
     GaussianRational,
-    UnivariatePolynomial,
     _gaussian_integers,
-    _xderiv,
-    _xstrip,
+    _zi_quotient,
     linked_groups,
 )
 
@@ -30,6 +28,65 @@ def constant_function(value, domain: str = "correspondence") -> SampledFunction:
     if domain == "base":
         return SampledFunction(domain, lambda z: value)
     return SampledFunction(domain, lambda z, w: value)
+
+
+# Exact univariate polynomials over the Gaussian rationals, on ascending
+# coefficient tuples.  corrdyn.polyalg works on Gaussian-integer (re, im)
+# pairs throughout; these are what its oracles and test inputs are written in.
+
+
+def _xstrip(c) -> tuple:
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _xdeg(c) -> int:
+    return len(c) - 1
+
+
+def _xderiv(a):
+    return _xstrip([a[i] * GaussianRational.of(i) for i in range(1, len(a))])
+
+
+class UnivariatePolynomial:
+    """Dense univariate polynomial, ascending exact coefficients.
+
+    Coefficients are lifted exactly by ``GaussianRational.of`` (a float keeps
+    its binary value), and trailing zeros are stripped so the leading
+    coefficient is nonzero unless this is the zero polynomial.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = _xstrip([GaussianRational.of(c) for c in coeffs])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __call__(self, x: complex) -> complex:
+        acc = 0j
+        for c in reversed(self.coeffs):
+            acc = acc * x + complex(c)
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, UnivariatePolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+
+def partial_z(p: BivariatePolynomial) -> BivariatePolynomial:
+    """dp/dz, for p of positive degree in z."""
+    return BivariatePolynomial(
+        [[c * GaussianRational.of(i) for c in p.coeffs[i]] for i in range(1, p.deg_z + 1)])
 
 
 def integer_coeffs(f: UnivariatePolynomial) -> list:
@@ -191,6 +248,55 @@ def reference_resultant_z(f: BivariatePolynomial, g: BivariatePolynomial):
         return UnivariatePolynomial([])
     poly = sp.Poly(r, W, domain="QQ_I")
     return UnivariatePolynomial([_qqi(c) for c in reversed(poly.all_coeffs())])
+
+
+def reference_newton_steps(coeffs, z: complex, m: int) -> complex:
+    """Three Newton steps z - m f(z)/f'(z) in Fraction arithmetic for the
+    ascending Gaussian-integer pairs coeffs, each rounded to the nearest
+    complex128, stopping where f'(z) = 0 or a part leaves float range: the
+    steps of polyalg.polish_roots with no early stop at a fixed point."""
+    f = [GaussianRational.of(c) for c in coeffs]
+    df = _xderiv(f)
+    for _ in range(3):
+        x = GaussianRational.of(z)
+        try:
+            z = complex(x - _horner(f[::-1], x) * GaussianRational.of(m)
+                        / _horner(df[::-1], x))
+        except (ZeroDivisionError, OverflowError):
+            break
+    return z
+
+
+def reference_branching(p: BivariatePolynomial):
+    """correspondence._branching(p.gaussian_grid()[1]) by the Gaussian-
+    rational route: the resultants are Sylvester determinants over QQ_I
+    (``reference_resultant_z``) of p and its z-derivative, scaled to
+    Gaussian integers after the fact, the tests at infinity run Euclid's
+    algorithm over the Gaussian rationals, and every root takes three
+    Newton steps (``reference_newton_steps``)."""
+    from corrdyn.correspondence import SpherePoint, _chordal_merge, _point_sort_key
+    from corrdyn.polyalg import roots
+
+    def polished(f):
+        if not f:
+            raise InvalidInputError("resultant vanished identically")
+        estimates = [(c.to_complex(), e) for c, e in _chordal_merge(roots(f), 0.0)]
+        found = [SpherePoint.from_complex(reference_newton_steps(f, z, e)) for z, e in estimates]
+        return sorted(dict.fromkeys(found), key=_point_sort_key)
+
+    m, n = p.deg_z, p.deg_w
+    p_z = partial_z(p)
+    lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
+    disc = _zi_quotient(integer_coeffs(reference_resultant_z(p, p_z)),
+                        _gaussian_integers(lc)[1])
+    points = polished(integer_coeffs(reference_resultant_z(p.transpose(), p_z.transpose())))
+    values = polished(disc)
+    if max(_xdeg(lc), _xdeg(below)) < n or _xdeg(xgcd(lc, below)) > 0:
+        points.append(SpherePoint.infinity())
+    top = _xstrip(row[n] for row in p.coeffs)
+    if _xdeg(top) <= m - 2 or _xdeg(xgcd(top, _xderiv(top))) > 0:
+        values.append(SpherePoint.infinity())
+    return points, values
 
 
 def reference_squarefree_check(p: BivariatePolynomial):

@@ -29,6 +29,7 @@ from support import (
     chordally_separated,
     integer_coeffs,
     on_correspondence,
+    reference_branching,
     reference_certified_roots,
     reference_float_specialise,
     reference_univariate_in_z,
@@ -300,7 +301,7 @@ class TestBranchedSets:
         # infinity: distinct roots stay distinct points, at any distance
         # from 0 and from infinity
         q = BP([[-c for c in res], [GR(0)], [GR(1)]])
-        points, values = _branching(q)
+        points, values = _branching(q.gaussian_grid()[1])
         assert [c.to_complex() for c in values[:-1]] == pytest.approx(want, rel=1e-12)
         assert len(values) == len(want) + 1 and values[-1].is_infinity
         assert points == [SpherePoint.from_complex(0j), SpherePoint.infinity()]
@@ -378,6 +379,98 @@ class TestBranchedSets:
         corr = Correspondence(BP([[GR(c) for c in row] for row in grid]))
         assert getattr(corr.branched_sets(), field)[-1].is_infinity
         assert max(e for _, e in corr.backward_fiber(base).points) == 2
+
+
+@st.composite
+def small_polynomials(draw):
+    """p(z, w) with deg_z, deg_w in 1..2 and sparse Gaussian-rational
+    coefficients over denominators up to 4."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    part, den = st.sampled_from([0, 0, 1, -1, 2, -3]), st.sampled_from([1, 1, 2, 3, 4])
+    entry = st.builds(lambda a, b, d: GR((Fraction(a, d), Fraction(b, d))), part, part, den)
+    grid = [[draw(entry) for _ in range(n + 1)] for _ in range(m + 1)]
+    grid[m][0] = grid[m][0] or GR(1)
+    grid[0][n] = grid[0][n] or GR((1, 1))
+    return BP(grid)
+
+
+def _branching_bits(branching, arg):
+    """The reprs of both parts of every point branching(arg) gives, or the
+    name of the error it raises."""
+    try:
+        sets = branching(arg)
+    except (InvalidInputError, RootFindingError) as exc:
+        return type(exc).__name__
+    return [[(repr(p.z1), repr(p.z2)) for p in found] for found in sets]
+
+
+# the survey rounds' raw polynomials of each (deg_z, deg_w), the product
+# families and a branch value that needs polishing
+REFERENCE_SPECS = [
+    [[(2, 2), (1, 0)], [(-2, -1), (2, 2)], [(-1, 0), (3, -1)]],
+    [[(3, 3), (-2, 1), (1, 0)], [(-3, 3), (2, 1), (-1, -1)], [(-2, 2), (2, -1), (1, 2)],
+     [(2, 0), (2, -1), (1, 3)]],
+    [[(2, -3), (2, 3), (-1, 2), (1, 0)], [(-3, -2), (-2, 1), (1, 2), (-3, -2)],
+     [(-3, 2), (2, 1), (-2, -1), (3, -2)], [(1, 0), (-3, 0), (-3, -2), (-2, -2)]],
+    [[(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
+     [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]],
+]
+
+
+class TestIntegerBranching:
+    """_branching on the Gaussian-integer grid gives, bit for bit, what the
+    Gaussian-rational route gives (support.reference_branching)."""
+
+    @pytest.mark.parametrize("p", [BP([[GR(c) for c in row] for row in spec])
+                                   for spec in REFERENCE_SPECS] + [
+        circle_poly(),
+        BP.product([BP.graph_of_power(2), BP.graph_of_power(3), BP.graph_of_power(4)]),
+        BP.product([BP.graph_of_power(4), BP.graph_of_power(5)]),
+    ])
+    def test_specs(self, p):
+        grid = p.gaussian_grid()[1]
+        assert _branching_bits(_branching, grid) == _branching_bits(reference_branching, p)
+        assert (_branching_bits(_branching, list(zip(*grid)))
+                == _branching_bits(reference_branching, p.transpose()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_polynomials(), lc_vanishing_polynomials().map(lambda d: d[0])))
+    def test_drawn(self, p):
+        grid = p.gaussian_grid()[1]
+        assert _branching_bits(_branching, grid) == _branching_bits(reference_branching, p)
+        assert (_branching_bits(_branching, list(zip(*grid)))
+                == _branching_bits(reference_branching, p.transpose()))
+
+    def test_four_traced_resultants(self, monkeypatch):
+        # the benchmark's tracer counts the resultants of a branch command at
+        # the names corrdyn.correspondence.resultant_z and resultant_w: two
+        # of each per branched_sets, the resultant fallback of _xcoprime
+        # apart
+        from corrdyn import correspondence
+
+        calls = []
+        for name in ("resultant_z", "resultant_w"):
+            fn = getattr(correspondence, name)
+            monkeypatch.setattr(correspondence, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        for p in (circle_poly(), BP.product([BP.graph_of_power(2), BP.graph_of_power(5)])):
+            calls.clear()
+            Correspondence(p).branched_sets()
+            assert sorted(calls) == ["resultant_w"] * 2 + ["resultant_z"] * 2
+
+
+def test_transpose_built_on_the_first_forward_fiber(monkeypatch):
+    # backward fibers and the branched sets never read the transpose; the
+    # first forward fiber builds it, once
+    calls, transpose = [], BP.transpose
+    monkeypatch.setattr(BP, "transpose", lambda p: calls.append(p) or transpose(p))
+    corr = Correspondence(circle_poly())
+    corr.backward_fiber(SpherePoint.from_complex(0.5))
+    corr.branched_sets()
+    assert calls == []
+    for z in (0.5, 0.25):
+        corr.forward_fiber(SpherePoint.from_complex(z))
+    assert calls == [corr.p]
 
 
 class TestValidation:

@@ -160,6 +160,34 @@ class TestProductFamily:
         with pytest.raises(InvalidInputError):
             product_family_input([2, 2, 3])
 
+    @pytest.mark.parametrize("exps", [[2, 5], [3, 4], [2, 3, 4], [2, 4, 5], [2, 3, 4, 5],
+                                      [1, 3, 4, 6]])
+    def test_branch_half_alone(self, monkeypatch, exps):
+        # the input built from the branch points on the circle of
+        # branched_sets, with branched_sets refused while
+        # product_family_input runs: it solves the branch half of p only
+        from corrdyn import correspondence
+        from corrdyn.correspondence import Correspondence
+        from corrdyn.polyalg import BivariatePolynomial as BP
+
+        corr = Correspondence(BP.product([BP.graph_of_power(e) for e in exps]))
+        b = len(corr.branched_sets(restrict_to="circle").branch_points)
+        want = PimsnerInput(
+            K0_IX=AbelianGroupPresentation(0), K1_IX=AbelianGroupPresentation(b),
+            K0_A=AbelianGroupPresentation(1), K1_A=AbelianGroupPresentation(1),
+            map0=IntegerMatrix.zero(1, 0), map1=IntegerMatrix.of([[1 - len(exps)] * b]),
+            label=f"product({','.join(map(str, exps))})")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("product_family_input solved the cobranch half")
+
+        grids, branching = [], correspondence._branching
+        monkeypatch.setattr(Correspondence, "branched_sets", refuse)
+        monkeypatch.setattr(correspondence, "_branching",
+                            lambda F: grids.append(F) or branching(F))
+        assert product_family_input(exps) == want
+        assert len(grids) == 1
+
 
 class TestSolverGuards:
     def test_torsion_input_refused(self):

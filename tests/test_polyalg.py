@@ -15,13 +15,13 @@ from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import (
     BivariatePolynomial,
     GaussianRational,
-    UnivariatePolynomial,
     _companion_roots,
+    _newton_steps,
     _P,
     _xcoprime,
-    _xdeg,
     _zi_mul,
     _zi_quotient,
+    _zi_strip,
     certified_roots,
     polish_roots,
     resultant_w,
@@ -32,9 +32,13 @@ from corrdyn.polyalg import (
 )
 
 from support import (
+    UnivariatePolynomial,
+    _xdeg,
     chordally_separated,
     integer_coeffs,
+    partial_z,
     reference_certified_roots,
+    reference_newton_steps,
     reference_resultant_z,
     reference_squarefree_check,
     reference_squarefree_factors,
@@ -92,6 +96,9 @@ small_gaussian_rationals = st.builds(
     lambda a, b, d: GR((Fraction(a, d), Fraction(b, d))),
     st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9),
 )
+gaussian_integer_polys = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=5,
+).filter(lambda a: a[-1] != (0, 0))
 root_multisets = st.lists(
     st.tuples(small_gaussian_rationals, st.integers(1, 3)),
     min_size=1, max_size=4, unique_by=lambda rm: rm[0],
@@ -209,6 +216,22 @@ class TestPolishRoot:
         # from z = 1e-310 the step to z^2 - 1 = 0 lands near 5e309
         f = UnivariatePolynomial([GR(-1), GR(0), GR(1)])
         assert polish_roots(integer_coeffs(f), [(1e-310 + 0j, 1)]) == [1e-310]
+
+    @given(gaussian_integer_polys.filter(lambda a: len(a) >= 2),
+           st.builds(complex, st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])),
+           st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    @example([(1, 0), (0, 0), (1, 0)], complex(0.5, 0.0), 1)  # z^2 + 1 from a real start
+    @example([(-1, 0), (0, 0), (1, 0)], complex(-0.0, -0.0), 1)  # f'(z) = 0 at once
+    @example([(-1, 0), (1, 0)], complex(1.0, -0.0), 1)  # on the root, -0.0 imaginary part
+    @example([(2, 0), (-3, 0), (1, 0)], complex(-0.0, 1e-300), 2)  # a tiny part, m = 2
+    def test_early_stop_gives_the_bits_of_three_steps(self, coeffs, z, m):
+        # a step that gives back its start returns at once; three Newton
+        # steps in Fraction arithmetic, with no early stop, give the same
+        # bits, -0.0 parts included, also where the steps do not converge
+        got = _newton_steps(coeffs[::-1], z, m)
+        assert repr(got) == repr(reference_newton_steps(coeffs, z, m))
 
 
 def _certify(c, e):
@@ -580,11 +603,6 @@ class TestIntegerSpecialisation:
                                          [(0, 0)] * 4, [(1, 0), (0, 0), (0, 0), (0, 0)]])
 
 
-gaussian_integer_polys = st.lists(
-    st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=5,
-).filter(lambda a: a[-1] != (0, 0))
-
-
 class TestGaussianIntegerQuotient:
     @given(gaussian_integer_polys, gaussian_integer_polys, st.lists(
         st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=4))
@@ -619,20 +637,20 @@ class TestGaussianIntegerQuotient:
 class TestCoprime:
     @given(gaussian_integer_polys, st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
                                             max_size=5),
-           gaussian_integer_polys, st.integers(1, 6), st.none() | st.integers(-9, 9))
+           gaussian_integer_polys, st.none() | st.integers(-9, 9))
     @settings(max_examples=200, deadline=None)
-    @example([(1, 0)], [(1, 0), (1, 0)], [(0, 0), (1, 0)], 1, 1)  # w (p w + 1) and w (w + 1)
-    @example([(1, 0)], [(2, 0), (1, 0)], [(1, 0)], 1, 3)  # p w + 3 and w + 2
-    def test_agrees_with_euclid(self, f, g, h, den, low):
-        # a = f h / den and b = g h share the factor h, which is often a
-        # constant; with low drawn, f is first multiplied by p w + low, whose
-        # leading coefficient vanishes modulo p, so that the exact resultant
-        # gives both verdicts
+    @example([(1, 0)], [(1, 0), (1, 0)], [(0, 0), (1, 0)], 1)  # w (p w + 1) and w (w + 1)
+    @example([(1, 0)], [(2, 0), (1, 0)], [(1, 0)], 3)  # p w + 3 and w + 2
+    def test_agrees_with_euclid(self, f, g, h, low):
+        # a = f h and b = g h share the factor h, which is often a constant;
+        # with low drawn, f is first multiplied by p w + low, whose leading
+        # coefficient vanishes modulo p, so that the exact resultant gives
+        # both verdicts.  b, drawn with zero pairs at the end or as 0, is
+        # stripped, as _xcoprime takes it
         if low is not None:
             f = _zi_mul([(low, 0), (_P, 0)], f)
-        a = [GR((Fraction(x, den), Fraction(y, den))) for x, y in _zi_mul(f, h)]
-        b = [GR(c) for c in _zi_mul(g, h)] if g else []
-        assert _xcoprime(a, b) == (_xdeg(xgcd(a, b)) == 0)
+        a, b = _zi_mul(f, h), _zi_strip(_zi_mul(g, h) if g else [])
+        assert _xcoprime(a, b) == (_xdeg(xgcd([GR(c) for c in a], [GR(c) for c in b])) == 0)
 
     @pytest.mark.parametrize("a,b,coprime", [
         ([1, _P], [2, 1], True),  # lc(a) = p vanishes modulo p
@@ -653,7 +671,7 @@ class TestCoprime:
             ((3,), ()): [],
             ((1, 1), ()): [],
         }
-        assert _xcoprime([GR(x) for x in a], [GR(x) for x in b]) is coprime
+        assert _xcoprime([(x, 0) for x in a], [(x, 0) for x in b]) is coprime
         assert primes_used == fallback_primes[tuple(a), tuple(b)]
 
     def test_decided_modulo_p_runs_no_euclid(self, monkeypatch):
@@ -683,8 +701,9 @@ class TestCoprime:
         product = BivariatePolynomial.product(
             [BivariatePolynomial.graph_of_power(4), BivariatePolynomial.graph_of_power(5)])
         for p in (seed29, product):
-            _branching(p)
-            _branching(p.transpose())
+            grid = p.gaussian_grid()[1]
+            _branching(grid)
+            _branching(list(zip(*grid)))
         assert calls
 
 
@@ -702,16 +721,14 @@ class TestBivariate:
         assert (t.deg_z, t.deg_w) == (2, 5)
 
     def test_resultant_example(self):
-        # res_z(z^2 - w, 2z) = -4w
+        # Res_z(z^2 - w, 2z) = -4w
         p = BivariatePolynomial.monomial_relation(2, 1)
-        r = resultant_z(p, p.partial_z())
-        vals = [complex(r(w)) for w in (1.0, 2.0, -1.5)]
-        assert vals == pytest.approx([-4, -8, 6])
+        assert resultant_z(p.gaussian_grid()[1], [[(0, 0)], [(2, 0)]]) == [(0, 0), (-4, 0)]
 
     def test_resultant_w(self):
+        # Res_w(z - w^2, -2w) = 4z
         p = BivariatePolynomial.monomial_relation(1, 2)
-        r = resultant_w(p, p.transpose().partial_z().transpose())
-        assert complex(r(3.0)) == pytest.approx(12)
+        assert resultant_w(p.gaussian_grid()[1], [[(0, 0), (-2, 0)]]) == [(0, 0), (4, 0)]
 
     def test_squarefree_check(self):
         good = BivariatePolynomial.monomial_relation(2, 3)
@@ -797,17 +814,27 @@ class TestAgainstExpressionRoute:
         # w^3 - w here
         f = BivariatePolynomial([[0, 1], [1]])
         g = BivariatePolynomial([[0, 1], [0], [0], [1]])
-        want = UnivariatePolynomial([0, 1, 0, -1])
-        assert resultant_z(f, g) == want == reference_resultant_z(f, g)
+        assert reference_resultant_z(f, g) == UnivariatePolynomial([0, 1, 0, -1])
+        assert resultant_z(f.gaussian_grid()[1], g.gaussian_grid()[1]) == [
+            (0, 0), (1, 0), (0, 0), (-1, 0)]
 
     @given(bivariate(max_dz=3), bivariate(min_dz=0))
     @settings(max_examples=40, deadline=None)
+    @example(  # Gaussian rationals, q constant in z
+        BivariatePolynomial([[GR((Fraction(1, 2), 1)), GR(0)], [GR((0, Fraction(-3, 4))), GR(2)]]),
+        BivariatePolynomial([[GR((1, Fraction(1, 3))), GR(0), GR((Fraction(-2, 3), 0))]]))
     def test_resultants(self, p, q):
-        for g in (p.partial_z(), p.transpose().partial_z().transpose(), q):
-            assert resultant_z(p, g) == reference_resultant_z(p, g)
-            assert resultant_w(p, g) == reference_resultant_z(p.transpose(), g.transpose())
+        # the resultant of the Gaussian-integer grids c p and d g is
+        # c^(deg_z g) d^(deg_z p) Res(p, g), in w and likewise in z
+        P = p.gaussian_grid()[1]
+        for g in (partial_z(p), partial_z(p.transpose()).transpose(), q):
+            G = g.gaussian_grid()[1]
+            assert resultant_z(P, G) == _scaled(reference_resultant_z(p, g), p, g, False)
+            assert resultant_w(P, G) == _scaled(
+                reference_resultant_z(p.transpose(), g.transpose()), p, g, True)
         # q may be constant in z, so Res_z(q, p) = q^(deg_z p)
-        assert resultant_z(q, p) == reference_resultant_z(q, p)
+        assert resultant_z(q.gaussian_grid()[1], P) == _scaled(
+            reference_resultant_z(q, p), q, p, False)
 
     @given(st.one_of(bivariate(), with_repeated_factor, real_times_gaussian, i_times_real,
                      with_factor_free_of_one_variable))
@@ -815,6 +842,16 @@ class TestAgainstExpressionRoute:
     def test_squarefree_check(self, p):
         ok, witness = squarefree_check(p)
         assert (ok, witness) == reference_squarefree_check(p)
+
+
+def _scaled(r, f, g, in_w: bool) -> list:
+    """The Gaussian-rational resultant r of f and g in z (in w when in_w)
+    times c^n d^m, as (re, im) pairs: c f and d g are the Gaussian-integer
+    grids, of degrees m and n in the eliminated variable."""
+    (c, _), (d, _) = f.gaussian_grid(), g.gaussian_grid()
+    m, n = (f.deg_w, g.deg_w) if in_w else (f.deg_z, g.deg_z)
+    scale = c**n * d**m
+    return [(x.re * scale, x.im * scale) for x in r.coeffs]
 
 
 # one polynomial of each (deg_z, deg_w) the benchmark's survey rounds draw,
