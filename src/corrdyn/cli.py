@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid input, 3 resource refusal,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -455,8 +456,8 @@ def _write_ppm(path, pts, px):
 
 
 # ---------------------------------------------------------------------------
-# argument wiring: one table, from which main() builds the invoked command's
-# parser alone, and the full tree only for help and errors
+# argument wiring: one table, from which main() builds, once per process, the
+# invoked command's parser alone, and the full tree only for help and errors
 
 REQ = {"required": True}
 TOL = ("--tol", {"type": float, "default": 1e-6})
@@ -514,6 +515,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, json.dumps({"error": "invalid-input", "detail": detail}) + "\n")
 
 
+@functools.cache
 def build_parser(name=None) -> argparse.ArgumentParser:
     """The parser of command ``name`` alone, or with no name the full tree."""
     if name is not None:

@@ -1,18 +1,21 @@
 """Polynomial algebra: exact Gaussian-rational coefficients, root finding
-with exact multiplicities, modular resultants, and the squarefree check on
+with exact multiplicities, exact resultants, and the squarefree check on
 sympy Polys.
 
 Coefficients are kept exact (rational real and imaginary parts) so that
 resultant and squarefree computations never depend on floating point luck.
 Resultants take and return Gaussian integers, (re, im) pairs of Python
 ints: the coefficient grids that ``BivariatePolynomial.gaussian_grid``
-caches, and the ascending coefficients of the resultant.  They are computed
-modulo primes p = 1 (mod 4) below 2^61, under the ideals over p of the
-Gaussian integers, by evaluation and interpolation, and combined by the
-Chinese remainder theorem past a bound on the coefficients (Collins, J. ACM
-18, 1971).  The exact specialisation of a bivariate polynomial at a float
-base point, and everything ``roots`` does after it,
-runs on Gaussian integers over one denominator: the coefficient grid is
+caches, and the ascending coefficients of the resultant.  Each is one
+exact computation on Python integers: the rows, polynomials in w, are
+packed into their values at w = 2^K for K above a bound on the
+coefficients (Kronecker substitution), the resultant of the two univariate
+polynomials over Z[i] is taken by the subresultant polynomial remainder
+sequence, whose divisions are exact (Collins, J. ACM 14, 1967; Brown &
+Traub, J. ACM 18, 1971), and its coefficients are read back as balanced
+base-2^K digits.  The exact specialisation of a bivariate polynomial at a
+float base point, and everything ``roots`` does after it, runs on Gaussian
+integers over one denominator: the coefficient grid is
 scaled to Gaussian integers once, the base point is read exactly as x / q
 with q a power of 2, and each coefficient is a dot product with the powers
 x^j q^(n - j).  Multiplicities come from one engine, ``squarefree_factors``:
@@ -34,7 +37,7 @@ For float coefficients known to within a componentwise bound,
 checked on Python scalars, prove every root simple and no two roots lie
 within a given chordal separation.  Whether two Gaussian-integer
 polynomials are coprime (``_xcoprime``) is decided modulo a prime first,
-and by their exact modular resultant otherwise.  sympy serves only
+and by their exact resultant otherwise.  sympy serves only
 ``squarefree_check``: the gcds of the norm p p-bar of a defining
 polynomial with its partial derivatives over the integers, and, only when
 that is inconclusive or p is refused, the gcds of p itself with its partial
@@ -265,39 +268,6 @@ def _fp_yun(f: list, p: int) -> list:
         c = _fp_divmod(c, a, p)[0]
         d = _fp_sub(_fp_divmod(d, a, p)[0], _fp_deriv(c, p), p)
         i += 1
-    return out
-
-
-def _fp_resultant(a: list, b: list, p: int) -> int:
-    """Res(a, b) in F_p of nonzero a and b, by Euclid's algorithm with
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for r the
-    remainder of a by b."""
-    res = 1
-    while len(b) > 1:
-        r = _fp_divmod(a, b, p)[1]
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), p) % p
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p
-
-
-def _fp_interpolate(xs: list, ys: list, p: int) -> list:
-    """The ascending coefficients of the polynomial of degree < len(xs)
-    through the points (xs, ys) in F_p, by Newton's divided differences."""
-    c, inverse = list(ys), {}
-    for j in range(1, len(xs)):
-        for k in range(len(xs) - 1, j - 1, -1):
-            gap = xs[k] - xs[k - j]
-            if gap not in inverse:
-                inverse[gap] = pow(gap, -1, p)
-            c[k] = (c[k] - c[k - 1]) * inverse[gap] % p
-    out = [c[-1]]
-    for k in range(len(xs) - 2, -1, -1):
-        x = xs[k]
-        out = [(lo - x * hi) % p for lo, hi in zip([c[k]] + out, out + [0])]
     return out
 
 
@@ -539,7 +509,7 @@ def _xcoprime(a, b) -> bool:
     divides gcd(a mod p, b mod p) with the degree of g, and gcd 1 modulo p
     proves gcd 1 (Brown, J. ACM 18, 1971).  Otherwise, or when the gcd
     modulo p is not 1, by the degrees when a or b is constant (gcd(a, 0) =
-    a), and else by the exact modular resultant: Res(a, b) != 0 exactly when
+    a), and else by the exact resultant: Res(a, b) != 0 exactly when
     gcd(a, b) = 1 (``resultant_z`` of a and b as grids constant in w)."""
     if b:
         images = [[(x + _I * y) % _P for x, y in f] for f in (a, b)]
@@ -952,72 +922,99 @@ def _newton_steps(cs, z: complex, m: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# resultants modulo primes, and the squarefree check on sympy Polys
+# resultants by one subresultant sequence at a Kronecker point, and the
+# squarefree check on sympy Polys
 
 
 def resultant_z(F, G) -> list:
     """Res_z(F, G), the Sylvester determinant in z, as its ascending
-    w-coefficients, (re, im) integer pairs with trailing zeros stripped, by
-    evaluation, interpolation and the Chinese remainder theorem (Collins,
-    J. ACM 18, 1971; von zur Gathen & Gerhard, Modern Computer Algebra,
-    6.4-6.11).  F and G are grids of Gaussian-integer (re, im) pairs, rows
-    in z and columns in w, each with a nonzero last row; a bivariate
-    polynomial gives its own by ``BivariatePolynomial.gaussian_grid``.
+    w-coefficients, (re, im) integer pairs with trailing zeros stripped, for
+    grids F and G of Gaussian-integer (re, im) pairs, rows in z and columns
+    in w, each with a nonzero last row (``BivariatePolynomial.gaussian_grid``).
 
-    With m = deg_z F and n = deg_z G, Res(F, G) has w-degree at most D =
-    n deg_w F + m deg_w G, and its coefficients are Gaussian integers whose
-    parts are at most B = |F|_1^n |G|_1^m in size, the product of the
-    1-norms of the Sylvester rows (|.|_1 sums |re| + |im| over the
-    coefficients).  For each prime in turn, under each ideal over it that is
-    needed, Res(F, G) is taken at D + 1 points w where neither lc_z
-    vanishes, where it equals the resultant of the specialisations, and
-    interpolated; a prime that kills lc_z(F) or lc_z(G) is skipped.  The
-    images are combined by the Chinese remainder theorem until the modulus
-    exceeds 2B, and lifted to the symmetric range."""
-    m, n = len(F) - 1, len(G) - 1
-    if m == 0 and n == 0:
-        raise InvalidInputError("resultant in z of two z-constant polynomials")
-    bound = 2 * sum(abs(x) + abs(y) for row in F for x, y in row) ** n
-    bound *= sum(abs(x) + abs(y) for row in G for x, y in row) ** m
-    real = not any(y for grid in (F, G) for row in grid for _, y in row)
-    D = n * (max(map(len, F)) - 1) + m * (max(map(len, G)) - 1)
-    modulus, acc, k = 1, ([0] * (D + 1), [0] * (D + 1)), 0
-    while modulus <= bound:
-        p, unit = _prime(k)
-        k += 1
-        units = (unit,) if real else (unit, p - unit)
-        images = [_fp_resultant_z(F, G, p, u, D) for u in units]
-        if None not in images:
-            modulus = _crt(acc, modulus, images, p, unit)
-    return _zi_strip((x - modulus if 2 * x > modulus else x, y - modulus if 2 * y > modulus else y)
-                     for x, y in zip(*acc))
+    With m = deg_z F and n = deg_z G, the parts of the coefficients of
+    Res(F, G) are at most B = |F|_1^n |G|_1^m in size (|.|_1 sums |re| + |im|
+    over a grid).  Each row is packed into its value at w = 2^K, K =
+    (2B).bit_length() + 1 (Kronecker substitution; von zur Gathen & Gerhard,
+    Modern Computer Algebra, 8.4), and ``_zi_resultant`` of the packed
+    polynomials over Z[i] is Res(F, G) at 2^K.  For m = 0 or n = 0 it is a
+    power of the constant (1 for both), and evaluation is a ring
+    homomorphism.  Otherwise B >= |F|_1, so by Cauchy's root bound every
+    root w of lc_z(F) has |w| <= 1 + |F|_1 < 2^K and lc_z(F)(2^K) != 0;
+    likewise for G, so the resultant commutes with the substitution.  As
+    B < 2^(K - 1), each part of each coefficient is the balanced base-2^K
+    digit of that part of the value, uniquely (``_digits``)."""
+    f1, g1 = (sum(abs(x) + abs(y) for row in grid for x, y in row) for grid in (F, G))
+    K = (2 * f1 ** (len(G) - 1) * g1 ** (len(F) - 1)).bit_length() + 1
+    packed = ([(sum(x << K * j for j, (x, _) in enumerate(row)),
+                sum(y << K * j for j, (_, y) in enumerate(row))) for row in grid]
+              for grid in (F, G))
+    return _digits(*_zi_resultant(*packed), K)
 
 
-def _fp_resultant_z(F, G, p: int, unit: int, D: int):
-    """Res_z(F, G) under i -> unit in F_p, for grids of (re, im) integer
-    pairs with rows in z and columns in w, as its D + 1 ascending
-    w-coefficients; None when lc_z(F) or lc_z(G) vanishes there."""
-    Fp = [[(x + unit * y) % p for x, y in row] for row in F]
-    Gp = [[(x + unit * y) % p for x, y in row] for row in G]
-    if not any(Fp[-1]) or not any(Gp[-1]):
-        return None
-    xs, ys, w = [], [], 0
-    while len(xs) <= D:
-        a = [_fp_horner(row, w, p) for row in Fp]
-        b = [_fp_horner(row, w, p) for row in Gp]
-        if a[-1] and b[-1]:
-            xs.append(w)
-            ys.append(_fp_resultant(a, b, p))
-        w += 1
-    return _fp_interpolate(xs, ys, p)
+def _digits(x: int, y: int, K: int) -> list:
+    """The balanced base-2^K digits of x and y, each in [-2^(K-1), 2^(K-1)),
+    as ascending (re, im) pairs, with a nonzero last pair."""
+    out, half, mask = [], 1 << (K - 1), (1 << K) - 1
+    while x or y:
+        out.append((((x + half) & mask) - half, ((y + half) & mask) - half))
+        x, y = (x + half) >> K, (y + half) >> K
+    return out
 
 
-def _fp_horner(row: list, w: int, p: int) -> int:
-    """The ascending coefficients row evaluated at w in F_p."""
-    acc = 0
-    for x in reversed(row):
-        acc = (acc * w + x) % p
-    return acc
+def _gi_pow(a, e: int, out=(1, 0)):
+    """out a^e for Gaussian integers, (re, im) pairs of ints."""
+    (ar, ai), (x, y) = a, out
+    for _ in range(e):
+        x, y = x * ar - y * ai, x * ai + y * ar
+    return x, y
+
+
+def _gi_div(a, b):
+    """a / b for Gaussian integers b | a; a remainder raises
+    RootFindingError, since every division of ``_zi_resultant`` is exact."""
+    (ar, ai), (br, bi) = a, b
+    if bi:
+        ar, ai, br = ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
+    (x, r), (y, s) = divmod(ar, br), divmod(ai, br)
+    if r or s:
+        raise RootFindingError("inexact division in the subresultant sequence")
+    return x, y
+
+
+def _zi_resultant(a: list, b: list):
+    """Res(a, b) as an (re, im) pair, for polynomials over Z[i] given as
+    ascending (re, im) pairs with nonzero last pairs, by
+    the subresultant PRS with contents 1 (Collins, J. ACM 14, 1967; Brown &
+    Traub, J. ACM 18, 1971; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 3.3.7): deg a >= deg b after a swap, and each step
+    takes (a, b) to (b, prem(a, b) / (g h^delta)), g = lc(b) and h = g^delta
+    / h^(delta - 1), delta = deg a - deg b; at a constant b, Res = s b^(deg
+    a) / h^(deg a - 1).  Each division is exact by the subresultant theorem."""
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        s = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = (1, 0)
+    while len(b) > 1:
+        delta, (lr, li), nb = len(a) - len(b), b[-1], len(b) - 1
+        if (len(a) - 1) * nb % 2:
+            s = -s
+        for k in range(len(a) - 1, nb - 1, -1):  # a = lc(b)^(delta + 1) a mod b
+            tr, ti = a[k]
+            a = [(x * lr - y * li, x * li + y * lr) for x, y in a[:k]]
+            for j, (br, bi) in enumerate(b[:-1], k - nb):
+                x, y = a[j]
+                a[j] = (x - tr * br + ti * bi, y - tr * bi - ti * br)
+        a = _zi_strip(a)
+        if not a:
+            return 0, 0
+        scale = _gi_pow(h, delta, g)
+        a, b, g = b, [_gi_div(c, scale) for c in a], b[-1]
+        if delta:
+            h = _gi_div(_gi_pow(g, delta), _gi_pow(h, delta - 1))
+    x, y = _gi_div(_gi_pow(b[0], len(a) - 1), _gi_pow(h, len(a) - 2))
+    return s * x, s * y
 
 
 def resultant_w(F, G) -> list:

@@ -15,8 +15,12 @@ from corrdyn.polyalg import (
     QQI_ZERO,
     BivariatePolynomial,
     GaussianRational,
+    _crt,
+    _fp_divmod,
     _gaussian_integers,
+    _prime,
     _zi_quotient,
+    _zi_strip,
     linked_groups,
 )
 
@@ -229,7 +233,7 @@ def _qqi(x) -> GaussianRational:
     return GaussianRational(Fraction(re.p, re.q), Fraction(im.p, im.q))
 
 
-def reference_resultant_z(f: BivariatePolynomial, g: BivariatePolynomial):
+def sylvester_resultant_z(f: BivariatePolynomial, g: BivariatePolynomial):
     """Res_z(f, g) as a polynomial in w: the determinant of the Sylvester
     matrix, deg_z g rows of f's coefficients in descending powers of z above
     deg_z f rows of g's, by fraction-free elimination over QQ_I[w].
@@ -248,6 +252,100 @@ def reference_resultant_z(f: BivariatePolynomial, g: BivariatePolynomial):
         return UnivariatePolynomial([])
     poly = sp.Poly(r, W, domain="QQ_I")
     return UnivariatePolynomial([_qqi(c) for c in reversed(poly.all_coeffs())])
+
+
+# The modular route to the resultants: Euclid's algorithm in F_p at
+# evaluation points, interpolation and the Chinese remainder theorem, on the
+# Gaussian-integer grids polyalg takes.
+
+
+def reference_resultant_z(F, G) -> list:
+    """polyalg.resultant_z(F, G) by the modular route (Collins, J. ACM 18,
+    1971; von zur Gathen & Gerhard, Modern Computer Algebra, 6.4-6.11), on
+    the same grids of Gaussian-integer (re, im) pairs.  With m = deg_z F,
+    n = deg_z G, Res(F, G) has w-degree at most D = n deg_w F + m deg_w G and
+    parts at most B = |F|_1^n |G|_1^m in size.  For each prime p = 1 (mod 4)
+    of ``polyalg._prime`` in turn, under each ideal over it that is needed,
+    Res(F, G) is taken by Euclid's algorithm in F_p at D + 1 points w where
+    neither lc_z vanishes, and interpolated; a prime that kills lc_z(F) or
+    lc_z(G) is skipped.  The images are combined by the Chinese remainder
+    theorem until the modulus exceeds 2B, and lifted to the symmetric
+    range."""
+    m, n = len(F) - 1, len(G) - 1
+    if m == 0 and n == 0:
+        raise InvalidInputError("resultant in z of two z-constant polynomials")
+    bound = 2 * sum(abs(x) + abs(y) for row in F for x, y in row) ** n
+    bound *= sum(abs(x) + abs(y) for row in G for x, y in row) ** m
+    real = not any(y for grid in (F, G) for row in grid for _, y in row)
+    D = n * (max(map(len, F)) - 1) + m * (max(map(len, G)) - 1)
+    modulus, acc, k = 1, ([0] * (D + 1), [0] * (D + 1)), 0
+    while modulus <= bound:
+        p, unit = _prime(k)
+        k += 1
+        units = (unit,) if real else (unit, p - unit)
+        images = [_fp_resultant_z(F, G, p, u, D) for u in units]
+        if None not in images:
+            modulus = _crt(acc, modulus, images, p, unit)
+    return _zi_strip((x - modulus if 2 * x > modulus else x, y - modulus if 2 * y > modulus else y)
+                     for x, y in zip(*acc))
+
+
+def _fp_resultant_z(F, G, p: int, unit: int, D: int):
+    """Res_z(F, G) under i -> unit in F_p as its D + 1 ascending
+    w-coefficients; None when lc_z(F) or lc_z(G) vanishes there."""
+    Fp = [[(x + unit * y) % p for x, y in row] for row in F]
+    Gp = [[(x + unit * y) % p for x, y in row] for row in G]
+    if not any(Fp[-1]) or not any(Gp[-1]):
+        return None
+    xs, ys, w = [], [], 0
+    while len(xs) <= D:
+        a = [_fp_horner(row, w, p) for row in Fp]
+        b = [_fp_horner(row, w, p) for row in Gp]
+        if a[-1] and b[-1]:
+            xs.append(w)
+            ys.append(_fp_resultant(a, b, p))
+        w += 1
+    return _fp_interpolate(xs, ys, p)
+
+
+def _fp_horner(row: list, w: int, p: int) -> int:
+    acc = 0
+    for x in reversed(row):
+        acc = (acc * w + x) % p
+    return acc
+
+
+def _fp_resultant(a: list, b: list, p: int) -> int:
+    """Res(a, b) in F_p of nonzero a and b, by Euclid's algorithm with
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for r the
+    remainder of a by b."""
+    res = 1
+    while len(b) > 1:
+        r = _fp_divmod(a, b, p)[1]
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _fp_interpolate(xs: list, ys: list, p: int) -> list:
+    """The ascending coefficients of the polynomial of degree < len(xs)
+    through the points (xs, ys) in F_p, by Newton's divided differences."""
+    c, inverse = list(ys), {}
+    for j in range(1, len(xs)):
+        for k in range(len(xs) - 1, j - 1, -1):
+            gap = xs[k] - xs[k - j]
+            if gap not in inverse:
+                inverse[gap] = pow(gap, -1, p)
+            c[k] = (c[k] - c[k - 1]) * inverse[gap] % p
+    out = [c[-1]]
+    for k in range(len(xs) - 2, -1, -1):
+        x = xs[k]
+        out = [(lo - x * hi) % p for lo, hi in zip([c[k]] + out, out + [0])]
+    return out
 
 
 def reference_newton_steps(coeffs, z: complex, m: int) -> complex:
@@ -270,7 +368,7 @@ def reference_newton_steps(coeffs, z: complex, m: int) -> complex:
 def reference_branching(p: BivariatePolynomial):
     """correspondence._branching(p.gaussian_grid()[1]) by the Gaussian-
     rational route: the resultants are Sylvester determinants over QQ_I
-    (``reference_resultant_z``) of p and its z-derivative, scaled to
+    (``sylvester_resultant_z``) of p and its z-derivative, scaled to
     Gaussian integers after the fact, the tests at infinity run Euclid's
     algorithm over the Gaussian rationals, and every root takes three
     Newton steps (``reference_newton_steps``)."""
@@ -287,9 +385,9 @@ def reference_branching(p: BivariatePolynomial):
     m, n = p.deg_z, p.deg_w
     p_z = partial_z(p)
     lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
-    disc = _zi_quotient(integer_coeffs(reference_resultant_z(p, p_z)),
+    disc = _zi_quotient(integer_coeffs(sylvester_resultant_z(p, p_z)),
                         _gaussian_integers(lc)[1])
-    points = polished(integer_coeffs(reference_resultant_z(p.transpose(), p_z.transpose())))
+    points = polished(integer_coeffs(sylvester_resultant_z(p.transpose(), p_z.transpose())))
     values = polished(disc)
     if max(_xdeg(lc), _xdeg(below)) < n or _xdeg(xgcd(lc, below)) > 0:
         points.append(SpherePoint.infinity())

@@ -470,8 +470,9 @@ class TestDeterminism:
 
 class TestParser:
     def test_each_call_builds_only_its_command(self, capsys, monkeypatch):
-        # every main() call registers the invoked command's options and no
-        # others: neither the whole command tree nor a parser kept from a call
+        # a main() call registers the invoked command's options and no
+        # others, never the whole command tree, and only on the first call
+        # of that command in the process: the parser is kept
         added = []
         add_argument = argparse._ActionsContainer.add_argument
 
@@ -480,10 +481,10 @@ class TestParser:
             return add_argument(self, *flags, **keywords)
 
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
-        kgroups = ["-h", "--help", "--poly", "--table", "--pretty"]
+        cli.build_parser.cache_clear()
         for argv, flags in (
-            (["kgroups", "--table", "1", "1"], kgroups),
-            (["kgroups", "--table", "1", "1"], kgroups),
+            (["kgroups", "--table", "1", "1"], ["-h", "--help", "--poly", "--table", "--pretty"]),
+            (["kgroups", "--table", "1", "1"], []),
             (["expansive", "--poly", '{"family":"monomial","m":3,"n":2}'],
              ["-h", "--help", "--poly", "--oracle", "--max-steps", "--pretty"]),
         ):
@@ -491,6 +492,35 @@ class TestParser:
             assert main(argv) == 0
             assert added == flags
         capsys.readouterr()
+
+    def test_kept_parser_gives_the_bytes_of_fresh_ones(self, capsys):
+        # a usage error, then two calls of one command with different
+        # options, on one kept parser: the same exit codes, stdout and
+        # stderr as with a fresh parser for each call, and no option of one
+        # call left in the next
+        argvs = [
+            ["kgroups", "--table", "two", "1"],
+            ["kgroups", "--table", "2", "1"],
+            ["kgroups", "--poly", '{"family":"monomial","m":3,"n":2}', "--pretty"],
+        ]
+
+        def outputs(fresh):
+            got = []
+            for argv in argvs:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                got.append((code, *capsys.readouterr()))
+            return got
+
+        cli.build_parser.cache_clear()
+        kept = outputs(fresh=False)
+        assert [code for code, _, _ in kept] == [2, 0, 0]
+        assert cli.build_parser("kgroups") is cli.build_parser("kgroups")
+        assert outputs(fresh=True) == kept
 
     def test_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

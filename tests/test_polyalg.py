@@ -44,6 +44,7 @@ from support import (
     reference_squarefree_factors,
     reference_univariate_in_z,
     reference_univariate_in_z_inverted,
+    sylvester_resultant_z,
     xdivmod,
     xgcd,
     xmonic,
@@ -659,20 +660,16 @@ class TestCoprime:
         ([3], [], True),  # gcd(3, 0) is the constant 1
         ([1, 1], [], False),  # gcd(w + 1, 0) = w + 1
     ])
-    def test_undecided_modulo_p_falls_back_to_euclid(self, primes_used, a, b, coprime):
-        # the fallback is the exact resultant, by Euclid's algorithm in F_p
-        # for each prime resultant_z takes; it skips a prime that kills a
-        # leading coefficient and stops once the modulus exceeds
-        # 2 |a|_1^deg b |b|_1^deg a.  With b = 0 the degrees decide.
-        fallback_primes = {
-            ((1, _P), (2, 1)): [0, 1, 2],  # lc(a) = p; the bound 6 (p + 1)
-            ((0, 1), (_P, 1)): [0, 1],  # the bound 2 (p + 1)
-            ((0, 1, 1), (0, 1)): [0],  # the bound 4
-            ((3,), ()): [],
-            ((1, 1), ()): [],
-        }
+    def test_undecided_modulo_p_falls_back_to_euclid(self, monkeypatch, primes_used, a, b,
+                                                      coprime):
+        # the fallback is the exact resultant, one subresultant sequence over
+        # Z[i] that takes no prime, even where lc(a) vanishes modulo p or a
+        # and b share a root modulo p only.  With b = 0 the degrees decide.
+        calls, resultant = [], polyalg.resultant_z
+        monkeypatch.setattr(polyalg, "resultant_z", lambda F, G: calls.append(F) or resultant(F, G))
         assert _xcoprime([(x, 0) for x in a], [(x, 0) for x in b]) is coprime
-        assert primes_used == fallback_primes[tuple(a), tuple(b)]
+        assert len(calls) == bool(b)
+        assert primes_used == []
 
     def test_decided_modulo_p_runs_no_euclid(self, monkeypatch):
         # the infinity tests of the branched sets of these two polynomials are
@@ -705,6 +702,74 @@ class TestCoprime:
             _branching(grid)
             _branching(list(zip(*grid)))
         assert calls
+
+
+def _padded(rows) -> list:
+    """rows with zero pairs appended to the width of the longest."""
+    width = max(map(len, rows))
+    return [list(row) + [(0, 0)] * (width - len(row)) for row in rows]
+
+
+@st.composite
+def resultant_grids(draw):
+    """(F, G): rectangular grids of Gaussian-integer pairs with nonzero last
+    rows, real or Gaussian, of z-degrees up to 3 with m = 0 or n = 0 among
+    them, parts small or near 2^62 and 3^40, and lc_z(F) often a multiple of
+    w - k for a small k, so that it vanishes at the first evaluation
+    points of the modular route."""
+    real = draw(st.booleans())
+    part = st.integers(-4, 4) | st.sampled_from((2**62 - 1, -(2**62), 3**40, -(3**40)))
+    entry = st.tuples(part, st.just(0) if real else part)
+
+    def grid(dz):
+        dw = draw(st.integers(0, 3))
+        rows = draw(st.lists(st.lists(entry, min_size=dw + 1, max_size=dw + 1),
+                             min_size=dz + 1, max_size=dz + 1))
+        if not any(x or y for x, y in rows[-1]):
+            rows[-1][-1] = (1, 0)
+        if draw(st.booleans()):
+            rows[-1] = _zi_mul([(-draw(st.integers(0, 3)), 0), (1, 0)], rows[-1])
+        return _padded(rows)
+
+    m = draw(st.integers(0, 3))
+    return grid(m), grid(draw(st.integers(0 if m else 1, 3)))
+
+
+class TestKroneckerResultant:
+    """resultant_z and resultant_w, one subresultant sequence at w = 2^K,
+    equal the modular route of evaluation, Euclid in F_p, interpolation and
+    the Chinese remainder theorem."""
+
+    @given(resultant_grids())
+    @settings(max_examples=150, deadline=None)
+    @example(([[(-(2**62), 0)]], [[(0, 0)], [(0, 0)], [(0, 0)], [(1, 0)]]))  # (-2^62)^3 = -B
+    @example((  # w + z and w + w z^2, whose lc_z = w vanishes at w = 0
+        [[(0, 0), (1, 0)], [(1, 0), (0, 0)]],
+        [[(0, 0), (1, 0)], [(0, 0), (0, 0)], [(0, 0), (1, 0)]]))
+    @example(([[(3**40, 3**40), (0, 0)], [(-1, 2), (0, 1)]], [[(0, -4)], [(2, 2)], [(1, 0)]]))
+    def test_agrees_with_the_modular_route(self, grids):
+        F, G = grids
+        expected = reference_resultant_z(F, G)
+        assert resultant_z(F, G) == expected
+        assert resultant_w(list(zip(*F)), list(zip(*G))) == expected
+
+    def test_constant_in_z_is_a_power(self):
+        # Res_z(2 + w, z^2 + 1) = (2 + w)^2, Res_z(z^2 + 1, i) = i^2, and two
+        # constants in z have the empty Sylvester matrix, of determinant 1
+        assert resultant_z([[(2, 0), (1, 0)]], [[(1, 0)], [(0, 0)], [(1, 0)]]) == [
+            (4, 0), (4, 0), (1, 0)]
+        assert resultant_z([[(1, 0)], [(0, 0)], [(1, 0)]], [[(0, 1)]]) == [(-1, 0)]
+        assert resultant_z([[(3, 0), (1, 0)]], [[(0, 1)]]) == [(1, 0)]
+
+    def test_inexact_division_raises(self):
+        # the subresultant sequence divides only where the quotient is a
+        # Gaussian integer; a remainder is an error, not an assert
+        assert polyalg._gi_div((6, 8), (0, 2)) == (4, -3)
+        assert polyalg._gi_div((-9, 3), (3, 0)) == (-3, 1)
+        assert polyalg._gi_div((5, 0), (1, 2)) == (1, -2)
+        for a, b in (((1, 0), (2, 0)), ((1, 0), (1, 1)), ((5, 1), (1, 2))):
+            with pytest.raises(RootFindingError, match="inexact division"):
+                polyalg._gi_div(a, b)
 
 
 class TestBivariate:
@@ -814,7 +879,7 @@ class TestAgainstExpressionRoute:
         # w^3 - w here
         f = BivariatePolynomial([[0, 1], [1]])
         g = BivariatePolynomial([[0, 1], [0], [0], [1]])
-        assert reference_resultant_z(f, g) == UnivariatePolynomial([0, 1, 0, -1])
+        assert sylvester_resultant_z(f, g) == UnivariatePolynomial([0, 1, 0, -1])
         assert resultant_z(f.gaussian_grid()[1], g.gaussian_grid()[1]) == [
             (0, 0), (1, 0), (0, 0), (-1, 0)]
 
@@ -829,12 +894,12 @@ class TestAgainstExpressionRoute:
         P = p.gaussian_grid()[1]
         for g in (partial_z(p), partial_z(p.transpose()).transpose(), q):
             G = g.gaussian_grid()[1]
-            assert resultant_z(P, G) == _scaled(reference_resultant_z(p, g), p, g, False)
+            assert resultant_z(P, G) == _scaled(sylvester_resultant_z(p, g), p, g, False)
             assert resultant_w(P, G) == _scaled(
-                reference_resultant_z(p.transpose(), g.transpose()), p, g, True)
+                sylvester_resultant_z(p.transpose(), g.transpose()), p, g, True)
         # q may be constant in z, so Res_z(q, p) = q^(deg_z p)
         assert resultant_z(q.gaussian_grid()[1], P) == _scaled(
-            reference_resultant_z(q, p), q, p, False)
+            sylvester_resultant_z(q, p), q, p, False)
 
     @given(st.one_of(bivariate(), with_repeated_factor, real_times_gaussian, i_times_real,
                      with_factor_free_of_one_variable))
