@@ -13,14 +13,12 @@ from corrdyn.bimodule import (
 )
 from corrdyn.correspondence import Correspondence, SpherePoint
 from corrdyn.dynamics import invariant_check
-from corrdyn.polyalg import BivariatePolynomial, GaussianRational
-
-GR = GaussianRational.of
+from corrdyn.polyalg import BivariatePolynomial
 
 
 def main():
     # z^2 + w^2 - 1, coefficient grid indexed by (z power, w power)
-    p = BivariatePolynomial([[GR(-1), GR(0), GR(1)], [GR(0)], [GR(1)]])
+    p = BivariatePolynomial([[-1, 0, 1], [0], [1]])
     corr = Correspondence(p)
 
     J = [SpherePoint.from_complex(complex(v)) for v in (0, 1, -1)]

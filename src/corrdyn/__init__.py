@@ -19,7 +19,6 @@ from .errors import (
 )
 from .polyalg import (
     BivariatePolynomial,
-    GaussianRational,
     roots,
     squarefree_check,
 )

@@ -24,7 +24,7 @@ from .errors import (
     RootFindingError,
     UndecidedError,
 )
-from .polyalg import BivariatePolynomial, GaussianRational
+from .polyalg import BivariatePolynomial
 
 __all__ = ["main"]
 
@@ -43,10 +43,10 @@ def _component(v) -> Fraction:
         raise InvalidInputError(f"not a finite number: {v!r}") from exc
 
 
-def _coeff(pair):
+def _coeff(pair) -> tuple:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise InvalidInputError(f"coefficient must be [re, im], got {pair!r}")
-    return GaussianRational.of((_component(pair[0]), _component(pair[1])))
+    return _component(pair[0]), _component(pair[1])
 
 
 def _grid(rows) -> BivariatePolynomial:
@@ -310,10 +310,10 @@ def cmd_free(args):
 
 def _parse_function(obj) -> bimodule.SampledFunction:
     if isinstance(obj, dict) and "const" in obj:
-        c = complex(_coeff(obj["const"]))
+        c = complex(*map(float, _coeff(obj["const"])))
         return bimodule.SampledFunction("correspondence", lambda z, w: c)
     if isinstance(obj, dict) and "zpoly" in obj:
-        coeffs = [complex(_coeff(c)) for c in _json_list(obj["zpoly"], "zpoly")]
+        coeffs = [complex(*map(float, _coeff(c))) for c in _json_list(obj["zpoly"], "zpoly")]
 
         def fn(z, w):
             zz = z.to_complex()

@@ -21,8 +21,9 @@ naturally.  The branched sets solve no fiber: each is decided exactly from
 resultants and leading coefficients, with each gcd test at infinity decided
 modulo a prime first, and its finite points are the distinct roots of an
 exact polynomial, each refined by ``polish_roots``.  All of it runs on the
-Gaussian-integer grid of p (``BivariatePolynomial.gaussian_grid``) and its
-transpose, with no Fraction arithmetic from there to the printed points.
+one Gaussian-integer grid of p over its least denominator
+(``BivariatePolynomial.rows``) and its transpose, with no Fraction
+arithmetic from the parsed input to the printed points.
 """
 
 from __future__ import annotations
@@ -282,7 +283,7 @@ class Correspondence:
         restrict_to may be "circle" (intersect with the unit circle) or a
         finite list of SpherePoint, each matched within 1e-7.
         """
-        grid = self.p.gaussian_grid()[1]
+        grid = self.p.rows
         bp, bv = _branching(grid)
         cv, cp = _branching(list(zip(*grid)))
         sets = (bp, bv, cv, cp)  # in the field order of BranchedSets
@@ -293,7 +294,7 @@ class Correspondence:
     def branch_points(self, restrict_to=None) -> tuple:
         """``branched_sets(restrict_to).branch_points`` from one
         ``_branching``, of p alone: the cobranch half is never solved."""
-        points, _ = _branching(self.p.gaussian_grid()[1])
+        points, _ = _branching(self.p.rows)
         return tuple(points if restrict_to is None else _restrict(points, restrict_to))
 
 
@@ -301,7 +302,7 @@ def _branching(F):
     """(branch points, branch values) of p = sum c[i][j] z^i w^j, m = deg_z,
     n = deg_w, from F, the grid of p times a positive integer as Gaussian-
     integer (re, im) pairs, rows in z and columns in w
-    (``BivariatePolynomial.gaussian_grid``; ``zip(*F)`` is the transpose):
+    (``BivariatePolynomial.rows``; ``zip(*F)`` is the transpose):
     the z that are a multiple root of p(., w) for some w on the sphere, and
     the w over which p(., w), a form of degree m, has a multiple root on the
     sphere.  Resultants commute with specialisation (von zur Gathen &

@@ -1,54 +1,54 @@
-"""Polynomial algebra: exact Gaussian-rational coefficients, root finding
-with exact multiplicities, exact resultants, and the squarefree check on
-sympy Polys.
+"""Polynomial algebra: bivariate polynomials as one Gaussian-integer grid
+over a least denominator, root finding with exact multiplicities, exact
+resultants, and the squarefree check on sympy Polys.
 
-Coefficients are kept exact (rational real and imaginary parts) so that
+A ``BivariatePolynomial`` is its grid of d p, (re, im) pairs of Python
+ints, for d the least positive integer that makes every part an integer;
+each input value is read exactly as a Fraction once, and products,
+transposes, float images and sympy Polys are made from the integers.  So
 resultant and squarefree computations never depend on floating point luck.
-Resultants take and return Gaussian integers, (re, im) pairs of Python
-ints: the coefficient grids that ``BivariatePolynomial.gaussian_grid``
-caches, and the ascending coefficients of the resultant.  Each is one
-exact computation on Python integers: the rows, polynomials in w, are
-packed into their values at w = 2^K for K above a bound on the
-coefficients (Kronecker substitution), the resultant of the two univariate
-polynomials over Z[i] is taken by the subresultant polynomial remainder
-sequence, whose divisions are exact (Collins, J. ACM 14, 1967; Brown &
-Traub, J. ACM 18, 1971), and its coefficients are read back as balanced
-base-2^K digits.  The exact specialisation of a bivariate polynomial at a
-float base point, and everything ``roots`` does after it, runs on Gaussian
-integers over one denominator: the coefficient grid is
-scaled to Gaussian integers once, the base point is read exactly as x / q
-with q a power of 2, and each coefficient is a dot product with the powers
-x^j q^(n - j).  Multiplicities come from one engine, ``squarefree_factors``:
-Yun's squarefree decomposition of those integers modulo primes, combined
-by the Chinese remainder theorem, rebuilt by rational reconstruction over
-one denominator per factor and kept only when verified exactly in Z[i]
-(Brown's lucky primes, J. ACM 18, 1971), within a bound in primes derived
-from the input; neither Yun's nor Euclid's algorithm runs over the
-Gaussian rationals.  Each exact squarefree factor is then solved in
-floating point by one root finder, the eigenvalues of the companion matrix
-of its monic complex128 image (``_companion_eigenvalues``, the bits of
-``np.roots``), each part of which is one correctly rounded integer
-division.  ``roots`` returns these roots unclustered; which of them count
-as one point is decided in the chordal metric by ``correspondence``.
-``polish_roots`` refines them by Newton steps evaluated exactly, at most
-three and none past a fixed point; every branched-set point is refined so.
-For float coefficients known to within a componentwise bound,
-``certified_roots`` keeps the same eigenvalues only when inclusion discs,
-checked on Python scalars, prove every root simple and no two roots lie
-within a given chordal separation.  Whether two Gaussian-integer
-polynomials are coprime (``_xcoprime``) is decided modulo a prime first,
-and by their exact resultant otherwise.  sympy serves only
-``squarefree_check``: the gcds of the norm p p-bar of a defining
-polynomial with its partial derivatives over the integers, and, only when
-that is inconclusive or p is refused, the gcds of p itself with its partial
-derivatives over the smallest exact domain of its coefficients.
+Resultants take and return Gaussian integers: those grids
+(``BivariatePolynomial.rows``) and the ascending coefficients of the
+resultant.  Each is one exact computation on Python integers: the rows,
+polynomials in w, are packed into their values at w = 2^K for K above a
+bound on the coefficients (Kronecker substitution), the resultant of the
+two univariate polynomials over Z[i] is taken by the subresultant
+polynomial remainder sequence, whose divisions are exact (Collins, J. ACM
+14, 1967; Brown & Traub, J. ACM 18, 1971), and its coefficients are read
+back as balanced base-2^K digits.  The exact specialisation of a bivariate
+polynomial at a float base point, and everything ``roots`` does after it,
+runs on the same integers: the base point is read exactly as x / q with q a
+power of 2, and each coefficient is a dot product with the powers x^j
+q^(n - j).  Multiplicities come from one engine, ``squarefree_factors``:
+Yun's squarefree decomposition of those integers modulo primes, combined by
+the Chinese remainder theorem, rebuilt by rational reconstruction over one
+denominator per factor and kept only when verified exactly in Z[i] (Brown's
+lucky primes, J. ACM 18, 1971), within a bound in primes derived from the
+input; neither Yun's nor Euclid's algorithm runs over the Gaussian
+rationals.  Each exact squarefree factor is then solved in floating point by
+one root finder, the eigenvalues of the companion matrix of its monic
+complex128 image (``_companion_eigenvalues``, the bits of ``np.roots``),
+each part of which is one correctly rounded integer division.  ``roots``
+returns these roots unclustered; which of them count as one point is
+decided in the chordal metric by ``correspondence``.  ``polish_roots``
+refines them by Newton steps evaluated exactly, at most three and none past
+a fixed point; every branched-set point is refined so.  For float
+coefficients known to within a componentwise bound, ``certified_roots``
+keeps the same eigenvalues only when inclusion discs, checked on Python
+scalars, prove every root simple and no two roots lie within a given
+chordal separation.  Whether two Gaussian-integer polynomials are coprime
+(``_xcoprime``) is decided modulo a prime first, and by their exact
+resultant otherwise.  sympy serves only ``squarefree_check``: the gcds of
+the norm p p-bar of a defining polynomial with its partial derivatives over
+the integers, and, only when that is inconclusive or p is refused, the gcds
+of p itself with its partial derivatives over the smallest exact domain of
+its coefficients.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,7 +58,6 @@ from numpy.linalg import _umath_linalg
 from .errors import InvalidInputError, RootFindingError
 
 __all__ = [
-    "GaussianRational",
     "BivariatePolynomial",
     "FloatGrid",
     "certified_roots",
@@ -69,78 +68,6 @@ __all__ = [
     "squarefree_check",
     "linked_groups",
 ]
-
-
-# ---------------------------------------------------------------------------
-# exact complex numbers
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with rational real and imaginary parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction, float)):
-            return GaussianRational(Fraction(x), Fraction(0))
-        if isinstance(x, complex):
-            return GaussianRational(Fraction(x.real), Fraction(x.imag))
-        if isinstance(x, (tuple, list)) and len(x) == 2:
-            return GaussianRational(Fraction(x[0]), Fraction(x[1]))
-        raise InvalidInputError(f"cannot interpret {x!r} as a Gaussian rational")
-
-    def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
-
-    def __repr__(self) -> str:
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-QQI_ZERO = GaussianRational(Fraction(0), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +150,16 @@ def _fp_divmod(a: list, b: list, p: int):
 
 def _fp_gcd(a: list, b: list, p: int) -> list:
     """The monic gcd of a and b in F_p[z], not both zero, by Euclid's
-    algorithm."""
+    algorithm; each remainder is reduced in a copy of a, and no quotient is
+    built."""
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
+        a, nb, inv = list(a), len(b), pow(b[-1], -1, p)
+        for k in range(len(a) - nb, -1, -1):
+            t = a[k + nb - 1] * inv % p
+            if t:
+                for j, y in enumerate(b):
+                    a[k + j] = (a[k + j] - t * y) % p
+        a, b = b, _fp_strip(a[: nb - 1])
     inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
 
@@ -283,14 +217,6 @@ def _rational(u: int, m: int):
     if t1 == 0 or abs(t1) > bound:
         return None
     return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _gaussian_integers(cs):
-    """(d, pairs): d the least common denominator of the Gaussian rationals
-    cs, and pairs the (re, im) integer parts of d c for each c."""
-    d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-    return d, [(c.re.numerator * (d // c.re.denominator),
-                c.im.numerator * (d // c.im.denominator)) for c in cs]
 
 
 def _zi_strip(pairs) -> list:
@@ -526,28 +452,64 @@ def _xcoprime(a, b) -> bool:
 # polynomial value types
 
 
-class BivariatePolynomial:
-    """Polynomial p(z, w) with an exact coefficient grid c[i][j] for z^i w^j."""
+def _exact(c):
+    """The number or (re, im) pair c as two Fractions, read exactly: a float
+    keeps its binary value."""
+    if isinstance(c, (int, Fraction, float)):
+        return Fraction(c), Fraction(0)
+    if isinstance(c, complex):
+        return Fraction(c.real), Fraction(c.imag)
+    if isinstance(c, (tuple, list)) and len(c) == 2:
+        return Fraction(c[0]), Fraction(c[1])
+    raise InvalidInputError(f"cannot interpret {c!r} as a Gaussian rational")
 
-    __slots__ = ("coeffs", "deg_z", "deg_w", "_integer_grid")
+
+def _ratio(x: int, d: int) -> str:
+    """x / d in lowest terms, as ``str(Fraction(x, d))`` prints it."""
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+class BivariatePolynomial:
+    """Polynomial p(z, w) = sum c[i][j] z^i w^j with Gaussian-rational
+    coefficients, stored as one Gaussian-integer grid over a least
+    denominator: ``rows[i][j]`` is the (re, im) pair of integers of d c[i][j]
+    for d = ``denominator``, the least positive integer that makes every part
+    an integer.  The grid has deg_z + 1 rows of deg_w + 1 pairs, a nonzero
+    last row and a nonzero last column, so (d, rows) is unique and equality
+    is equality of values.  The constructor takes a grid of numbers and
+    (re, im) pairs, ragged or with zero rows and columns at the end, reads
+    each value exactly as a Fraction once and scales it by the lcm of the
+    denominators."""
+
+    __slots__ = ("denominator", "rows", "deg_z", "deg_w")
 
     def __init__(self, grid: Sequence[Sequence]):
-        rows = [[GaussianRational.of(c) for c in row] for row in grid]
-        if not rows or not any(any(c for c in row) for row in rows):
+        values = [[_exact(c) for c in row] for row in grid]
+        d = math.lcm(*(x.denominator for row in values for c in row for x in c))
+        self._set(d, [[(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+                       for re, im in row] for row in values])
+
+    @classmethod
+    def _of(cls, d: int, rows) -> "BivariatePolynomial":
+        """The polynomial with the Gaussian-integer grid rows over d."""
+        p = cls.__new__(cls)
+        p._set(d, rows)
+        return p
+
+    def _set(self, d: int, rows) -> None:
+        # trim the zero rows and columns at the end, pad the rest, and divide
+        # out gcd(d, every part), which makes d least
+        nonzero = [(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c != (0, 0)]
+        if not nonzero:
             raise InvalidInputError("zero bivariate polynomial")
-        width = max(len(r) for r in rows)
-        for r in rows:
-            r.extend([QQI_ZERO] * (width - len(r)))
-        while rows and not any(rows[-1]):
-            rows.pop()
-        width = max(
-            (j for row in rows for j, c in enumerate(row) if c), default=0
-        ) + 1
-        rows = [row[:width] for row in rows]
-        self.coeffs = tuple(tuple(row) for row in rows)
-        self.deg_z = len(rows) - 1
-        self.deg_w = width - 1
-        self._integer_grid = None
+        height, width = (1 + max(k) for k in zip(*nonzero))
+        g = math.gcd(d, *(x for row in rows for c in row for x in c))
+        self.denominator = d // g
+        self.rows = tuple(
+            tuple((x // g, y // g) for x, y in row[:width]) + ((0, 0),) * (width - len(row))
+            for row in rows[:height])
+        self.deg_z, self.deg_w = height - 1, width - 1
 
     # -- constructors -------------------------------------------------------
 
@@ -556,63 +518,43 @@ class BivariatePolynomial:
         """z^m - w^n."""
         if m < 1 or n < 1:
             raise InvalidInputError("exponents must be >= 1")
-        grid = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-        grid[m][0] = Fraction(1)
-        grid[0][n] = Fraction(-1)
-        return BivariatePolynomial(grid)
+        rows = [[(0, 0)] * (n + 1) for _ in range(m + 1)]
+        rows[m][0], rows[0][n] = (1, 0), (-1, 0)
+        return BivariatePolynomial._of(1, rows)
 
     @staticmethod
     def graph_of_power(m: int) -> "BivariatePolynomial":
         """w - z^m."""
         if m < 1:
             raise InvalidInputError("exponent must be >= 1")
-        grid = [[Fraction(0), Fraction(0)] for _ in range(m + 1)]
-        grid[0][1] = Fraction(1)
-        grid[m][0] = Fraction(-1)
-        return BivariatePolynomial(grid)
+        rows = [[(0, 0)] * 2 for _ in range(m + 1)]
+        rows[0][1], rows[m][0] = (1, 0), (-1, 0)
+        return BivariatePolynomial._of(1, rows)
 
     @staticmethod
     def product(factors: Sequence["BivariatePolynomial"]) -> "BivariatePolynomial":
-        grids = list(factors)
-        if not grids:
+        """The product of the factors, from their integer grids: the
+        denominators multiply, and ``_of`` makes the product's least."""
+        factors = list(factors)
+        if not factors:
             raise InvalidInputError("empty factor list")
-        acc = grids[0]
-        for f in grids[1:]:
-            acc = acc._mul(f)
-        return acc
-
-    def _mul(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
-        out = [
-            [QQI_ZERO] * (self.deg_w + other.deg_w + 1)
-            for _ in range(self.deg_z + other.deg_z + 1)
-        ]
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if not c:
-                    continue
-                for k, orow in enumerate(other.coeffs):
-                    for l, d in enumerate(orow):
-                        if d:
-                            out[i + k][j + l] = out[i + k][j + l] + c * d
-        return BivariatePolynomial(out)
+        d, rows = factors[0].denominator, factors[0].rows
+        for f in factors[1:]:
+            out = [[(0, 0)] * (len(rows[0]) + f.deg_w) for _ in range(len(rows) + f.deg_z)]
+            for i, row in enumerate(rows):
+                for j, (ar, ai) in enumerate(row):
+                    if ar or ai:
+                        for k, frow in enumerate(f.rows, i):
+                            for l, (br, bi) in enumerate(frow, j):
+                                xr, xi = out[k][l]
+                                out[k][l] = (xr + ar * br - ai * bi, xi + ar * bi + ai * br)
+            d, rows = d * f.denominator, out
+        return BivariatePolynomial._of(d, rows)
 
     # -- basic queries ------------------------------------------------------
 
     def transpose(self) -> "BivariatePolynomial":
-        grid = [
-            [self.coeffs[i][j] for i in range(self.deg_z + 1)]
-            for j in range(self.deg_w + 1)
-        ]
-        return BivariatePolynomial(grid)
-
-    def gaussian_grid(self):
-        """(d, rows): d the least common denominator of the coefficients, and
-        rows the grid of d p as (re, im) integer pairs; computed once."""
-        if self._integer_grid is None:
-            d, flat = _gaussian_integers([c for row in self.coeffs for c in row])
-            k = self.deg_w + 1
-            self._integer_grid = d, [flat[i:i + k] for i in range(0, len(flat), k)]
-        return self._integer_grid
+        return BivariatePolynomial._of(self.denominator, list(zip(*self.rows)))
 
     def univariate_in_z(self, v: complex):
         """(s, coeffs): the ascending coefficients of z -> s p(z, v) as
@@ -640,9 +582,8 @@ class BivariatePolynomial:
             pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
         if inverted:
             powers.reverse()
-        d, rows = self.gaussian_grid()
         coeffs = []
-        for row in rows:
+        for row in self.rows:
             re = im = 0
             for (cr, ci), (wr, wi) in zip(row, powers):
                 re += cr * wr - ci * wi
@@ -650,20 +591,18 @@ class BivariatePolynomial:
             coeffs.append((re, im))
         while coeffs and coeffs[-1] == (0, 0):
             coeffs.pop()
-        return d * q**n, coeffs
+        return self.denominator * q**n, coeffs
 
     def __eq__(self, other):
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.denominator, self.rows) == (other.denominator, other.rows)
 
     def __repr__(self):
-        terms = []
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c:
-                    terms.append(f"{c!r}*z^{i}*w^{j}")
-        return " + ".join(terms)
+        d = self.denominator
+        return " + ".join(
+            f"({_ratio(x, d)}{'+' if y >= 0 else ''}{_ratio(y, d)}i)*z^{i}*w^{j}"
+            for i, row in enumerate(self.rows) for j, (x, y) in enumerate(row) if x or y)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +616,10 @@ _UNDERFLOW = 2.0**-1000
 
 class FloatGrid:
     """The coefficient grid c[i][j] of a bivariate polynomial in complex128,
-    specialised in its second variable.
+    specialised in its second variable.  Each part of c[i][j] is the part of
+    its Gaussian-integer grid divided by its least denominator, one
+    correctly rounded int/int division, which gives the bits of ``float``
+    of the exact rational.
 
     ``specialise(v, inverted)`` returns the ascending coefficients c_i in the
     first variable of p(., v), or of v^n p(., 1/v) when inverted, from one
@@ -699,7 +641,8 @@ class FloatGrid:
 
     @np.errstate(over="ignore")
     def __init__(self, poly: BivariatePolynomial):
-        self.grid = np.array([[complex(c) for c in row] for row in poly.coeffs])
+        d = poly.denominator
+        self.grid = np.array([[complex(x / d, y / d) for x, y in row] for row in poly.rows])
         self.abs_grid = np.abs(self.grid)
         self.n = poly.deg_w
         self.gamma = 8 * (self.n + 2) * _U
@@ -930,7 +873,8 @@ def resultant_z(F, G) -> list:
     """Res_z(F, G), the Sylvester determinant in z, as its ascending
     w-coefficients, (re, im) integer pairs with trailing zeros stripped, for
     grids F and G of Gaussian-integer (re, im) pairs, rows in z and columns
-    in w, each with a nonzero last row (``BivariatePolynomial.gaussian_grid``).
+    in w, each with a nonzero last row (``BivariatePolynomial.rows``, the grid
+    of a polynomial over its least denominator).
 
     With m = deg_z F and n = deg_z G, the parts of the coefficients of
     Res(F, G) are at most B = |F|_1^n |G|_1^m in size (|.|_1 sums |re| + |im|
@@ -1028,25 +972,24 @@ def _sympy_poly(p: BivariatePolynomial):
     smallest exact one that holds the coefficients: ZZ, QQ, ZZ_I or QQ_I."""
     import sympy as sp
 
+    d = p.denominator
     terms = {
-        (i, j): sp.Rational(c.re.numerator, c.re.denominator)
-        + sp.Rational(c.im.numerator, c.im.denominator) * sp.I
-        for i, row in enumerate(p.coeffs)
-        for j, c in enumerate(row)
-        if c
+        (i, j): sp.Rational(x, d) + sp.Rational(y, d) * sp.I
+        for i, row in enumerate(p.rows)
+        for j, (x, y) in enumerate(row)
+        if x or y
     }
     return sp.Poly.from_dict(terms, sp.symbols("z w"))
 
 
 def _poly_terms(P) -> dict:
-    """{monomial: GaussianRational} of a Poly over ZZ, QQ, ZZ_I or QQ_I, read
-    exactly from its domain elements (those of ZZ_I and QQ_I carry x + y i)."""
+    """{monomial: (re, im)} of a Poly over ZZ, QQ, ZZ_I or QQ_I, each part a
+    Fraction read exactly from its domain elements (those of ZZ_I and QQ_I
+    carry x + y i)."""
     out = {}
     for m, c in P.rep.to_dict().items():
         re, im = getattr(c, "x", c), getattr(c, "y", 0)
-        out[m] = GaussianRational(
-            Fraction(re.numerator, re.denominator), Fraction(im.numerator, im.denominator)
-        )
+        out[m] = Fraction(re.numerator, re.denominator), Fraction(im.numerator, im.denominator)
     return out
 
 
@@ -1057,9 +1000,8 @@ def _norm_squarefree(p: BivariatePolynomial) -> bool:
     conjugate, and N = a when b = 0.  False is no verdict on p."""
     import sympy as sp
 
-    _, rows = p.gaussian_grid()
     gens = sp.symbols("z w")
-    a, b = ({(i, j): c[k] for i, row in enumerate(rows) for j, c in enumerate(row) if c[k]}
+    a, b = ({(i, j): c[k] for i, row in enumerate(p.rows) for j, c in enumerate(row) if c[k]}
             for k in (0, 1))
     A = sp.Poly.from_dict(a, gens, domain=sp.ZZ)
     N = A if not b else A**2 + sp.Poly.from_dict(b, gens, domain=sp.ZZ) ** 2
@@ -1105,7 +1047,7 @@ def squarefree_check(p: BivariatePolynomial):
             continue
         G = P.gcd(D)
         if G.total_degree() > 0:
-            grid = [[QQI_ZERO] * (G.degree(1) + 1) for _ in range(G.degree(0) + 1)]
+            grid = [[0] * (G.degree(1) + 1) for _ in range(G.degree(0) + 1)]
             for (i, j), c in _poly_terms(G.monic()).items():
                 grid[i][j] = c
             return False, BivariatePolynomial(grid)

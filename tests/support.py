@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import math
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,10 @@ from corrdyn.dynamics import CircleCorrespondence
 from corrdyn.errors import InvalidInputError
 from corrdyn.polyalg import (
     _U,
-    QQI_ZERO,
+    _UNDERFLOW,
     BivariatePolynomial,
-    GaussianRational,
     _crt,
     _fp_divmod,
-    _gaussian_integers,
     _prime,
     _zi_quotient,
     _zi_strip,
@@ -32,6 +31,182 @@ def constant_function(value, domain: str = "correspondence") -> SampledFunction:
     if domain == "base":
         return SampledFunction(domain, lambda z: value)
     return SampledFunction(domain, lambda z, w: value)
+
+
+# Exact complex numbers and the Gaussian-rational coefficient grid.
+# corrdyn.polyalg stores a bivariate polynomial as one Gaussian-integer grid
+# over a least denominator; ReferencePolynomial is the route it replaced, a
+# grid of GaussianRational values multiplied, transposed and printed in
+# Fraction arithmetic, and the oracle it is compared against.
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """Complex number with rational real and imaginary parts."""
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(x) -> "GaussianRational":
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, (int, Fraction, float)):
+            return GaussianRational(Fraction(x), Fraction(0))
+        if isinstance(x, complex):
+            return GaussianRational(Fraction(x.real), Fraction(x.imag))
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return GaussianRational(Fraction(x[0]), Fraction(x[1]))
+        raise InvalidInputError(f"cannot interpret {x!r} as a Gaussian rational")
+
+    def __add__(self, other):
+        o = GaussianRational.of(other)
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, other):
+        o = GaussianRational.of(other)
+        return GaussianRational(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        o = GaussianRational.of(other)
+        return GaussianRational(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
+        )
+
+    def __truediv__(self, other):
+        o = GaussianRational.of(other)
+        d = o.re * o.re + o.im * o.im
+        if d == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GaussianRational(
+            (self.re * o.re + self.im * o.im) / d,
+            (self.im * o.re - self.re * o.im) / d,
+        )
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "GaussianRational":
+        return GaussianRational(self.re, -self.im)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __bool__(self) -> bool:
+        return self.re != 0 or self.im != 0
+
+    def __abs__(self) -> float:
+        return abs(complex(self))
+
+    def __repr__(self) -> str:
+        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+
+
+QQI_ZERO = GaussianRational(Fraction(0), Fraction(0))
+
+
+def _gaussian_integers(cs):
+    """(d, pairs): d the least common denominator of the Gaussian rationals
+    cs, and pairs the (re, im) integer parts of d c for each c."""
+    d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+    return d, [(c.re.numerator * (d // c.re.denominator),
+                c.im.numerator * (d // c.im.denominator)) for c in cs]
+
+
+class ReferencePolynomial:
+    """p(z, w) as a grid c[i][j] of GaussianRational values for z^i w^j,
+    trimmed of zero rows and columns at the end: what
+    ``BivariatePolynomial`` stored before it became its Gaussian-integer
+    grid, with its product, transpose, integer grid and repr."""
+
+    def __init__(self, grid):
+        rows = [[GaussianRational.of(c) for c in row] for row in grid]
+        if not rows or not any(any(c for c in row) for row in rows):
+            raise InvalidInputError("zero bivariate polynomial")
+        width = max(len(r) for r in rows)
+        for r in rows:
+            r.extend([QQI_ZERO] * (width - len(r)))
+        while rows and not any(rows[-1]):
+            rows.pop()
+        width = max(
+            (j for row in rows for j, c in enumerate(row) if c), default=0
+        ) + 1
+        rows = [row[:width] for row in rows]
+        self.coeffs = tuple(tuple(row) for row in rows)
+        self.deg_z = len(rows) - 1
+        self.deg_w = width - 1
+
+    @staticmethod
+    def product(factors) -> "ReferencePolynomial":
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = acc._mul(f)
+        return acc
+
+    def _mul(self, other: "ReferencePolynomial") -> "ReferencePolynomial":
+        out = [
+            [QQI_ZERO] * (self.deg_w + other.deg_w + 1)
+            for _ in range(self.deg_z + other.deg_z + 1)
+        ]
+        for i, row in enumerate(self.coeffs):
+            for j, c in enumerate(row):
+                if not c:
+                    continue
+                for k, orow in enumerate(other.coeffs):
+                    for l, d in enumerate(orow):
+                        if d:
+                            out[i + k][j + l] = out[i + k][j + l] + c * d
+        return ReferencePolynomial(out)
+
+    def transpose(self) -> "ReferencePolynomial":
+        return ReferencePolynomial([
+            [self.coeffs[i][j] for i in range(self.deg_z + 1)]
+            for j in range(self.deg_w + 1)
+        ])
+
+    def gaussian_grid(self):
+        """(d, rows): d the least common denominator of the coefficients, and
+        rows the grid of d p as (re, im) integer pairs."""
+        d, flat = _gaussian_integers([c for row in self.coeffs for c in row])
+        k = self.deg_w + 1
+        return d, tuple(tuple(flat[i:i + k]) for i in range(0, len(flat), k))
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        terms = []
+        for i, row in enumerate(self.coeffs):
+            for j, c in enumerate(row):
+                if c:
+                    terms.append(f"{c!r}*z^{i}*w^{j}")
+        return " + ".join(terms)
+
+
+@np.errstate(over="ignore")
+def reference_float_grid(ref: ReferencePolynomial):
+    """(grid, abs_grid, floor) of polyalg.FloatGrid, with grid made of
+    complex(c) for each Gaussian-rational coefficient c of ref."""
+    grid = np.array([[complex(c) for c in row] for row in ref.coeffs])
+    abs_grid = np.abs(grid)
+    return grid, abs_grid, 8 * (ref.deg_w + 2) * _UNDERFLOW * (1.0 + abs_grid.sum(axis=1))
+
+
+def coefficients(p: BivariatePolynomial) -> tuple:
+    """The coefficient grid of p as GaussianRational values."""
+    d = p.denominator
+    return tuple(tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in row)
+                 for row in p.rows)
+
+
+def exact_polynomial(grid) -> BivariatePolynomial:
+    """The BivariatePolynomial of a grid that may hold GaussianRational
+    values."""
+    return BivariatePolynomial(
+        [[astuple(c) if isinstance(c, GaussianRational) else c for c in row] for row in grid])
 
 
 # Exact univariate polynomials over the Gaussian rationals, on ascending
@@ -89,8 +264,8 @@ class UnivariatePolynomial:
 
 def partial_z(p: BivariatePolynomial) -> BivariatePolynomial:
     """dp/dz, for p of positive degree in z."""
-    return BivariatePolynomial(
-        [[c * GaussianRational.of(i) for c in p.coeffs[i]] for i in range(1, p.deg_z + 1)])
+    return exact_polynomial(
+        [[c * GaussianRational.of(i) for c in coefficients(p)[i]] for i in range(1, p.deg_z + 1)])
 
 
 def integer_coeffs(f: UnivariatePolynomial) -> list:
@@ -195,13 +370,13 @@ def _horner(cs, x: GaussianRational) -> GaussianRational:
 
 def reference_univariate_in_z(p: BivariatePolynomial, w0: GaussianRational):
     """Exact coefficients of z -> p(z, w0)."""
-    return UnivariatePolynomial(_horner(reversed(row), w0) for row in p.coeffs)
+    return UnivariatePolynomial(_horner(reversed(row), w0) for row in coefficients(p))
 
 
 def reference_univariate_in_z_inverted(p: BivariatePolynomial, v0: GaussianRational):
     """Exact coefficients of z -> v0^n p(z, 1/v0), n = deg_w (chart near
     infinity): row i gives the sum over j of c[i][j] v0^(n - j)."""
-    return UnivariatePolynomial(_horner(row, v0) for row in p.coeffs)
+    return UnivariatePolynomial(_horner(row, v0) for row in coefficients(p))
 
 
 # Independent routes to the resultants and the squarefree check: sympy
@@ -225,7 +400,7 @@ def _in_w(row):
 
 
 def _expr(p: BivariatePolynomial):
-    return sum((_in_w(row) * Z**i for i, row in enumerate(p.coeffs)), sp.Integer(0))
+    return sum((_in_w(row) * Z**i for i, row in enumerate(coefficients(p))), sp.Integer(0))
 
 
 def _qqi(x) -> GaussianRational:
@@ -243,7 +418,7 @@ def sylvester_resultant_z(f: BivariatePolynomial, g: BivariatePolynomial):
     size = m + n
     rows = []
     for poly, shifts in ((f, n), (g, m)):
-        column = [_in_w(row) for row in reversed(poly.coeffs)]
+        column = [_in_w(row) for row in reversed(coefficients(poly))]
         for s in range(shifts):
             rows.append([0] * s + column + [0] * (size - s - len(column)))
     ring = sp.QQ_I[W]
@@ -366,7 +541,7 @@ def reference_newton_steps(coeffs, z: complex, m: int) -> complex:
 
 
 def reference_branching(p: BivariatePolynomial):
-    """correspondence._branching(p.gaussian_grid()[1]) by the Gaussian-
+    """correspondence._branching(p.rows) by the Gaussian-
     rational route: the resultants are Sylvester determinants over QQ_I
     (``sylvester_resultant_z``) of p and its z-derivative, scaled to
     Gaussian integers after the fact, the tests at infinity run Euclid's
@@ -384,14 +559,15 @@ def reference_branching(p: BivariatePolynomial):
 
     m, n = p.deg_z, p.deg_w
     p_z = partial_z(p)
-    lc, below = _xstrip(p.coeffs[m]), _xstrip(p.coeffs[m - 1])
+    c = coefficients(p)
+    lc, below = _xstrip(c[m]), _xstrip(c[m - 1])
     disc = _zi_quotient(integer_coeffs(sylvester_resultant_z(p, p_z)),
                         _gaussian_integers(lc)[1])
     points = polished(integer_coeffs(sylvester_resultant_z(p.transpose(), p_z.transpose())))
     values = polished(disc)
     if max(_xdeg(lc), _xdeg(below)) < n or _xdeg(xgcd(lc, below)) > 0:
         points.append(SpherePoint.infinity())
-    top = _xstrip(row[n] for row in p.coeffs)
+    top = _xstrip(row[n] for row in c)
     if _xdeg(top) <= m - 2 or _xdeg(xgcd(top, _xderiv(top))) > 0:
         values.append(SpherePoint.infinity())
     return points, values
@@ -409,7 +585,7 @@ def reference_squarefree_check(p: BivariatePolynomial):
         if g.total_degree() > 0:
             grid = [[0] * (g.degree(W) + 1) for _ in range(g.degree(Z) + 1)]
             for (i, j), c in g.terms():
-                grid[i][j] = _qqi(c)
+                grid[i][j] = astuple(_qqi(c))
             return False, BivariatePolynomial(grid)
     return True, None
 
@@ -420,12 +596,13 @@ def on_correspondence(corr, z, w) -> bool:
     w2^(n-j), against 1e-9 times the coefficient sum."""
     m, n = corr.deg_z, corr.deg_w
     val = 0j
-    for i, row in enumerate(corr.p.coeffs):
+    grid = coefficients(corr.p)
+    for i, row in enumerate(grid):
         zterm = z.z1**i * z.z2 ** (m - i)
         for j, c in enumerate(row):
             if c:
                 val += complex(c) * zterm * w.z1**j * w.z2 ** (n - j)
-    return abs(val) < 1e-9 * max(1.0, sum(abs(c) for row in corr.p.coeffs for c in row))
+    return abs(val) < 1e-9 * max(1.0, sum(abs(c) for row in grid for c in row))
 
 
 # The dense route to the Fock relations: Fraction matrices over the path

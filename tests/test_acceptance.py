@@ -43,11 +43,9 @@ from corrdyn.ktheory import (
     product_family_input,
 )
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import GaussianRational, squarefree_check
+from corrdyn.polyalg import squarefree_check
 
 from support import constant_function, reference_component_count
-
-GR = GaussianRational.of
 
 
 def report(num, ok, text):
@@ -56,7 +54,7 @@ def report(num, ok, text):
 
 
 def circle_rel():
-    return Correspondence(BP([[GR(-1), GR(0), GR(1)], [GR(0)], [GR(1)]]))
+    return Correspondence(BP([[-1, 0, 1], [0], [1]]))
 
 
 def expected_monomial_kgroups(m, n):
@@ -274,11 +272,11 @@ def test_criterion_11_branched_set_bounds():
         dz = rng.randint(1, 3)
         dw = rng.randint(1, 3)
         grid = [
-            [GR((rng.randint(-3, 3), rng.randint(-3, 3))) for _ in range(dw + 1)]
+            [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(dw + 1)]
             for _ in range(dz + 1)
         ]
-        grid[dz][0] = GR(rng.choice([1, 2, -1]))
-        grid[0][dw] = GR(rng.choice([1, 2, -1]))
+        grid[dz][0] = rng.choice([1, 2, -1])
+        grid[0][dw] = rng.choice([1, 2, -1])
         try:
             p = BP(grid)
             if p.deg_z < 1 or p.deg_w < 1 or not squarefree_check(p)[0]:

@@ -24,7 +24,6 @@ from corrdyn.bimodule import (
 from corrdyn.correspondence import Correspondence, SpherePoint, unit_circle_points
 from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import GaussianRational
 
 from support import (
     constant_function,
@@ -34,11 +33,9 @@ from support import (
     left_action_matrix,
 )
 
-GR = GaussianRational.of
-
 
 def circle_rel():
-    return Correspondence(BP([[GR(-1), GR(0), GR(1)], [GR(0)], [GR(1)]]))
+    return Correspondence(BP([[-1, 0, 1], [0], [1]]))
 
 
 def random_trig(rng, degree=4):

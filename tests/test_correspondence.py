@@ -23,10 +23,12 @@ from corrdyn.correspondence import (
 )
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import FloatGrid, GaussianRational, certified_roots, roots
+from corrdyn.polyalg import FloatGrid, certified_roots, roots
 
 from support import (
+    GaussianRational,
     chordally_separated,
+    exact_polynomial,
     integer_coeffs,
     on_correspondence,
     reference_branching,
@@ -41,7 +43,7 @@ GR = GaussianRational.of
 
 def circle_poly():
     # z^2 + w^2 - 1
-    return BP([[GR(-1), GR(0), GR(1)], [GR(0)], [GR(1)]])
+    return BP([[-1, 0, 1], [0], [1]])
 
 
 class TestSpherePoint:
@@ -235,7 +237,7 @@ def lc_vanishing_polynomials(draw):
     lead = [draw(nonzero)]
     for _ in range(draw(st.integers(1, 2))):
         lead = times_factor(lead)
-    grid = [[GR((int(c.real), int(c.imag))) for c in row] for row in rows + [lead]]
+    grid = [[(int(c.real), int(c.imag)) for c in row] for row in rows + [lead]]
     return BP(grid), Fraction(a, 2**s)
 
 
@@ -270,7 +272,7 @@ class TestBranchedSets:
         # chordally, less than tol, yet distinct branch points; their float
         # roots are off by 1.4e-9 until they are polished.  w = 0 is a
         # double root over both, so 0 is a cobranch value
-        corr = Correspondence(BP([[GR(-2000 * 2001), GR(0), GR(1)], [GR(4001)], [GR(-1)]]))
+        corr = Correspondence(BP([[-2000 * 2001, 0, 1], [4001], [-1]]))
         sets = corr.branched_sets()
         assert [p.to_complex() for p in sets.cobranch_points[:-1]] == [2000, 2001]
         assert sets.cobranch_points[-1].is_infinity
@@ -284,7 +286,7 @@ class TestBranchedSets:
         # w^2 = z(z - 2e6) and w^2 = (z - 30000)(z - 30001): a base point
         # stored as 1/z splits the double point w = 0 by more than tol, so
         # only an exact decision keeps them
-        corr = Correspondence(BP([[GR(c) for c in row] for row in spec]))
+        corr = Correspondence(BP(spec))
         sets = corr.branched_sets()
         got = sets.cobranch_points
         assert [p.to_complex() for p in got[:-1]] == pytest.approx(want, rel=1e-15)
@@ -292,16 +294,16 @@ class TestBranchedSets:
         assert SpherePoint.from_complex(0j) in sets.cobranch_values
 
     @pytest.mark.parametrize("res,want", [
-        ([GR(2000 * 2001), GR(-4001), GR(1)], [2000, 2001]),
-        ([GR(0), GR(-2 * 10**6), GR(1)], [0, 2e6]),
-        ([GR(0), GR(-2 * 10**9), GR(1)], [0, 2e9]),
+        ([2000 * 2001, -4001, 1], [2000, 2001]),
+        ([0, -2 * 10**6, 1], [0, 2e6]),
+        ([0, -2 * 10**9, 1], [0, 2e9]),
     ])
     def test_candidates_are_every_root_and_infinity(self, res, want):
         # the branch values of z^2 - res(w) are the roots of res and
         # infinity: distinct roots stay distinct points, at any distance
         # from 0 and from infinity
-        q = BP([[-c for c in res], [GR(0)], [GR(1)]])
-        points, values = _branching(q.gaussian_grid()[1])
+        q = BP([[-c for c in res], [0], [1]])
+        points, values = _branching(q.rows)
         assert [c.to_complex() for c in values[:-1]] == pytest.approx(want, rel=1e-12)
         assert len(values) == len(want) + 1 and values[-1].is_infinity
         assert points == [SpherePoint.from_complex(0j), SpherePoint.infinity()]
@@ -313,7 +315,7 @@ class TestBranchedSets:
         # two z-roots over each of them agree to 1e-24
         grid = [[(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
                 [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]]
-        values = Correspondence(BP([[GR(c) for c in row] for row in grid])).branched_sets().branch_values
+        values = Correspondence(BP(grid)).branched_sets().branch_values
         got = [p.to_complex() for p in values]
         for want in (-0.15449765791347173 - 0.1973676491038844j,
                      -0.15351662635514438 - 0.20300831757837598j):
@@ -333,9 +335,8 @@ class TestBranchedSets:
     @pytest.mark.parametrize("p", [
         circle_poly(),
         BP.product([BP.graph_of_power(2), BP.graph_of_power(3), BP.graph_of_power(4)]),
-        BP([[GR(c) for c in row] for row in [
-            [(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
-            [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]]]),
+        BP([[(-2, 3), (3, -3), (2, 0)], [(0, 2), (-1, -3), (-1, -2)],
+            [(0, 0), (-2, -1), (0, -1)], [(1, 0), (2, -3), (0, 1)]]),
     ])
     def test_solves_no_fiber(self, monkeypatch, p):
         want = Correspondence(p).branched_sets()
@@ -376,7 +377,7 @@ class TestBranchedSets:
         ([[0, 1], [0, -2], [1, 1]], "branch_values", SpherePoint.infinity()),
     ])
     def test_infinity_from_a_common_or_repeated_root(self, grid, field, base):
-        corr = Correspondence(BP([[GR(c) for c in row] for row in grid]))
+        corr = Correspondence(BP(grid))
         assert getattr(corr.branched_sets(), field)[-1].is_infinity
         assert max(e for _, e in corr.backward_fiber(base).points) == 2
 
@@ -391,7 +392,7 @@ def small_polynomials(draw):
     grid = [[draw(entry) for _ in range(n + 1)] for _ in range(m + 1)]
     grid[m][0] = grid[m][0] or GR(1)
     grid[0][n] = grid[0][n] or GR((1, 1))
-    return BP(grid)
+    return exact_polynomial(grid)
 
 
 def _branching_bits(branching, arg):
@@ -421,14 +422,13 @@ class TestIntegerBranching:
     """_branching on the Gaussian-integer grid gives, bit for bit, what the
     Gaussian-rational route gives (support.reference_branching)."""
 
-    @pytest.mark.parametrize("p", [BP([[GR(c) for c in row] for row in spec])
-                                   for spec in REFERENCE_SPECS] + [
+    @pytest.mark.parametrize("p", [BP(spec) for spec in REFERENCE_SPECS] + [
         circle_poly(),
         BP.product([BP.graph_of_power(2), BP.graph_of_power(3), BP.graph_of_power(4)]),
         BP.product([BP.graph_of_power(4), BP.graph_of_power(5)]),
     ])
     def test_specs(self, p):
-        grid = p.gaussian_grid()[1]
+        grid = p.rows
         assert _branching_bits(_branching, grid) == _branching_bits(reference_branching, p)
         assert (_branching_bits(_branching, list(zip(*grid)))
                 == _branching_bits(reference_branching, p.transpose()))
@@ -436,7 +436,7 @@ class TestIntegerBranching:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(small_polynomials(), lc_vanishing_polynomials().map(lambda d: d[0])))
     def test_drawn(self, p):
-        grid = p.gaussian_grid()[1]
+        grid = p.rows
         assert _branching_bits(_branching, grid) == _branching_bits(reference_branching, p)
         assert (_branching_bits(_branching, list(zip(*grid)))
                 == _branching_bits(reference_branching, p.transpose()))
@@ -481,7 +481,7 @@ class TestValidation:
 
     def test_rejects_degenerate_degree(self):
         with pytest.raises(InvalidInputError):
-            Correspondence(BP([[GR(0), GR(1)]]))  # p = w, no z dependence
+            Correspondence(BP([[0, 1]]))  # p = w, no z dependence
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +508,9 @@ def raw_polynomials(draw):
     dz = draw(st.integers(1, 3))
     dw = draw(st.integers(1, 3))
     entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    grid = [[GR(draw(entry)) for _ in range(dw + 1)] for _ in range(dz + 1)]
-    grid[dz][0] = GR(draw(st.sampled_from([1, 2, -1])))
-    grid[0][dw] = GR(draw(st.sampled_from([1, 2, -1])))
+    grid = [[draw(entry) for _ in range(dw + 1)] for _ in range(dz + 1)]
+    grid[dz][0] = draw(st.sampled_from([1, 2, -1]))
+    grid[0][dw] = draw(st.sampled_from([1, 2, -1]))
     return BP(grid)
 
 
@@ -583,8 +583,7 @@ def _same_fiber(a, b, dist=1e-9):
 class TestFloatFirstFiber:
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
     @example(  # w^4 - zw - z^2 w^3 + z^3: roots near 315 beside one near 1e15
-        BP([[GR(0), GR(0), GR(0), GR(0), GR(1)], [GR(0), GR(-1)], [GR(0), GR(0), GR(0), GR(-1)],
-            [GR(1)]]),
+        BP([[0, 0, 0, 0, 1], [0, -1], [0, 0, 0, -1], [1]]),
         "backward",
         SpherePoint.from_complex(99140 + 0j),
     )
@@ -611,9 +610,9 @@ class TestFloatFirstFiber:
         # exact path; its two roots of modulus about 1 sit beside one near
         # 4.5e15 and must still match the roots at 60 digits
         p = BP([
-            [GR((1, -1)), GR((-1, -3)), GR((-1, -2)), GR((1, 0))],
-            [GR((0, 2)), GR((-1, -2)), GR((3, -2)), GR((-2, 0))],
-            [GR((2, 0)), GR((0, 0)), GR((-2, 1)), GR((-3, 0))],
+            [(1, -1), (-1, -3), (-1, -2), (1, 0)],
+            [(0, 2), (-1, -2), (3, -2), (-2, 0)],
+            [(2, 0), (0, 0), (-2, 1), (-3, 0)],
         ])
         poly, expected = _fiber_problem(p, "forward")
         base = SpherePoint.from_complex(-0.9999999999999997 + 0j)
@@ -623,7 +622,7 @@ class TestFloatFirstFiber:
 
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
     @example(  # w - z + z^2 over w = 0: the root 0 of the zero constant term comes last
-        BP([[GR(0), GR(1)], [GR(-1)], [GR(1)]]), "backward", SpherePoint.from_complex(0j)
+        BP([[0, 1], [-1], [1]]), "backward", SpherePoint.from_complex(0j)
     )
     @settings(max_examples=300, deadline=None)
     def test_certificate_matches_numpy_reference(self, p, direction, base):
@@ -689,7 +688,7 @@ class TestFloatFirstFiber:
 
     @pytest.mark.parametrize("p,direction,base", [
         (circle_poly(), "backward", 1 + 0j),
-        (BP([[GR(c) for c in row] for row in [[(-5, 6), (-2, -4), (1, 0)], [(-1, 0)]]]),
+        (BP([[(-5, 6), (-2, -4), (1, 0)], [(-1, 0)]]),
          "forward", -2 + 2j),
     ], ids=["circle-at-1", "non-real-double-root-inverted-chart"])
     def test_exact_path_does_no_fraction_arithmetic(self, monkeypatch, p, direction, base):
@@ -767,7 +766,7 @@ class TestFloatFirstFiber:
         # roots round alike at 12 digits, so _point_sort_key orders them by
         # their imaginary parts, against the order of the raw real parts
         d = Fraction(1, 2**42)
-        poly = BP([[GR((13 + 2 * d, 3 * d)), GR(-1)], [GR(-4 - d)], [GR(1)]])
+        poly = BP([[(13 + 2 * d, 3 * d), -1], [-4 - d], [1]])
         grid, base = FloatGrid(poly), SpherePoint.from_complex(0j)
         found = certified_roots(*grid.specialise(*base.chart_value()), 2e-6)
         assert found is not None
@@ -788,7 +787,7 @@ class TestFloatFirstFiber:
         # K (z^2 + (1 + w) z + w - 1) with K = 10^308: the grid's row sums
         # and a coefficient of the float specialisation at w = 0.9 overflow
         k = 10**308
-        poly = BP([[GR(-k), GR(k)], [GR(k), GR(k)], [GR(k)]])
+        poly = BP([[-k, k], [k, k], [k]])
         if error is None:
             with pytest.warns(RuntimeWarning):
                 FloatGrid(poly).grid @ np.array([1, base.to_complex()])

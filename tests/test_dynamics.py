@@ -28,15 +28,12 @@ from corrdyn.dynamics import (
 )
 from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import GaussianRational
 
 from support import reference_component_count, reference_covering_step, reference_gp_angles
 
-GR = GaussianRational.of
-
 
 def circle_rel():
-    return Correspondence(BP([[GR(-1), GR(0), GR(1)], [GR(0)], [GR(1)]]))
+    return Correspondence(BP([[-1, 0, 1], [0], [1]]))
 
 
 rational = st.fractions(

@@ -3,18 +3,19 @@ import math
 import random
 import time
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from corrdyn import polyalg
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import (
     BivariatePolynomial,
-    GaussianRational,
+    FloatGrid,
     _companion_roots,
     _newton_steps,
     _P,
@@ -32,12 +33,17 @@ from corrdyn.polyalg import (
 )
 
 from support import (
+    GaussianRational,
+    ReferencePolynomial,
     UnivariatePolynomial,
     _xdeg,
     chordally_separated,
+    coefficients,
+    exact_polynomial,
     integer_coeffs,
     partial_z,
     reference_certified_roots,
+    reference_float_grid,
     reference_newton_steps,
     reference_resultant_z,
     reference_squarefree_check,
@@ -579,7 +585,7 @@ class TestIntegerSpecialisation:
     @given(rational_grids, float_parts, float_parts, st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_fraction_oracle_times_its_scale(self, grid, re, im, inverted):
-        p = BivariatePolynomial(grid)
+        p = exact_polynomial(grid)
         v = complex(re, im)
         scale, coeffs = _specialise(p, v, inverted)
         assert isinstance(scale, int) and scale > 0
@@ -597,11 +603,108 @@ class TestIntegerSpecialisation:
             with pytest.raises(error, match=match):
                 specialise(p, v, inverted)
 
-    def test_integer_grid_is_computed_once(self):
+
+# grid entries: ints, Fractions as "p/q" parses them (and "p/q" strings in
+# pairs), floats with the subnormal and near-overflow extremes, non-real
+# Gaussian rationals, complex floats, zeros, and a few parts beyond float
+# range
+grid_values = st.one_of(
+    st.sampled_from([0, (0, 0), 0.0, -0.0]),
+    st.integers(-9, 9),
+    st.integers(-2**70, 2**70),
+    st.fractions(max_denominator=12),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, -3 * 2.0**-1074, 2.0**-1022, 1.7976931348623157e308, -1e308,
+                     0.1, 10**400, Fraction(-(10**400), 3), (0, Fraction(7 * 10**320, 3))]),
+    st.tuples(st.fractions(max_denominator=12), st.fractions(max_denominator=12)),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(1, 9)).map(
+        lambda t: (f"{t[0]}/{t[1]}", f"{-t[1]}/{t[2]}")),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def value_grids(draw, max_rows=3, max_cols=3):
+    """Ragged grids of grid_values, with zero columns and zero rows, some
+    empty, appended at the end."""
+    rows = draw(st.lists(st.lists(grid_values, max_size=max_cols), min_size=1,
+                         max_size=max_rows))
+    columns = draw(st.integers(0, 2))
+    zero_rows = draw(st.lists(st.integers(0, 3), max_size=2))
+    return [row + [(0, 0)] * columns for row in rows] + [[0] * k for k in zero_rows]
+
+
+def _outcome(build, *args):
+    """(build(*args), None), or (None, the type of the error it raised)."""
+    try:
+        return build(*args), None
+    except (InvalidInputError, OverflowError) as exc:
+        return None, type(exc)
+
+
+def _assert_same(p: BivariatePolynomial, ref: ReferencePolynomial):
+    assert (p.denominator, p.rows) == ref.gaussian_grid()
+    assert (p.deg_z, p.deg_w) == (ref.deg_z, ref.deg_w)
+    assert repr(p) == repr(ref)
+    grid, error = _outcome(FloatGrid, p)
+    want, want_error = _outcome(reference_float_grid, ref)
+    assert error == want_error
+    if grid is not None:
+        got = (grid.grid, grid.abs_grid, grid.floor)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    # the same values written as (Fraction, Fraction) pairs, with a zero row
+    rewritten = BivariatePolynomial(
+        [[astuple(c) for c in row] for row in ref.coeffs] + [[(0, 0)] * (ref.deg_w + 2)])
+    assert p == rewritten
+
+
+class TestGaussianIntegerGrid:
+    """BivariatePolynomial, stored as its Gaussian-integer grid over a least
+    denominator, against the Gaussian-rational grid it replaced
+    (support.ReferencePolynomial): the same integer grid, degrees, repr,
+    equality and complex128 grid, bit for bit."""
+
+    @given(value_grids(), value_grids())
+    @settings(max_examples=300, deadline=None)
+    @example([[0], [(0, 0), 0.0]], [[1]])  # the zero polynomial
+    @example([[10**400, 1]], [[1]])  # beyond float range
+    @example([[Fraction(1, 2), (0, Fraction(-3, 4))], [0.1]], [[2, 0], [1]])
+    # a part of 70 bits over d = 3, whose float is not float(x) / 3.0
+    @example([[Fraction(-871354560599849615824, 3)]], [[1]])
+    def test_grid(self, grid, other):
+        p, error = _outcome(BivariatePolynomial, grid)
+        ref, want_error = _outcome(ReferencePolynomial, grid)
+        assert error == want_error
+        if p is None:
+            return
+        _assert_same(p, ref)
+        _assert_same(p.transpose(), ref.transpose())
+        q, ref_q = _outcome(BivariatePolynomial, other)[0], _outcome(ReferencePolynomial, other)[0]
+        if q is not None:
+            assert (p == q) == (ref == ref_q)
+
+    @given(st.lists(value_grids(max_rows=2, max_cols=2).filter(
+        lambda g: _outcome(BivariatePolynomial, g)[0] is not None), min_size=2, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    @example([[[Fraction(1, 2)]], [[2]]])  # (1/2) 2 = 1
+    @example([[[Fraction(1, 2), (0, Fraction(1, 2))]], [[2], [(0, Fraction(4, 3))]],
+              [[3, Fraction(3, 5)]]])
+    def test_product(self, grids):
+        factors = [BivariatePolynomial(g) for g in grids]
+        ref = ReferencePolynomial.product([ReferencePolynomial(g) for g in grids])
+        _assert_same(BivariatePolynomial.product(factors), ref)
+        _assert_same(BivariatePolynomial.product(factors).transpose(), ref.transpose())
+
+    def test_families(self):
         p = BivariatePolynomial.monomial_relation(2, 3)
-        assert p.gaussian_grid() is p.gaussian_grid()
-        assert p.gaussian_grid() == (1, [[(0, 0), (0, 0), (0, 0), (-1, 0)],
-                                         [(0, 0)] * 4, [(1, 0), (0, 0), (0, 0), (0, 0)]])
+        assert (p.denominator, p.rows) == (1, (((0, 0), (0, 0), (0, 0), (-1, 0)),
+                                               ((0, 0),) * 4, ((1, 0), (0, 0), (0, 0), (0, 0))))
+        assert p == BivariatePolynomial([[0, 0, 0, -1], [], [1]])
+        assert BivariatePolynomial.graph_of_power(2) == BivariatePolynomial([[0, 1], [0], [-1]])
+
+    def test_uninterpretable_value(self):
+        with pytest.raises(InvalidInputError, match="cannot interpret"):
+            BivariatePolynomial([[1, "1/2"]])
 
 
 class TestGaussianIntegerQuotient:
@@ -633,6 +736,29 @@ class TestGaussianIntegerQuotient:
         assert _zi_quotient([], [(2, 1)]) == []
         assert _zi_quotient([(1, 0)], [(0, 1), (1, 0)]) is None
 
+
+
+def _fp_polys(p):
+    return st.lists(st.integers(0, p - 1), max_size=5).map(polyalg._fp_strip)
+
+
+class TestFpGcd:
+    @given(st.sampled_from([31, _P]).flatmap(
+        lambda p: st.tuples(st.just(p), _fp_polys(p), _fp_polys(p), _fp_polys(p))))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_euclid_by_divmod(self, drawn):
+        # a = f h and b = g h share h; the monic gcd is unique, so the
+        # in-place reduction gives what Euclid with _fp_divmod gives
+        p, f, g, h = drawn
+        a, b = polyalg._fp_mul(f, h, p), polyalg._fp_mul(g, h, p)
+        assume(a or b)
+        copies = (list(a), list(b))
+        want = [a, b]
+        while want[1]:
+            want = [want[1], polyalg._fp_divmod(*want, p)[1]]
+        inv = pow(want[0][-1], -1, p)
+        assert polyalg._fp_gcd(a, b, p) == [x * inv % p for x in want[0]]
+        assert (a, b) == copies  # the inputs are left as they were
 
 
 class TestCoprime:
@@ -691,14 +817,14 @@ class TestCoprime:
 
         monkeypatch.setattr(correspondence, "_xcoprime", decided_modulo_p)
         seed29 = BivariatePolynomial([
-            [GR((1, -1)), GR((-1, -3)), GR((-1, -2)), GR((1, 0))],
-            [GR((0, 2)), GR((-1, -2)), GR((3, -2)), GR((-2, 0))],
-            [GR((2, 0)), GR((0, 0)), GR((-2, 1)), GR((-3, 0))],
+            [(1, -1), (-1, -3), (-1, -2), (1, 0)],
+            [(0, 2), (-1, -2), (3, -2), (-2, 0)],
+            [(2, 0), (0, 0), (-2, 1), (-3, 0)],
         ])
         product = BivariatePolynomial.product(
             [BivariatePolynomial.graph_of_power(4), BivariatePolynomial.graph_of_power(5)])
         for p in (seed29, product):
-            grid = p.gaussian_grid()[1]
+            grid = p.rows
             _branching(grid)
             _branching(list(zip(*grid)))
         assert calls
@@ -788,12 +914,12 @@ class TestBivariate:
     def test_resultant_example(self):
         # Res_z(z^2 - w, 2z) = -4w
         p = BivariatePolynomial.monomial_relation(2, 1)
-        assert resultant_z(p.gaussian_grid()[1], [[(0, 0)], [(2, 0)]]) == [(0, 0), (-4, 0)]
+        assert resultant_z(p.rows, [[(0, 0)], [(2, 0)]]) == [(0, 0), (-4, 0)]
 
     def test_resultant_w(self):
         # Res_w(z - w^2, -2w) = 4z
         p = BivariatePolynomial.monomial_relation(1, 2)
-        assert resultant_w(p.gaussian_grid()[1], [[(0, 0), (-2, 0)]]) == [(0, 0), (4, 0)]
+        assert resultant_w(p.rows, [[(0, 0), (-2, 0)]]) == [(0, 0), (4, 0)]
 
     def test_squarefree_check(self):
         good = BivariatePolynomial.monomial_relation(2, 3)
@@ -810,14 +936,15 @@ class TestBivariate:
         ([[0, 1], [0], [-1]], [[0, 1], [0], [-1]]),  # (w - z^2)^2
     ], ids=["mixed-1-1-2-2", "graph-squared"])
     def test_witness_is_the_repeated_factor(self, factor, cofactor):
-        factor = BivariatePolynomial([[GR(c) for c in row] for row in factor])
-        cofactor = BivariatePolynomial([[GR(c) for c in row] for row in cofactor])
+        factor = BivariatePolynomial(factor)
+        cofactor = BivariatePolynomial(cofactor)
         ok, witness = squarefree_check(BivariatePolynomial.product([factor, cofactor]))
         assert not ok
         # proportional: the witness is the factor times a nonzero scalar
-        a = next(c for row in factor.coeffs for c in row if c)
-        b = next(c for row in witness.coeffs for c in row if c)
-        assert witness == BivariatePolynomial([[c * (b / a) for c in row] for row in factor.coeffs])
+        a = next(c for row in coefficients(factor) for c in row if c)
+        b = next(c for row in coefficients(witness) for c in row if c)
+        assert witness == exact_polynomial(
+            [[c * (b / a) for c in row] for row in coefficients(factor)])
 
 
 def _coefficient(kind):
@@ -845,7 +972,7 @@ def bivariate(draw, max_dz=2, max_dw=2, min_dz=1, kinds=("ZZ", "ZZ_I", "QQ", "QQ
     # nonzero z^dz and w^dw terms keep both degrees
     grid[dz][0] = grid[dz][0] or GR(1)
     grid[0][dw] = grid[0][dw] or GR(1)
-    return BivariatePolynomial(grid)
+    return exact_polynomial(grid)
 
 
 with_repeated_factor = st.builds(
@@ -861,7 +988,7 @@ real_times_gaussian = st.builds(
     bivariate(max_dz=1, max_dw=1, kinds=REAL), bivariate(max_dz=1, max_dw=2, kinds=GAUSSIAN),
 )
 i_times_real = bivariate(kinds=REAL).map(
-    lambda p: BivariatePolynomial([[c * GR(1j) for c in row] for row in p.coeffs]))
+    lambda p: exact_polynomial([[c * GR(1j) for c in row] for row in coefficients(p)]))
 # bivariate(max_dz=0) is a polynomial in w alone; transposed, in z alone
 with_factor_free_of_one_variable = st.builds(
     lambda q, r, flip: BivariatePolynomial.product([q.transpose() if flip else q, r]),
@@ -880,25 +1007,25 @@ class TestAgainstExpressionRoute:
         f = BivariatePolynomial([[0, 1], [1]])
         g = BivariatePolynomial([[0, 1], [0], [0], [1]])
         assert sylvester_resultant_z(f, g) == UnivariatePolynomial([0, 1, 0, -1])
-        assert resultant_z(f.gaussian_grid()[1], g.gaussian_grid()[1]) == [
+        assert resultant_z(f.rows, g.rows) == [
             (0, 0), (1, 0), (0, 0), (-1, 0)]
 
     @given(bivariate(max_dz=3), bivariate(min_dz=0))
     @settings(max_examples=40, deadline=None)
     @example(  # Gaussian rationals, q constant in z
-        BivariatePolynomial([[GR((Fraction(1, 2), 1)), GR(0)], [GR((0, Fraction(-3, 4))), GR(2)]]),
-        BivariatePolynomial([[GR((1, Fraction(1, 3))), GR(0), GR((Fraction(-2, 3), 0))]]))
+        BivariatePolynomial([[(Fraction(1, 2), 1), 0], [(0, Fraction(-3, 4)), 2]]),
+        BivariatePolynomial([[(1, Fraction(1, 3)), 0, (Fraction(-2, 3), 0)]]))
     def test_resultants(self, p, q):
         # the resultant of the Gaussian-integer grids c p and d g is
         # c^(deg_z g) d^(deg_z p) Res(p, g), in w and likewise in z
-        P = p.gaussian_grid()[1]
+        P = p.rows
         for g in (partial_z(p), partial_z(p.transpose()).transpose(), q):
-            G = g.gaussian_grid()[1]
+            G = g.rows
             assert resultant_z(P, G) == _scaled(sylvester_resultant_z(p, g), p, g, False)
             assert resultant_w(P, G) == _scaled(
                 sylvester_resultant_z(p.transpose(), g.transpose()), p, g, True)
         # q may be constant in z, so Res_z(q, p) = q^(deg_z p)
-        assert resultant_z(q.gaussian_grid()[1], P) == _scaled(
+        assert resultant_z(q.rows, P) == _scaled(
             sylvester_resultant_z(q, p), q, p, False)
 
     @given(st.one_of(bivariate(), with_repeated_factor, real_times_gaussian, i_times_real,
@@ -913,7 +1040,7 @@ def _scaled(r, f, g, in_w: bool) -> list:
     """The Gaussian-rational resultant r of f and g in z (in w when in_w)
     times c^n d^m, as (re, im) pairs: c f and d g are the Gaussian-integer
     grids, of degrees m and n in the eliminated variable."""
-    (c, _), (d, _) = f.gaussian_grid(), g.gaussian_grid()
+    c, d = f.denominator, g.denominator
     m, n = (f.deg_w, g.deg_w) if in_w else (f.deg_z, g.deg_z)
     scale = c**n * d**m
     return [(x.re * scale, x.im * scale) for x in r.coeffs]
