@@ -2,13 +2,15 @@
 points, fibers in both directions with multiplicities, and branched sets.
 
 Fibers are computed in the affine chart where the base point lives.  The
-coefficient polynomial is evaluated first in complex128, with a rigorous
-bound on its distance to the exact one, and the float roots are kept when
+float path is one pass, ``_certified_points``, from the chart value to the
+sorted fiber points or to undecided: the coefficient polynomial is
+evaluated in complex128, with a rigorous bound on its distance to the exact
+one, its companion eigenvalues come from the gufunc
+``numpy.linalg._umath_linalg.eigvals`` on the grid's one reused companion
+buffer (NaN where LAPACK does not converge), and the roots are kept when
 disjoint inclusion discs prove each of them simple and no two lie within
-chordal 2 tol; both tests run in one loop over the root pairs, under one
-``np.errstate`` per fiber, and the kept roots are sorted on their raw real
-parts unless two could round alike.  The roots come from the gufunc
-``numpy.linalg._umath_linalg.eigvals``, NaN where LAPACK does not converge.
+chordal 2 tol; the points and their sort keys are built in the same pass,
+and sorted on their raw real parts unless two could round alike.
 Otherwise (a multiple point, a root near another, a NaN root, a vanishing
 leading coefficient, a non-finite base) the float chart value is read
 exactly as x / q, x a Gaussian integer and q a power of 2, the polynomial
@@ -31,19 +33,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
+    _U,
     BivariatePolynomial,
     FloatGrid,
+    _companion_eigenvalues,
     _xcoprime,
     _zi_quotient,
     _zi_strip,
-    certified_roots,
     linked_groups,
     polish_roots,
     resultant_w,
@@ -120,22 +123,24 @@ def chordal_distance(a: SpherePoint, b: SpherePoint) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
-class WeightedFiber:
-    """Fiber points with branch indices; base is the point solved over."""
+class WeightedFiber(tuple):
+    """The fiber over base, the point solved over: points is a tuple of
+    (SpherePoint, branch index).  A tuple (base, points), as SpherePoint is
+    one, at less cost than a frozen dataclass."""
 
-    base: SpherePoint
-    points: tuple  # of (SpherePoint, int)
+    __slots__ = ()
+    base = property(itemgetter(0))
+    points = property(itemgetter(1))
+
+    def __new__(cls, base: SpherePoint, points: tuple):
+        return tuple.__new__(cls, (base, points))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     @property
     def total_multiplicity(self) -> int:
         return sum(e for _, e in self.points)
-
-    def multiplicity_at(self, p: SpherePoint, tol: float) -> int:
-        for q, e in self.points:
-            if chordal_distance(p, q) <= tol:
-                return e
-        return 0
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,6 @@ class Correspondence:
         return fiber
 
     @staticmethod
-    @np.errstate(all="ignore")
     def _fiber(
         grid: Optional[FloatGrid],
         poly: BivariatePolynomial,
@@ -222,15 +226,15 @@ class Correspondence:
         expected: int,
         tol: float,
     ) -> WeightedFiber:
-        """The fiber of poly over base, float first, under one
-        ``np.errstate``: every overflow or NaN is tested for explicitly.
+        """The fiber of poly over base, float first.
 
-        poly is specialised at the base point in complex128 (``grid``); its
+        ``_certified_points`` takes the base point's chart value through
+        poly's complex128 grid to the sorted fiber points in one pass: the
         companion eigenvalues, with the bits of ``np.roots``, are kept when
-        ``certified_roots``, run on Python scalars, proves them simple (so
-        the exact polynomial has degree ``expected``, no point at infinity
-        and no repeated root) and no two lie within chordal 2 tol,
-        so that which roots merge never depends on the path.  Otherwise poly
+        inclusion discs, run on Python scalars, prove them simple (so the
+        exact polynomial has degree ``expected``, no point at infinity and
+        no repeated root) and no two lie within chordal 2 tol, so that
+        which roots merge never depends on the path.  Otherwise poly
         is specialised exactly at the chart value, read as x / q with x a
         Gaussian integer and q a power of 2, and ``roots`` solves the
         Gaussian-integer coefficients that come out.  Either way the fiber
@@ -238,12 +242,10 @@ class Correspondence:
         infinity: two simple roots closer than tol count as one double point.
         """
         v, inverted = base.chart_value()
-        found = None if grid is None else certified_roots(
-            *grid.specialise(v, inverted), 2 * tol)
-        if found is not None:
-            # each root is a group of its own; _chordal_merge would say so too,
-            # but calling it here cost 14 % of `orbit` ops/s (2 CPUs)
-            return WeightedFiber(base=base, points=tuple(_separated_points(found[0])))
+        if grid is not None:
+            points = _certified_points(grid, v, inverted, 2 * tol)
+            if points is not None:
+                return WeightedFiber(base, points)
         if inverted:
             _, f = poly.univariate_in_z_inverted(v)
         else:
@@ -263,14 +265,6 @@ class Correspondence:
                 f"expected {expected}"
             )
         return fiber
-
-    def branch_index(self, z: SpherePoint, w: SpherePoint) -> int:
-        """Multiplicity of z in the fiber over w, the fiber point within
-        chordal 1e-5 of z; (z, w) must lie on the correspondence."""
-        e = self.backward_fiber(w).multiplicity_at(z, 1e-5)
-        if e == 0:
-            raise InvalidInputError(f"({z}, {w}) is not on the correspondence")
-        return e
 
     # -- branched sets -------------------------------------------------------
 
@@ -362,27 +356,99 @@ def _point_sort_key(p: SpherePoint):
     return (0, round(v.real, 12), round(v.imag, 12))
 
 
-def _separated_points(simple) -> list:
-    """(SpherePoint, 1) for each of the finite roots simple, pairwise more
-    than 2 tol apart, in ``_point_sort_key`` order: what ``_chordal_merge``
-    at tol gives for them.
+@np.errstate(all="ignore")
+def _certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: float):
+    """The fiber over the chart value v as a tuple of (SpherePoint, 1) in
+    ``_point_sort_key`` order, in one pass: what ``_chordal_merge`` at
+    separation / 2 makes of the roots when they are certified simple and
+    pairwise more than chordal separation apart; None otherwise.
 
-    Adding 0j turns a -0.0 part into 0.0, as the merge's mean does.  The
-    sort runs on the real part of the value ``to_complex`` returns, z or
-    1 / (1.0 / z), without rounding: rounding to 12 digits is monotone, so
-    this is ``_point_sort_key``'s order unless two adjacent real parts lie
-    within 2e-12 and could round alike.  Only then are the points sorted
-    by ``_point_sort_key`` itself, from the order they came in."""
-    pairs, keys = [], []
-    for z in simple:
-        z += 0j
-        p = tuple.__new__(SpherePoint, (z, 1.0 + 0j) if abs(z) <= 1 else (1.0 + 0j, 1.0 / z))
-        pairs.append((p, 1))
-        keys.append(p.z1.real if p.z2 == 1 else (1 / p.z2).real)
-    order = sorted(range(len(pairs)), key=keys.__getitem__)
-    if any(keys[j] - keys[i] <= 2e-12 for i, j in zip(order, order[1:])):
-        return sorted(pairs, key=lambda pe: _point_sort_key(pe[0]))
-    return [pairs[i] for i in order]
+    c = grid @ powers and its bound e (see ``FloatGrid``), the powers being
+    the Python products ``np.cumprod`` makes; zeta, the roots ``np.roots``
+    gives for c, bit for bit (``_companion_eigenvalues`` on grid's buffer).
+    Two zero low-order coefficients (a double root 0), a NaN root,
+    OverflowError and ZeroDivisionError (where numpy gives inf) mean
+    undecided; numpy's warnings are off, and every overflow or NaN is
+    tested for.  The roots are kept when every F with |F_k - c_k| <= e_k has
+    degree d = len(c) - 1 and one root in each of the disjoint discs
+    D(zeta_i, r_i), so that F is squarefree and the exact path would find d
+    simple roots too: with W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i -
+    zeta_j)), F / lc(F) is the characteristic polynomial of diag(zeta) -
+    W 1^T, whose Gerschgorin discs lie in D(zeta_i, d|W_i|) (Braess & Hadeler,
+    Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991), and r_i bounds
+    d|W_i|: |F(zeta_i)| is at most |c(zeta_i)| plus e and the Horner rounding
+    (Higham, ch. 5), and |lc(F)| at least |c_d| - e_d.  The test runs on
+    Python scalars, cheaper than numpy at d <= 5.  Adding 0j to a root turns
+    a -0.0 part into 0.0, as the merge's mean does, and the points are
+    sorted on the raw real parts of their values, z or 1 / (1.0 / z), which
+    is ``_point_sort_key``'s order unless two adjacent ones lie within 2e-12
+    and could round alike; only then does that key sort them.
+    """
+    powers, t = [1.0 + 0j], 1.0 + 0j
+    for _ in range(grid.n):
+        t *= v
+        powers.append(t)
+    powers = np.array(powers)
+    if inverted:
+        powers = powers[::-1]  # a reversed view: a reversed copy gives other bits
+    c = grid.grid @ powers
+    cs, d = c.tolist(), len(c) - 1
+    # e_k = eps sums_k + floor_k bounds |c_k - c_k^exact|
+    sums, floor, eps = (grid.abs_grid @ np.abs(powers)).tolist(), grid.floor.tolist(), grid.gamma
+    gamma, inf = 8 * (d + 2) * _U, math.inf
+    try:
+        lead = abs(cs[d]) - (eps * sums[d] + floor[d])
+        k0 = 0 if cs[0] else 1 if cs[1] else 2
+        if k0 == 2 or not lead > 0:
+            return None  # k0 = 2: 0 is a root twice over, and its discs meet
+        zeta = _companion_eigenvalues(c, k0, grid.companion)
+        # the distances of the pairs (i, j), j < i, chordally tested, and
+        # their products
+        dists, spread, size, chordal, hypot = [], [1.0] * d, [], [], math.hypot
+        for i, z in enumerate(zeta):
+            zs = abs(z)
+            size.append(zs)
+            chordal.append(hypot(1.0, zs))
+            limit = separation * chordal[i]
+            for j in range(i):
+                dist = abs(z - zeta[j])
+                if not dist > limit * chordal[j]:
+                    return None
+                spread[i] *= dist
+                spread[j] *= dist
+                dists.append(dist)
+        # e_k plus the Horner rounding, and the coefficients below the top
+        slack = [eps * sk + fk + gamma * abs(ck) for ck, sk, fk in zip(cs, sums, floor)]
+        below, lift = list(zip(cs[d - 1::-1], slack[d - 1::-1])), 1 + gamma
+        r, pairs, keys, top, top_slack, new = [], [], [], cs[d], slack[d], tuple.__new__
+        for z, zs, zp in zip(zeta, size, spread):
+            value, error = top, top_slack
+            for ck, sk in below:
+                value, error = value * z + ck, error * zs + sk
+            ri = d * (abs(value) + error) / (lead * zp) * lift
+            if not (zs < inf and zp < inf and ri < inf):
+                return None  # not finite
+            r.append(ri)
+            z += 0j
+            if zs <= 1:
+                pairs.append((new(SpherePoint, (z, 1.0 + 0j)), 1))
+                keys.append(z.real)
+            else:
+                w = 1.0 / z
+                pairs.append((new(SpherePoint, (1.0 + 0j, w)), 1))
+                keys.append((1 / w).real)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    shrink, dists = 1 - gamma, iter(dists)
+    for i in range(1, d):
+        ri = r[i]
+        for j in range(i):
+            if not next(dists) * shrink > ri + r[j]:
+                return None
+    order, ranked = sorted(range(d), key=keys.__getitem__), sorted(keys)
+    if min(map(sub, ranked[1:], ranked), default=inf) <= 2e-12:
+        return tuple(sorted(pairs, key=lambda pe: _point_sort_key(pe[0])))
+    return tuple(map(pairs.__getitem__, order))
 
 
 def _chordal_merge(pairs, tol: float):

@@ -32,17 +32,17 @@ each part of which is one correctly rounded integer division.  ``roots``
 returns these roots unclustered; which of them count as one point is
 decided in the chordal metric by ``correspondence``.  ``polish_roots``
 refines them by Newton steps evaluated exactly, at most three and none past
-a fixed point; every branched-set point is refined so.  For float
-coefficients known to within a componentwise bound, ``certified_roots``
-keeps the same eigenvalues only when inclusion discs, checked on Python
-scalars, prove every root simple and no two roots lie within a given
-chordal separation.  Whether two Gaussian-integer polynomials are coprime
-(``_xcoprime``) is decided modulo a prime first, and by their exact
-resultant otherwise.  sympy serves only ``squarefree_check``: the gcds of
-the norm p p-bar of a defining polynomial with its partial derivatives over
-the integers, and, only when that is inconclusive or p is refused, the gcds
-of p itself with its partial derivatives over the smallest exact domain of
-its coefficients.
+a fixed point; every branched-set point is refined so.  ``FloatGrid``
+holds a polynomial's complex128 grid, the data of a componentwise error
+bound on its specialisations and one companion-matrix buffer, which
+``_companion_eigenvalues`` fills in place; from these ``correspondence``
+certifies a float fiber in one pass.  Whether two Gaussian-integer
+polynomials are coprime (``_xcoprime``) is decided modulo a prime first,
+and by their exact resultant otherwise.  sympy serves only
+``squarefree_check``: the gcds of the norm p p-bar of a defining polynomial
+with its partial derivatives over the integers, and, only when that is
+inconclusive or p is refused, the gcds of p itself with its partial
+derivatives over the smallest exact domain of its coefficients.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .errors import InvalidInputError, RootFindingError
 __all__ = [
     "BivariatePolynomial",
     "FloatGrid",
-    "certified_roots",
     "roots",
     "polish_roots",
     "resultant_z",
@@ -453,15 +452,19 @@ def _xcoprime(a, b) -> bool:
 
 
 def _exact(c):
-    """The number or (re, im) pair c as two Fractions, read exactly: a float
-    keeps its binary value."""
+    """The number or (re, im) pair c as two exact rationals, each an int or a
+    Fraction: a float keeps its binary value, and an int or a Fraction part,
+    such as the CLI parses, is kept as it is."""
     if isinstance(c, (int, Fraction, float)):
-        return Fraction(c), Fraction(0)
-    if isinstance(c, complex):
-        return Fraction(c.real), Fraction(c.imag)
-    if isinstance(c, (tuple, list)) and len(c) == 2:
-        return Fraction(c[0]), Fraction(c[1])
-    raise InvalidInputError(f"cannot interpret {c!r} as a Gaussian rational")
+        re, im = c, 0
+    elif isinstance(c, complex):
+        re, im = c.real, c.imag
+    elif isinstance(c, (tuple, list)) and len(c) == 2:
+        re, im = c
+    else:
+        raise InvalidInputError(f"cannot interpret {c!r} as a Gaussian rational")
+    return (re if isinstance(re, (int, Fraction)) else Fraction(re),
+            im if isinstance(im, (int, Fraction)) else Fraction(im))
 
 
 def _ratio(x: int, d: int) -> str:
@@ -480,7 +483,7 @@ class BivariatePolynomial:
     is equality of values.  The constructor takes a grid of numbers and
     (re, im) pairs, ragged or with zero rows and columns at the end, reads
     each value exactly as a Fraction once and scales it by the lcm of the
-    denominators."""
+    denominators; an int or a Fraction is not read again."""
 
     __slots__ = ("denominator", "rows", "deg_z", "deg_w")
 
@@ -554,7 +557,12 @@ class BivariatePolynomial:
     # -- basic queries ------------------------------------------------------
 
     def transpose(self) -> "BivariatePolynomial":
-        return BivariatePolynomial._of(self.denominator, list(zip(*self.rows)))
+        """p with z and w exchanged: the transposed rows over the same
+        denominator, already trimmed and least, so ``_set`` is not run."""
+        p = BivariatePolynomial.__new__(BivariatePolynomial)
+        p.denominator, p.rows = self.denominator, tuple(zip(*self.rows))
+        p.deg_z, p.deg_w = self.deg_w, self.deg_z
+        return p
 
     def univariate_in_z(self, v: complex):
         """(s, coeffs): the ascending coefficients of z -> s p(z, v) as
@@ -616,28 +624,29 @@ _UNDERFLOW = 2.0**-1000
 
 class FloatGrid:
     """The coefficient grid c[i][j] of a bivariate polynomial in complex128,
-    specialised in its second variable.  Each part of c[i][j] is the part of
-    its Gaussian-integer grid divided by its least denominator, one
-    correctly rounded int/int division, which gives the bits of ``float``
-    of the exact rational.
-
-    ``specialise(v, inverted)`` returns the ascending coefficients c_i in the
-    first variable of p(., v), or of v^n p(., 1/v) when inverted, from one
-    matrix-vector product with the power vector of v.  With them comes a
-    componentwise bound e_i >= |c_i - c_i^exact|, where c^exact is the exact
-    specialisation at v, read as x / q with x a Gaussian integer and q a
-    power of 2: the Gaussian integers that ``univariate_in_z``
-    (``univariate_in_z_inverted``) computes, divided by their scale.  The
-    bound counts the rounding of the grid, of the powers, of the products
-    and of the sums (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., section 3.6), with about twice the worst-case number of
-    roundings, which also covers the rounding of the bound itself.
-    Building the grid raises OverflowError for a coefficient beyond float
-    range; a modulus or a row sum that overflows is inf, silently, and
-    leaves every certificate on the grid undecided.
+    with all a certified float fiber at any base point needs of it
+    (``correspondence._certified_points``).  Each part of c[i][j] is the
+    part of its Gaussian-integer grid divided by its least denominator, one
+    correctly rounded int/int division: the bits of ``float`` of the exact
+    rational.  At v the fiber polynomial in the first variable has the
+    ascending coefficients c = grid @ powers, powers = (1, v, ..., v^n)
+    (reversed in the inverted chart, for v^n p(., 1/v)), with the bound
+    e = gamma (abs_grid @ |powers|) + floor >= |c - c^exact|, c^exact the
+    exact specialisation at v, read as x / q with x a Gaussian integer and q
+    a power of 2 (``univariate_in_z`` or ``univariate_in_z_inverted``,
+    divided by its scale).  The bound counts the rounding of the grid, of
+    the powers, of the products and of the sums (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.6), with about
+    twice the worst-case number of roundings, which also covers the
+    rounding of the bound itself.  ``companion`` is the one companion-matrix
+    buffer of every fiber on the grid, the shift matrix of size m, the
+    degree in the first variable; ``_companion_eigenvalues`` rewrites only
+    its row 0.  Building the grid raises OverflowError for a coefficient
+    beyond float range; a modulus or a row sum that overflows is inf,
+    silently, and leaves every certificate on the grid undecided.
     """
 
-    __slots__ = ("grid", "abs_grid", "n", "gamma", "floor")
+    __slots__ = ("grid", "abs_grid", "n", "gamma", "floor", "companion")
 
     @np.errstate(over="ignore")
     def __init__(self, poly: BivariatePolynomial):
@@ -647,107 +656,27 @@ class FloatGrid:
         self.n = poly.deg_w
         self.gamma = 8 * (self.n + 2) * _U
         self.floor = 8 * (self.n + 2) * _UNDERFLOW * (1.0 + self.abs_grid.sum(axis=1))
-
-    def specialise(self, v: complex, inverted: bool):
-        # the powers 1, v, v^2, ... on Python scalars, by the products that
-        # np.cumprod makes; the dot products stay in numpy, for its bits
-        powers, t = [1.0 + 0j], 1.0 + 0j
-        for _ in range(self.n):
-            t *= v
-            powers.append(t)
-        powers = np.array(powers)
-        if inverted:
-            # a reversed view: a reversed copy gives the products other bits
-            powers = powers[::-1]
-        c = self.grid @ powers
-        e = self.gamma * (self.abs_grid @ np.abs(powers)) + self.floor
-        return c, e
+        self.companion = np.eye(poly.deg_z, k=-1, dtype=complex)
 
 
-_SHIFTS: dict = {}  # np.eye(n, k=-1) by size n, read-only
-
-
-def _companion_eigenvalues(c: np.ndarray, k0: int) -> list:
+def _companion_eigenvalues(c: np.ndarray, k0: int, companion: np.ndarray) -> list:
     """``np.roots`` of the ascending complex128 c, top nonzero and k0 lowest 0,
-    bit for bit: the eigenvalues of a copy of a cached shift matrix with row
-    0 the companion row, by ``numpy.linalg._umath_linalg.eigvals`` ("D->D"),
-    the gufunc ``np.linalg.eigvals`` wraps, then k0 zeros.  NaN where that
-    wrapper raised LinAlgError (a row not finite, LAPACK not converging);
-    numpy's floating-point warnings are left to the caller."""
+    bit for bit: the eigenvalues of the leading s x s block of companion, a
+    shift matrix (ones below the diagonal) of size s = len(c) - 1 - k0 or
+    more, with row 0 set to the companion row, by the gufunc
+    ``np.linalg.eigvals`` wraps, ``numpy.linalg._umath_linalg.eigvals``
+    ("D->D"), then k0 zeros.  The gufunc copies its input before LAPACK
+    overwrites it, so only row 0 changes and one buffer serves every call.
+    NaN where that wrapper raised LinAlgError (a row not finite, LAPACK not
+    converging); numpy's floating-point warnings are left to the caller."""
     row = -c[k0:][::-1] / c[-1]  # -c_d / c_d, then np.roots' companion row
     if not all(map(cmath.isfinite, row.tolist())):
         return [complex(math.nan, 0)] * (len(c) - 1)
     n = len(row) - 1
-    shift = _SHIFTS.get(n)
-    if shift is None:
-        shift = _SHIFTS[n] = np.eye(n, k=-1, dtype=complex)
-        shift.flags.writeable = False
-    companion = shift.copy()
+    if len(companion) != n:
+        companion = companion[:n, :n]
     companion[:1] = row[1:]
     return _umath_linalg.eigvals(companion, signature="D->D").tolist() + [0j] * k0
-
-
-def certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
-    """(zeta, r), two lists, when every polynomial F with |F_k - c_k| <= e_k
-    has degree d = len(c) - 1 and exactly one root in each of the pairwise
-    disjoint discs D(zeta_i, r_i), and every two zeta lie more than
-    separation apart in the chordal metric; None when this test is
-    undecided or a pair is closer.
-
-    zeta are the roots ``np.roots`` gives for c, bit for bit, from the gufunc
-    ``numpy.linalg._umath_linalg.eigvals`` (``_companion_eigenvalues``); two
-    or more zero low-order coefficients are a multiple root 0, so the answer
-    is None before any eigenvalue is computed.  A NaN root (an overflowing
-    row, LAPACK not converging) means undecided, and the fiber falls back
-    to the exact path.  numpy's floating-point warnings are left to the caller
-    (``Correspondence._fiber`` runs under one ``np.errstate``).  The test
-    runs on Python scalars, as numpy's per-call cost would exceed its
-    arithmetic at d <= 5; OverflowError and ZeroDivisionError, raised where
-    numpy would give inf, mean undecided.
-    With the Weierstrass corrections
-    W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i - zeta_j)), F / lc(F) is
-    the characteristic polynomial of diag(zeta) - W 1^T, whose Gerschgorin
-    discs D(zeta_i - W_i, (d - 1)|W_i|) lie in D(zeta_i, d|W_i|) (Braess &
-    Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991).  r_i
-    bounds d|W_i| from above: |F(zeta_i)| is at most the computed |c(zeta_i)|
-    plus the coefficient error and the Horner rounding (Higham, ch. 5), and
-    |lc(F)| is at least |c_d| - e_d.  Disjoint discs make F squarefree of
-    degree d, so the exact path would also find d simple roots.  The chordal
-    test |zeta_i - zeta_j| > separation sqrt(1 + |zeta_i|^2) sqrt(1 + |zeta_j|^2)
-    runs in the same loop over the pairs, on the same distances and moduli.
-    """
-    d = len(c) - 1
-    cs, es = c.tolist(), e.tolist()
-    gamma = 8 * (d + 2) * _U
-    try:
-        lead = abs(cs[d]) - es[d]
-        k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
-        if k0 >= 2 or not lead > 0:
-            return None  # k0 >= 2: 0 is a root twice over, and its discs meet
-        zeta = _companion_eigenvalues(c, k0)
-        size = [abs(z) for z in zeta]
-        slack = [ek + gamma * abs(ck) for ck, ek in zip(cs, es)]
-        pairs = [(abs(z - zeta[j]), i, j) for i, z in enumerate(zeta) for j in range(i)]
-        spread = [1.0] * d
-        for dist, i, j in pairs:
-            spread[i] *= dist
-            spread[j] *= dist
-        r = []
-        for z, zs, zp in zip(zeta, size, spread):
-            value, error = cs[d], slack[d]
-            for k in range(d - 1, -1, -1):
-                value, error = value * z + cs[k], error * zs + slack[k]
-            r.append(d * (abs(value) + error) / (lead * zp) * (1 + gamma))
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if not all(map(math.isfinite, size + spread + r)):
-        return None
-    shrink = 1 - gamma
-    scale = [math.hypot(1.0, zs) for zs in size]
-    for dist, i, j in pairs:
-        if not (dist * shrink > r[i] + r[j] and dist > separation * scale[i] * scale[j]):
-            return None
-    return zeta, r
 
 
 def linked_groups(n: int, edges) -> list:
@@ -796,7 +725,8 @@ def _companion_roots(monic: list) -> list:
     ``_companion_eigenvalues``.  Raises RootFindingError when a root is not
     a finite float; a NaN root is LAPACK not converging."""
     k0 = next(k for k, x in enumerate(monic) if x)
-    z = _companion_eigenvalues(np.array(monic, dtype=complex), k0)
+    shift = np.eye(len(monic) - 1 - k0, k=-1, dtype=complex)
+    z = _companion_eigenvalues(np.array(monic, dtype=complex), k0, shift)
     if not all(map(cmath.isfinite, z)):
         raise RootFindingError(f"non-finite root for coefficients {monic}")
     return z

@@ -8,13 +8,16 @@ import numpy as np
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
+from corrdyn import polyalg
 from corrdyn.bimodule import FockTruncation, SampledFunction
+from corrdyn.correspondence import SpherePoint, _point_sort_key, chordal_distance
 from corrdyn.dynamics import CircleCorrespondence
 from corrdyn.errors import InvalidInputError
 from corrdyn.polyalg import (
     _U,
     _UNDERFLOW,
     BivariatePolynomial,
+    FloatGrid,
     _crt,
     _fp_divmod,
     _prime,
@@ -547,7 +550,7 @@ def reference_branching(p: BivariatePolynomial):
     Gaussian integers after the fact, the tests at infinity run Euclid's
     algorithm over the Gaussian rationals, and every root takes three
     Newton steps (``reference_newton_steps``)."""
-    from corrdyn.correspondence import SpherePoint, _chordal_merge, _point_sort_key
+    from corrdyn.correspondence import _chordal_merge
     from corrdyn.polyalg import roots
 
     def polished(f):
@@ -729,9 +732,9 @@ def dense_vanishing_lemma_check(ft: FockTruncation, a: dict, x: tuple, y: tuple)
 
 
 # The numpy route to the float-fiber certificate: np.roots and array
-# arithmetic throughout.  corrdyn.polyalg.certified_roots computes the same
-# eigenvalues and runs the certificate on Python scalars; this is the oracle
-# it is compared against.
+# arithmetic throughout.  corrdyn.correspondence._certified_points computes
+# the same eigenvalues and runs the certificate on Python scalars; this is
+# the oracle it is compared against.
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
@@ -780,8 +783,8 @@ def reference_certified_roots(c: np.ndarray, e: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
 def reference_float_specialise(grid, v: complex, inverted: bool):
-    """(c, e) as corrdyn.polyalg.FloatGrid.specialise gives them, with the
-    power vector built by np.cumprod; the oracle for its Python products."""
+    """(c, e) as ``float_specialise`` gives them, with the power vector
+    built by np.cumprod; the oracle for its Python products."""
     powers = np.full(grid.n + 1, v, dtype=complex)
     powers[0] = 1.0
     powers = np.cumprod(powers)
@@ -792,10 +795,134 @@ def reference_float_specialise(grid, v: complex, inverted: bool):
     return c, e
 
 
+# The two-step route to the certified float fiber that
+# corrdyn.correspondence._certified_points runs as one pass: the
+# specialisation (c, e), then the certificate on Python scalars, which also
+# returns the disc radii, then the points in sort order.  Each step performs
+# the float operations of the one pass in the same order, so the route is
+# the oracle the pass must match to the bit.
+
+
+def float_specialise(grid: FloatGrid, v: complex, inverted: bool):
+    """(c, e): the ascending coefficients of grid's polynomial at the chart
+    value v, and their componentwise error bound (see ``FloatGrid``); the
+    powers of v are Python products, the dot products numpy's."""
+    powers, t = [1.0 + 0j], 1.0 + 0j
+    for _ in range(grid.n):
+        t *= v
+        powers.append(t)
+    powers = np.array(powers)
+    if inverted:
+        powers = powers[::-1]
+    with np.errstate(all="ignore"):
+        c = grid.grid @ powers
+        e = grid.gamma * (grid.abs_grid @ np.abs(powers)) + grid.floor
+    return c, e
+
+
+def scalar_certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
+    """(zeta, r), two lists, when every polynomial F with |F_k - c_k| <= e_k
+    has degree d = len(c) - 1 and exactly one root in each of the pairwise
+    disjoint discs D(zeta_i, r_i), and every two zeta lie more than
+    separation apart in the chordal metric; None when the test is undecided
+    or a pair is closer.  zeta come from
+    ``corrdyn.polyalg._companion_eigenvalues`` on a fresh shift matrix.
+    numpy's floating-point warnings are left to the caller."""
+    d = len(c) - 1
+    cs, es = c.tolist(), e.tolist()
+    gamma = 8 * (d + 2) * _U
+    try:
+        lead = abs(cs[d]) - es[d]
+        k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
+        if k0 >= 2 or not lead > 0:
+            return None
+        zeta = polyalg._companion_eigenvalues(c, k0, np.eye(d, k=-1, dtype=complex))
+        size = [abs(z) for z in zeta]
+        slack = [ek + gamma * abs(ck) for ck, ek in zip(cs, es)]
+        pairs = [(abs(z - zeta[j]), i, j) for i, z in enumerate(zeta) for j in range(i)]
+        spread = [1.0] * d
+        for dist, i, j in pairs:
+            spread[i] *= dist
+            spread[j] *= dist
+        r = []
+        for z, zs, zp in zip(zeta, size, spread):
+            value, error = cs[d], slack[d]
+            for k in range(d - 1, -1, -1):
+                value, error = value * z + cs[k], error * zs + slack[k]
+            r.append(d * (abs(value) + error) / (lead * zp) * (1 + gamma))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not all(map(math.isfinite, size + spread + r)):
+        return None
+    shrink = 1 - gamma
+    scale = [math.hypot(1.0, zs) for zs in size]
+    for dist, i, j in pairs:
+        if not (dist * shrink > r[i] + r[j] and dist > separation * scale[i] * scale[j]):
+            return None
+    return zeta, r
+
+
+def separated_points(simple) -> tuple:
+    """(SpherePoint, 1) for each of the finite roots simple, pairwise more
+    than 2 tol apart, in ``_point_sort_key`` order: what ``_chordal_merge``
+    at tol gives for them, sorted on the raw real parts of the points'
+    values unless two adjacent ones lie within 2e-12."""
+    pairs, keys = [], []
+    for z in simple:
+        z += 0j
+        p = tuple.__new__(SpherePoint, (z, 1.0 + 0j) if abs(z) <= 1 else (1.0 + 0j, 1.0 / z))
+        pairs.append((p, 1))
+        keys.append(p.z1.real if p.z2 == 1 else (1 / p.z2).real)
+    order = sorted(range(len(pairs)), key=keys.__getitem__)
+    if any(keys[j] - keys[i] <= 2e-12 for i, j in zip(order, order[1:])):
+        return tuple(sorted(pairs, key=lambda pe: _point_sort_key(pe[0])))
+    return tuple(pairs[i] for i in order)
+
+
+@np.errstate(all="ignore")
+def reference_certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: float):
+    """What ``_certified_points(grid, v, inverted, separation)`` returns,
+    by the two-step route."""
+    found = scalar_certified_roots(*float_specialise(grid, v, inverted), separation)
+    return None if found is None else separated_points(found[0])
+
+
+def coefficient_grid(c, e) -> FloatGrid:
+    """A FloatGrid constant in its second variable whose specialisation at
+    every v is (grid[:, 0] * (1 + 0j), e), so a certified fiber on it runs
+    on the given coefficients c, up to the signs of zero parts, and on
+    exactly the bounds e."""
+    grid = FloatGrid.__new__(FloatGrid)
+    grid.grid = np.array(c, dtype=complex)[:, None]
+    grid.abs_grid = np.zeros((len(grid.grid), 1))
+    grid.n, grid.gamma = 0, 0.0
+    grid.floor = np.array(e, dtype=float)
+    grid.companion = np.eye(len(grid.grid) - 1, k=-1, dtype=complex)
+    return grid
+
+
+def multiplicity_at(fiber, p: SpherePoint, tol: float) -> int:
+    """The multiplicity of the first point of fiber within chordal tol of
+    p, or 0."""
+    for q, e in fiber.points:
+        if chordal_distance(p, q) <= tol:
+            return e
+    return 0
+
+
+def branch_index(corr, z: SpherePoint, w: SpherePoint) -> int:
+    """Multiplicity of z in the fiber over w, the fiber point within
+    chordal 1e-5 of z; (z, w) must lie on the correspondence."""
+    e = multiplicity_at(corr.backward_fiber(w), z, 1e-5)
+    if e == 0:
+        raise InvalidInputError(f"({z}, {w}) is not on the correspondence")
+    return e
+
+
 def chordally_separated(zs, limit: float) -> bool:
     """Whether every two of the finite points zs are more than limit apart
     in the chordal metric |a - b| / (sqrt(1 + |a|^2) sqrt(1 + |b|^2)); the
-    oracle for the separation test inside corrdyn.polyalg.certified_roots."""
+    oracle for the separation test of the certified float fiber."""
     scale = [math.hypot(1.0, abs(z)) for z in zs]
     return all(
         abs(zs[i] - zs[j]) > limit * scale[i] * scale[j]

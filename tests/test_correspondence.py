@@ -17,25 +17,31 @@ from corrdyn.correspondence import (
     SpherePoint,
     WeightedFiber,
     _branching,
+    _certified_points,
     _chordal_merge,
     chordal_distance,
     unit_circle_points,
 )
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import FloatGrid, certified_roots, roots
+from corrdyn.polyalg import FloatGrid, _companion_roots, roots
 
 from support import (
     GaussianRational,
+    branch_index,
     chordally_separated,
     exact_polynomial,
+    float_specialise,
     integer_coeffs,
     on_correspondence,
     reference_branching,
+    reference_certified_points,
     reference_certified_roots,
     reference_float_specialise,
     reference_univariate_in_z,
     reference_univariate_in_z_inverted,
+    scalar_certified_roots,
+    separated_points,
 )
 
 GR = GaussianRational.of
@@ -130,13 +136,13 @@ class TestFibers:
     def test_branch_index(self):
         corr = Correspondence(BP.monomial_relation(3, 2))
         origin = SpherePoint.from_complex(0j)
-        assert corr.branch_index(origin, origin) == 3
+        assert branch_index(corr, origin, origin) == 3
 
     def test_branch_index_absent_point(self):
         corr = Correspondence(BP.graph_of_power(2))
         with pytest.raises(InvalidInputError):
-            corr.branch_index(
-                SpherePoint.from_complex(1 + 0j), SpherePoint.from_complex(5 + 0j)
+            branch_index(
+                corr, SpherePoint.from_complex(1 + 0j), SpherePoint.from_complex(5 + 0j)
             )
 
     def test_on_correspondence(self):
@@ -201,10 +207,10 @@ class TestRationalMapBranchIndex:
         for m in (2, 3, 4):
             corr = Correspondence(BP.graph_of_power(m))
             origin = SpherePoint.from_complex(0j)
-            assert corr.branch_index(origin, origin) == m
+            assert branch_index(corr, origin, origin) == m
             z = SpherePoint.from_complex(1.3 + 0.2j)
             w = SpherePoint.from_complex(z.to_complex() ** m)
-            assert corr.branch_index(z, w) == 1
+            assert branch_index(corr, z, w) == 1
 
 
 @st.composite
@@ -328,7 +334,7 @@ class TestBranchedSets:
         for b in sets.branch_points:
             found = False
             for w, _ in corr.forward_fiber(b).points:
-                if corr.branch_index(b, w) >= 2:
+                if branch_index(corr, b, w) >= 2:
                     found = True
             assert found
 
@@ -616,7 +622,7 @@ class TestFloatFirstFiber:
         ])
         poly, expected = _fiber_problem(p, "forward")
         base = SpherePoint.from_complex(-0.9999999999999997 + 0j)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is None
+        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is None
         fiber = Correspondence(p, check_squarefree=False).forward_fiber(base)
         _same_fiber(fiber, _reference_fiber(poly, base, expected))
 
@@ -626,19 +632,63 @@ class TestFloatFirstFiber:
     )
     @settings(max_examples=300, deadline=None)
     def test_certificate_matches_numpy_reference(self, p, direction, base):
-        # same decision, and the same roots to the bit, as the numpy route
+        # same decision, and the same roots to the bit, as the numpy route;
+        # the one pass decides alike and gives the numpy roots' points
         poly, _ = _fiber_problem(p, direction)
-        c, e = FloatGrid(poly).specialise(*base.chart_value())
-        got, want = certified_roots(c, e, 0), reference_certified_roots(c, e)
+        grid = FloatGrid(poly)
+        c, e = float_specialise(grid, *base.chart_value())
+        got, want = scalar_certified_roots(c, e, 0), reference_certified_roots(c, e)
         assert (got is None) == (want is None)
         if got is not None:
             assert [repr(z) for z in got[0]] == [repr(complex(z)) for z in want[0]]
+        points = _certified_points(grid, *base.chart_value(), 0)
+        assert (points is None) == (want is None)
+        if points is not None:
+            assert _stored(points) == _stored(separated_points([complex(z) for z in want[0]]))
+
+    @given(polynomials, st.lists(base_points, min_size=1, max_size=3),
+           st.sampled_from([0.0, 2e-6]),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    @example(  # w - z + z^2 over w = 0: the root 0 of the zero constant term comes last
+        BP([[0, 1], [-1], [1]]), [SpherePoint.from_complex(0j)], 0.0, [1, 0, 0, 2]
+    )
+    @example(  # roots near 315 beside one near 1e15
+        BP([[0, 0, 0, 0, 1], [0, -1], [0, 0, 0, -1], [1]]),
+        [SpherePoint.from_complex(99140 + 0j)], 2e-6, [0, 1],
+    )
+    @example(  # degrees 3 and 4, fibers certified both ways on and off the circle
+        ORBIT_FAMILIES[1],
+        [SpherePoint.from_complex(complex(0.6, 0.8)), SpherePoint.from_complex(2.5 - 1j),
+         SpherePoint.from_complex(complex(0.6, -0.8))], 2e-6, [1, 0, 1],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_matches_the_two_step_route(self, p, bases, separation, exact):
+        # the same decision and the same points, to the bit, as the route
+        # through (c, e), the scalar certificate and the sort, on fresh grids;
+        # the grids of both directions (of different degrees unless
+        # deg_z = deg_w) keep their companion buffers from fiber to fiber,
+        # between exact-path companion eigenvalues of another size
+        monic = [complex(x) for x in exact] + [1 + 0j]
+        problems = [(p, FloatGrid(p)), (p.transpose(), FloatGrid(p.transpose()))]
+        for base in bases:
+            v, inverted = base.chart_value()
+            for poly, grid in problems:
+                got = _certified_points(grid, v, inverted, separation)
+                want = reference_certified_points(FloatGrid(poly), v, inverted, separation)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert _stored(got) == _stored(want) and repr(got) == repr(want)
+                if any(monic[:-1]):
+                    assert repr(_companion_roots(monic)) == repr(
+                        [complex(z) for z in np.roots(monic[::-1])])
+                shift = np.eye(len(grid.companion), k=-1, dtype=complex)
+                assert (grid.companion[1:] == shift[1:]).all()
 
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
     @settings(max_examples=150, deadline=None)
     def test_coefficient_error_bound(self, p, direction, base):
         poly, _ = _fiber_problem(p, direction)
-        c, e = FloatGrid(poly).specialise(*base.chart_value())
+        c, e = float_specialise(FloatGrid(poly), *base.chart_value())
         for ck, ek, exact in zip(c, e, _exact_coeffs(poly, base)):
             dre = Fraction(ck.real) - exact.re
             dim = Fraction(ck.imag) - exact.im
@@ -648,7 +698,7 @@ class TestFloatFirstFiber:
     @settings(max_examples=200, deadline=None)
     def test_inclusion_discs_hold_one_exact_root_each(self, p, direction, base):
         poly, _ = _fiber_problem(p, direction)
-        found = certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0)
+        found = scalar_certified_roots(*float_specialise(FloatGrid(poly), *base.chart_value()), 0)
         if found is None:
             return
         exact_roots = _roots_60_digits(_exact_coeffs(poly, base))
@@ -669,7 +719,7 @@ class TestFloatFirstFiber:
     def test_multiple_points_take_the_exact_path(self, p, direction, base, points):
         poly, _ = _fiber_problem(p, direction)
         base = SpherePoint.infinity() if base is None else SpherePoint.from_complex(base)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is None
+        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is None
         corr = Correspondence(p, check_squarefree=False)
         fiber = corr.backward_fiber(base) if direction == "backward" else corr.forward_fiber(base)
         want = [(SpherePoint.infinity() if z is None else SpherePoint.from_complex(z), e)
@@ -681,7 +731,7 @@ class TestFloatFirstFiber:
         # the float test, still make one double point at tol 1e-6
         poly = BP.monomial_relation(2, 1)
         base = SpherePoint.from_complex(1e-16 + 0j)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is not None
+        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is not None
         fiber = Correspondence(poly, check_squarefree=False).backward_fiber(base)
         assert [e for _, e in fiber.points] == [2]
         assert abs(fiber.points[0][0].to_complex()) < 1e-7
@@ -696,7 +746,7 @@ class TestFloatFirstFiber:
         # integers from the specialisation to the float images
         poly, expected = _fiber_problem(p, direction)
         grid, base = FloatGrid(poly), SpherePoint.from_complex(base)
-        assert certified_roots(*grid.specialise(*base.chart_value()), 0) is None
+        assert _certified_points(grid, *base.chart_value(), 0) is None
         want = Correspondence._fiber(grid, poly, base, expected, 1e-6)
         assert max(e for _, e in want.points) == 2
 
@@ -714,7 +764,7 @@ class TestFloatFirstFiber:
         # where the exact path's eigenvalues fail too, RootFindingError
         poly, expected = _fiber_problem(ORBIT_FAMILIES[2], "backward")
         grid, base = FloatGrid(poly), SpherePoint.from_complex(complex(0.6, 0.8))
-        assert certified_roots(*grid.specialise(*base.chart_value()), 0) is not None
+        assert _certified_points(grid, *base.chart_value(), 0) is not None
         want = Correspondence._fiber(None, poly, base, expected, 1e-6)
         gufunc, calls = polyalg._umath_linalg.eigvals, []
 
@@ -739,7 +789,7 @@ class TestFloatFirstFiber:
     def test_nan_base_takes_the_exact_path(self):
         poly = BP.monomial_relation(2, 3)
         base = SpherePoint(complex(math.nan, 0.0), 1 + 0j)
-        assert certified_roots(*FloatGrid(poly).specialise(*base.chart_value()), 0) is None
+        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is None
         with pytest.raises(ValueError, match="NaN"):
             Correspondence(poly, check_squarefree=False).backward_fiber(base)
 
@@ -750,7 +800,7 @@ class TestFloatFirstFiber:
         # zeros included, what the chordal merge gives
         poly, expected = _fiber_problem(p, direction)
         grid = FloatGrid(poly)
-        found = certified_roots(*grid.specialise(*base.chart_value()), 0)
+        found = scalar_certified_roots(*float_specialise(grid, *base.chart_value()), 0)
         if found is None or not chordally_separated([complex(z) for z in found[0]], 2e-6):
             return
         want = _chordal_merge([(complex(z), 1) for z in found[0]], 1e-6)
@@ -768,7 +818,7 @@ class TestFloatFirstFiber:
         d = Fraction(1, 2**42)
         poly = BP([[(13 + 2 * d, 3 * d), -1], [-4 - d], [1]])
         grid, base = FloatGrid(poly), SpherePoint.from_complex(0j)
-        found = certified_roots(*grid.specialise(*base.chart_value()), 2e-6)
+        found = scalar_certified_roots(*float_specialise(grid, *base.chart_value()), 2e-6)
         assert found is not None
         low, high = sorted(found[0], key=lambda z: z.real)
         assert low.real < high.real and round(low.real, 12) == round(high.real, 12)
@@ -806,7 +856,7 @@ class TestFloatFirstFiber:
     def test_float_specialisation_has_the_cumprod_bits(self, p, direction, base):
         poly, _ = _fiber_problem(p, direction)
         grid = FloatGrid(poly)
-        got = grid.specialise(*base.chart_value())
+        got = float_specialise(grid, *base.chart_value())
         want = reference_float_specialise(grid, *base.chart_value())
         for a, b in zip(got, want):
             assert [repr(x) for x in a.tolist()] == [repr(x) for x in b.tolist()]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn import polyalg
+from corrdyn import correspondence, polyalg
+from corrdyn.correspondence import _certified_points
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import (
     BivariatePolynomial,
@@ -23,7 +24,6 @@ from corrdyn.polyalg import (
     _zi_mul,
     _zi_quotient,
     _zi_strip,
-    certified_roots,
     polish_roots,
     resultant_w,
     resultant_z,
@@ -38,6 +38,7 @@ from support import (
     UnivariatePolynomial,
     _xdeg,
     chordally_separated,
+    coefficient_grid,
     coefficients,
     exact_polynomial,
     integer_coeffs,
@@ -50,6 +51,8 @@ from support import (
     reference_squarefree_factors,
     reference_univariate_in_z,
     reference_univariate_in_z_inverted,
+    scalar_certified_roots,
+    separated_points,
     sylvester_resultant_z,
     xdivmod,
     xgcd,
@@ -177,7 +180,7 @@ class TestRoots:
                              ids=["eigenvalues-fail", "non-finite-root"])
     def test_companion_failure_is_a_root_finding_error(self, monkeypatch, root):
         # LAPACK not converging comes back as NaN eigenvalues
-        def fake_eigenvalues(c, k0):
+        def fake_eigenvalues(c, k0, companion):
             return [root] * (len(c) - 1)
 
         monkeypatch.setattr(polyalg, "_companion_eigenvalues", fake_eigenvalues)
@@ -241,15 +244,30 @@ class TestPolishRoot:
         assert repr(got) == repr(reference_newton_steps(coeffs, z, m))
 
 
-def _certify(c, e):
+def _stored(pairs):
+    return [(repr(q.z1), repr(q.z2), e) for q, e in pairs]
+
+
+def _certify(c, e, separation=0):
+    # the certificate on (c, e): the scalar route, which also gives the disc
+    # radii, and the one-pass fiber on a grid that specialises to (c, e),
+    # which must decide alike and give the route's points
+    grid = coefficient_grid(c, e)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return certified_roots(np.array(c, dtype=complex), np.array(e, dtype=float), 0)
+        c = grid.grid @ np.ones(1, dtype=complex)  # c, up to the signs of zero parts
+        found = scalar_certified_roots(c, np.array(e, dtype=float), separation)
+        points = _certified_points(grid, 1 + 0j, False, separation)
+    assert (points is None) == (found is None)
+    if found is not None:
+        assert _stored(points) == _stored(separated_points(found[0]))
+    return found
 
 
 class TestCertifiedRoots:
     # _certify makes every warning an error; where numpy gave inf or nan,
-    # Python raises instead, and that must mean undecided
+    # Python raises instead, and that must mean undecided; the one-pass
+    # fiber must agree with the scalar route on every input
 
     def test_zero_constant_term_gives_root_zero_last(self):
         # z (z - 1)(z - 2)(z + 3), in the order and bits of np.roots
@@ -298,7 +316,8 @@ class TestCertifiedRoots:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyalg, "_companion_eigenvalues", refuse)
-            assert certified_roots(c, e, 0) is None
+            mp.setattr(correspondence, "_companion_eigenvalues", refuse)
+            assert _certify(c, e) is None
 
     @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=5),
@@ -317,7 +336,7 @@ class TestCertifiedRoots:
         c = np.poly(np.array(zeros))[::-1].astype(complex)
         e = np.abs(c) * 10**log_err
         with np.errstate(all="ignore"):
-            got, first = certified_roots(c, e, 2e-6), certified_roots(c, e, 0)
+            got, first = _certify(c, e, 2e-6), _certify(c, e)
         rejected = first is None or not chordally_separated([z + 0j for z in first[0]], 2e-6)
         assert (got is None) == rejected
         if got is not None:
@@ -344,14 +363,18 @@ class TestCompanionEigenvalues:
             companion = np.diag(np.ones(d - k0 - 1, dtype=complex), -1)
             companion[0, :] = -p[1:] / p[0]
             eigvals = np.linalg.eigvals(companion).tolist()
-        got = [repr(z) for z in polyalg._companion_eigenvalues(c, k0)]
+        # one shift matrix of size d serves k0 = 0 and, through its leading
+        # block, k0 = 1; only its row 0 changes
+        buffer = np.eye(d, k=-1, dtype=complex)
+        got = [repr(z) for z in polyalg._companion_eigenvalues(c, k0, buffer)]
         assert got == [repr(complex(z)) for z in eigvals + [0j] * k0]
         assert got == [repr(complex(z)) for z in np.roots(c[::-1])]
+        assert (buffer[1:] == np.eye(d, k=-1)[1:]).all()
 
     def test_row_beyond_float_range_is_nan(self):
         # where np.linalg.eigvals would raise LinAlgError on an inf entry
         with np.errstate(all="ignore"):
-            got = polyalg._companion_eigenvalues(np.array([1e308, 0, 1e-10j]), 0)
+            got = polyalg._companion_eigenvalues(np.array([1e308, 0, 1e-10j]), 0, np.eye(2, dtype=complex))
         assert len(got) == 2 and all(map(cmath.isnan, got))
 
 
@@ -514,9 +537,12 @@ class TestModularSplit:
                     min_size=1, max_size=3, unique_by=lambda rm: rm[0][:2]),
            st.tuples(st.integers(-6, 6), st.integers(1, 6)))
     @settings(max_examples=60, deadline=None)
+    @example([((0, 1, 1), 1), ((0, -2, 1), 2)], (0, 1))  # i (z^2 + 4)^2: a real monic image
     def test_non_real_split_uses_both_ideals_and_equals_yun(self, drawn, lead):
         # a non-real root of multiplicity >= 2 and a non-real leading
-        # coefficient: Yun runs modulo p under i -> I and under i -> -I
+        # coefficient: Yun runs modulo p under i -> I and under i -> -I, on
+        # images that differ unless f / lc(f) is real (conjugate roots of
+        # equal multiplicities)
         root_mults = [(GR((Fraction(a, d), Fraction(b, d))), m) for (a, b, d), m in drawn]
         (a, b, d), m = drawn[0]
         root_mults[0] = (GR((Fraction(a, d), Fraction(abs(b), d) + 1)), max(2, m))
@@ -531,7 +557,8 @@ class TestModularSplit:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyalg, "_fp_yun", recording)
             split = modular_split(f)
-        assert len(images) == 2 and images[0] != images[1]
+        real = all(c.im == 0 for c in xmonic(f.coeffs))
+        assert len(images) == 2 and (images[0] != images[1]) is not real
         assert split == reference_squarefree_factors(f.coeffs)
 
     @pytest.mark.parametrize("repeated", [False, True], ids=["squarefree", "repeated"])
