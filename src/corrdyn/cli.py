@@ -365,10 +365,12 @@ def cmd_fock(args):
 def cmd_kgroups(args):
     if args.table is not None:
         rows = ktheory.kgroup_table(args.table[0], args.table[1])
+        # the table shares its groups: each distinct one is rendered once
+        render = functools.cache(ktheory.AbelianGroupPresentation.render)
         _emit(args, {
             "command": "kgroups",
             "table": [
-                {"m": m, "n": n, "K0": k0.render(), "K1": k1.render()}
+                {"m": m, "n": n, "K0": render(k0), "K1": render(k1)}
                 for m, n, k0, k1 in rows
             ],
         })
@@ -535,8 +537,9 @@ def main(argv=None) -> int:
     name = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(name).parse_args(argv[1:] if name else argv)
     try:
-        if args.cmd == "kgroups" and args.poly is None and args.table is None:
-            raise InvalidInputError("kgroups needs --poly or --table")
+        if args.cmd == "kgroups" and (args.poly is None) == (args.table is None):
+            raise InvalidInputError("kgroups needs --poly or --table" if args.poly is None
+                                    else "kgroups takes --poly or --table, not both")
         tol = getattr(args, "tol", 0.0)
         if not (math.isfinite(tol) and tol >= 0):
             raise InvalidInputError(f"--tol must be finite and >= 0, got {tol!r}")

@@ -1,10 +1,12 @@
 """K-theory bookkeeping: Smith normal form over the integers, finitely
 generated abelian groups in invariant-factor form, a solver for the
 six-term sequence of a Cuntz-Pimsner algebra with torsion-free input data,
-and builders for the circle families."""
+and builders for the circle families.  The sequence splits by degree, so
+`kgroup_table` reduces each degree's map of the monomial family once."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,13 +165,14 @@ class PimsnerInput:
 
 
 def pimsner_solve(inp: PimsnerInput):
-    """(K_0, K_1) of the quotient algebra from the six-term sequence:
+    """(K_0, K_1) of the quotient algebra from the six-term sequence (Pimsner
+    1997; Katsura 2004), which splits by degree, one map's pieces in each:
 
         K_0 fits in 0 -> coker(map0) -> K_0 -> ker(map1) -> 0
         K_1 fits in 0 -> coker(map1) -> K_1 -> ker(map0) -> 0
 
     Kernels of integer matrices are free, so both extensions split; the
-    solver asserts that and refuses otherwise."""
+    solver checks that and raises UndecidedError otherwise."""
     coker0, ker0 = cokernel_and_kernel(inp.map0)
     coker1, ker1 = cokernel_and_kernel(inp.map1)
     return _solve_extension(coker0, ker1), _solve_extension(coker1, ker0)
@@ -235,14 +238,19 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
 
 
 def kgroup_table(max_m: int, max_n: int):
-    """Rows (m, n, K_0, K_1) for the monomial family over the full grid."""
+    """Rows (m, n, K_0, K_1) for the monomial family over the full grid.
+    By the degree split of `pimsner_solve` (both extensions split, as kernels
+    are free), each entry pairs the pieces of map0 = [1 - m], which depends
+    on m alone, with those of map1 = [1 - n]: max_m + max_n Smith normal
+    forms in all, and equal groups are built once and shared."""
     if max_m < 1 or max_n < 1:
         raise InvalidInputError("table bounds must be >= 1")
     if max_m > 20 or max_n > 20:
         raise InvalidInputError("table bounds capped at 20")
-    rows = []
-    for m in range(1, max_m + 1):
-        for n in range(1, max_n + 1):
-            k0, k1 = pimsner_solve(monomial_family_input(m, n))
-            rows.append((m, n, k0, k1))
-    return rows
+    inputs = [monomial_family_input(k, k) for k in range(1, max(max_m, max_n) + 1)]
+    degree0 = [cokernel_and_kernel(inp.map0) for inp in inputs[:max_m]]
+    degree1 = [cokernel_and_kernel(inp.map1) for inp in inputs[:max_n]]
+    solve = functools.cache(_solve_extension)
+    return [(m, n, solve(coker0, ker1), solve(coker1, ker0))
+            for m, (coker0, ker0) in enumerate(degree0, 1)
+            for n, (coker1, ker1) in enumerate(degree1, 1)]

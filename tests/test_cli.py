@@ -391,6 +391,15 @@ class TestKGroups:
     def test_missing_args(self, capsys):
         assert run(capsys, ["kgroups"])[0] == 2
 
+    @pytest.mark.parametrize("spec", ['{"family":"monomial","m":2,"n":3}', "{oops"])
+    def test_poly_and_table_together_refused(self, capsys, spec):
+        # neither is silently dropped, and the spec is not parsed first
+        assert main(["kgroups", "--poly", spec, "--table", "2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "invalid-input", "detail": "kgroups takes --poly or --table, not both"}
+
     @pytest.mark.parametrize("bounds", [("0", "3"), ("3", "0"), ("-1", "2")])
     def test_table_bounds_below_one(self, capsys, bounds):
         assert main(["kgroups", "--table", *bounds]) == 2

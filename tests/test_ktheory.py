@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -138,6 +139,51 @@ class TestMonomialFamily:
     def test_table_cap(self):
         with pytest.raises(InvalidInputError):
             kgroup_table(21, 1)
+
+    def test_table_equals_per_entry_solves(self):
+        # every table to the cap against one six-term solve per entry
+        solved = {(m, n): pimsner_solve(monomial_family_input(m, n))
+                  for m in range(1, 21) for n in range(1, 21)}
+        for max_m in range(1, 21):
+            for max_n in range(1, 21):
+                want = [(m, n, *solved[m, n])
+                        for m in range(1, max_m + 1) for n in range(1, max_n + 1)]
+                rows = kgroup_table(max_m, max_n)
+                assert rows == want, (max_m, max_n)
+                assert [(k0.render(), k1.render()) for _, _, k0, k1 in rows] == [
+                    (k0.render(), k1.render()) for _, _, k0, k1 in want], (max_m, max_n)
+
+    def test_table_reduces_each_degree_once(self, monkeypatch):
+        # one Smith normal form per m (its map0) and per n (its map1)
+        from corrdyn import ktheory
+
+        seen = []
+
+        def counting(M):
+            seen.append(M.entries)
+            return smith_normal_form(M)
+
+        monkeypatch.setattr(ktheory, "smith_normal_form", counting)
+        for max_m in range(1, 21):
+            for max_n in range(1, 21):
+                seen.clear()
+                kgroup_table(max_m, max_n)
+                assert len(seen) == max_m + max_n
+                assert sorted(seen) == sorted(
+                    [((1 - m,),) for m in range(1, max_m + 1)]
+                    + [((1 - n,),) for n in range(1, max_n + 1)])
+
+    def test_cli_poly_matches_table_row(self, capsys):
+        from corrdyn import cli
+
+        assert cli.main(["kgroups", "--table", "6", "6"]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        for row in table:
+            spec = json.dumps({"family": "monomial", "m": row["m"], "n": row["n"]})
+            assert cli.main(["kgroups", "--poly", spec]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["K0"], report["K1"]) == (row["K0"], row["K1"]), spec
+        assert len(table) == 36
 
 
 class TestProductFamily:
