@@ -4,8 +4,8 @@ correspondence to a PPM density image and a CSV point list.
 
 Usage: python3 scripts/render_limit_set.py [OUTDIR]
 
-Writes limit_set.ppm and limit_set.csv.  The same outputs are available from
-the CLI:
+Writes limit_set.ppm and limit_set.csv, and exits 1 at the first render that
+fails.  The same outputs are available from the CLI:
 
     corrdyn render --poly '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}' \\
         --iters 20000 --seed 7 --out limit_set.ppm --px 400
@@ -29,9 +29,12 @@ def main():
             ["render", "--poly", POLY, "--iters", "20000", "--seed", "7",
              "--out", str(out)] + extra
         )
-        assert code == 0
+        if code != 0:
+            print(f"render to {out} exited {code}", file=sys.stderr)
+            return 1
         print(f"wrote {out} ({out.stat().st_size} bytes)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

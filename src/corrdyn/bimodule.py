@@ -285,24 +285,21 @@ def fock_relation_check(ft: FockTruncation) -> float:
     of xi's, so column c of T_xi^* T_eta holds e_xi at each column that xi's
     map sends to the row T_eta(c).  (delta_xi|delta_eta)_A is e_eta at the
     range vertex of eta when xi = eta and 0 otherwise, so both sides vanish
-    on the columns that T_eta sends to 0, and only the others are visited."""
-    edges = ft.base.edges
+    on the columns that T_eta sends to 0, and only the others are visited.
+    Each map is a function c -> r, so one pass per level suffices: for the
+    (edge, column) pairs L reaching a row r, column c of T_xi^* T_eta holds
+    e_xi at each (xi, c') in L where the right side holds e_eta at (eta, c)
+    alone, which agree as eta's map takes only columns starting at its
+    range vertex.  So r deviates by max |e_xi| over L if |L| >= 2, else 0."""
     dev = 0.0
     for k in range(ft.K):
-        maps = [ft.creation_map(edge[:2], k) for edge in edges]
-        reached_from = {}  # row of level k+1 -> the (edge, column) pairs mapped to it
-        for i, t in enumerate(maps):
-            for c, r in t.items():
-                reached_from.setdefault(r, []).append((i, c))
-        for j, t in enumerate(maps):
-            _, wj, ej = edges[j]
-            for c, r in t.items():
-                lhs = {}
-                for i, c2 in reached_from[r]:
-                    lhs[i, c2] = lhs.get((i, c2), 0) + edges[i][2]
-                rhs = {(j, c): ej if ft.blocks[k][c][0] == wj else 0}
-                dev = max(dev, *(abs(lhs.get(key, 0) - rhs.get(key, 0))
-                                 for key in lhs.keys() | rhs.keys()))
+        first = {}  # row of level k+1 -> |e| of the first edge mapping to it
+        for z, w, e in ft.base.edges:
+            for r in ft.creation_map((z, w), k).values():
+                if r in first:
+                    dev = max(dev, first[r], abs(e))
+                else:
+                    first[r] = abs(e)
     return dev
 
 

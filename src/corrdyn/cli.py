@@ -365,12 +365,12 @@ def cmd_fock(args):
 def cmd_kgroups(args):
     if args.table is not None:
         rows = ktheory.kgroup_table(args.table[0], args.table[1])
-        # the table shares its groups: each distinct one is rendered once
-        render = functools.cache(ktheory.AbelianGroupPresentation.render)
+        # the table shares its groups: each is rendered once, by identity
+        text = {id(g): g.render() for g in {id(g): g for row in rows for g in row[2:]}.values()}
         _emit(args, {
             "command": "kgroups",
             "table": [
-                {"m": m, "n": n, "K0": render(k0), "K1": render(k1)}
+                {"m": m, "n": n, "K0": text[id(k0)], "K1": text[id(k1)]}
                 for m, n, k0, k1 in rows
             ],
         })

@@ -237,7 +237,8 @@ class Correspondence:
         which roots merge never depends on the path.  Otherwise poly
         is specialised exactly at the chart value, read as x / q with x a
         Gaussian integer and q a power of 2, and ``roots`` solves the
-        Gaussian-integer coefficients that come out.  Either way the fiber
+        Gaussian-integer coefficients that come out; infinity is read off their
+        degree drop and 0 off their zero low-order terms.  Either way the fiber
         is what ``_chordal_merge`` at tol makes of the roots and the point at
         infinity: two simple roots closer than tol count as one double point.
         """

@@ -6,7 +6,6 @@ and builders for the circle families.  The sequence splits by degree, so
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -242,7 +241,7 @@ def kgroup_table(max_m: int, max_n: int):
     By the degree split of `pimsner_solve` (both extensions split, as kernels
     are free), each entry pairs the pieces of map0 = [1 - m], which depends
     on m alone, with those of map1 = [1 - n]: max_m + max_n Smith normal
-    forms in all, and equal groups are built once and shared."""
+    forms in all, and one group per cokernel and kernel rank (kernels are free)."""
     if max_m < 1 or max_n < 1:
         raise InvalidInputError("table bounds must be >= 1")
     if max_m > 20 or max_n > 20:
@@ -250,7 +249,9 @@ def kgroup_table(max_m: int, max_n: int):
     inputs = [monomial_family_input(k, k) for k in range(1, max(max_m, max_n) + 1)]
     degree0 = [cokernel_and_kernel(inp.map0) for inp in inputs[:max_m]]
     degree1 = [cokernel_and_kernel(inp.map1) for inp in inputs[:max_n]]
-    solve = functools.cache(_solve_extension)
-    return [(m, n, solve(coker0, ker1), solve(coker1, ker0))
-            for m, (coker0, ker0) in enumerate(degree0, 1)
-            for n, (coker1, ker1) in enumerate(degree1, 1)]
+    ranks0, ranks1 = ({ker.rank: ker for _, ker in d}.items() for d in (degree0, degree1))
+    K0 = [{r: _solve_extension(coker, ker) for r, ker in ranks1} for coker, _ in degree0]
+    K1 = [{r: _solve_extension(coker, ker) for r, ker in ranks0} for coker, _ in degree1]
+    return [(m, n, K0[m - 1][ker1.rank], K1[n - 1][ker0.rank])
+            for m, (_, ker0) in enumerate(degree0, 1)
+            for n, (_, ker1) in enumerate(degree1, 1)]

@@ -738,23 +738,24 @@ def roots(coeffs) -> list:
     multiplicity) pairs, multiplicities summing to the degree.  Roots are
     not clustered: two pairs may lie arbitrarily close.
 
-    The multiplicities come from the squarefree decomposition, found modulo
-    primes and verified exactly by ``squarefree_factors`` (a certified
-    squarefree polynomial is its own one factor), so nontrivial
-    multiplicities are detected structurally; it raises RootFindingError
-    past its bound in primes.  Each squarefree factor is solved by
-    ``_companion_roots`` on its ``_monic_image``, and its roots come in the
-    order it gives them.
+    With k the number of exactly zero low-order coefficients, f = z^k g with
+    g(0) != 0, so 0 is a root of multiplicity k.  Only a nonconstant g is
+    split, by ``squarefree_factors`` (modulo primes, verified exactly, with
+    RootFindingError past its bound in primes), and each factor is solved by
+    ``_companion_roots`` on its ``_monic_image``.  The pairs are those of
+    splitting f, bit for bit and in order: f's factor of multiplicity k is
+    z h for g's factor h of that multiplicity (or z), the others are g's,
+    and ``_companion_eigenvalues`` solves the monic image of z h, h's
+    shifted up one place, as h's, with 0j last.
     """
     if not coeffs:
         raise InvalidInputError("roots of the zero polynomial")
-    if len(coeffs) == 1:
-        return []
-    return [
-        (complex(r), mult)
-        for factor, mult in squarefree_factors(coeffs)
-        for r in _companion_roots(_monic_image(factor))
-    ]
+    k = next(j for j, (x, y) in enumerate(coeffs) if x or y)
+    split = squarefree_factors(coeffs[k:]) if len(coeffs) - k > 1 else []
+    pairs = [(r, mult) for factor, mult in split for r in _companion_roots(_monic_image(factor))]
+    if k:
+        pairs.insert(sum(mult <= k for _, mult in pairs), (0j, k))
+    return pairs
 
 
 def polish_roots(coeffs, estimates) -> list:

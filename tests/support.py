@@ -357,6 +357,21 @@ def reference_squarefree_factors(coeffs):
     return out
 
 
+def reference_roots(coeffs) -> list:
+    """polyalg.roots without reading the root at 0 off the coefficients: a
+    zero constant term goes to the squarefree split with the rest, and the
+    companion eigenvalues of the factor z h append its 0j."""
+    if not coeffs:
+        raise InvalidInputError("roots of the zero polynomial")
+    if len(coeffs) == 1:
+        return []
+    return [
+        (complex(r), mult)
+        for factor, mult in polyalg.squarefree_factors(coeffs)
+        for r in polyalg._companion_roots(polyalg._monic_image(factor))
+    ]
+
+
 # The Fraction route to the exact specialisation of a bivariate polynomial
 # in its second variable, by Horner's rule over the Gaussian rationals.
 # BivariatePolynomial.univariate_in_z and its inverted form compute the same

@@ -333,6 +333,31 @@ def finite_bimodules(draw):
     return FiniteBimodule(J=J, edges=tuple(sorted(edges)))
 
 
+@st.composite
+def fock_truncations(draw):
+    """A FockTruncation over any edge list on 1-4 vertices: edges repeated
+    at will, weights in -3..3, K up to 7 where the path bases stay small,
+    and at times a basis path listed twice or a level out of order, so that
+    the relations fail in every way the structure allows."""
+    n = draw(st.integers(1, 4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n + 2))
+    edges = tuple(sorted((z, w, draw(st.integers(-3, 3))) for z, w in pairs))
+    fb = FiniteBimodule(J=tuple(SpherePoint.from_complex(complex(v)) for v in range(n)),
+                        edges=edges)
+    sizes = fock_build(fb, 7).block_dims
+    K = min(draw(st.integers(0, 7)),
+            max(k for k in range(8) if sum(sizes[:k + 1]) <= 40))
+    blocks = list(fock_build(fb, K).blocks)
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, K))
+        if draw(st.booleans()):
+            blocks[k] = blocks[k][::-1]
+        elif blocks[k]:
+            blocks[k] += (draw(st.sampled_from(blocks[k])),)
+    return FockTruncation(base=fb, K=K, blocks=tuple(blocks))
+
+
 class TestFockAgainstDenseMatrices:
     # the dense Fraction-matrix route in tests/support.py is the reference
 
@@ -340,6 +365,11 @@ class TestFockAgainstDenseMatrices:
     @given(finite_bimodules(), st.integers(0, 3))
     def test_relation_check(self, fb, K):
         ft = fock_build(fb, K)
+        assert fock_relation_check(ft) == dense_relation_check(ft)
+
+    @settings(max_examples=200, deadline=None)
+    @given(fock_truncations())
+    def test_relation_check_on_any_structure(self, ft):
         assert fock_relation_check(ft) == dense_relation_check(ft)
 
     @settings(max_examples=300, deadline=None)

@@ -564,20 +564,23 @@ class TestParser:
         assert capsys.readouterr().out.startswith("usage: corrdyn fibers")
 
 
-def _exact_argvs():
-    # the corpus commands whose stdout is exact: K-groups, Fock reports, GP
-    # enumeration, expansiveness and invariance decisions
+def _corpus_argvs():
     for path in sorted(CORPUS.glob("*.jsonl")):
         for line in path.read_text(encoding="utf-8").splitlines():
-            argv = json.loads(line) if line.strip() else []
-            if argv[:1] in (["kgroups"], ["fock"], ["expansive"], ["invariant"]) or (
-                    argv[:1] == ["free"] and "--gp" in argv):
-                yield argv
+            yield json.loads(line) if line.strip() else []
 
 
-EXACT_ARGVS = list(_exact_argvs())
+# the corpus commands whose stdout is exact: K-groups, Fock reports, GP
+# enumeration, expansiveness and invariance decisions
+EXACT_ARGVS = [argv for argv in _corpus_argvs()
+               if argv[:1] in (["kgroups"], ["fock"], ["expansive"], ["invariant"])
+               or (argv[:1] == ["free"] and "--gp" in argv)]
 GOLDEN = {json.dumps(entry["argv"]): entry["stdout"] for entry in json.loads(
     (CORPUS / "exact_stdout.json").read_text(encoding="utf-8"))}
+# fibers whose points are read off exact coefficients (0 and infinity, and
+# the double point over w = +-1 of z^2 + w^2 - 1), pinned by their bytes too
+PINNED_FIBERS = [argv for argv in _corpus_argvs()
+                 if argv[:1] == ["fibers"] and json.dumps(argv) in GOLDEN]
 
 
 class TestGoldenOutputs:
@@ -597,8 +600,14 @@ class TestGoldenOutputs:
         else:
             assert (code, out) == (0, golden)
 
+    @pytest.mark.parametrize("argv", PINNED_FIBERS,
+                             ids=[f"fibers-{i}" for i in range(len(PINNED_FIBERS))])
+    def test_pinned_fibers_match(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]
+
     def test_every_golden_output_is_in_the_corpus(self):
-        assert set(GOLDEN) <= {json.dumps(argv) for argv in EXACT_ARGVS}
+        assert set(GOLDEN) <= {json.dumps(argv) for argv in EXACT_ARGVS + PINNED_FIBERS}
 
 
 class TestErrors:

@@ -173,6 +173,29 @@ class TestMonomialFamily:
                     [((1 - m,),) for m in range(1, max_m + 1)]
                     + [((1 - n,),) for n in range(1, max_n + 1)])
 
+    def test_table_groups_keyed_by_degree_not_by_hash(self, monkeypatch, capsys):
+        # the table and its rendering share groups without hashing or
+        # comparing them: one group per degree index and kernel rank
+        from corrdyn import cli, ktheory
+
+        assert cli.main(["kgroups", "--table", "20", "20"]) == 0
+        want = capsys.readouterr().out
+
+        def refused(*args):
+            raise AssertionError("a group was hashed or compared")
+
+        monkeypatch.setattr(AbelianGroupPresentation, "__hash__", refused)
+        monkeypatch.setattr(AbelianGroupPresentation, "__eq__", refused)
+        solved = []
+        monkeypatch.setattr(ktheory, "_solve_extension", lambda sub, quot: solved.append(
+            quot.rank) or AbelianGroupPresentation(sub.rank + quot.rank, sub.torsion))
+        assert cli.main(["kgroups", "--table", "20", "20"]) == 0
+        assert capsys.readouterr().out == want
+        # kernels of [1 - k] have rank 1 at k = 1 and 0 after: two per m and n
+        assert sorted(solved) == [0] * 40 + [1] * 40
+        K0 = {(m, n): k0 for m, n, k0, _ in kgroup_table(4, 3)}
+        assert all(K0[m, 2] is K0[m, 3] is not K0[m, 1] for m in range(1, 5))
+
     def test_cli_poly_matches_table_row(self, capsys):
         from corrdyn import cli
 

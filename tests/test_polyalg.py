@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn import correspondence, polyalg
+from corrdyn import cli, correspondence, polyalg
 from corrdyn.correspondence import _certified_points
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import (
@@ -47,6 +48,7 @@ from support import (
     reference_float_grid,
     reference_newton_steps,
     reference_resultant_z,
+    reference_roots,
     reference_squarefree_check,
     reference_squarefree_factors,
     reference_univariate_in_z,
@@ -75,7 +77,7 @@ def from_roots(lead, root_mults):
     return UnivariatePolynomial(coeffs)
 
 
-def reference_roots(f):
+def yun_roots(f):
     """roots of exact f, always through Yun's squarefree decomposition over
     the Gaussian rationals."""
     return [
@@ -193,6 +195,77 @@ class TestRoots:
         f = UnivariatePolynomial([GR(c) for c in coeffs] + [GR(1)])
         rs = roots(integer_coeffs(f))
         assert sum(m for _, m in rs) == len(coeffs)
+
+
+def _bits(pairs) -> list:
+    return [(z.real.hex(), z.imag.hex(), m) for z, m in pairs]
+
+
+# Gaussian-integer parts of up to 70 bits, and the real case
+gaussian_parts = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def nonzero_at_zero(draw):
+    """A Gaussian-integer polynomial g with g(0) != 0: a lead times up to
+    three powers of nonconstant factors with nonzero constant terms, so
+    constant g, repeated factors and non-real g all occur."""
+    real = draw(st.booleans())
+
+    def gaussian():
+        return draw(gaussian_parts), 0 if real else draw(gaussian_parts)
+
+    def nonzero():
+        return draw(st.tuples(gaussian_parts, st.just(0) if real else gaussian_parts)
+                    .filter(lambda c: c != (0, 0)))
+
+    g = [nonzero()]
+    for _ in range(draw(st.integers(0, 3))):
+        factor = [nonzero()] + [gaussian() for _ in range(draw(st.integers(0, 1)))] + [nonzero()]
+        for _ in range(draw(st.integers(1, 3))):
+            g = _zi_mul(g, factor)
+    return g
+
+
+class TestRootAtZero:
+    # roots reads the root at 0 off the zero low-order coefficients;
+    # support.reference_roots splits z^k g whole
+
+    @given(nonzero_at_zero(), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_same_pairs_as_the_whole_split(self, g, k):
+        f = [(0, 0)] * k + g
+        try:
+            want = reference_roots(f)
+        except RootFindingError as exc:
+            with pytest.raises(RootFindingError) as raised:
+                roots(f)
+            assert str(raised.value) == str(exc)
+            return
+        got = roots(f)
+        assert _bits(got) == _bits(want)
+        assert sum(m for _, m in got) == len(f) - 1
+        assert not k or (0j, k) in got
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_constant_rest_is_not_split(self, monkeypatch, k):
+        monkeypatch.setattr(polyalg, "squarefree_factors", None)
+        assert roots([(0, 0)] * k + [(5, -2)]) == [(0j, k)]
+        assert roots([(7, 0)]) == []
+
+    def test_split_never_sees_a_zero_constant_term(self, monkeypatch, capsys):
+        # neither from roots on z^k g nor from the fibers of a Fock report,
+        # whose branched fibers over w = +-1 of z^2 + w^2 - 1 are z^2
+        f = [(0, 0), (0, 0), (-1, 0), (0, 0), (1, 0)]  # z^2 (z^2 - 1)
+        want = reference_roots(f)
+        seen, split = [], polyalg.squarefree_factors
+        monkeypatch.setattr(polyalg, "squarefree_factors",
+                            lambda coeffs: seen.append(coeffs[0]) or split(coeffs))
+        assert roots(f) == want
+        assert cli.main(["fock", "--poly", '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}',
+                         "--set", "[[0,0],[1,0],[-1,0]]", "--K", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["relation_max_deviation"] == 0
+        assert seen and (0, 0) not in seen
 
 
 class TestPolishRoot:
@@ -423,7 +496,7 @@ class TestSquarefreeCertificate:
     def test_roots_match_yun_reference(self, lead, root_mults):
         f = from_roots(lead, root_mults)
         rs = roots(integer_coeffs(f))
-        assert rs == reference_roots(f)
+        assert rs == yun_roots(f)
         assert sorted(m for _, m in rs) == sorted(m for _, m in root_mults)
 
     @pytest.mark.parametrize("mults", [(2, 1), (1, 1)])
@@ -575,7 +648,7 @@ class TestModularSplit:
         assert primes_used == ([0, 1] if repeated else [0])
         assert (split == [(coeffs, 1)]) is not repeated
         rs = roots(coeffs)
-        assert rs == reference_roots(f)
+        assert rs == yun_roots(f)
         assert sorted(m for _, m in rs) == ([1, 2] if repeated else [1, 1])
 
     def test_leading_coefficient_in_the_first_ideal_is_undecided(self, primes_used):
@@ -584,7 +657,7 @@ class TestModularSplit:
         f = from_roots(GR((polyalg._I, -1)), [(GR(1), 1), (GR(2), 1)])
         assert squarefree_factors(integer_coeffs(f)) == [(integer_coeffs(f), 1)]
         assert primes_used == [0, 1]
-        assert roots(integer_coeffs(f)) == reference_roots(f)
+        assert roots(integer_coeffs(f)) == yun_roots(f)
 
 
 rational_grids = st.lists(
