@@ -193,17 +193,20 @@ class FiniteBimodule:
 
     @staticmethod
     def build(corr: Correspondence, points: Sequence) -> "FiniteBimodule":
+        """The module over J = points, with an edge (z index, w index, branch
+        index) for each point z within 1e-7 of J over each w in J, from the
+        backward fibers ``invariant_check`` solved: two solves per point."""
         J = tuple(
             p if isinstance(p, SpherePoint) else SpherePoint.from_complex(complex(p))
             for p in points
         )
-        ok, witness = invariant_check(corr, J)
+        fibers = []
+        ok, witness = invariant_check(corr, J, backward=fibers)
         if not ok:
             raise InvalidInputError(f"set is not invariant: escapes via {witness}")
         edges = []
         m = corr.p.deg_z
-        for wi, w in enumerate(J):
-            fiber = corr.backward_fiber(w)
+        for wi, fiber in enumerate(fibers):
             total = 0
             for z, e in fiber.points:
                 zi = min(range(len(J)), key=lambda i: chordal_distance(J[i], z))

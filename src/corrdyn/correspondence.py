@@ -1,31 +1,26 @@
 """Algebraic correspondences p(z,w)=0 on the Riemann sphere: projective
 points, fibers in both directions with multiplicities, and branched sets.
 
-Fibers are computed in the affine chart where the base point lives.  The
-float path is one pass, ``_certified_points``, from the chart value to the
-sorted fiber points or to undecided: the coefficient polynomial is
-evaluated in complex128, with a rigorous bound on its distance to the exact
-one, its companion eigenvalues come from the gufunc
-``numpy.linalg._umath_linalg.eigvals`` on the grid's one reused companion
-buffer (NaN where LAPACK does not converge), and the roots are kept when
-disjoint inclusion discs prove each of them simple and no two lie within
-chordal 2 tol; the points and their sort keys are built in the same pass,
-and sorted on their raw real parts unless two could round alike.
-Otherwise (a multiple point, a root near another, a NaN root, a vanishing
-leading coefficient, a non-finite base) the float chart value is read
-exactly as x / q, x a Gaussian integer and q a power of 2, the polynomial
-is specialised there on Gaussian integers, and the fiber comes out of the
-exact squarefree machinery on those integers, so multiplicities never rest
-on float luck.  One single-linkage
-merge in the chordal metric, ``_chordal_merge``, decides which fiber roots
-are one point; points of large modulus and the point at infinity merge
-naturally.  The branched sets solve no fiber: each is decided exactly from
-resultants and leading coefficients, with each gcd test at infinity decided
-modulo a prime first, and its finite points are the distinct roots of an
-exact polynomial, each refined by ``polish_roots``.  All of it runs on the
-one Gaussian-integer grid of p over its least denominator
-(``BivariatePolynomial.rows``) and its transpose, with no Fraction
-arithmetic from the parsed input to the printed points.
+Every fiber request is one solve in the affine chart where the base point
+lives; nothing is kept per base point.  The float path is one pass,
+``_certified_points``, from the chart value to the sorted fiber points or
+to undecided: the companion eigenvalues of the complex128 coefficients,
+kept when disjoint inclusion discs prove each root simple and no two lie
+within chordal 2 tol.  Otherwise (a multiple point, a root near another, a
+NaN root, a vanishing leading coefficient, a non-finite base) the chart
+value is read exactly as x / q, x a Gaussian integer and q a power of 2,
+and the fiber comes out of the exact squarefree machinery on the integers
+of p specialised there, so multiplicities never rest on float luck.  One
+single-linkage merge in the chordal metric, ``_chordal_merge``, decides
+which fiber roots are one point; points of large modulus and the point at
+infinity merge naturally.  The branched sets solve no fiber: each is
+decided exactly from resultants and leading coefficients, with each gcd
+test at infinity decided modulo a prime first, and its finite points are
+the distinct roots of an exact polynomial, each refined by
+``polish_roots``.  All of it runs on the one Gaussian-integer grid of p
+over its least denominator (``BivariatePolynomial.rows``) and its
+transpose, with no Fraction arithmetic from the parsed input to the
+printed points.
 """
 
 from __future__ import annotations
@@ -33,14 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
-    _U,
     BivariatePolynomial,
     FloatGrid,
     _companion_eigenvalues,
@@ -161,7 +155,8 @@ class BranchedSets:
 
 class Correspondence:
     """The zero set of a reduced polynomial p(z,w) viewed as the graph of
-    the multivalued map z -> w."""
+    the multivalued map z -> w.  Every fiber request is one ``_fiber`` solve
+    on the direction's ``FloatGrid``, made on its first request."""
 
     def __init__(self, p: BivariatePolynomial, check_squarefree: bool = True):
         if p.deg_z < 1 or p.deg_w < 1:
@@ -177,9 +172,7 @@ class Correspondence:
         self.p = p
         self.deg_z = p.deg_z
         self.deg_w = p.deg_w
-        self._fiber_cache: dict = {}
-        # direction -> FloatGrid, or None when a coefficient is beyond float
-        # range; built on the first fiber request in that direction
+        # direction -> FloatGrid, or None when a coefficient is beyond float range
         self._float_grids: dict = {}
 
     @cached_property
@@ -194,29 +187,22 @@ class Correspondence:
     ) -> WeightedFiber:
         """All z with p(z, w) = 0, each with its branch index (multiplicity
         of z as a root of p(., w)); indices sum to deg_z."""
-        return self._cached_fiber("b", self.p, w, self.deg_z, tol)
+        return self._fiber(self._grid("b", self.p), self.p, w, self.deg_z, tol)
 
     def forward_fiber(
         self, z: SpherePoint, tol: float = DEFAULT_FIBER_TOL
     ) -> WeightedFiber:
         """All w with p(z, w) = 0, with multiplicities in w summing to deg_w."""
-        return self._cached_fiber("f", self._transposed, z, self.deg_w, tol)
+        poly = self._transposed
+        return self._fiber(self._grid("f", poly), poly, z, self.deg_w, tol)
 
-    def _cached_fiber(self, direction, poly, base, expected, tol):
-        key = (direction, base, tol)
-        fiber = self._fiber_cache.get(key)
-        if fiber is None:
-            if len(self._fiber_cache) > 20000:
-                self._fiber_cache.clear()
-            if direction not in self._float_grids:
-                try:
-                    self._float_grids[direction] = FloatGrid(poly)
-                except OverflowError:
-                    self._float_grids[direction] = None
-            fiber = self._fiber_cache[key] = self._fiber(
-                self._float_grids[direction], poly, base, expected, tol
-            )
-        return fiber
+    def _grid(self, direction: str, poly: BivariatePolynomial) -> Optional[FloatGrid]:
+        if direction not in self._float_grids:
+            try:
+                self._float_grids[direction] = FloatGrid(poly)
+            except OverflowError:
+                self._float_grids[direction] = None
+        return self._float_grids[direction]
 
     @staticmethod
     def _fiber(
@@ -226,7 +212,7 @@ class Correspondence:
         expected: int,
         tol: float,
     ) -> WeightedFiber:
-        """The fiber of poly over base, float first.
+        """The fiber of poly over base, float first, solved afresh each call.
 
         ``_certified_points`` takes the base point's chart value through
         poly's complex128 grid to the sorted fiber points in one pass: the
@@ -247,10 +233,7 @@ class Correspondence:
             points = _certified_points(grid, v, inverted, 2 * tol)
             if points is not None:
                 return WeightedFiber(base, points)
-        if inverted:
-            _, f = poly.univariate_in_z_inverted(v)
-        else:
-            _, f = poly.univariate_in_z(v)
+        _, f = (poly.univariate_in_z_inverted if inverted else poly.univariate_in_z)(v)
         if not f:
             raise InvalidInputError(
                 "the fiber polynomial vanishes identically; the defining "
@@ -367,22 +350,25 @@ def _certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: f
     c = grid @ powers and its bound e (see ``FloatGrid``), the powers being
     the Python products ``np.cumprod`` makes; zeta, the roots ``np.roots``
     gives for c, bit for bit (``_companion_eigenvalues`` on grid's buffer).
-    Two zero low-order coefficients (a double root 0), a NaN root,
-    OverflowError and ZeroDivisionError (where numpy gives inf) mean
-    undecided; numpy's warnings are off, and every overflow or NaN is
-    tested for.  The roots are kept when every F with |F_k - c_k| <= e_k has
-    degree d = len(c) - 1 and one root in each of the disjoint discs
-    D(zeta_i, r_i), so that F is squarefree and the exact path would find d
-    simple roots too: with W_i = F(zeta_i) / (lc(F) prod_{j != i} (zeta_i -
-    zeta_j)), F / lc(F) is the characteristic polynomial of diag(zeta) -
-    W 1^T, whose Gerschgorin discs lie in D(zeta_i, d|W_i|) (Braess & Hadeler,
-    Numer. Math. 21, 1973; Carstensen, Numer. Math. 59, 1991), and r_i bounds
-    d|W_i|: |F(zeta_i)| is at most |c(zeta_i)| plus e and the Horner rounding
-    (Higham, ch. 5), and |lc(F)| at least |c_d| - e_d.  The test runs on
-    Python scalars, cheaper than numpy at d <= 5.  Adding 0j to a root turns
-    a -0.0 part into 0.0, as the merge's mean does, and the points are
-    sorted on the raw real parts of their values, z or 1 / (1.0 / z), which
-    is ``_point_sort_key``'s order unless two adjacent ones lie within 2e-12
+    Two zero low-order coefficients (a double root 0), a NaN root, a leading
+    coefficient beyond float range, OverflowError and ZeroDivisionError
+    (where numpy gives inf) mean undecided; numpy's warnings are off, and
+    every overflow or NaN is tested for.  The roots are kept when every F
+    with |F_k - c_k| <= e_k has degree d = len(c) - 1 and one root in each
+    of the disjoint discs D(zeta_i, r_i), so that F is squarefree and the
+    exact path would find d simple roots too: with W_i = F(zeta_i) / (lc(F)
+    prod_{j != i} (zeta_i - zeta_j)), F / lc(F) is the characteristic
+    polynomial of diag(zeta) - W 1^T, whose Gerschgorin discs lie in
+    D(zeta_i, d|W_i|) (Braess & Hadeler, Numer. Math. 21, 1973; Carstensen,
+    Numer. Math. 59, 1991), and r_i bounds d|W_i|: |F(zeta_i)| is at most
+    |c(zeta_i)| plus e and the Horner rounding (Higham, ch. 5), and |lc(F)|
+    at least |c_d| - e_d.  The test runs on Python scalars, cheaper than
+    numpy at d <= 5: each r_i, once its Horner loop has given it, is tested
+    against the r_j before it on the distances the chordal test stored.
+    Adding 0j to a root turns a -0.0 part into 0.0, as the merge's mean
+    does, and the points are sorted, by one sort on (key, index), on
+    the raw real parts of their values, z or 1 / (1.0 / z), which is
+    ``_point_sort_key``'s order unless two adjacent ones lie within 2e-12
     and could round alike; only then does that key sort them.
     """
     powers, t = [1.0 + 0j], 1.0 + 0j
@@ -395,12 +381,12 @@ def _certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: f
     c = grid.grid @ powers
     cs, d = c.tolist(), len(c) - 1
     # e_k = eps sums_k + floor_k bounds |c_k - c_k^exact|
-    sums, floor, eps = (grid.abs_grid @ np.abs(powers)).tolist(), grid.floor.tolist(), grid.gamma
-    gamma, inf = 8 * (d + 2) * _U, math.inf
+    sums, floor, eps = (grid.abs_grid @ np.abs(powers)).tolist(), grid.floor, grid.gamma
+    gamma, inf = grid.horner, math.inf
     try:
         lead = abs(cs[d]) - (eps * sums[d] + floor[d])
         k0 = 0 if cs[0] else 1 if cs[1] else 2
-        if k0 == 2 or not lead > 0:
+        if k0 == 2 or not inf > lead > 0:
             return None  # k0 = 2: 0 is a root twice over, and its discs meet
         zeta = _companion_eigenvalues(c, k0, grid.companion)
         # the distances of the pairs (i, j), j < i, chordally tested, and
@@ -420,36 +406,36 @@ def _certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: f
                 dists.append(dist)
         # e_k plus the Horner rounding, and the coefficients below the top
         slack = [eps * sk + fk + gamma * abs(ck) for ck, sk, fk in zip(cs, sums, floor)]
-        below, lift = list(zip(cs[d - 1::-1], slack[d - 1::-1])), 1 + gamma
-        r, pairs, keys, top, top_slack, new = [], [], [], cs[d], slack[d], tuple.__new__
-        for z, zs, zp in zip(zeta, size, spread):
+        below, lift, shrink = list(zip(cs[d - 1::-1], slack[d - 1::-1])), grid.lift, grid.shrink
+        r, points, top, top_slack, new = [], [], cs[d], slack[d], tuple.__new__
+        stored = iter(dists).__next__
+        for i, (z, zs, zp) in enumerate(zip(zeta, size, spread)):
             value, error = top, top_slack
             for ck, sk in below:
                 value, error = value * z + ck, error * zs + sk
             ri = d * (abs(value) + error) / (lead * zp) * lift
             if not (zs < inf and zp < inf and ri < inf):
                 return None  # not finite
+            for rj in r:
+                if not stored() * shrink > ri + rj:
+                    return None  # the discs of i and j meet
             r.append(ri)
             z += 0j
             if zs <= 1:
-                pairs.append((new(SpherePoint, (z, 1.0 + 0j)), 1))
-                keys.append(z.real)
+                points.append((z.real, i, new(SpherePoint, (z, 1.0 + 0j))))
             else:
                 w = 1.0 / z
-                pairs.append((new(SpherePoint, (1.0 + 0j, w)), 1))
-                keys.append((1 / w).real)
+                points.append(((1 / w).real, i, new(SpherePoint, (1.0 + 0j, w))))
     except (OverflowError, ZeroDivisionError):
         return None
-    shrink, dists = 1 - gamma, iter(dists)
-    for i in range(1, d):
-        ri = r[i]
-        for j in range(i):
-            if not next(dists) * shrink > ri + r[j]:
-                return None
-    order, ranked = sorted(range(d), key=keys.__getitem__), sorted(keys)
-    if min(map(sub, ranked[1:], ranked), default=inf) <= 2e-12:
-        return tuple(sorted(pairs, key=lambda pe: _point_sort_key(pe[0])))
-    return tuple(map(pairs.__getitem__, order))
+    points.sort()
+    last = -inf
+    for key, _, _ in points:
+        if key - last <= 2e-12:
+            points.sort(key=lambda kip: (_point_sort_key(kip[2]), kip[1]))
+            break
+        last = key
+    return tuple([(p, 1) for _, _, p in points])
 
 
 def _chordal_merge(pairs, tol: float):

@@ -141,11 +141,13 @@ def paths_ending_at(
 
 
 def invariant_check(
-    corr: Correspondence, points: Sequence[SpherePoint], tol: float = 1e-7
+    corr: Correspondence, points: Sequence[SpherePoint], tol: float = 1e-7,
+    backward: Optional[list] = None,
 ):
     """Whether the finite set is invariant under fibers in both directions.
-    Returns (True, None) or (False, (base, escaping_point))."""
-    pts = list(points)
+    Returns (True, None) or (False, (base, escaping_point)); each backward
+    fiber solved is appended to backward, when that is a list."""
+    pts, backward = list(points), [] if backward is None else backward
 
     def inside(q):
         return any(chordal_distance(q, p) <= tol for p in pts)
@@ -154,7 +156,8 @@ def invariant_check(
         for w, _ in corr.forward_fiber(p).points:
             if not inside(w):
                 return False, (p, w)
-        for z, _ in corr.backward_fiber(p).points:
+        backward.append(corr.backward_fiber(p))
+        for z, _ in backward[-1].points:
             if not inside(z):
                 return False, (p, z)
     return True, None

@@ -240,15 +240,16 @@ def kgroup_table(max_m: int, max_n: int):
     """Rows (m, n, K_0, K_1) for the monomial family over the full grid.
     By the degree split of `pimsner_solve` (both extensions split, as kernels
     are free), each entry pairs the pieces of map0 = [1 - m], which depends
-    on m alone, with those of map1 = [1 - n]: max_m + max_n Smith normal
+    on m alone, with those of map1 = [1 - n], the maps of
+    ``monomial_family_input`` built directly: max_m + max_n Smith normal
     forms in all, and one group per cokernel and kernel rank (kernels are free)."""
     if max_m < 1 or max_n < 1:
         raise InvalidInputError("table bounds must be >= 1")
     if max_m > 20 or max_n > 20:
         raise InvalidInputError("table bounds capped at 20")
-    inputs = [monomial_family_input(k, k) for k in range(1, max(max_m, max_n) + 1)]
-    degree0 = [cokernel_and_kernel(inp.map0) for inp in inputs[:max_m]]
-    degree1 = [cokernel_and_kernel(inp.map1) for inp in inputs[:max_n]]
+    maps = [IntegerMatrix.of([[1 - k]]) for k in range(1, max(max_m, max_n) + 1)]
+    degree0 = [cokernel_and_kernel(a) for a in maps[:max_m]]
+    degree1 = [cokernel_and_kernel(a) for a in maps[:max_n]]
     ranks0, ranks1 = ({ker.rank: ker for _, ker in d}.items() for d in (degree0, degree1))
     K0 = [{r: _solve_extension(coker, ker) for r, ker in ranks1} for coker, _ in degree0]
     K1 = [{r: _solve_extension(coker, ker) for r, ker in ranks0} for coker, _ in degree1]

@@ -623,30 +623,29 @@ _UNDERFLOW = 2.0**-1000
 
 
 class FloatGrid:
-    """The coefficient grid c[i][j] of a bivariate polynomial in complex128,
-    with all a certified float fiber at any base point needs of it
-    (``correspondence._certified_points``).  Each part of c[i][j] is the
-    part of its Gaussian-integer grid divided by its least denominator, one
-    correctly rounded int/int division: the bits of ``float`` of the exact
-    rational.  At v the fiber polynomial in the first variable has the
-    ascending coefficients c = grid @ powers, powers = (1, v, ..., v^n)
-    (reversed in the inverted chart, for v^n p(., 1/v)), with the bound
-    e = gamma (abs_grid @ |powers|) + floor >= |c - c^exact|, c^exact the
-    exact specialisation at v, read as x / q with x a Gaussian integer and q
-    a power of 2 (``univariate_in_z`` or ``univariate_in_z_inverted``,
+    """The coefficient grid c[i][j] of a bivariate polynomial in complex128
+    and all a certified float fiber (``correspondence._certified_points``)
+    needs of it at any base point, computed once.  Each part of c[i][j] is
+    one correctly rounded int/int division of its Gaussian-integer grid by
+    its least denominator: the bits of ``float`` of the exact rational.  At
+    v the fiber polynomial in the first variable has the ascending
+    coefficients c = grid @ powers, powers = (1, v, ..., v^n) (reversed in
+    the inverted chart, for v^n p(., 1/v)), with the bound e = gamma
+    (abs_grid @ |powers|) + floor >= |c - c^exact| (floor a list), c^exact
+    the exact specialisation at v, read as x / q with x a Gaussian integer
+    and q a power of 2 (``univariate_in_z`` or ``univariate_in_z_inverted``,
     divided by its scale).  The bound counts the rounding of the grid, of
     the powers, of the products and of the sums (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.6), with about
-    twice the worst-case number of roundings, which also covers the
-    rounding of the bound itself.  ``companion`` is the one companion-matrix
-    buffer of every fiber on the grid, the shift matrix of size m, the
-    degree in the first variable; ``_companion_eigenvalues`` rewrites only
-    its row 0.  Building the grid raises OverflowError for a coefficient
-    beyond float range; a modulus or a row sum that overflows is inf,
-    silently, and leaves every certificate on the grid undecided.
-    """
+    Stability of Numerical Algorithms, 2nd ed., 3.6), about twice over,
+    which also covers the rounding of the bound itself; horner is that count
+    for Horner's rule on c, of degree m in the first variable, and lift and
+    shrink are 1 +- horner.  ``companion``, the shift matrix of size m, is
+    the one companion buffer of every fiber on the grid.  A coefficient
+    beyond float range raises OverflowError; a modulus or a row sum that
+    overflows is inf, silently, and leaves every certificate undecided."""
 
-    __slots__ = ("grid", "abs_grid", "n", "gamma", "floor", "companion")
+    __slots__ = ("grid", "abs_grid", "n", "gamma", "floor", "horner", "lift", "shrink",
+                 "companion")
 
     @np.errstate(over="ignore")
     def __init__(self, poly: BivariatePolynomial):
@@ -655,28 +654,34 @@ class FloatGrid:
         self.abs_grid = np.abs(self.grid)
         self.n = poly.deg_w
         self.gamma = 8 * (self.n + 2) * _U
-        self.floor = 8 * (self.n + 2) * _UNDERFLOW * (1.0 + self.abs_grid.sum(axis=1))
+        self.floor = (8 * (self.n + 2) * _UNDERFLOW * (1.0 + self.abs_grid.sum(axis=1))).tolist()
+        self.horner = 8 * (poly.deg_z + 2) * _U
+        self.lift, self.shrink = 1 + self.horner, 1 - self.horner
         self.companion = np.eye(poly.deg_z, k=-1, dtype=complex)
 
 
 def _companion_eigenvalues(c: np.ndarray, k0: int, companion: np.ndarray) -> list:
-    """``np.roots`` of the ascending complex128 c, top nonzero and k0 lowest 0,
-    bit for bit: the eigenvalues of the leading s x s block of companion, a
-    shift matrix (ones below the diagonal) of size s = len(c) - 1 - k0 or
-    more, with row 0 set to the companion row, by the gufunc
+    """``np.roots`` of the ascending complex128 c, top c_d finite and nonzero
+    and k0 lowest 0, bit for bit: the eigenvalues of the leading s x s block
+    of companion, a shift matrix of size s = d - k0 or more, by the gufunc
     ``np.linalg.eigvals`` wraps, ``numpy.linalg._umath_linalg.eigvals``
-    ("D->D"), then k0 zeros.  The gufunc copies its input before LAPACK
-    overwrites it, so only row 0 changes and one buffer serves every call.
-    NaN where that wrapper raised LinAlgError (a row not finite, LAPACK not
-    converging); numpy's floating-point warnings are left to the caller."""
-    row = -c[k0:][::-1] / c[-1]  # -c_d / c_d, then np.roots' companion row
+    ("D->D"), then k0 zeros (only those when s = 0).  Row 0 of the block is
+    the companion row, written in place by np.roots' two operations, -c then
+    / c_d (/ -c_d would flip the signs of zero parts); the gufunc copies its
+    input, so one buffer serves every call.  NaN where that wrapper raised
+    LinAlgError (a row not finite, LAPACK not converging); numpy's
+    floating-point warnings are left to the caller."""
+    d, s = len(c) - 1, len(c) - 1 - k0
+    if not s:
+        return [0j] * k0
+    block = companion if len(companion) == s else companion[:s, :s]
+    row = block[0]
+    np.negative(c[d - 1:k0 - 1:-1] if k0 else c[d - 1::-1], out=row)
+    np.divide(row, c[d], out=row)
     if not all(map(cmath.isfinite, row.tolist())):
-        return [complex(math.nan, 0)] * (len(c) - 1)
-    n = len(row) - 1
-    if len(companion) != n:
-        companion = companion[:n, :n]
-    companion[:1] = row[1:]
-    return _umath_linalg.eigvals(companion, signature="D->D").tolist() + [0j] * k0
+        return [complex(math.nan, 0)] * d
+    z = _umath_linalg.eigvals(block, signature="D->D").tolist()
+    return z + [0j] * k0 if k0 else z
 
 
 def linked_groups(n: int, edges) -> list:

@@ -191,8 +191,8 @@ class ReferencePolynomial:
 
 @np.errstate(over="ignore")
 def reference_float_grid(ref: ReferencePolynomial):
-    """(grid, abs_grid, floor) of polyalg.FloatGrid, with grid made of
-    complex(c) for each Gaussian-rational coefficient c of ref."""
+    """(grid, abs_grid, floor) of polyalg.FloatGrid, floor as an array, with
+    grid made of complex(c) for each Gaussian-rational coefficient c of ref."""
     grid = np.array([[complex(c) for c in row] for row in ref.coeffs])
     abs_grid = np.abs(grid)
     return grid, abs_grid, 8 * (ref.deg_w + 2) * _UNDERFLOW * (1.0 + abs_grid.sum(axis=1))
@@ -911,7 +911,9 @@ def coefficient_grid(c, e) -> FloatGrid:
     grid.grid = np.array(c, dtype=complex)[:, None]
     grid.abs_grid = np.zeros((len(grid.grid), 1))
     grid.n, grid.gamma = 0, 0.0
-    grid.floor = np.array(e, dtype=float)
+    grid.floor = [float(ek) for ek in e]
+    grid.horner = 8 * (len(grid.grid) + 1) * _U
+    grid.lift, grid.shrink = 1 + grid.horner, 1 - grid.horner
     grid.companion = np.eye(len(grid.grid) - 1, k=-1, dtype=complex)
     return grid
 

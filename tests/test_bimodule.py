@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrdyn import cli
 from corrdyn.bimodule import (
     FiniteBimodule,
     FockTruncation,
@@ -234,6 +235,23 @@ class TestFiniteBimodule:
     def test_rejects_non_invariant(self):
         with pytest.raises(InvalidInputError):
             FiniteBimodule.build(circle_rel(), [0, 1])
+
+    def test_fock_solves_two_fibers_per_point(self, monkeypatch, capsys):
+        # one forward and one backward solve per point of J: the module is
+        # built on the backward fibers invariant_check solved
+        solve, bases = Correspondence._fiber, []
+
+        def counting(grid, poly, base, expected, tol):
+            bases.append(base)
+            return solve(grid, poly, base, expected, tol)
+
+        monkeypatch.setattr(Correspondence, "_fiber", staticmethod(counting))
+        spec = '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}'
+        assert cli.main(["fock", "--poly", spec, "--set", "[[0,0],[1,0],[-1,0]]",
+                         "--K", "5"]) == 0
+        assert len(bases) == 6
+        assert sorted(b.z1.real for b in bases) == [-1, -1, 0, 0, 1, 1]
+        assert capsys.readouterr().out.startswith("{")
 
 
 class TestFock:

@@ -577,10 +577,14 @@ EXACT_ARGVS = [argv for argv in _corpus_argvs()
                or (argv[:1] == ["free"] and "--gp" in argv)]
 GOLDEN = {json.dumps(entry["argv"]): entry["stdout"] for entry in json.loads(
     (CORPUS / "exact_stdout.json").read_text(encoding="utf-8"))}
-# fibers whose points are read off exact coefficients (0 and infinity, and
-# the double point over w = +-1 of z^2 + w^2 - 1), pinned by their bytes too
+# pinned by their bytes too: fibers whose points are read off exact
+# coefficients (0, infinity and the double point over w = +-1 of
+# z^2 + w^2 - 1), and certified float fibers on the three orbit families
 PINNED_FIBERS = [argv for argv in _corpus_argvs()
                  if argv[:1] == ["fibers"] and json.dumps(argv) in GOLDEN]
+# inner-product grids of certified float fibers, pinned likewise
+PINNED_INNER = [argv for argv in _corpus_argvs()
+                if argv[:1] == ["inner"] and json.dumps(argv) in GOLDEN]
 
 
 class TestGoldenOutputs:
@@ -606,8 +610,15 @@ class TestGoldenOutputs:
         assert main(argv) == 0
         assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]
 
+    @pytest.mark.parametrize("argv", PINNED_INNER,
+                             ids=[f"inner-{i}" for i in range(len(PINNED_INNER))])
+    def test_pinned_inner_match(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]
+
     def test_every_golden_output_is_in_the_corpus(self):
-        assert set(GOLDEN) <= {json.dumps(argv) for argv in EXACT_ARGVS + PINNED_FIBERS}
+        pinned = EXACT_ARGVS + PINNED_FIBERS + PINNED_INNER
+        assert set(GOLDEN) <= {json.dumps(argv) for argv in pinned}
 
 
 class TestErrors:

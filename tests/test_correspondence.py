@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn import polyalg
+from corrdyn import correspondence, polyalg
 from corrdyn.correspondence import (
     Correspondence,
     SpherePoint,
@@ -22,6 +22,7 @@ from corrdyn.correspondence import (
     chordal_distance,
     unit_circle_points,
 )
+from corrdyn.dynamics import BURN_IN, limit_set_sample
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import FloatGrid, _companion_roots, roots
@@ -132,6 +133,18 @@ class TestFibers:
             assert corr.backward_fiber(w).total_multiplicity == 3
         for z in unit_circle_points(7):
             assert corr.forward_fiber(z).total_multiplicity == 2
+
+    def test_keeps_no_state_per_base_point(self):
+        # every request is solved afresh: after 1000 requests the object holds
+        # its polynomial, its degrees and the grids of its two directions, and
+        # a repeated request gives the same fiber
+        corr, rng = Correspondence(BP.monomial_relation(3, 2)), random.Random(29)
+        for _ in range(250):
+            base = SpherePoint.from_complex(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            first = corr.backward_fiber(base), corr.forward_fiber(base)
+            assert repr((corr.backward_fiber(base), corr.forward_fiber(base))) == repr(first)
+        assert set(vars(corr)) == {"p", "deg_z", "deg_w", "_float_grids", "_transposed"}
+        assert set(corr._float_grids) == {"b", "f"}
 
     def test_branch_index(self):
         corr = Correspondence(BP.monomial_relation(3, 2))
@@ -683,6 +696,38 @@ class TestFloatFirstFiber:
                         [complex(z) for z in np.roots(monic[::-1])])
                 shift = np.eye(len(grid.companion), k=-1, dtype=complex)
                 assert (grid.companion[1:] == shift[1:]).all()
+
+    @pytest.mark.parametrize("family,direction", [
+        (0, "backward"), (1, "mixed"), (2, "backward"), (2, "forward"),
+    ], ids=["product-backward", "mixed-mixed", "monomial-backward", "monomial-forward"])
+    def test_chaos_chain_matches_the_two_step_route(self, monkeypatch, family, direction):
+        # at every base point a 300-step chaos-game chain reaches, the one
+        # pass on the correspondence's own grids (their companion buffers
+        # reused from step to step) decides alike and stores the bits of the
+        # two-step route
+        one_pass, decided = correspondence._certified_points, []
+
+        def checked(grid, v, inverted, separation):
+            got = one_pass(grid, v, inverted, separation)
+            want = reference_certified_points(grid, v, inverted, separation)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert _stored(got) == _stored(want)
+            decided.append(got is not None)
+            return got
+
+        monkeypatch.setattr(correspondence, "_certified_points", checked)
+        corr = Correspondence(ORBIT_FAMILIES[family])
+        try:
+            limit_set_sample(corr, 300, 29, direction, SpherePoint.from_complex(complex(0.6, 0.8)))
+        except RootFindingError:
+            # the known escape of forward chains: the float orbit leaves the
+            # circle until an exact fiber is beyond float range; every base
+            # point reached before has been checked
+            assert direction == "forward"
+        else:
+            assert len(decided) == 300 + BURN_IN
+        assert any(decided)
 
     @given(polynomials, st.sampled_from(["backward", "forward"]), base_points)
     @settings(max_examples=150, deadline=None)

@@ -417,17 +417,39 @@ class TestCertifiedRoots:
             assert got[1] == first[1]
 
 
+# which part of a coefficient is set to exactly 0.0 or -0.0, if any
+_ZERO_PART = st.sampled_from(["", "re", "-re", "im", "-im"])
+
+
+def _with_zero_part(z: complex, part: str) -> complex:
+    zero = -0.0 if part.startswith("-") else 0.0
+    if part.endswith("re"):
+        return complex(zero, z.imag or abs(z))
+    if part.endswith("im"):
+        return complex(z.real or abs(z), zero)
+    return z
+
+
 class TestCompanionEigenvalues:
     @given(st.integers(1, 8), st.integers(0, 1),
-           st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
-                                       allow_infinity=False), min_size=8, max_size=8),
-           st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False,
-                              allow_infinity=False))
+           st.lists(st.tuples(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                                                 allow_infinity=False), _ZERO_PART),
+                    min_size=8, max_size=8),
+           st.tuples(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                        allow_nan=False, allow_infinity=False), _ZERO_PART))
+    @example(1, 1, [(1j, "")] * 8, (2 + 0j, ""))  # a block of size 0: z = 0 alone
+    @example(3, 1, [(1 + 2j, "re"), (-3 + 1j, "-im"), (1j, "")] + [(1j, "")] * 5,
+             (-2 + 5j, "-re"))
+    @example(4, 0, [(-1 - 2j, "-re"), (2 + 1j, "im"), (0.5 - 1j, "-im"), (3j, "re")]
+             + [(1j, "")] * 4, (1 + 1j, "im"))
     @settings(max_examples=200, deadline=None)
     def test_bits_of_numpy(self, d, k0, rest, lead):
         # the gufunc called directly gives what np.linalg.eigvals and
-        # np.roots give, to the bit: a numpy whose private gufunc drifts
-        # fails here
+        # np.roots give, to the bit, coefficients with a zero or -0.0 part
+        # and the empty block of z^d included: a numpy whose private gufunc
+        # drifts fails here, and so does a row made as c / (-c_d), which
+        # flips the signs of zero parts
+        rest, lead = [_with_zero_part(*x) for x in rest], _with_zero_part(*lead)
         c = np.array([0j] * k0 + rest[:d - k0] + [lead], dtype=complex)
         c[k0] = c[k0] or 1  # exactly k0 zero low-order coefficients
         eigvals = []
@@ -750,8 +772,10 @@ def _assert_same(p: BivariatePolynomial, ref: ReferencePolynomial):
     want, want_error = _outcome(reference_float_grid, ref)
     assert error == want_error
     if grid is not None:
-        got = (grid.grid, grid.abs_grid, grid.floor)
+        got = (grid.grid, grid.abs_grid, np.array(grid.floor))
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        horner = 8 * (ref.deg_z + 2) * polyalg._U
+        assert (grid.horner, grid.lift, grid.shrink) == (horner, 1 + horner, 1 - horner)
     # the same values written as (Fraction, Fraction) pairs, with a zero row
     rewritten = BivariatePolynomial(
         [[astuple(c) for c in row] for row in ref.coeffs] + [[(0, 0)] * (ref.deg_w + 2)])
