@@ -1,11 +1,14 @@
-"""The branch-index-weighted inner product, norms, bases, the tensor/path
-isometry, and a truncated Fock representation over finite invariant sets.
+"""The branch-index-weighted inner product of functions on the
+correspondence, an orthonormal module basis of the monomial family, and a
+truncated Fock representation over finite invariant sets.
 
-Continuous functions are represented by evaluable closed forms sampled on
-deterministic grids; everything over a finite invariant set J is exact:
-branch indices are integers, and each Fock creation operator is a map from
-the path basis of one level to that of the next, so the Fock relations are
-checked by composing these maps in exact arithmetic.
+Functions on the correspondence are plain callables f(z, w) of two
+SpherePoints, evaluated on deterministic grids; everything over a finite
+invariant set J is exact: branch indices are integers, and each Fock
+creation operator is a map from the path basis of one level to that of the
+next, so the Fock relations are checked by composing these maps in exact
+arithmetic.  The checks of the paper's other lemmas (norms, the
+tensor/path isometry, the vanishing lemma) are oracles in tests/support.py.
 """
 
 from __future__ import annotations
@@ -16,167 +19,43 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .correspondence import Correspondence, SpherePoint, chordal_distance
-from .dynamics import PATH_CAP, invariant_check, paths_ending_at
+from .dynamics import PATH_CAP, invariant_check
 from .errors import InvalidInputError, ResourceLimitError
 
 __all__ = [
-    "SampledFunction",
     "FiniteBimodule",
     "FockTruncation",
     "inner_product",
-    "norm2",
-    "norm_inf",
-    "monomial_basis",
     "monomial_basis_element",
-    "tensor_isometry_check",
-    "ideal_membership",
     "fock_build",
     "fock_relation_check",
-    "vanishing_lemma_check",
     "fock_report",
 ]
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """An evaluable function on one of the three domains.
-
-    domain "correspondence": fn(z, w) with z, w SpherePoint, (z, w) on C_p.
-    domain "path":           fn(points) with a tuple of n+1 SpherePoints.
-    domain "base":           fn(z) with z a SpherePoint of J.
-    """
-
-    domain: str
-    fn: Callable
-    path_length: int = 1
-
-    def __post_init__(self):
-        if self.domain not in ("correspondence", "path", "base"):
-            raise InvalidInputError(f"unknown domain {self.domain!r}")
-
-    def __call__(self, *args):
-        return self.fn(*args)
-
-
 def inner_product(
     corr: Correspondence,
-    f: SampledFunction,
-    g: SampledFunction,
+    f: Callable,
+    g: Callable,
     w: SpherePoint,
     tol: float = 1e-6,
 ) -> complex:
-    """(f|g)_A(w) = sum over the fiber (or path space) ending at w, weighted
-    by branch indices."""
-    if f.domain != g.domain:
-        raise InvalidInputError(
-            f"domain mismatch: {f.domain} vs {g.domain}"
-        )
-    if f.domain == "correspondence":
-        total = 0j
-        for z, e in corr.backward_fiber(w, tol).points:
-            total += e * complex(f(z, w)).conjugate() * complex(g(z, w))
-        return total
-    if f.domain == "path":
-        n = f.path_length
-        if g.path_length != n:
-            raise InvalidInputError("path lengths differ")
-        total = 0j
-        for path in paths_ending_at(corr, w, n, tol):
-            total += (
-                path.weight
-                * complex(f(path.points)).conjugate()
-                * complex(g(path.points))
-            )
-        return total
-    raise InvalidInputError("inner_product needs correspondence or path domain")
+    """(f|g)_A(w) = sum over the backward fiber over w of e(z) conj(f(z, w))
+    g(z, w), weighted by the branch indices e; f and g are callables of two
+    SpherePoints (z, w) on the correspondence."""
+    total = 0j
+    for z, e in corr.backward_fiber(w, tol).points:
+        total += e * complex(f(z, w)).conjugate() * complex(g(z, w))
+    return total
 
 
-def norm2(
-    corr: Correspondence, f: SampledFunction, w_samples: Sequence[SpherePoint]
-) -> float:
-    """||f||_2 = sup_w (f|f)_A(w)^(1/2) over the sample grid."""
-    best = 0.0
-    for w in w_samples:
-        best = max(best, inner_product(corr, f, f, w).real)
-    return math.sqrt(max(0.0, best))
-
-
-def norm_inf(
-    corr: Correspondence, f: SampledFunction, w_samples: Sequence[SpherePoint]
-) -> float:
-    """Sup norm of f over fiber points above the sample grid."""
-    best = 0.0
-    for w in w_samples:
-        for z, _ in corr.backward_fiber(w).points:
-            best = max(best, abs(complex(f(z, w))))
-    return best
-
-
-def monomial_basis_element(m: int, i: int) -> SampledFunction:
-    """u_i(z, w) = z^i / sqrt(m), the i-th element of ``monomial_basis(m)``."""
+def monomial_basis_element(m: int, i: int) -> Callable:
+    """u_i(z, w) = z^i / sqrt(m); for i = 0..m-1 these form an orthonormal
+    module basis for the family z^m = w^n restricted to the circle."""
     if not 0 <= i < m or m > 2**1000:
         raise InvalidInputError(f"basis element needs 0 <= i < m <= 2^1000, got {i}, {m}")
     root = math.sqrt(m)
-    return SampledFunction("correspondence", lambda z, w: z.to_complex() ** i / root)
-
-
-def monomial_basis(m: int):
-    """u_i(z, w) = z^i / sqrt(m) for i = 0..m-1: an orthonormal module basis
-    for the family z^m = w^n restricted to the circle."""
-    if m < 1:
-        raise InvalidInputError("m must be >= 1")
-    return [monomial_basis_element(m, i) for i in range(m)]
-
-
-def tensor_isometry_check(
-    corr: Correspondence,
-    f_list: Sequence[SampledFunction],
-    g_list: Sequence[SampledFunction],
-    w_samples: Sequence[SpherePoint],
-) -> float:
-    """Max deviation over the sample grid between the recursive tensor inner
-    product and the direct weighted path-space sum for
-    (f_1 (x) ... (x) f_n | g_1 (x) ... (x) g_n)_A."""
-    n = len(f_list)
-    if n != len(g_list):
-        raise InvalidInputError("lists must have equal length")
-    if not 1 <= n <= 3:
-        raise InvalidInputError("tensor length must be between 1 and 3")
-
-    def recursive(k: int, w: SpherePoint) -> complex:
-        # inner product of the first k factors, evaluated at w
-        total = 0j
-        for z, e in corr.backward_fiber(w).points:
-            middle = recursive(k - 1, z) if k > 1 else 1.0
-            total += (
-                e
-                * complex(f_list[k - 1](z, w)).conjugate()
-                * middle
-                * complex(g_list[k - 1](z, w))
-            )
-        return total
-
-    def direct(w: SpherePoint) -> complex:
-        total = 0j
-        for path in paths_ending_at(corr, w, n):
-            prod = complex(path.weight)
-            for k in range(n):
-                zk, zk1 = path.points[k], path.points[k + 1]
-                prod *= complex(f_list[k](zk, zk1)).conjugate() * complex(
-                    g_list[k](zk, zk1)
-                )
-            total += prod
-        return total
-
-    return max(abs(recursive(n, w) - direct(w)) for w in w_samples)
-
-
-def ideal_membership(corr: Correspondence, a: SampledFunction) -> bool:
-    """Whether a lies in the ideal of the module: |a| < 1e-9 on every branch
-    point of the correspondence on the unit circle."""
-    if a.domain != "base":
-        raise InvalidInputError("ideal membership applies to base functions")
-    return all(abs(complex(a(z))) < 1e-9 for z in corr.branch_points(restrict_to="circle"))
+    return lambda z, w: z.to_complex() ** i / root
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +183,6 @@ def fock_relation_check(ft: FockTruncation) -> float:
                 else:
                     first[r] = abs(e)
     return dev
-
-
-def vanishing_lemma_check(
-    ft: FockTruncation, a: dict, x: tuple, y: tuple
-) -> bool:
-    """Check a T_x T_y^* a^* = 0 for basis paths x (level i) and y (level j),
-    i != j, after verifying the hypothesis a(z_1) conj(a(u_1)) = 0 over all
-    pairs of level-i and level-j paths sharing an endpoint.
-
-    The hypothesis decides it: the operator is 0 unless x and y share their
-    endpoint, and then each of its entries is a(x[0]) conj(a(y[0])) times an
-    integer, which the hypothesis makes 0.  The level-j paths are grouped by
-    endpoint, so the scan is linear and names the first failing pair."""
-    i, j = len(x) - 1, len(y) - 1
-    if i == j:
-        raise InvalidInputError("the lemma requires i != j")
-    if x not in ft.blocks[i] or y not in ft.blocks[j]:
-        raise InvalidInputError("x and y must be basis paths of their levels")
-    first = {}
-    for q in ft.blocks[j]:
-        if a.get(q[0], 0):
-            first.setdefault(q[-1], q)
-    for p in ft.blocks[i]:
-        q = first.get(p[-1])
-        if q is not None and a.get(p[0], 0) * a.get(q[0], 0).conjugate() != 0:
-            raise InvalidInputError(
-                f"hypothesis fails: a({p[0]})a({q[0]}) != 0 for the "
-                f"path pair {p} / {q}"
-            )
-    return True
 
 
 def fock_report(ft: FockTruncation) -> dict:

@@ -74,8 +74,6 @@ def _integers(v, what: str) -> list:
 
 def parse_polynomial_spec(obj):
     """PolynomialSpec JSON -> (Correspondence, circle_family_or_None)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise InvalidInputError("polynomial spec must be a JSON object")
     if "family" in obj:
@@ -308,18 +306,22 @@ def cmd_free(args):
     _emit(args, report)
 
 
-def _parse_function(obj) -> bimodule.SampledFunction:
-    if isinstance(obj, dict) and "const" in obj:
-        c = complex(*map(float, _coeff(obj["const"])))
-        return bimodule.SampledFunction("correspondence", lambda z, w: c)
-    if isinstance(obj, dict) and "zpoly" in obj:
-        coeffs = [complex(*map(float, _coeff(c))) for c in _json_list(obj["zpoly"], "zpoly")]
+def _parse_function(obj):
+    """A function spec -> a callable f(z, w) of two SpherePoints."""
+    try:
+        if isinstance(obj, dict) and "const" in obj:
+            c = complex(*map(float, _coeff(obj["const"])))
+            return lambda z, w: c
+        if isinstance(obj, dict) and "zpoly" in obj:
+            coeffs = [complex(*map(float, _coeff(c))) for c in _json_list(obj["zpoly"], "zpoly")]
 
-        def fn(z, w):
-            zz = z.to_complex()
-            return sum(c * zz**k for k, c in enumerate(coeffs))
+            def fn(z, w):
+                zz = z.to_complex()
+                return sum(c * zz**k for k, c in enumerate(coeffs))
 
-        return bimodule.SampledFunction("correspondence", fn)
+            return fn
+    except OverflowError as exc:
+        raise InvalidInputError("function coefficient too large for a float") from exc
     if isinstance(obj, dict) and "basis" in obj:
         basis = obj["basis"]
         if not isinstance(basis, dict):

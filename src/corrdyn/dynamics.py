@@ -1,10 +1,12 @@
-"""Dynamics of a correspondence: path spaces, invariant sets, reachable-set
-propagation, expansiveness and freeness machinery.
+"""Dynamics of a correspondence: forward path spaces, invariant sets,
+expansiveness and freeness machinery, and chaos-game sampling.
 
 The circle families (z^m = w^n and products of power graphs) get exact
 treatment: subsets of the circle are finite unions of half-open arcs with
 rational endpoints, so "the propagated set equals the whole circle" is a
 decidable statement.  Everything else is numerical sampling over fibers.
+Backward path spaces, reachable-set propagation of finite sets and of arc
+sets are oracles in tests/support.py.
 """
 
 from __future__ import annotations
@@ -31,13 +33,9 @@ __all__ = [
     "GPReport",
     "GPSampleReport",
     "path_space",
-    "paths_ending_at",
     "invariant_check",
-    "propagate_finite",
-    "propagate_arcs",
     "expansive_decide",
     "expansive_oracle",
-    "covering_step",
     "component_count",
     "free_decide",
     "gp_enumerate",
@@ -47,7 +45,6 @@ __all__ = [
     "limit_set_sample",
 ]
 
-ARC_CAP = 10**6
 # most paths a path space or a Fock level may hold
 PATH_CAP = 200_000
 # most points one chaos-game run may sample (iterations x workers), and the
@@ -84,10 +81,6 @@ class PathSample:
     weight: int
 
     @property
-    def start(self) -> SpherePoint:
-        return self.points[0]
-
-    @property
     def end(self) -> SpherePoint:
         return self.points[-1]
 
@@ -120,26 +113,6 @@ def path_space(
     return paths
 
 
-def paths_ending_at(
-    corr: Correspondence, w: SpherePoint, n: int, tol: float = 1e-6
-):
-    """All length-n paths (z_1, ..., z_n, w); built by iterated backward
-    fibers from the endpoint."""
-    if n < 0:
-        raise InvalidInputError("path length must be >= 0")
-    _check_path_count(1, corr.deg_z, n)
-    paths = [PathSample(points=(w,), weight=1)]
-    for _ in range(n):
-        nxt = []
-        for path in paths:
-            for z, e in corr.backward_fiber(path.start, tol).points:
-                nxt.append(
-                    PathSample(points=(z,) + path.points, weight=path.weight * e)
-                )
-        paths = nxt
-    return paths
-
-
 def invariant_check(
     corr: Correspondence, points: Sequence[SpherePoint], tol: float = 1e-7,
     backward: Optional[list] = None,
@@ -161,20 +134,6 @@ def invariant_check(
             if not inside(z):
                 return False, (p, z)
     return True, None
-
-
-def propagate_finite(corr: Correspondence, start: Sequence[SpherePoint], n: int):
-    """The set reachable from start in exactly n forward steps; points within
-    chordal 1e-7 count as one."""
-    current = list(start)
-    for _ in range(n):
-        nxt = []
-        for p in current:
-            for w, _ in corr.forward_fiber(p).points:
-                if all(chordal_distance(w, q) > 1e-7 for q in nxt):
-                    nxt.append(w)
-        current = nxt
-    return current
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +175,6 @@ class ArcSet:
             else:
                 merged.append((a, b))
         return ArcSet(arcs=tuple(merged))
-
-    @staticmethod
-    def full() -> "ArcSet":
-        return ArcSet(arcs=((Fraction(0), Fraction(1)),))
-
-    @staticmethod
-    def empty() -> "ArcSet":
-        return ArcSet(arcs=())
-
-    @property
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.arcs), Fraction(0))
 
     @property
     def is_full(self) -> bool:
@@ -313,22 +260,6 @@ class CircleCorrespondence:
         return Correspondence(BP.product([BP.monomial_relation(i, j) for i, j in self.params]))
 
 
-def propagate_arcs(cc: CircleCorrespondence, arcs: ArcSet) -> ArcSet:
-    """Exact one-step image of an arc set under the angle relation
-    m*alpha = n*beta (mod 1): each [a, b) maps to the n arcs
-    [(m a + k)/n, (m b + k)/n)."""
-    cc._require_monomial()
-    m, n = cc.m, cc.n
-    images = []
-    for a, b in arcs.arcs:
-        if m * (b - a) >= 1:
-            return ArcSet.full()
-        images.extend((Fraction(m * a + k, n), Fraction(m * b + k, n)) for k in range(n))
-    if len(images) > ARC_CAP:
-        raise ResourceLimitError(f"arc count exploded past {ARC_CAP} during propagation")
-    return ArcSet.from_arcs(images)
-
-
 def expansive_decide(cc: CircleCorrespondence) -> bool:
     """Criterion for the monomial family: expansive on the circle iff
     m does not divide n."""
@@ -366,35 +297,22 @@ def _covers(arcs, q: int) -> bool:
     return reach >= q
 
 
-def covering_step(cc: CircleCorrespondence, seed: ArcSet, r: int) -> bool:
-    """Exact test whether the r-step image of seed is the whole circle,
-    r >= 1.
-
-    The r-step image is the union over k of (m^r U + d^(r-1) k) / n^r, i.e.
-    translates of m^r U / n^r by the lattice of spacing d^(r-1) / n^r.  It
-    covers the circle iff the arcs m^r U, reduced modulo d^(r-1), cover a
-    full period.  With the seed arcs [A/q, (A + L)/q) over one denominator q
-    and e = m/d, that is a test on integers: m^r U mod d^(r-1) is d^(r-1)/q
-    times the arcs [A s mod q, A s mod q + L s) with s = m e^(r-1), which
-    must cover [0, q).
-    """
-    cc._require_monomial()
-    if not seed.arcs:
-        return False
-    q = math.lcm(*(x.denominator for arc in seed.arcs for x in arc))
-    arcs = _integer_arcs(seed, q)
-    scale = cc.m * (cc.m // cc.d) ** (r - 1)
-    return _covers([(a * scale % q, length * scale) for a, length in arcs], q)
-
-
 def expansive_oracle(
     cc: CircleCorrespondence, seed: ArcSet, max_steps: int = 64
 ):
     """(covered, steps): whether some iterate of the arc propagation reaches
-    the full circle within max_steps, by the exact per-step covering test.
-    The integer arcs of ``covering_step`` go from step r to r + 1 by one
-    multiplication by e = m/d, the start reduced mod q; a length stays below
-    q until its step covers, so every step costs about the same.  Refused
+    the full circle within max_steps, by an exact covering test per step.
+
+    With d = gcd(m, n), the r-step image of a seed U is the union over k
+    of (m^r U + d^(r-1) k) / n^r, i.e. translates of m^r U / n^r by the
+    lattice of spacing d^(r-1) / n^r.  It covers the circle iff the arcs
+    m^r U, reduced modulo d^(r-1), cover a full period.  With the seed arcs
+    [A/q, (A + L)/q) over one denominator q and e = m/d, that is a test on
+    integers: m^r U mod d^(r-1) is d^(r-1)/q times the arcs
+    [A s mod q, A s mod q + L s) with s = m e^(r-1), which must cover
+    [0, q).  These integer arcs go from step r to r + 1 by one
+    multiplication by e, the start reduced mod q; a length stays below q
+    until its step covers, so every step costs about the same.  Refused
     before the first step when the weighted arc-steps exceed
     ORACLE_WORK_CAP."""
     cc._require_monomial()

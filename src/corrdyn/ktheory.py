@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError, UndecidedError
+from .errors import InvalidInputError, ResourceLimitError, UndecidedError
 
 __all__ = [
     "IntegerMatrix",
@@ -242,11 +242,12 @@ def kgroup_table(max_m: int, max_n: int):
     are free), each entry pairs the pieces of map0 = [1 - m], which depends
     on m alone, with those of map1 = [1 - n], the maps of
     ``monomial_family_input`` built directly: max_m + max_n Smith normal
-    forms in all, and one group per cokernel and kernel rank (kernels are free)."""
+    forms in all, and one group per cokernel and kernel rank (kernels are free).
+    A bound above 20 is refused as a resource limit."""
     if max_m < 1 or max_n < 1:
         raise InvalidInputError("table bounds must be >= 1")
     if max_m > 20 or max_n > 20:
-        raise InvalidInputError("table bounds capped at 20")
+        raise ResourceLimitError("table bounds capped at 20")
     maps = [IntegerMatrix.of([[1 - k]]) for k in range(1, max(max_m, max_n) + 1)]
     degree0 = [cokernel_and_kernel(a) for a in maps[:max_m]]
     degree1 = [cokernel_and_kernel(a) for a in maps[:max_n]]

@@ -9,10 +9,10 @@ import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from corrdyn import polyalg
-from corrdyn.bimodule import FockTruncation, SampledFunction
+from corrdyn.bimodule import FockTruncation, inner_product, monomial_basis_element
 from corrdyn.correspondence import SpherePoint, _point_sort_key, chordal_distance
-from corrdyn.dynamics import CircleCorrespondence
-from corrdyn.errors import InvalidInputError
+from corrdyn.dynamics import ArcSet, CircleCorrespondence, PathSample, _check_path_count
+from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import (
     _U,
     _UNDERFLOW,
@@ -27,13 +27,9 @@ from corrdyn.polyalg import (
 )
 
 
-def constant_function(value, domain: str = "correspondence") -> SampledFunction:
-    """The constant function value on the given domain."""
-    if domain == "path":
-        return SampledFunction(domain, lambda pts: value)
-    if domain == "base":
-        return SampledFunction(domain, lambda z: value)
-    return SampledFunction(domain, lambda z, w: value)
+def constant_function(value):
+    """The constant function f(z, w) = value on the correspondence."""
+    return lambda z, w: value
 
 
 # Exact complex numbers and the Gaussian-rational coefficient grid.
@@ -623,9 +619,96 @@ def on_correspondence(corr, z, w) -> bool:
     return abs(val) < 1e-9 * max(1.0, sum(abs(c) for row in grid for c in row))
 
 
+# The checks of the bimodule's lemmas that no command runs: the norms, the
+# orthonormal basis, the tensor/path isometry and the ideal of the module.
+# Functions on the correspondence are callables f(z, w), as
+# corrdyn.bimodule.inner_product takes them.
+
+
+def norm2(corr, f, w_samples) -> float:
+    """||f||_2 = sup_w (f|f)_A(w)^(1/2) over the sample grid."""
+    best = 0.0
+    for w in w_samples:
+        best = max(best, inner_product(corr, f, f, w).real)
+    return math.sqrt(max(0.0, best))
+
+
+def norm_inf(corr, f, w_samples) -> float:
+    """Sup norm of f over fiber points above the sample grid."""
+    best = 0.0
+    for w in w_samples:
+        for z, _ in corr.backward_fiber(w).points:
+            best = max(best, abs(complex(f(z, w))))
+    return best
+
+
+def monomial_basis(m: int) -> list:
+    """u_i(z, w) = z^i / sqrt(m) for i = 0..m-1: an orthonormal module basis
+    for the family z^m = w^n restricted to the circle."""
+    if m < 1:
+        raise InvalidInputError("m must be >= 1")
+    return [monomial_basis_element(m, i) for i in range(m)]
+
+
+def path_inner_product(corr, f, g, w, n: int, tol: float = 1e-6) -> complex:
+    """(f|g)_A(w) over the length-n paths ending at w, weighted by the
+    product of their branch indices; f and g are callables of the tuple of
+    the n + 1 path points."""
+    total = 0j
+    for path in paths_ending_at(corr, w, n, tol):
+        total += path.weight * complex(f(path.points)).conjugate() * complex(g(path.points))
+    return total
+
+
+def tensor_isometry_check(corr, f_list, g_list, w_samples) -> float:
+    """Max deviation over the sample grid between the recursive tensor inner
+    product and the direct weighted path-space sum for
+    (f_1 (x) ... (x) f_n | g_1 (x) ... (x) g_n)_A."""
+    n = len(f_list)
+    if n != len(g_list):
+        raise InvalidInputError("lists must have equal length")
+    if not 1 <= n <= 3:
+        raise InvalidInputError("tensor length must be between 1 and 3")
+
+    def recursive(k: int, w: SpherePoint) -> complex:
+        # inner product of the first k factors, evaluated at w
+        total = 0j
+        for z, e in corr.backward_fiber(w).points:
+            middle = recursive(k - 1, z) if k > 1 else 1.0
+            total += (
+                e
+                * complex(f_list[k - 1](z, w)).conjugate()
+                * middle
+                * complex(g_list[k - 1](z, w))
+            )
+        return total
+
+    def direct(w: SpherePoint) -> complex:
+        total = 0j
+        for path in paths_ending_at(corr, w, n):
+            prod = complex(path.weight)
+            for k in range(n):
+                zk, zk1 = path.points[k], path.points[k + 1]
+                prod *= complex(f_list[k](zk, zk1)).conjugate() * complex(
+                    g_list[k](zk, zk1)
+                )
+            total += prod
+        return total
+
+    return max(abs(recursive(n, w) - direct(w)) for w in w_samples)
+
+
+def ideal_membership(corr, a) -> bool:
+    """Whether a, a callable of one SpherePoint, lies in the ideal of the
+    module: |a| < 1e-9 on every branch point of the correspondence on the
+    unit circle."""
+    return all(abs(complex(a(z))) < 1e-9 for z in corr.branch_points(restrict_to="circle"))
+
+
 # The dense route to the Fock relations: Fraction matrices over the path
 # bases, multiplied out in full.  corrdyn.bimodule composes index maps
-# instead; these are the oracle it is compared against.
+# instead, and dense_relation_check is the oracle it is compared against;
+# the vanishing lemma is checked by the dense route alone.
 
 
 def _zeros(rows, cols):
@@ -714,7 +797,11 @@ def dense_relation_check(ft: FockTruncation) -> float:
 
 
 def dense_vanishing_lemma_check(ft: FockTruncation, a: dict, x: tuple, y: tuple) -> bool:
-    """vanishing_lemma_check by dense matrix products."""
+    """Check a T_x T_y^* a^* = 0 for basis paths x (level i) and y (level j),
+    i != j, by dense matrix products on every level where both act, after
+    verifying the hypothesis a(z_1) conj(a(u_1)) = 0 over all pairs of
+    level-i and level-j paths sharing an endpoint; a failing hypothesis
+    raises InvalidInputError naming the first failing pair."""
     i, j = len(x) - 1, len(y) - 1
     if i == j:
         raise InvalidInputError("the lemma requires i != j")
@@ -948,6 +1035,64 @@ def chordally_separated(zs, limit: float) -> bool:
     )
 
 
+# Backward path spaces and the propagation of finite sets and of arc sets:
+# dynamics that no command runs, kept as oracles of the path-space and
+# covering computations.
+
+# most arcs one arc-set propagation step may produce
+ARC_CAP = 10**6
+
+
+def paths_ending_at(corr, w: SpherePoint, n: int, tol: float = 1e-6) -> list:
+    """All length-n paths (z_1, ..., z_n, w), built by iterated backward
+    fibers from the endpoint; refused before any fiber is solved when the
+    count may exceed dynamics.PATH_CAP, as path_space refuses."""
+    if n < 0:
+        raise InvalidInputError("path length must be >= 0")
+    _check_path_count(1, corr.deg_z, n)
+    paths = [PathSample(points=(w,), weight=1)]
+    for _ in range(n):
+        paths = [PathSample(points=(z,) + path.points, weight=path.weight * e)
+                 for path in paths
+                 for z, e in corr.backward_fiber(path.points[0], tol).points]
+    return paths
+
+
+def propagate_finite(corr, start, n: int) -> list:
+    """The set reachable from start in exactly n forward steps; points within
+    chordal 1e-7 count as one."""
+    current = list(start)
+    for _ in range(n):
+        nxt = []
+        for p in current:
+            for w, _ in corr.forward_fiber(p).points:
+                if all(chordal_distance(w, q) > 1e-7 for q in nxt):
+                    nxt.append(w)
+        current = nxt
+    return current
+
+
+def arc_measure(arcs: ArcSet) -> Fraction:
+    """The total length of a normalized arc set."""
+    return sum((b - a for a, b in arcs.arcs), Fraction(0))
+
+
+def propagate_arcs(cc: CircleCorrespondence, arcs: ArcSet) -> ArcSet:
+    """Exact one-step image of an arc set under the angle relation
+    m*alpha = n*beta (mod 1): each [a, b) maps to the n arcs
+    [(m a + k)/n, (m b + k)/n)."""
+    cc._require_monomial()
+    m, n = cc.m, cc.n
+    images = []
+    for a, b in arcs.arcs:
+        if m * (b - a) >= 1:
+            return ArcSet.from_arcs([(0, 1)])
+        images.extend((Fraction(m * a + k, n), Fraction(m * b + k, n)) for k in range(n))
+    if len(images) > ARC_CAP:
+        raise ResourceLimitError(f"arc count exploded past {ARC_CAP} during propagation")
+    return ArcSet.from_arcs(images)
+
+
 # The Fraction forms of the circle-family computations that corrdyn.dynamics
 # runs on integers over one common denominator; each is the oracle its
 # integer form is compared against.
@@ -988,9 +1133,11 @@ def reference_gp_angles(m: int, n: int, N: int) -> tuple:
 
 
 def reference_covering_step(m: int, n: int, arcs, r: int) -> bool:
-    """dynamics.covering_step for the monomial family (m, n) and r >= 1, on
-    the normalized (a, b) Fraction pairs of a nonempty ArcSet: the arcs m^r
-    [a, b), reduced modulo d^(r-1), in Fraction arithmetic."""
+    """Whether the r-step image of an arc set covers the circle, for the
+    monomial family (m, n) and r >= 1, on the normalized (a, b) Fraction
+    pairs of a nonempty ArcSet: whether the arcs m^r [a, b), reduced modulo
+    d^(r-1), cover a period, in Fraction arithmetic.  The first r where it
+    holds is the step dynamics.expansive_oracle reports."""
     spacing = Fraction(math.gcd(m, n) ** (r - 1))
     scale = m**r
     pieces = []

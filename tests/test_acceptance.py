@@ -9,15 +9,9 @@ from fractions import Fraction as F
 
 from corrdyn.bimodule import (
     FiniteBimodule,
-    SampledFunction,
     fock_build,
     fock_relation_check,
     inner_product,
-    monomial_basis,
-    norm2,
-    norm_inf,
-    tensor_isometry_check,
-    vanishing_lemma_check,
 )
 from corrdyn.correspondence import (
     Correspondence,
@@ -33,7 +27,6 @@ from corrdyn.dynamics import (
     expansive_oracle,
     free_decide,
     gp_enumerate,
-    propagate_finite,
 )
 from corrdyn.errors import CorrdynError, InvalidInputError
 from corrdyn.ktheory import (
@@ -45,7 +38,16 @@ from corrdyn.ktheory import (
 from corrdyn.polyalg import BivariatePolynomial as BP
 from corrdyn.polyalg import squarefree_check
 
-from support import constant_function, reference_component_count
+from support import (
+    constant_function,
+    dense_vanishing_lemma_check,
+    monomial_basis,
+    norm2,
+    norm_inf,
+    propagate_finite,
+    reference_component_count,
+    tensor_isometry_check,
+)
 
 
 def report(num, ok, text):
@@ -180,7 +182,7 @@ def _random_trig(rng, degree=4):
         zz = z.to_complex()
         return sum(c * zz**k for k, c in enumerate(coeffs))
 
-    return SampledFunction("correspondence", fn)
+    return fn
 
 
 def test_criterion_7_norm_sandwich():
@@ -253,7 +255,7 @@ def test_criterion_10_fock_verification():
         for mask in range(1, 8):
             a = {v: 1 for v in range(3) if mask >> v & 1}
             try:
-                ok &= vanishing_lemma_check(ft, a, ft.blocks[i][0], ft.blocks[j][0])
+                ok &= dense_vanishing_lemma_check(ft, a, ft.blocks[i][0], ft.blocks[j][0])
                 passed += 1
             except InvalidInputError:
                 pass

@@ -575,24 +575,30 @@ def _corpus_argvs():
 EXACT_ARGVS = [argv for argv in _corpus_argvs()
                if argv[:1] in (["kgroups"], ["fock"], ["expansive"], ["invariant"])
                or (argv[:1] == ["free"] and "--gp" in argv)]
-GOLDEN = {json.dumps(entry["argv"]): entry["stdout"] for entry in json.loads(
+# each entry holds an argv's stdout, and a refusal's exit code and stderr too
+GOLDEN = {json.dumps(entry["argv"]): entry for entry in json.loads(
     (CORPUS / "exact_stdout.json").read_text(encoding="utf-8"))}
+EXITED_0 = {key for key, entry in GOLDEN.items() if "exit" not in entry}
 # pinned by their bytes too: fibers whose points are read off exact
 # coefficients (0, infinity and the double point over w = +-1 of
 # z^2 + w^2 - 1), and certified float fibers on the three orbit families
 PINNED_FIBERS = [argv for argv in _corpus_argvs()
-                 if argv[:1] == ["fibers"] and json.dumps(argv) in GOLDEN]
+                 if argv[:1] == ["fibers"] and json.dumps(argv) in EXITED_0]
 # inner-product grids of certified float fibers, pinned likewise
 PINNED_INNER = [argv for argv in _corpus_argvs()
-                if argv[:1] == ["inner"] and json.dumps(argv) in GOLDEN]
+                if argv[:1] == ["inner"] and json.dumps(argv) in EXITED_0]
+# refusals pinned with their exit code and JSON error
+PINNED_REFUSALS = [argv for argv in _corpus_argvs()
+                   if json.dumps(argv) in GOLDEN.keys() - EXITED_0]
 
 
 class TestGoldenOutputs:
     @pytest.mark.parametrize("argv", EXACT_ARGVS,
                              ids=[f"{argv[0]}-{i}" for i, argv in enumerate(EXACT_ARGVS)])
     def test_stdout_matches(self, capsys, argv):
-        # an exact command with a golden file exits 0 with those bytes on
-        # stdout; every other one exits nonzero
+        # an exact command with a golden entry exits with its code (0 unless
+        # the entry names one) and those bytes on stdout; every other one
+        # exits nonzero with stdout empty
         try:
             code = main(argv)
         except SystemExit as exc:  # a usage error
@@ -602,22 +608,33 @@ class TestGoldenOutputs:
         if golden is None:
             assert code != 0 and out == ""
         else:
-            assert (code, out) == (0, golden)
+            assert (code, out) == (golden.get("exit", 0), golden["stdout"])
 
     @pytest.mark.parametrize("argv", PINNED_FIBERS,
                              ids=[f"fibers-{i}" for i in range(len(PINNED_FIBERS))])
     def test_pinned_fibers_match(self, capsys, argv):
         assert main(argv) == 0
-        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]
+        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]["stdout"]
 
     @pytest.mark.parametrize("argv", PINNED_INNER,
                              ids=[f"inner-{i}" for i in range(len(PINNED_INNER))])
     def test_pinned_inner_match(self, capsys, argv):
         assert main(argv) == 0
-        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]
+        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]["stdout"]
+
+    @pytest.mark.parametrize("argv", PINNED_REFUSALS,
+                             ids=[f"{argv[0]}-{i}" for i, argv in enumerate(PINNED_REFUSALS)])
+    def test_pinned_refusals_match(self, capsys, monkeypatch, tmp_path, argv):
+        # a refusal leaves stdout empty and writes no --out file
+        monkeypatch.chdir(tmp_path)
+        golden = GOLDEN[json.dumps(argv)]
+        assert main(argv) == golden["exit"]
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", golden["stderr"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_golden_output_is_in_the_corpus(self):
-        pinned = EXACT_ARGVS + PINNED_FIBERS + PINNED_INNER
+        pinned = EXACT_ARGVS + PINNED_FIBERS + PINNED_INNER + PINNED_REFUSALS
         assert set(GOLDEN) <= {json.dumps(argv) for argv in pinned}
 
 
@@ -755,7 +772,7 @@ class TestEscapingOrbits:
             assert last_error(capsys) == "root-finding"
             return
         assert code == 0
-        corr, _ = parse_polynomial_spec(spec)
+        corr, _ = parse_polynomial_spec(json.loads(spec))
         chain = []
         for line in out.read_text().splitlines()[1:]:
             re, im, chart = line.split(",")

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn.correspondence import Correspondence, SpherePoint, unit_circle_points
+from corrdyn.correspondence import Correspondence, SpherePoint
 from corrdyn.dynamics import (
     BURN_IN,
     ArcSet,
     CircleCorrespondence,
     circle_sampler,
     component_count,
-    covering_step,
     expansive_decide,
     expansive_oracle,
     free_decide,
@@ -22,14 +21,19 @@ from corrdyn.dynamics import (
     invariant_check,
     limit_set_sample,
     path_space,
-    paths_ending_at,
-    propagate_arcs,
-    propagate_finite,
 )
 from corrdyn.errors import InvalidInputError, ResourceLimitError
 from corrdyn.polyalg import BivariatePolynomial as BP
 
-from support import reference_component_count, reference_covering_step, reference_gp_angles
+from support import (
+    arc_measure,
+    paths_ending_at,
+    propagate_arcs,
+    propagate_finite,
+    reference_component_count,
+    reference_covering_step,
+    reference_gp_angles,
+)
 
 
 def circle_rel():
@@ -66,7 +70,7 @@ class TestArcSet:
     def test_wraparound_split(self):
         a = ArcSet.from_arcs([(F(7, 8), F(9, 8))])
         assert a.arcs == ((F(0), F(1, 8)), (F(7, 8), F(1)))
-        assert a.measure == F(1, 4)
+        assert arc_measure(a) == F(1, 4)
 
     def test_full_detection(self):
         assert ArcSet.from_arcs([(F(-1), F(3))]).is_full
@@ -85,7 +89,7 @@ class TestArcSet:
     def test_union_measure_subadditive(self, raw):
         arcs = [(a, a + b + F(1, 128)) for a, b in raw]
         s = ArcSet.from_arcs(arcs)
-        assert s.measure <= min(
+        assert arc_measure(s) <= min(
             F(1), sum((b - a for a, b in arcs), F(0))
         )
         # normalization is idempotent
@@ -99,7 +103,7 @@ class TestPropagation:
         out = propagate_arcs(cc, seed)
         # three arcs of length (2/3) * (1/12)
         assert len(out.arcs) == 3
-        assert out.measure == 3 * F(2, 3) * F(1, 12)
+        assert arc_measure(out) == 3 * F(2, 3) * F(1, 12)
 
     def test_matches_covering_oracle(self):
         cc = CircleCorrespondence.monomial(2, 3)
@@ -107,7 +111,22 @@ class TestPropagation:
         cur = seed
         for r in range(1, 9):
             cur = propagate_arcs(cc, cur)
-            assert cur.is_full == covering_step(cc, seed, r)
+            assert cur.is_full == reference_covering_step(2, 3, seed.arcs, r)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (2, 3), (4, 3), (3, 5), (5, 2)])
+    def test_first_full_image_is_the_oracle_step(self, m, n):
+        # the arc-set images for r = 1..40 are full where the Fraction
+        # covering test says so, and expansive_oracle reports the first of
+        # them; on expanding families (m does not divide n) the images cover
+        # before their arc count grows large
+        cc = CircleCorrespondence.monomial(m, n)
+        seed = ArcSet.from_arcs([(F(1, 7), F(1, 7) + F(1, 100))])
+        cur, full = seed, []
+        for _ in range(40):
+            cur = propagate_arcs(cc, cur)
+            full.append(cur.is_full)
+        assert full == [reference_covering_step(m, n, seed.arcs, r) for r in range(1, 41)]
+        assert expansive_oracle(cc, seed, max_steps=40) == (True, full.index(True) + 1)
 
     def test_finite_sets(self):
         corr = circle_rel()
@@ -139,7 +158,7 @@ class TestExpansiveness:
 
     def test_oracle_rejects_empty_seed(self):
         with pytest.raises(InvalidInputError):
-            expansive_oracle(CircleCorrespondence.monomial(2, 3), ArcSet.empty())
+            expansive_oracle(CircleCorrespondence.monomial(2, 3), ArcSet(arcs=()))
 
     @given(st.integers(1, 7), st.integers(1, 7), seed_arcs())
     # step 1 doubles these to [0, 3/5), [1/10, 1/5) and [1/2, 1): the nested
@@ -147,11 +166,10 @@ class TestExpansiveness:
     @example(2, 3, ArcSet.from_arcs([(F(0), F(3, 10)), (F(11, 20), F(3, 5)), (F(3, 4), F(1))]))
     @settings(max_examples=150, deadline=None)
     def test_integer_covering_matches_fraction_oracle(self, m, n, seed):
-        # the integer arcs over one denominator decide every step as the
-        # Fraction arcs do, and the oracle's step-to-step update agrees
+        # the integer arcs over one denominator, updated from step to step,
+        # first cover where the Fraction arcs first do
         cc = CircleCorrespondence.monomial(m, n)
         decisions = [reference_covering_step(m, n, seed.arcs, r) for r in range(1, 41)]
-        assert [covering_step(cc, seed, r) for r in range(1, 41)] == decisions
         if seed.is_full:
             expected = (True, 0)
         else:

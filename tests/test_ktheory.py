@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from corrdyn.errors import InvalidInputError, UndecidedError
+from corrdyn.errors import InvalidInputError, ResourceLimitError, UndecidedError
 from corrdyn.ktheory import (
     AbelianGroupPresentation,
     IntegerMatrix,
@@ -137,7 +137,8 @@ class TestMonomialFamily:
         assert lookup[(3, 3)] == ("Z/2", "Z/2")
 
     def test_table_cap(self):
-        with pytest.raises(InvalidInputError):
+        # an enumeration cap, refused as a resource limit (exit 3)
+        with pytest.raises(ResourceLimitError):
             kgroup_table(21, 1)
 
     def test_table_equals_per_entry_solves(self):

@@ -422,11 +422,14 @@ _ZERO_PART = st.sampled_from(["", "re", "-re", "im", "-im"])
 
 
 def _with_zero_part(z: complex, part: str) -> complex:
+    # the part kept is +-|z|, so that z keeps its magnitude: a lead drawn
+    # with |z| >= 1e-3 must not shrink to a subnormal part, which would send
+    # the reference row -p[1:] / p[0] past the float range
     zero = -0.0 if part.startswith("-") else 0.0
     if part.endswith("re"):
-        return complex(zero, z.imag or abs(z))
+        return complex(zero, math.copysign(abs(z), z.imag))
     if part.endswith("im"):
-        return complex(z.real or abs(z), zero)
+        return complex(math.copysign(abs(z), z.real), zero)
     return z
 
 
