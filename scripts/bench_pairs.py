@@ -13,19 +13,28 @@ first on even i and the change first on odd i, so that a drift of the
 machine's speed falls on both sides alike.  Seeds go on counting across the
 workloads of one call.  The record has the layout of the committed
 BENCH_<n>.json files: ``about``, ``pairs`` (workload, seed, the side that
-ran first and the JSON line bench/run.py printed for each side) and
-``summary``, per workload and end-to-end metric of BENCHMARK.json: the
-median and the inclusive quartiles of each side, the pairs the change won,
-and the relative worsening of the change's median against the parent's
-(negative is better) beside the metric's bound.  ``all_correct`` is true
-when every run of both sides was correct with no failed op.  With --out the
-pairs already in FILE are kept and the summary covers them all; without it
-the record goes to stdout.  With no arguments at all, one A/A pair of
-``exact`` at 1 s shows that the harness runs.
+ran first, ``bytecode`` and the JSON line bench/run.py printed for each
+side) and ``summary``, per workload and end-to-end metric of
+BENCHMARK.json: the median and the inclusive quartiles of each side, the
+pairs the change won, and the relative worsening of the change's median
+against the parent's (negative is better) beside the metric's bound.
+``all_correct`` is true when every run of both sides was correct with no
+failed op.  With --out the pairs already in FILE are kept and the summary
+covers them all; without it the record goes to stdout.  With no arguments
+at all, one A/A pair of ``exact`` at 1 s shows that the harness runs.
+
+``bytecode`` holds the two facts that move ``setup_s`` most, since its
+probe compiles every corrdyn module it imports when no bytecode cache
+holds it: ``written``, whether the runs may write bytecode caches (false
+when PYTHONDONTWRITEBYTECODE is set to a non-empty string, which the runs
+inherit), and ``cached``, per side, whether the tree's
+src/corrdyn/__pycache__ existed before the pair ran; in a tree's first
+pair, that is before its first run.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -44,6 +53,10 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"bench/run.py failed in {tree}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def has_pycache(tree: Path) -> bool:
+    return (tree / "src" / "corrdyn" / "__pycache__").is_dir()
 
 
 def summarise(pairs: list, metrics: list) -> dict:
@@ -100,9 +113,11 @@ def main(argv) -> int:
     for workload in args.workload or ["exact"]:
         for i in range(args.pairs):
             order = [("parent", parent), ("change", change)][::1 if i % 2 == 0 else -1]
+            bytecode = {"written": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                        "cached": {side: has_pycache(tree) for side, tree in order}}
             runs = {side: run_side(tree, workload, seed, args.seconds) for side, tree in order}
             pair = {"workload": workload, "seed": seed, "first": order[0][0],
-                    "parent": runs["parent"], "change": runs["change"]}
+                    "bytecode": bytecode, "parent": runs["parent"], "change": runs["change"]}
             print(f"{workload} seed {seed}: ops/s parent "
                   f"{pair['parent']['metrics']['ops_per_s']['value']:.1f}, change "
                   f"{pair['change']['metrics']['ops_per_s']['value']:.1f}", file=sys.stderr)

@@ -3,6 +3,15 @@ machine-readable JSON report to stdout (CSV/PPM go to --out files).
 
 Exit codes: 0 success, 2 invalid input, 3 resource refusal,
 4 undecided / extension ambiguous.
+
+Imports follow the command.  This module loads ``families`` alone at its
+top; each handler imports the modules it calls (``dynamics``,
+``bimodule``, ``ktheory``, ``correspondence``).  ``parse_polynomial_spec``
+returns a ``PolynomialSpec`` that builds a family's ``Correspondence`` on
+first use, so kgroups, expansive and free without --sample, which read
+only the family's exponents, build no coefficient grid, load neither the
+float engine (``corrdyn.floats``, the one module that imports numpy) nor
+sympy, and answer in time independent of the exponents.
 """
 
 from __future__ import annotations
@@ -15,16 +24,19 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bimodule, dynamics, ktheory
-from .correspondence import Correspondence, SpherePoint, unit_circle_points
-from .dynamics import ArcSet, CircleCorrespondence
 from .errors import (
     InvalidInputError,
     ResourceLimitError,
     RootFindingError,
     UndecidedError,
 )
-from .polyalg import BivariatePolynomial
+from .families import (
+    STEP_BITS_CAP,
+    CircleCorrespondence,
+    component_count,
+    expansive_decide,
+    free_decide,
+)
 
 __all__ = ["main"]
 
@@ -49,7 +61,9 @@ def _coeff(pair) -> tuple:
     return _component(pair[0]), _component(pair[1])
 
 
-def _grid(rows) -> BivariatePolynomial:
+def _grid(rows):
+    from .polyalg import BivariatePolynomial
+
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InvalidInputError(f"coefficient grid must be a list of rows, got {rows!r}")
     return BivariatePolynomial([[_coeff(c) for c in row] for row in rows])
@@ -72,8 +86,26 @@ def _integers(v, what: str) -> list:
     return [_integer(x, f"each entry of {what}") for x in _json_list(v, what)]
 
 
-def parse_polynomial_spec(obj):
-    """PolynomialSpec JSON -> (Correspondence, circle_family_or_None)."""
+class PolynomialSpec:
+    """A parsed polynomial spec: ``family``, its CircleCorrespondence or None
+    for a raw grid, and ``correspondence``.  A raw grid's correspondence is
+    built, and checked, by the parser; a family's is built on first use, so
+    a command that reads only the family's exponents builds no grid."""
+
+    def __init__(self, family, correspondence=None):
+        self.family, self._correspondence = family, correspondence
+
+    @property
+    def correspondence(self):
+        if self._correspondence is None:
+            self._correspondence = self.family.to_correspondence()
+        return self._correspondence
+
+
+def parse_polynomial_spec(obj) -> PolynomialSpec:
+    """The --poly JSON object as a PolynomialSpec.  Every check of the
+    spec's shape and values is made here, in the order the fields are read,
+    and a raw grid's Correspondence is built and checked too."""
     if not isinstance(obj, dict):
         raise InvalidInputError("polynomial spec must be a JSON object")
     if "family" in obj:
@@ -95,13 +127,19 @@ def parse_polynomial_spec(obj):
                 raise InvalidInputError(f"unknown family {fam!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed {fam!r} family spec: {exc!r}") from exc
-        return cc.to_correspondence(), cc
+        return PolynomialSpec(cc)
     if "factors" in obj:
+        from .polyalg import BivariatePolynomial
+
         factors = [_grid(g) for g in _json_list(obj["factors"], "factors")]
-        return Correspondence(BivariatePolynomial.product(factors)), None
-    if "coeffs" in obj:
-        return Correspondence(_grid(obj["coeffs"])), None
-    raise InvalidInputError("spec needs one of: coeffs, factors, family")
+        poly = BivariatePolynomial.product(factors)
+    elif "coeffs" in obj:
+        poly = _grid(obj["coeffs"])
+    else:
+        raise InvalidInputError("spec needs one of: coeffs, factors, family")
+    from .correspondence import Correspondence
+
+    return PolynomialSpec(None, Correspondence(poly))
 
 
 def _load_json_arg(text):
@@ -120,7 +158,9 @@ def _load_json_arg(text):
         raise InvalidInputError(f"bad JSON argument: {exc}") from exc
 
 
-def parse_point(obj) -> SpherePoint:
+def parse_point(obj):
+    from .correspondence import SpherePoint
+
     if obj == "inf":
         return SpherePoint.infinity()
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
@@ -137,7 +177,7 @@ def _points(text, what: str) -> list:
     return [parse_point(p) for p in _json_list(_load_json_arg(text), what)]
 
 
-def point_to_json(p: SpherePoint):
+def point_to_json(p):
     if p.is_infinity:
         return "inf"
     z = p.to_complex()
@@ -159,7 +199,7 @@ def _emit(args, report: dict):
 
 
 def cmd_fibers(args):
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     point = parse_point(_load_json_arg(args.point))
     if args.direction == "forward":
         fiber = corr.forward_fiber(point, args.tol)
@@ -178,7 +218,7 @@ def cmd_fibers(args):
 
 
 def cmd_branch(args):
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     restrict = None
     if args.restrict == "circle":
         restrict = "circle"
@@ -196,7 +236,9 @@ def cmd_branch(args):
 
 
 def cmd_paths(args):
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    from . import dynamics
+
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     start = _points(args.start, "--start")
     paths = dynamics.path_space(corr, start, args.n, args.tol)
     _emit(args, {
@@ -211,7 +253,9 @@ def cmd_paths(args):
 
 
 def cmd_invariant(args):
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    from . import dynamics
+
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     points = _points(args.set, "--set")
     ok, witness = dynamics.invariant_check(corr, points, args.tol)
     _emit(args, {
@@ -227,27 +271,29 @@ def cmd_invariant(args):
 def cmd_expansive(args):
     if args.max_steps < 1:
         raise InvalidInputError("--max-steps must be >= 1")
-    _, cc = parse_polynomial_spec(_load_json_arg(args.poly))
+    cc = parse_polynomial_spec(_load_json_arg(args.poly)).family
     if cc is None or cc.kind != "monomial":
         raise UndecidedError(
             "no expansiveness criterion for this polynomial; use the monomial family"
         )
-    if args.max_steps * cc.m.bit_length() > dynamics.STEP_BITS_CAP:
+    if args.max_steps * cc.m.bit_length() > STEP_BITS_CAP:
         raise ResourceLimitError(
-            f"m^{args.max_steps} may exceed {dynamics.STEP_BITS_CAP} bits; lower --max-steps"
+            f"m^{args.max_steps} may exceed {STEP_BITS_CAP} bits; lower --max-steps"
         )
-    decision = dynamics.expansive_decide(cc)
+    decision = expansive_decide(cc)
     report = {
         "command": "expansive",
         "m": cc.m,
         "n": cc.n,
         "expansive": decision,
-        "components": dynamics.component_count(cc),
+        "components": component_count(cc),
     }
     if args.oracle is not None:
+        from . import dynamics
+
         arcs = _load_json_arg(args.oracle)
         try:
-            seed_arcs = ArcSet.from_json(arcs)
+            seed_arcs = dynamics.ArcSet.from_json(arcs)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"malformed --oracle arcs: {exc!r}") from exc
         # the bits of m^r, the arc scale at step r, and of the seed arcs'
@@ -255,10 +301,10 @@ def cmd_expansive(args):
         # with q the lcm of those denominators, so this over-bounds its work
         seed_bits = max((a.denominator.bit_length() + b.denominator.bit_length()
                          for a, b in seed_arcs.arcs), default=0)
-        if (cc.m**args.max_steps).bit_length() + seed_bits > dynamics.STEP_BITS_CAP:
+        if (cc.m**args.max_steps).bit_length() + seed_bits > STEP_BITS_CAP:
             raise ResourceLimitError(
                 f"m^{args.max_steps} times the seed endpoints may exceed "
-                f"{dynamics.STEP_BITS_CAP} bits; lower --max-steps or the seed denominators"
+                f"{STEP_BITS_CAP} bits; lower --max-steps or the seed denominators"
             )
         covered, steps = dynamics.expansive_oracle(cc, seed_arcs, args.max_steps)
         report["oracle"] = {
@@ -273,17 +319,22 @@ def cmd_expansive(args):
 def cmd_free(args):
     if args.sample is not None and args.sample < 1:
         raise InvalidInputError("--sample must be >= 1")
-    corr, cc = parse_polynomial_spec(_load_json_arg(args.poly))
+    spec = parse_polynomial_spec(_load_json_arg(args.poly))
+    cc = spec.family
     if cc is None:
         raise UndecidedError("freeness criteria apply to the circle families only")
-    decision = dynamics.free_decide(cc)
+    decision = free_decide(cc)
     if decision is None:
         raise UndecidedError("no freeness criterion covers this family")
     N = min(args.gp or 2, 3)
-    if args.sample is not None and args.sample * corr.deg_w**N > dynamics.SAMPLE_CAP:
-        raise ResourceLimitError(
-            f"{args.sample} samples * {corr.deg_w}^{N} paths exceed {dynamics.SAMPLE_CAP}"
-        )
+    if args.gp is not None or args.sample is not None:
+        from . import dynamics
+    if args.sample is not None:
+        corr = spec.correspondence
+        if args.sample * corr.deg_w**N > dynamics.SAMPLE_CAP:
+            raise ResourceLimitError(
+                f"{args.sample} samples * {corr.deg_w}^{N} paths exceed {dynamics.SAMPLE_CAP}"
+            )
     report = {"command": "free", "kind": cc.kind, "free": decision}
     if args.gp is not None:
         gp = dynamics.gp_enumerate(cc, args.gp)
@@ -323,21 +374,26 @@ def _parse_function(obj):
     except OverflowError as exc:
         raise InvalidInputError("function coefficient too large for a float") from exc
     if isinstance(obj, dict) and "basis" in obj:
+        from .bimodule import monomial_basis_element
+
         basis = obj["basis"]
         if not isinstance(basis, dict):
             raise InvalidInputError(f'basis must be {{"m": M, "i": I}}, got {basis!r}')
-        return bimodule.monomial_basis_element(
+        return monomial_basis_element(
             _integer(basis.get("m"), "basis m"), _integer(basis.get("i"), "basis i")
         )
     raise InvalidInputError("function spec needs one of: const, zpoly, basis")
 
 
 def cmd_inner(args):
+    from . import bimodule, dynamics
+    from .correspondence import unit_circle_points
+
     if args.grid < 1:
         raise InvalidInputError("--grid must be >= 1")
     if args.grid > dynamics.GRID_CAP:
         raise ResourceLimitError(f"--grid exceeds {dynamics.GRID_CAP} points")
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     f = _parse_function(_load_json_arg(args.f))
     g = _parse_function(_load_json_arg(args.g))
     ws = unit_circle_points(args.grid)
@@ -354,7 +410,9 @@ def cmd_inner(args):
 
 
 def cmd_fock(args):
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    from . import bimodule
+
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     points = _points(args.set, "--set")
     fb = bimodule.FiniteBimodule.build(corr, points)
     ft = bimodule.fock_build(fb, args.K)
@@ -365,6 +423,8 @@ def cmd_fock(args):
 
 
 def cmd_kgroups(args):
+    from . import ktheory
+
     if args.table is not None:
         rows = ktheory.kgroup_table(args.table[0], args.table[1])
         # the table shares its groups: each is rendered once, by identity
@@ -377,7 +437,7 @@ def cmd_kgroups(args):
             ],
         })
         return
-    _, cc = parse_polynomial_spec(_load_json_arg(args.poly))
+    cc = parse_polynomial_spec(_load_json_arg(args.poly)).family
     if cc is None:
         raise UndecidedError("K-group builders exist for the circle families only")
     if cc.kind == "monomial":
@@ -396,6 +456,8 @@ def cmd_kgroups(args):
 
 
 def cmd_render(args):
+    from . import dynamics
+
     out = args.out
     if not out.endswith((".csv", ".ppm")):
         raise InvalidInputError("--out must end in .csv or .ppm")
@@ -405,7 +467,7 @@ def cmd_render(args):
         raise InvalidInputError("--px must be >= 1")
     if args.px > PX_CAP:
         raise ResourceLimitError(f"--px exceeds {PX_CAP} pixels per side")
-    corr, _ = parse_polynomial_spec(_load_json_arg(args.poly))
+    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
     start = parse_point(_load_json_arg(args.start)) if args.start else None
     pts = dynamics.limit_set_sample(
         corr,

@@ -2,11 +2,11 @@
 points, fibers in both directions with multiplicities, and branched sets.
 
 Every fiber request is one solve in the affine chart where the base point
-lives; nothing is kept per base point.  The float path is one pass,
-``_certified_points``, from the chart value to the sorted fiber points or
-to undecided: the companion eigenvalues of the complex128 coefficients,
-kept when disjoint inclusion discs prove each root simple and no two lie
-within chordal 2 tol.  Otherwise (a multiple point, a root near another, a
+lives; nothing is kept per base point.  The float path is one pass of the
+float engine, ``floats.FloatGrid.certified_points``, from the chart value
+to the sorted fiber points or to undecided: the companion eigenvalues of
+the complex128 coefficients, kept when disjoint inclusion discs prove each
+root simple and no two lie within chordal 2 tol.  Otherwise (a multiple point, a root near another, a
 NaN root, a vanishing leading coefficient, a non-finite base) the chart
 value is read exactly as x / q, x a Gaussian integer and q a power of 2,
 and the fiber comes out of the exact squarefree machinery on the integers
@@ -20,7 +20,9 @@ the distinct roots of an exact polynomial, each refined by
 ``polish_roots``.  All of it runs on the one Gaussian-integer grid of p
 over its least denominator (``BivariatePolynomial.rows``) and its
 transpose, with no Fraction arithmetic from the parsed input to the
-printed points.
+printed points.  This module imports no numpy: a ``Correspondence``
+imports the float engine, ``corrdyn.floats``, when it builds its first
+``FloatGrid``, so building one and reading its degrees loads none.
 """
 
 from __future__ import annotations
@@ -29,15 +31,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
-
-import numpy as np
 
 from .errors import InvalidInputError, RootFindingError
 from .polyalg import (
     BivariatePolynomial,
-    FloatGrid,
-    _companion_eigenvalues,
     _xcoprime,
     _zi_quotient,
     _zi_strip,
@@ -196,8 +193,13 @@ class Correspondence:
         poly = self._transposed
         return self._fiber(self._grid("f", poly), poly, z, self.deg_w, tol)
 
-    def _grid(self, direction: str, poly: BivariatePolynomial) -> Optional[FloatGrid]:
+    def _grid(self, direction: str, poly: BivariatePolynomial):
+        """The direction's ``floats.FloatGrid``, built on its first fiber,
+        which imports the float engine, or None when a coefficient is beyond
+        float range."""
         if direction not in self._float_grids:
+            from .floats import FloatGrid
+
             try:
                 self._float_grids[direction] = FloatGrid(poly)
             except OverflowError:
@@ -206,7 +208,7 @@ class Correspondence:
 
     @staticmethod
     def _fiber(
-        grid: Optional[FloatGrid],
+        grid,
         poly: BivariatePolynomial,
         base: SpherePoint,
         expected: int,
@@ -214,7 +216,7 @@ class Correspondence:
     ) -> WeightedFiber:
         """The fiber of poly over base, float first, solved afresh each call.
 
-        ``_certified_points`` takes the base point's chart value through
+        ``grid.certified_points`` takes the base point's chart value through
         poly's complex128 grid to the sorted fiber points in one pass: the
         companion eigenvalues, with the bits of ``np.roots``, are kept when
         inclusion discs, run on Python scalars, prove them simple (so the
@@ -230,7 +232,7 @@ class Correspondence:
         """
         v, inverted = base.chart_value()
         if grid is not None:
-            points = _certified_points(grid, v, inverted, 2 * tol)
+            points = grid.certified_points(v, inverted, 2 * tol)
             if points is not None:
                 return WeightedFiber(base, points)
         _, f = (poly.univariate_in_z_inverted if inverted else poly.univariate_in_z)(v)
@@ -338,104 +340,6 @@ def _point_sort_key(p: SpherePoint):
         return (1, 0.0, 0.0)
     v = p.to_complex()
     return (0, round(v.real, 12), round(v.imag, 12))
-
-
-@np.errstate(all="ignore")
-def _certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: float):
-    """The fiber over the chart value v as a tuple of (SpherePoint, 1) in
-    ``_point_sort_key`` order, in one pass: what ``_chordal_merge`` at
-    separation / 2 makes of the roots when they are certified simple and
-    pairwise more than chordal separation apart; None otherwise.
-
-    c = grid @ powers and its bound e (see ``FloatGrid``), the powers being
-    the Python products ``np.cumprod`` makes; zeta, the roots ``np.roots``
-    gives for c, bit for bit (``_companion_eigenvalues`` on grid's buffer).
-    Two zero low-order coefficients (a double root 0), a NaN root, a leading
-    coefficient beyond float range, OverflowError and ZeroDivisionError
-    (where numpy gives inf) mean undecided; numpy's warnings are off, and
-    every overflow or NaN is tested for.  The roots are kept when every F
-    with |F_k - c_k| <= e_k has degree d = len(c) - 1 and one root in each
-    of the disjoint discs D(zeta_i, r_i), so that F is squarefree and the
-    exact path would find d simple roots too: with W_i = F(zeta_i) / (lc(F)
-    prod_{j != i} (zeta_i - zeta_j)), F / lc(F) is the characteristic
-    polynomial of diag(zeta) - W 1^T, whose Gerschgorin discs lie in
-    D(zeta_i, d|W_i|) (Braess & Hadeler, Numer. Math. 21, 1973; Carstensen,
-    Numer. Math. 59, 1991), and r_i bounds d|W_i|: |F(zeta_i)| is at most
-    |c(zeta_i)| plus e and the Horner rounding (Higham, ch. 5), and |lc(F)|
-    at least |c_d| - e_d.  The test runs on Python scalars, cheaper than
-    numpy at d <= 5: each r_i, once its Horner loop has given it, is tested
-    against the r_j before it on the distances the chordal test stored.
-    Adding 0j to a root turns a -0.0 part into 0.0, as the merge's mean
-    does, and the points are sorted, by one sort on (key, index), on
-    the raw real parts of their values, z or 1 / (1.0 / z), which is
-    ``_point_sort_key``'s order unless two adjacent ones lie within 2e-12
-    and could round alike; only then does that key sort them.
-    """
-    powers, t = [1.0 + 0j], 1.0 + 0j
-    for _ in range(grid.n):
-        t *= v
-        powers.append(t)
-    powers = np.array(powers)
-    if inverted:
-        powers = powers[::-1]  # a reversed view: a reversed copy gives other bits
-    c = grid.grid @ powers
-    cs, d = c.tolist(), len(c) - 1
-    # e_k = eps sums_k + floor_k bounds |c_k - c_k^exact|
-    sums, floor, eps = (grid.abs_grid @ np.abs(powers)).tolist(), grid.floor, grid.gamma
-    gamma, inf = grid.horner, math.inf
-    try:
-        lead = abs(cs[d]) - (eps * sums[d] + floor[d])
-        k0 = 0 if cs[0] else 1 if cs[1] else 2
-        if k0 == 2 or not inf > lead > 0:
-            return None  # k0 = 2: 0 is a root twice over, and its discs meet
-        zeta = _companion_eigenvalues(c, k0, grid.companion)
-        # the distances of the pairs (i, j), j < i, chordally tested, and
-        # their products
-        dists, spread, size, chordal, hypot = [], [1.0] * d, [], [], math.hypot
-        for i, z in enumerate(zeta):
-            zs = abs(z)
-            size.append(zs)
-            chordal.append(hypot(1.0, zs))
-            limit = separation * chordal[i]
-            for j in range(i):
-                dist = abs(z - zeta[j])
-                if not dist > limit * chordal[j]:
-                    return None
-                spread[i] *= dist
-                spread[j] *= dist
-                dists.append(dist)
-        # e_k plus the Horner rounding, and the coefficients below the top
-        slack = [eps * sk + fk + gamma * abs(ck) for ck, sk, fk in zip(cs, sums, floor)]
-        below, lift, shrink = list(zip(cs[d - 1::-1], slack[d - 1::-1])), grid.lift, grid.shrink
-        r, points, top, top_slack, new = [], [], cs[d], slack[d], tuple.__new__
-        stored = iter(dists).__next__
-        for i, (z, zs, zp) in enumerate(zip(zeta, size, spread)):
-            value, error = top, top_slack
-            for ck, sk in below:
-                value, error = value * z + ck, error * zs + sk
-            ri = d * (abs(value) + error) / (lead * zp) * lift
-            if not (zs < inf and zp < inf and ri < inf):
-                return None  # not finite
-            for rj in r:
-                if not stored() * shrink > ri + rj:
-                    return None  # the discs of i and j meet
-            r.append(ri)
-            z += 0j
-            if zs <= 1:
-                points.append((z.real, i, new(SpherePoint, (z, 1.0 + 0j))))
-            else:
-                w = 1.0 / z
-                points.append(((1 / w).real, i, new(SpherePoint, (1.0 + 0j, w))))
-    except (OverflowError, ZeroDivisionError):
-        return None
-    points.sort()
-    last = -inf
-    for key, _, _ in points:
-        if key - last <= 2e-12:
-            points.sort(key=lambda kip: (_point_sort_key(kip[2]), kip[1]))
-            break
-        last = key
-    return tuple([(p, 1) for _, _, p in points])
 
 
 def _chordal_merge(pairs, tol: float):

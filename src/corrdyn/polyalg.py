@@ -27,18 +27,17 @@ lucky primes, J. ACM 18, 1971), within a bound in primes derived from the
 input; neither Yun's nor Euclid's algorithm runs over the Gaussian
 rationals.  Each exact squarefree factor is then solved in floating point by
 one root finder, the eigenvalues of the companion matrix of its monic
-complex128 image (``_companion_eigenvalues``, the bits of ``np.roots``),
+complex128 image (``floats.companion_roots``, the bits of ``np.roots``),
 each part of which is one correctly rounded integer division.  ``roots``
 returns these roots unclustered; which of them count as one point is
 decided in the chordal metric by ``correspondence``.  ``polish_roots``
 refines them by Newton steps evaluated exactly, at most three and none past
-a fixed point; every branched-set point is refined so.  ``FloatGrid``
-holds a polynomial's complex128 grid, the data of a componentwise error
-bound on its specialisations and one companion-matrix buffer, which
-``_companion_eigenvalues`` fills in place; from these ``correspondence``
-certifies a float fiber in one pass.  Whether two Gaussian-integer
-polynomials are coprime (``_xcoprime``) is decided modulo a prime first,
-and by their exact resultant otherwise.  sympy serves only
+a fixed point; every branched-set point is refined so.  This module does
+not import numpy: the float engine, ``corrdyn.floats``, is imported by the
+first root solve, and it also holds ``FloatGrid``, from which
+``correspondence`` certifies a float fiber in one pass.  Whether two
+Gaussian-integer polynomials are coprime (``_xcoprime``) is decided modulo
+a prime first, and by their exact resultant otherwise.  sympy serves only
 ``squarefree_check``: the gcds of the norm p p-bar of a defining polynomial
 with its partial derivatives over the integers, and, only when that is
 inconclusive or p is refused, the gcds of p itself with its partial
@@ -47,19 +46,14 @@ derivatives over the smallest exact domain of its coefficients.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import InvalidInputError, RootFindingError
 
 __all__ = [
     "BivariatePolynomial",
-    "FloatGrid",
     "roots",
     "polish_roots",
     "resultant_z",
@@ -613,77 +607,6 @@ class BivariatePolynomial:
             for i, row in enumerate(self.rows) for j, (x, y) in enumerate(row) if x or y)
 
 
-# ---------------------------------------------------------------------------
-# float specialisation with a certified root-inclusion test
-
-_U = 2.0**-53  # unit roundoff of IEEE double precision
-# absolute error allowed per coefficient for gradual underflow: far above the
-# few units of 2^-1074 that underflow can cost, and still negligible
-_UNDERFLOW = 2.0**-1000
-
-
-class FloatGrid:
-    """The coefficient grid c[i][j] of a bivariate polynomial in complex128
-    and all a certified float fiber (``correspondence._certified_points``)
-    needs of it at any base point, computed once.  Each part of c[i][j] is
-    one correctly rounded int/int division of its Gaussian-integer grid by
-    its least denominator: the bits of ``float`` of the exact rational.  At
-    v the fiber polynomial in the first variable has the ascending
-    coefficients c = grid @ powers, powers = (1, v, ..., v^n) (reversed in
-    the inverted chart, for v^n p(., 1/v)), with the bound e = gamma
-    (abs_grid @ |powers|) + floor >= |c - c^exact| (floor a list), c^exact
-    the exact specialisation at v, read as x / q with x a Gaussian integer
-    and q a power of 2 (``univariate_in_z`` or ``univariate_in_z_inverted``,
-    divided by its scale).  The bound counts the rounding of the grid, of
-    the powers, of the products and of the sums (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 3.6), about twice over,
-    which also covers the rounding of the bound itself; horner is that count
-    for Horner's rule on c, of degree m in the first variable, and lift and
-    shrink are 1 +- horner.  ``companion``, the shift matrix of size m, is
-    the one companion buffer of every fiber on the grid.  A coefficient
-    beyond float range raises OverflowError; a modulus or a row sum that
-    overflows is inf, silently, and leaves every certificate undecided."""
-
-    __slots__ = ("grid", "abs_grid", "n", "gamma", "floor", "horner", "lift", "shrink",
-                 "companion")
-
-    @np.errstate(over="ignore")
-    def __init__(self, poly: BivariatePolynomial):
-        d = poly.denominator
-        self.grid = np.array([[complex(x / d, y / d) for x, y in row] for row in poly.rows])
-        self.abs_grid = np.abs(self.grid)
-        self.n = poly.deg_w
-        self.gamma = 8 * (self.n + 2) * _U
-        self.floor = (8 * (self.n + 2) * _UNDERFLOW * (1.0 + self.abs_grid.sum(axis=1))).tolist()
-        self.horner = 8 * (poly.deg_z + 2) * _U
-        self.lift, self.shrink = 1 + self.horner, 1 - self.horner
-        self.companion = np.eye(poly.deg_z, k=-1, dtype=complex)
-
-
-def _companion_eigenvalues(c: np.ndarray, k0: int, companion: np.ndarray) -> list:
-    """``np.roots`` of the ascending complex128 c, top c_d finite and nonzero
-    and k0 lowest 0, bit for bit: the eigenvalues of the leading s x s block
-    of companion, a shift matrix of size s = d - k0 or more, by the gufunc
-    ``np.linalg.eigvals`` wraps, ``numpy.linalg._umath_linalg.eigvals``
-    ("D->D"), then k0 zeros (only those when s = 0).  Row 0 of the block is
-    the companion row, written in place by np.roots' two operations, -c then
-    / c_d (/ -c_d would flip the signs of zero parts); the gufunc copies its
-    input, so one buffer serves every call.  NaN where that wrapper raised
-    LinAlgError (a row not finite, LAPACK not converging); numpy's
-    floating-point warnings are left to the caller."""
-    d, s = len(c) - 1, len(c) - 1 - k0
-    if not s:
-        return [0j] * k0
-    block = companion if len(companion) == s else companion[:s, :s]
-    row = block[0]
-    np.negative(c[d - 1:k0 - 1:-1] if k0 else c[d - 1::-1], out=row)
-    np.divide(row, c[d], out=row)
-    if not all(map(cmath.isfinite, row.tolist())):
-        return [complex(math.nan, 0)] * d
-    z = _umath_linalg.eigvals(block, signature="D->D").tolist()
-    return z + [0j] * k0 if k0 else z
-
-
 def linked_groups(n: int, edges) -> list:
     """Connected components of the graph on 0..n-1 with the given edges, by
     union-find.  Each component lists its members in increasing order, and
@@ -721,20 +644,14 @@ def _monic_image(a) -> list:
         raise RootFindingError(f"coefficient too large for a float: {exc}") from exc
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
 def _companion_roots(monic: list) -> list:
-    """All roots of the polynomial with the ascending, monic, complex128
-    coefficients monic: the eigenvalues of its companion matrix, which are
-    backward stable (Edelman & Murakami, Math. Comp. 64, 1995), from the
-    gufunc ``numpy.linalg._umath_linalg.eigvals`` through
-    ``_companion_eigenvalues``.  Raises RootFindingError when a root is not
-    a finite float; a NaN root is LAPACK not converging."""
-    k0 = next(k for k, x in enumerate(monic) if x)
-    shift = np.eye(len(monic) - 1 - k0, k=-1, dtype=complex)
-    z = _companion_eigenvalues(np.array(monic, dtype=complex), k0, shift)
-    if not all(map(cmath.isfinite, z)):
-        raise RootFindingError(f"non-finite root for coefficients {monic}")
-    return z
+    """``floats.companion_roots(monic)``.  The first call imports the float
+    engine, and with it numpy, and binds this name to that function, so no
+    later root solve runs an import."""
+    global _companion_roots
+    from .floats import companion_roots as _companion_roots
+
+    return _companion_roots(monic)
 
 
 def roots(coeffs) -> list:
@@ -750,7 +667,7 @@ def roots(coeffs) -> list:
     ``_companion_roots`` on its ``_monic_image``.  The pairs are those of
     splitting f, bit for bit and in order: f's factor of multiplicity k is
     z h for g's factor h of that multiplicity (or z), the others are g's,
-    and ``_companion_eigenvalues`` solves the monic image of z h, h's
+    and ``floats._companion_eigenvalues`` solves the monic image of z h, h's
     shifted up one place, as h's, with 0j last.
     """
     if not coeffs:

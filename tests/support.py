@@ -8,16 +8,14 @@ import numpy as np
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
-from corrdyn import polyalg
+from corrdyn import floats, polyalg
 from corrdyn.bimodule import FockTruncation, inner_product, monomial_basis_element
 from corrdyn.correspondence import SpherePoint, _point_sort_key, chordal_distance
 from corrdyn.dynamics import ArcSet, CircleCorrespondence, PathSample, _check_path_count
 from corrdyn.errors import InvalidInputError, ResourceLimitError
+from corrdyn.floats import _U, _UNDERFLOW, FloatGrid
 from corrdyn.polyalg import (
-    _U,
-    _UNDERFLOW,
     BivariatePolynomial,
-    FloatGrid,
     _crt,
     _fp_divmod,
     _prime,
@@ -187,7 +185,7 @@ class ReferencePolynomial:
 
 @np.errstate(over="ignore")
 def reference_float_grid(ref: ReferencePolynomial):
-    """(grid, abs_grid, floor) of polyalg.FloatGrid, floor as an array, with
+    """(grid, abs_grid, floor) of floats.FloatGrid, floor as an array, with
     grid made of complex(c) for each Gaussian-rational coefficient c of ref."""
     grid = np.array([[complex(c) for c in row] for row in ref.coeffs])
     abs_grid = np.abs(grid)
@@ -364,7 +362,7 @@ def reference_roots(coeffs) -> list:
     return [
         (complex(r), mult)
         for factor, mult in polyalg.squarefree_factors(coeffs)
-        for r in polyalg._companion_roots(polyalg._monic_image(factor))
+        for r in floats.companion_roots(polyalg._monic_image(factor))
     ]
 
 
@@ -834,7 +832,7 @@ def dense_vanishing_lemma_check(ft: FockTruncation, a: dict, x: tuple, y: tuple)
 
 
 # The numpy route to the float-fiber certificate: np.roots and array
-# arithmetic throughout.  corrdyn.correspondence._certified_points computes
+# arithmetic throughout.  corrdyn.floats.FloatGrid.certified_points computes
 # the same eigenvalues and runs the certificate on Python scalars; this is
 # the oracle it is compared against.
 
@@ -898,7 +896,7 @@ def reference_float_specialise(grid, v: complex, inverted: bool):
 
 
 # The two-step route to the certified float fiber that
-# corrdyn.correspondence._certified_points runs as one pass: the
+# corrdyn.floats.FloatGrid.certified_points runs as one pass: the
 # specialisation (c, e), then the certificate on Python scalars, which also
 # returns the disc radii, then the points in sort order.  Each step performs
 # the float operations of the one pass in the same order, so the route is
@@ -928,7 +926,7 @@ def scalar_certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
     disjoint discs D(zeta_i, r_i), and every two zeta lie more than
     separation apart in the chordal metric; None when the test is undecided
     or a pair is closer.  zeta come from
-    ``corrdyn.polyalg._companion_eigenvalues`` on a fresh shift matrix.
+    ``corrdyn.floats._companion_eigenvalues`` on a fresh shift matrix.
     numpy's floating-point warnings are left to the caller."""
     d = len(c) - 1
     cs, es = c.tolist(), e.tolist()
@@ -938,7 +936,7 @@ def scalar_certified_roots(c: np.ndarray, e: np.ndarray, separation: float):
         k0 = next((k for k, ck in enumerate(cs) if ck != 0), d)
         if k0 >= 2 or not lead > 0:
             return None
-        zeta = polyalg._companion_eigenvalues(c, k0, np.eye(d, k=-1, dtype=complex))
+        zeta = floats._companion_eigenvalues(c, k0, np.eye(d, k=-1, dtype=complex))
         size = [abs(z) for z in zeta]
         slack = [ek + gamma * abs(ck) for ck, ek in zip(cs, es)]
         pairs = [(abs(z - zeta[j]), i, j) for i, z in enumerate(zeta) for j in range(i)]
@@ -983,7 +981,7 @@ def separated_points(simple) -> tuple:
 
 @np.errstate(all="ignore")
 def reference_certified_points(grid: FloatGrid, v: complex, inverted: bool, separation: float):
-    """What ``_certified_points(grid, v, inverted, separation)`` returns,
+    """What ``grid.certified_points(v, inverted, separation)`` returns,
     by the two-step route."""
     found = scalar_certified_roots(*float_specialise(grid, v, inverted), separation)
     return None if found is None else separated_points(found[0])

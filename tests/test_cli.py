@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn import cli, correspondence, dynamics, polyalg
+from corrdyn import bimodule, cli, correspondence, dynamics, floats, polyalg
 from corrdyn.cli import main, parse_polynomial_spec
 from corrdyn.correspondence import SpherePoint
 
@@ -125,6 +125,46 @@ class TestBranch:
                               env=_subprocess_env(), timeout=60)
         assert json.loads(proc.stdout)["branch_points"]
         assert proc.stderr.decode().split() == ["0", "False"]
+
+
+class TestImportsFollowTheCommand:
+    # each command runs in a fresh process, so what it loaded is what its
+    # command needed: the closed forms read only a family's exponents, and
+    # a fiber on a family spec needs neither dynamics, bimodule nor ktheory
+    SCRIPT = (
+        "import json, sys\n"
+        "from corrdyn.cli import main\n"
+        "code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    )
+
+    def loaded(self, argv):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
+                              capture_output=True, env=_subprocess_env(), timeout=60)
+        code, modules = json.loads(proc.stderr.decode().splitlines()[-1])
+        return code, set(modules)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["kgroups", "--poly", '{"family":"monomial","m":3,"n":2}'], 0),
+        (["kgroups", "--table", "3", "3"], 0),
+        (["expansive", "--poly", '{"family":"monomial","m":2,"n":3}'], 0),
+        (["free", "--poly", '{"family":"monomial","m":2,"n":3}'], 0),
+        (["kgroups", "--poly", '{"family":"mixed","pairs":[[2,1],[1,3]]}'], 4),
+    ], ids=["kgroups", "kgroups-table", "expansive", "free", "kgroups-mixed"])
+    def test_closed_forms_load_neither_numpy_nor_sympy(self, argv, code):
+        ran, modules = self.loaded(argv)
+        assert ran == code
+        assert modules & {"numpy", "sympy"} == set()
+
+    @pytest.mark.parametrize("argv", [
+        ["fibers", "--poly", '{"family":"monomial","m":2,"n":3}', "--point", "[0.5,0]"],
+        ["fibers", "--poly", '{"family":"product","exponents":[2,3]}', "--point", "[0.5,0]"],
+        ["branch", "--poly", '{"family":"product","exponents":[2,3]}'],
+    ], ids=["fibers-monomial", "fibers-product", "branch-product"])
+    def test_family_fibers_load_no_dynamics(self, argv):
+        ran, modules = self.loaded(argv)
+        assert ran == 0
+        assert modules & {"corrdyn.dynamics", "corrdyn.bimodule", "corrdyn.ktheory"} == set()
 
 
 class TestInvariantAndPaths:
@@ -587,6 +627,10 @@ PINNED_FIBERS = [argv for argv in _corpus_argvs()
 # inner-product grids of certified float fibers, pinned likewise
 PINNED_INNER = [argv for argv in _corpus_argvs()
                 if argv[:1] == ["inner"] and json.dumps(argv) in EXITED_0]
+# free decisions without --gp, closed forms in the family's exponents
+PINNED_DECISIONS = [argv for argv in _corpus_argvs()
+                    if argv[:1] == ["free"] and "--gp" not in argv
+                    and json.dumps(argv) in EXITED_0]
 # refusals pinned with their exit code and JSON error
 PINNED_REFUSALS = [argv for argv in _corpus_argvs()
                    if json.dumps(argv) in GOLDEN.keys() - EXITED_0]
@@ -622,6 +666,12 @@ class TestGoldenOutputs:
         assert main(argv) == 0
         assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]["stdout"]
 
+    @pytest.mark.parametrize("argv", PINNED_DECISIONS,
+                             ids=[f"free-{i}" for i in range(len(PINNED_DECISIONS))])
+    def test_pinned_decisions_match(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == GOLDEN[json.dumps(argv)]["stdout"]
+
     @pytest.mark.parametrize("argv", PINNED_REFUSALS,
                              ids=[f"{argv[0]}-{i}" for i, argv in enumerate(PINNED_REFUSALS)])
     def test_pinned_refusals_match(self, capsys, monkeypatch, tmp_path, argv):
@@ -634,7 +684,7 @@ class TestGoldenOutputs:
         assert list(tmp_path.iterdir()) == []
 
     def test_every_golden_output_is_in_the_corpus(self):
-        pinned = EXACT_ARGVS + PINNED_FIBERS + PINNED_INNER + PINNED_REFUSALS
+        pinned = EXACT_ARGVS + PINNED_FIBERS + PINNED_INNER + PINNED_DECISIONS + PINNED_REFUSALS
         assert set(GOLDEN) <= {json.dumps(argv) for argv in pinned}
 
 
@@ -666,7 +716,7 @@ class TestErrors:
             def eigvals(a, signature):
                 return np.full(len(a), complex(math.nan, 0))
 
-        monkeypatch.setattr(polyalg, "_umath_linalg", Failing)
+        monkeypatch.setattr(floats, "_umath_linalg", Failing)
         assert main(["fibers", "--poly", '{"family":"monomial","m":5,"n":2}',
                      "--point", "[0.6,0.8]"]) == 2
         assert last_error(capsys) == "root-finding"
@@ -732,9 +782,9 @@ class TestErrors:
             raise AssertionError("worked before the input was checked")
 
         for module, name in ((dynamics, "limit_set_sample"), (dynamics, "path_space"),
-                             (dynamics, "invariant_check"), (cli.bimodule, "inner_product"),
-                             (cli.Correspondence, "forward_fiber"),
-                             (cli.Correspondence, "backward_fiber")):
+                             (dynamics, "invariant_check"), (bimodule, "inner_product"),
+                             (correspondence.Correspondence, "forward_fiber"),
+                             (correspondence.Correspondence, "backward_fiber")):
             monkeypatch.setattr(module, name, refuse)
         assert main(argv) == 2
         assert last_error(capsys) == "invalid-input"
@@ -772,7 +822,7 @@ class TestEscapingOrbits:
             assert last_error(capsys) == "root-finding"
             return
         assert code == 0
-        corr, _ = parse_polynomial_spec(json.loads(spec))
+        corr = parse_polynomial_spec(json.loads(spec)).correspondence
         chain = []
         for line in out.read_text().splitlines()[1:]:
             re, im, chart = line.split(",")

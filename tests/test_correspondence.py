@@ -11,13 +11,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn import correspondence, polyalg
+from corrdyn import correspondence, floats, polyalg
 from corrdyn.correspondence import (
     Correspondence,
     SpherePoint,
     WeightedFiber,
     _branching,
-    _certified_points,
     _chordal_merge,
     chordal_distance,
     unit_circle_points,
@@ -25,7 +24,8 @@ from corrdyn.correspondence import (
 from corrdyn.dynamics import BURN_IN, limit_set_sample
 from corrdyn.errors import InvalidInputError, RootFindingError
 from corrdyn.polyalg import BivariatePolynomial as BP
-from corrdyn.polyalg import FloatGrid, _companion_roots, roots
+from corrdyn.floats import FloatGrid, companion_roots
+from corrdyn.polyalg import roots
 
 from support import (
     GaussianRational,
@@ -635,7 +635,7 @@ class TestFloatFirstFiber:
         ])
         poly, expected = _fiber_problem(p, "forward")
         base = SpherePoint.from_complex(-0.9999999999999997 + 0j)
-        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is None
+        assert FloatGrid(poly).certified_points(*base.chart_value(), 0) is None
         fiber = Correspondence(p, check_squarefree=False).forward_fiber(base)
         _same_fiber(fiber, _reference_fiber(poly, base, expected))
 
@@ -654,7 +654,7 @@ class TestFloatFirstFiber:
         assert (got is None) == (want is None)
         if got is not None:
             assert [repr(z) for z in got[0]] == [repr(complex(z)) for z in want[0]]
-        points = _certified_points(grid, *base.chart_value(), 0)
+        points = grid.certified_points(*base.chart_value(), 0)
         assert (points is None) == (want is None)
         if points is not None:
             assert _stored(points) == _stored(separated_points([complex(z) for z in want[0]]))
@@ -686,13 +686,13 @@ class TestFloatFirstFiber:
         for base in bases:
             v, inverted = base.chart_value()
             for poly, grid in problems:
-                got = _certified_points(grid, v, inverted, separation)
+                got = grid.certified_points(v, inverted, separation)
                 want = reference_certified_points(FloatGrid(poly), v, inverted, separation)
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert _stored(got) == _stored(want) and repr(got) == repr(want)
                 if any(monic[:-1]):
-                    assert repr(_companion_roots(monic)) == repr(
+                    assert repr(companion_roots(monic)) == repr(
                         [complex(z) for z in np.roots(monic[::-1])])
                 shift = np.eye(len(grid.companion), k=-1, dtype=complex)
                 assert (grid.companion[1:] == shift[1:]).all()
@@ -705,7 +705,7 @@ class TestFloatFirstFiber:
         # pass on the correspondence's own grids (their companion buffers
         # reused from step to step) decides alike and stores the bits of the
         # two-step route
-        one_pass, decided = correspondence._certified_points, []
+        one_pass, decided = FloatGrid.certified_points, []
 
         def checked(grid, v, inverted, separation):
             got = one_pass(grid, v, inverted, separation)
@@ -716,7 +716,7 @@ class TestFloatFirstFiber:
             decided.append(got is not None)
             return got
 
-        monkeypatch.setattr(correspondence, "_certified_points", checked)
+        monkeypatch.setattr(FloatGrid, "certified_points", checked)
         corr = Correspondence(ORBIT_FAMILIES[family])
         try:
             limit_set_sample(corr, 300, 29, direction, SpherePoint.from_complex(complex(0.6, 0.8)))
@@ -764,7 +764,7 @@ class TestFloatFirstFiber:
     def test_multiple_points_take_the_exact_path(self, p, direction, base, points):
         poly, _ = _fiber_problem(p, direction)
         base = SpherePoint.infinity() if base is None else SpherePoint.from_complex(base)
-        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is None
+        assert FloatGrid(poly).certified_points(*base.chart_value(), 0) is None
         corr = Correspondence(p, check_squarefree=False)
         fiber = corr.backward_fiber(base) if direction == "backward" else corr.forward_fiber(base)
         want = [(SpherePoint.infinity() if z is None else SpherePoint.from_complex(z), e)
@@ -776,7 +776,7 @@ class TestFloatFirstFiber:
         # the float test, still make one double point at tol 1e-6
         poly = BP.monomial_relation(2, 1)
         base = SpherePoint.from_complex(1e-16 + 0j)
-        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is not None
+        assert FloatGrid(poly).certified_points(*base.chart_value(), 0) is not None
         fiber = Correspondence(poly, check_squarefree=False).backward_fiber(base)
         assert [e for _, e in fiber.points] == [2]
         assert abs(fiber.points[0][0].to_complex()) < 1e-7
@@ -791,7 +791,7 @@ class TestFloatFirstFiber:
         # integers from the specialisation to the float images
         poly, expected = _fiber_problem(p, direction)
         grid, base = FloatGrid(poly), SpherePoint.from_complex(base)
-        assert _certified_points(grid, *base.chart_value(), 0) is None
+        assert grid.certified_points(*base.chart_value(), 0) is None
         want = Correspondence._fiber(grid, poly, base, expected, 1e-6)
         assert max(e for _, e in want.points) == 2
 
@@ -809,9 +809,9 @@ class TestFloatFirstFiber:
         # where the exact path's eigenvalues fail too, RootFindingError
         poly, expected = _fiber_problem(ORBIT_FAMILIES[2], "backward")
         grid, base = FloatGrid(poly), SpherePoint.from_complex(complex(0.6, 0.8))
-        assert _certified_points(grid, *base.chart_value(), 0) is not None
+        assert grid.certified_points(*base.chart_value(), 0) is not None
         want = Correspondence._fiber(None, poly, base, expected, 1e-6)
-        gufunc, calls = polyalg._umath_linalg.eigvals, []
+        gufunc, calls = floats._umath_linalg.eigvals, []
 
         class Failing:
             @staticmethod
@@ -821,7 +821,7 @@ class TestFloatFirstFiber:
                     return gufunc(a, signature=signature)
                 return np.full(len(a), complex(math.nan, 0))
 
-        monkeypatch.setattr(polyalg, "_umath_linalg", Failing)
+        monkeypatch.setattr(floats, "_umath_linalg", Failing)
         failures = 1
         assert Correspondence._fiber(grid, poly, base, expected, 1e-6) == want
         assert calls == [5, 5]  # the float companion, then the exact squarefree one's
@@ -834,7 +834,7 @@ class TestFloatFirstFiber:
     def test_nan_base_takes_the_exact_path(self):
         poly = BP.monomial_relation(2, 3)
         base = SpherePoint(complex(math.nan, 0.0), 1 + 0j)
-        assert _certified_points(FloatGrid(poly), *base.chart_value(), 0) is None
+        assert FloatGrid(poly).certified_points(*base.chart_value(), 0) is None
         with pytest.raises(ValueError, match="NaN"):
             Correspondence(poly, check_squarefree=False).backward_fiber(base)
 

@@ -12,13 +12,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn import cli, correspondence, polyalg
-from corrdyn.correspondence import _certified_points
+from corrdyn import cli, floats, polyalg
 from corrdyn.errors import InvalidInputError, RootFindingError
+from corrdyn.floats import FloatGrid, companion_roots
 from corrdyn.polyalg import (
     BivariatePolynomial,
-    FloatGrid,
-    _companion_roots,
     _newton_steps,
     _P,
     _xcoprime,
@@ -83,7 +81,7 @@ def yun_roots(f):
     return [
         (complex(r), mult)
         for factor, mult in reference_squarefree_factors(f.coeffs)
-        for r in _companion_roots([complex(c) for c in factor])
+        for r in companion_roots([complex(c) for c in factor])
     ]
 
 
@@ -185,7 +183,7 @@ class TestRoots:
         def fake_eigenvalues(c, k0, companion):
             return [root] * (len(c) - 1)
 
-        monkeypatch.setattr(polyalg, "_companion_eigenvalues", fake_eigenvalues)
+        monkeypatch.setattr(floats, "_companion_eigenvalues", fake_eigenvalues)
         with pytest.raises(RootFindingError, match="non-finite root"):
             roots(integer_coeffs(UnivariatePolynomial([GR(1), GR(1)])))
 
@@ -330,7 +328,7 @@ def _certify(c, e, separation=0):
         warnings.simplefilter("error")
         c = grid.grid @ np.ones(1, dtype=complex)  # c, up to the signs of zero parts
         found = scalar_certified_roots(c, np.array(e, dtype=float), separation)
-        points = _certified_points(grid, 1 + 0j, False, separation)
+        points = grid.certified_points(1 + 0j, False, separation)
     assert (points is None) == (found is None)
     if found is not None:
         assert _stored(points) == _stored(separated_points(found[0]))
@@ -388,8 +386,7 @@ class TestCertifiedRoots:
             raise AssertionError("companion eigenvalues computed")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyalg, "_companion_eigenvalues", refuse)
-            mp.setattr(correspondence, "_companion_eigenvalues", refuse)
+            mp.setattr(floats, "_companion_eigenvalues", refuse)
             assert _certify(c, e) is None
 
     @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
@@ -464,7 +461,7 @@ class TestCompanionEigenvalues:
         # one shift matrix of size d serves k0 = 0 and, through its leading
         # block, k0 = 1; only its row 0 changes
         buffer = np.eye(d, k=-1, dtype=complex)
-        got = [repr(z) for z in polyalg._companion_eigenvalues(c, k0, buffer)]
+        got = [repr(z) for z in floats._companion_eigenvalues(c, k0, buffer)]
         assert got == [repr(complex(z)) for z in eigvals + [0j] * k0]
         assert got == [repr(complex(z)) for z in np.roots(c[::-1])]
         assert (buffer[1:] == np.eye(d, k=-1)[1:]).all()
@@ -472,7 +469,7 @@ class TestCompanionEigenvalues:
     def test_row_beyond_float_range_is_nan(self):
         # where np.linalg.eigvals would raise LinAlgError on an inf entry
         with np.errstate(all="ignore"):
-            got = polyalg._companion_eigenvalues(np.array([1e308, 0, 1e-10j]), 0, np.eye(2, dtype=complex))
+            got = floats._companion_eigenvalues(np.array([1e308, 0, 1e-10j]), 0, np.eye(2, dtype=complex))
         assert len(got) == 2 and all(map(cmath.isnan, got))
 
 
@@ -777,7 +774,7 @@ def _assert_same(p: BivariatePolynomial, ref: ReferencePolynomial):
     if grid is not None:
         got = (grid.grid, grid.abs_grid, np.array(grid.floor))
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        horner = 8 * (ref.deg_z + 2) * polyalg._U
+        horner = 8 * (ref.deg_z + 2) * floats._U
         assert (grid.horner, grid.lift, grid.shrink) == (horner, 1 + horner, 1 - horner)
     # the same values written as (Fraction, Fraction) pairs, with a zero row
     rewritten = BivariatePolynomial(
