@@ -13,13 +13,8 @@ Usage: python3 scripts/expansive_survey.py [MAX]
 import sys
 from fractions import Fraction
 
-from corrdyn.dynamics import (
-    ArcSet,
-    CircleCorrespondence,
-    component_count,
-    expansive_decide,
-    expansive_oracle,
-)
+from corrdyn.dynamics import ArcSet, expansive_oracle
+from corrdyn.families import CircleCorrespondence, component_count, expansive_decide
 
 
 def main():

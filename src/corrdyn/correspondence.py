@@ -28,7 +28,7 @@ imports the float engine, ``corrdyn.floats``, when it builds its first
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
@@ -134,20 +134,21 @@ class WeightedFiber(tuple):
         return sum(e for _, e in self.points)
 
 
-@dataclass(frozen=True)
-class BranchedSets:
-    """The four finite exceptional sets of a correspondence.
+class BranchedSets(namedtuple(
+        "BranchedSets", "branch_points branch_values cobranch_values cobranch_points")):
+    """The four finite exceptional sets of a correspondence, each a tuple.
 
     branch_points:   z with a multiple z-root over some w      (bound 2m(m-1)n)
     branch_values:   w over which the z-fiber is branched      (bound 2(m-1)n)
     cobranch_values: w that is a multiple w-root over some z   (bound 2n(n-1)m)
     cobranch_points: z over which the w-fiber is branched      (bound 2(n-1)m)
+
+    A named tuple, as SpherePoint is a tuple: a frozen dataclass costs about
+    a millisecond to define, which every process that imports this module
+    pays.
     """
 
-    branch_points: tuple
-    branch_values: tuple
-    cobranch_values: tuple
-    cobranch_points: tuple
+    __slots__ = ()
 
 
 class Correspondence:

@@ -25,13 +25,7 @@ from .correspondence import (
     chordal_distance,
 )
 from .errors import InvalidInputError, ResourceLimitError
-from .families import (  # re-exported: the circle families and their closed forms
-    STEP_BITS_CAP,
-    CircleCorrespondence,
-    component_count,
-    expansive_decide,
-    free_decide,
-)
+from .families import CircleCorrespondence
 
 __all__ = [
     "PathSample",
@@ -41,10 +35,7 @@ __all__ = [
     "GPSampleReport",
     "path_space",
     "invariant_check",
-    "expansive_decide",
     "expansive_oracle",
-    "component_count",
-    "free_decide",
     "gp_enumerate",
     "gp_sample",
     "circle_sampler",

@@ -3,12 +3,12 @@ by their exponents alone, and the closed forms that read nothing else:
 expansiveness, the component count and freeness.  With ktheory's builders
 they answer kgroups, expansive and free, so this module imports neither
 numpy nor the polynomial machinery; ``to_correspondence`` loads that on
-first use.  ``dynamics`` re-exports all of it."""
+first use.  ``dynamics`` re-exports the class."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional, Sequence
 
 from .errors import InvalidInputError
@@ -27,17 +27,18 @@ __all__ = [
 STEP_BITS_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class CircleCorrespondence:
+class CircleCorrespondence(namedtuple("CircleCorrespondence", "kind params")):
     """Correspondence family invariant on the unit circle.
 
     kind "monomial":        z^m - w^n, params (m, n)
     kind "power_product":   prod_i (w - z^{m_i}), params = exponents
     kind "mixed_product":   prod_k (z^{i_k} - w^{j_k}), params = pairs
+
+    A named tuple rather than a frozen dataclass, whose definition alone
+    costs about a millisecond of every one-shot command.
     """
 
-    kind: str
-    params: tuple
+    __slots__ = ()
 
     @staticmethod
     def monomial(m: int, n: int) -> "CircleCorrespondence":

@@ -1165,7 +1165,7 @@ def reference_component_count(cc: CircleCorrespondence, samples: int = 10**4) ->
     1): nodes are exact rational samples along the n offset lines,
     consecutive samples along a line are joined, and coinciding sample
     points (including the wrap-around) are identified; the oracle for
-    dynamics.component_count."""
+    families.component_count."""
     cc._require_monomial()
     m, n = cc.m, cc.n
     if samples < 4 * n * (m + 1):

@@ -19,16 +19,14 @@ from corrdyn.correspondence import (
     chordal_distance,
     unit_circle_points,
 )
-from corrdyn.dynamics import (
-    ArcSet,
+from corrdyn.dynamics import ArcSet, expansive_oracle, gp_enumerate
+from corrdyn.errors import CorrdynError, InvalidInputError
+from corrdyn.families import (
     CircleCorrespondence,
     component_count,
     expansive_decide,
-    expansive_oracle,
     free_decide,
-    gp_enumerate,
 )
-from corrdyn.errors import CorrdynError, InvalidInputError
 from corrdyn.ktheory import (
     AbelianGroupPresentation,
     monomial_family_input,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn import bimodule, cli, correspondence, dynamics, floats, polyalg
+from corrdyn import bimodule, cli, correspondence, dynamics, families, floats, polyalg
 from corrdyn.cli import main, parse_polynomial_spec
 from corrdyn.correspondence import SpherePoint
 
@@ -234,7 +234,7 @@ class TestExpansive:
             raise AssertionError("oracle ran before --max-steps was checked")
 
         monkeypatch.setattr(dynamics, "expansive_oracle", refuse)
-        steps = dynamics.STEP_BITS_CAP // m.bit_length() + 1
+        steps = families.STEP_BITS_CAP // m.bit_length() + 1
         assert main([
             "expansive", "--poly", f'{{"family":"monomial","m":{m},"n":{2 * m}}}',
             "--oracle", "[[0,1,1,1000]]", "--max-steps", str(steps),
@@ -243,7 +243,7 @@ class TestExpansive:
 
     def test_largest_max_steps_within_deadline(self, capsys):
         # m = 2 admits the most steps; m^r | n^r means no step covers the circle
-        steps = dynamics.STEP_BITS_CAP // 2
+        steps = families.STEP_BITS_CAP // 2
         start = time.monotonic()
         code, rep = run(capsys, [
             "expansive", "--poly", '{"family":"monomial","m":2,"n":4}',

@@ -12,10 +12,7 @@ from corrdyn.dynamics import (
     ArcSet,
     CircleCorrespondence,
     circle_sampler,
-    component_count,
-    expansive_decide,
     expansive_oracle,
-    free_decide,
     gp_enumerate,
     gp_sample,
     invariant_check,
@@ -23,6 +20,7 @@ from corrdyn.dynamics import (
     path_space,
 )
 from corrdyn.errors import InvalidInputError, ResourceLimitError
+from corrdyn.families import component_count, expansive_decide, free_decide
 from corrdyn.polyalg import BivariatePolynomial as BP
 
 from support import (
