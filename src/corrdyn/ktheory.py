@@ -2,11 +2,13 @@
 generated abelian groups in invariant-factor form, a solver for the
 six-term sequence of a Cuntz-Pimsner algebra with torsion-free input data,
 and builders for the circle families.  The sequence splits by degree, so
-`kgroup_table` reduces each degree's map of the monomial family once."""
+`kgroup_table` reduces each degree's map of the monomial family once.
+Its three record types are named tuples, which a one-shot kgroups defines
+in a fraction of what three frozen dataclasses and their module cost."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import InvalidInputError, ResourceLimitError, UndecidedError
@@ -24,12 +26,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(namedtuple("IntegerMatrix", "entries")):
     """Dense integer matrix; rows x cols, viewed as a map Z^cols -> Z^rows
-    acting on column vectors."""
+    acting on column vectors; entries is a tuple of row tuples."""
 
-    entries: tuple  # of row tuples
+    __slots__ = ()
 
     @staticmethod
     def of(rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
@@ -98,19 +99,18 @@ def smith_normal_form(M: IntegerMatrix) -> list:
     return [abs(D[i][i]) for i in range(size)]
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(namedtuple("AbelianGroupPresentation", "rank torsion")):
     """Z^rank (+) Z/d_1 (+) ... with d_1 | d_2 | ..., each d_i >= 2."""
 
-    rank: int
-    torsion: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0 or any(d < 2 for d in self.torsion):
+    def __new__(cls, rank: int, torsion: tuple = ()):
+        if rank < 0 or any(d < 2 for d in torsion):
             raise InvalidInputError("bad group presentation")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise InvalidInputError("torsion must form a divisibility chain")
+        return super().__new__(cls, rank, torsion)
 
     @property
     def is_free(self) -> bool:
@@ -139,28 +139,22 @@ def cokernel_and_kernel(M: IntegerMatrix):
     )
 
 
-@dataclass(frozen=True)
-class PimsnerInput:
+class PimsnerInput(namedtuple("PimsnerInput", "K0_IX K1_IX K0_A K1_A map0 map1 label")):
     """Data of the six-term sequence: the groups of the ideal and the base
-    algebra in both degrees, and the maps j^* - phi^* on each degree.
-    Torsion-free inputs only."""
+    algebra in both degrees (AbelianGroupPresentation), the maps j^* - phi^*
+    on each degree (IntegerMatrix) and a label.  Torsion-free inputs only."""
 
-    K0_IX: AbelianGroupPresentation
-    K1_IX: AbelianGroupPresentation
-    K0_A: AbelianGroupPresentation
-    K1_A: AbelianGroupPresentation
-    map0: IntegerMatrix
-    map1: IntegerMatrix
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        for g in (self.K0_IX, self.K1_IX, self.K0_A, self.K1_A):
+    def __new__(cls, K0_IX, K1_IX, K0_A, K1_A, map0, map1, label: str = ""):
+        for g in (K0_IX, K1_IX, K0_A, K1_A):
             if g.torsion:
                 raise InvalidInputError("solver accepts torsion-free input groups only")
-        if self.map0.rows != self.K0_A.rank or self.map0.cols != self.K0_IX.rank:
+        if map0.rows != K0_A.rank or map0.cols != K0_IX.rank:
             raise InvalidInputError("map0 shape must be rank K0(A) x rank K0(I_X)")
-        if self.map1.rows != self.K1_A.rank or self.map1.cols != self.K1_IX.rank:
+        if map1.rows != K1_A.rank or map1.cols != K1_IX.rank:
             raise InvalidInputError("map1 shape must be rank K1(A) x rank K1(I_X)")
+        return super().__new__(cls, K0_IX, K1_IX, K0_A, K1_A, map0, map1, label)
 
 
 def pimsner_solve(inp: PimsnerInput):
