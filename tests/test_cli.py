@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corrdyn import bimodule, cli, correspondence, dynamics, families, floats, polyalg
+from corrdyn import bimodule, cli, correspondence, dynamics, families, floats
 from corrdyn.cli import main, parse_polynomial_spec
 from corrdyn.correspondence import SpherePoint
 
@@ -161,7 +161,7 @@ class TestImportsFollowTheCommand:
         ["fibers", "--poly", '{"family":"product","exponents":[2,3]}', "--point", "[0.5,0]"],
         ["branch", "--poly", '{"family":"product","exponents":[2,3]}'],
     ], ids=["fibers-monomial", "fibers-product", "branch-product"])
-    def test_family_fibers_load_no_dynamics(self, argv):
+    def test_family_fiber_commands_load_no_dynamics(self, argv):
         ran, modules = self.loaded(argv)
         assert ran == 0
         assert modules & {"corrdyn.dynamics", "corrdyn.bimodule", "corrdyn.ktheory"} == set()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from corrdyn import correspondence, floats, polyalg
+from corrdyn import floats
 from corrdyn.correspondence import (
     Correspondence,
     SpherePoint,
