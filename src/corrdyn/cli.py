@@ -31,6 +31,7 @@ from .errors import (
     UndecidedError,
 )
 from .families import (
+    SAMPLE_CAP,
     STEP_BITS_CAP,
     CircleCorrespondence,
     component_count,
@@ -327,14 +328,12 @@ def cmd_free(args):
     if decision is None:
         raise UndecidedError("no freeness criterion covers this family")
     N = min(args.gp or 2, 3)
+    if args.sample is not None and args.sample * cc.deg_w**N > SAMPLE_CAP:
+        raise ResourceLimitError(
+            f"{args.sample} samples * {cc.deg_w}^{N} paths exceed {SAMPLE_CAP}"
+        )
     if args.gp is not None or args.sample is not None:
         from . import dynamics
-    if args.sample is not None:
-        corr = spec.correspondence
-        if args.sample * corr.deg_w**N > dynamics.SAMPLE_CAP:
-            raise ResourceLimitError(
-                f"{args.sample} samples * {corr.deg_w}^{N} paths exceed {dynamics.SAMPLE_CAP}"
-            )
     report = {"command": "free", "kind": cc.kind, "free": decision}
     if args.gp is not None:
         gp = dynamics.gp_enumerate(cc, args.gp)
@@ -347,7 +346,7 @@ def cmd_free(args):
         }
     if args.sample is not None:
         rep = dynamics.gp_sample(
-            corr, dynamics.circle_sampler, N=N, samples=args.sample, seed=args.seed
+            spec.correspondence, dynamics.circle_sampler, N=N, samples=args.sample, seed=args.seed
         )
         report["sample"] = {
             "samples": rep.samples,

@@ -162,10 +162,10 @@ class Correspondence:
                 "the defining polynomial must have positive degree in z and in w"
             )
         if check_squarefree:
-            ok, witness = squarefree_check(p)
+            ok, witness, what = squarefree_check(p)
             if not ok:
                 raise InvalidInputError(
-                    f"defining polynomial is not reduced; repeated factor {witness!r}"
+                    f"defining polynomial is not reduced; {what} {witness!r}"
                 )
         self.p = p
         self.deg_z = p.deg_z

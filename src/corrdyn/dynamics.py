@@ -25,7 +25,7 @@ from .correspondence import (
     chordal_distance,
 )
 from .errors import InvalidInputError, ResourceLimitError
-from .families import CircleCorrespondence
+from .families import SAMPLE_CAP, CircleCorrespondence
 
 __all__ = [
     "PathSample",
@@ -45,9 +45,8 @@ __all__ = [
 
 # most paths a path space or a Fock level may hold
 PATH_CAP = 200_000
-# most points one chaos-game run may sample (iterations x workers), and the
-# most base points an inner-product grid may hold
-SAMPLE_CAP = 1_000_000
+# most base points an inner-product grid may hold; SAMPLE_CAP (families)
+# bounds the points one chaos-game run may sample
 GRID_CAP = 100_000
 # most line crossings (plus one per line) one GP enumeration may visit
 GP_WORK_CAP = 500_000

@@ -25,6 +25,10 @@ __all__ = [
 # holds the bits of m^r and of the seed arcs' denominators together to it.
 # The oracle's integer steps no longer grow with r, so this over-bounds them
 STEP_BITS_CAP = 20_000
+# most points one chaos-game run may sample (iterations x workers), and most
+# paths free --sample may draw (samples x deg_w^N), which the CLI checks
+# before it builds a grid
+SAMPLE_CAP = 1_000_000
 
 
 class CircleCorrespondence(namedtuple("CircleCorrespondence", "kind params")):
@@ -75,6 +79,15 @@ class CircleCorrespondence(namedtuple("CircleCorrespondence", "kind params")):
     @property
     def d(self) -> int:
         return math.gcd(self.m, self.n)
+
+    @property
+    def deg_w(self) -> int:
+        """deg_w of the family's polynomial, read off its exponents."""
+        if self.kind == "monomial":
+            return self.params[1]
+        if self.kind == "power_product":
+            return len(self.params)  # one w per factor w - z^e
+        return sum(j for _, j in self.params)
 
     def _require_monomial(self):
         if self.kind != "monomial":

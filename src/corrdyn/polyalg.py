@@ -1,11 +1,11 @@
 """Polynomial algebra: bivariate polynomials as one Gaussian-integer grid
 over a least denominator, root finding with exact multiplicities, exact
-resultants, and the squarefree check on sympy Polys.
+resultants, and the squarefree check of a defining polynomial.
 
 A ``BivariatePolynomial`` is its grid of d p, (re, im) pairs of Python
 ints, for d the least positive integer that makes every part an integer;
 each input value is read exactly as a Fraction once, and products,
-transposes, float images and sympy Polys are made from the integers.  So
+transposes, float images and norms are made from the integers.  So
 resultant and squarefree computations never depend on floating point luck.
 Resultants take and return Gaussian integers: those grids
 (``BivariatePolynomial.rows``) and the ascending coefficients of the
@@ -38,10 +38,14 @@ first root solve, and it also holds ``FloatGrid``, from which
 ``correspondence`` certifies a float fiber in one pass.  Whether two
 Gaussian-integer polynomials are coprime (``_xcoprime``) is decided modulo
 a prime first, and by their exact resultant otherwise.  sympy serves only
-``squarefree_check``: the gcds of the norm p p-bar of a defining polynomial
-with its partial derivatives over the integers, and, only when that is
-inconclusive or p is refused, the gcds of p itself with its partial
-derivatives over the smallest exact domain of its coefficients.
+``squarefree_check``: univariate gcds over the integers, on sympy's dense
+lists, of the norm p p-bar of a defining polynomial at w = 0, 1 or -1 and
+of its coefficients, which accept almost every input, and, only when they
+are inconclusive or p is refused, the gcds of p itself with its partial
+derivatives over the smallest exact domain of its coefficients.  A check
+modulo primes could accept without sympy, but sympy stays until
+bench/run.py reads sympy's version without the import an op makes
+(ROADMAP.md, item 1).
 """
 
 from __future__ import annotations
@@ -719,7 +723,7 @@ def _newton_steps(cs, z: complex, m: int) -> complex:
 
 # ---------------------------------------------------------------------------
 # resultants by one subresultant sequence at a Kronecker point, and the
-# squarefree check on sympy Polys
+# squarefree check from images of the norm
 
 
 def resultant_z(F, G) -> list:
@@ -846,53 +850,80 @@ def _poly_terms(P) -> dict:
     return out
 
 
-def _norm_squarefree(p: BivariatePolynomial) -> bool:
-    """Whether the norm N of p is coprime to each of its nonzero partial
-    derivatives, with every gcd over ZZ.  With d p = a + b i for a, b in
-    Z[z, w], N = a^2 + b^2 = (d p)(d p-bar), p-bar the coefficientwise
-    conjugate, and N = a when b = 0.  False is no verdict on p."""
-    import sympy as sp
+def _norm_grid(p: BivariatePolynomial) -> list:
+    """The norm N = a^2 + b^2 of d p = a + b i, a, b in Z[z, w], as rows of
+    Python ints (rows in z, columns in w): N = (d p)(d p-bar), p-bar the
+    coefficientwise conjugate, and N = a when b = 0."""
+    rows = p.rows
+    if not any(y for row in rows for _, y in row):
+        return [[x for x, _ in row] for row in rows]
+    terms = [(i, j, x, y) for i, row in enumerate(rows) for j, (x, y) in enumerate(row) if x or y]
+    out = [[0] * (2 * p.deg_w + 1) for _ in range(2 * p.deg_z + 1)]
+    for i, j, x, y in terms:
+        for k, l, u, v in terms:
+            out[i + k][j + l] += x * u + y * v
+    return out
 
-    gens = sp.symbols("z w")
-    a, b = ({(i, j): c[k] for i, row in enumerate(p.rows) for j, c in enumerate(row) if c[k]}
-            for k in (0, 1))
-    A = sp.Poly.from_dict(a, gens, domain=sp.ZZ)
-    N = A if not b else A**2 + sp.Poly.from_dict(b, gens, domain=sp.ZZ) ** 2
-    for gen in gens:
-        D = N.diff(gen)
-        if not D.is_zero and N.gcd(D).total_degree() > 0:
+
+def _image_squarefree(p: BivariatePolynomial) -> bool:
+    """Whether the norm N of p (``_norm_grid``) has constant z- and
+    w-contents and, at some w0 in (0, 1, -1) that keeps lc_z(N), a
+    squarefree image N(z, w0); every gcd is one over ZZ in one variable,
+    on sympy's dense lists.  False is no verdict on p."""
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+    from sympy.polys.sqfreetools import dup_sqf_p
+
+    N = _norm_grid(p)
+    images = ([row[0] for row in N], [sum(row) for row in N],
+              [sum(row[::2]) - sum(row[1::2]) for row in N])
+    if not any(image[-1] and dup_sqf_p(image[::-1], ZZ) for image in images):
+        return False
+    for lines in (N, zip(*N)):  # the z-coefficients, then the w-coefficients
+        g = []
+        for line in lines:
+            g = dup_gcd(g, dup_strip(list(line[::-1])), ZZ)
+            if len(g) == 1:
+                break
+        else:
             return False
     return True
 
 
 def squarefree_check(p: BivariatePolynomial):
-    """(True, None) when p has no repeated factor and no nonconstant factor
-    free of a variable p depends on; else (False, witness) where witness is
-    a nonconstant common factor of p and one of its nonzero partial
-    derivatives.
+    """(True, None, None) when p has no repeated factor and no nonconstant
+    factor free of a variable p depends on; else (False, witness, what),
+    where witness G = gcd(p, dp/dx) is nonconstant for the first variable x
+    in (z, w) whose partial is nonzero and gives one, and what names it:
+    "repeated factor" when deg_x G >= 1, "factor free of x" otherwise.
 
-    The norm N = p p-bar over ZZ (``_norm_squarefree``) decides most inputs
-    first, the route Trager's algorithm takes for algebraic extensions
-    (Trager, SYMSAC '76), because sympy's gcd over ZZ is the heuristic gcd
-    (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989), many times faster
-    than the subresultant gcds it runs over ZZ_I.  It is sound: a repeated
-    factor q^2 of p gives (q q-bar)^2 | N, so q q-bar divides N and its
-    partial in a variable q depends on; and a nonconstant factor q of p free
-    of a variable x in which p has degree k >= 1 gives q q-bar | N, free of
-    x, so q q-bar also divides dN/dx, which is nonzero since N has x-degree
-    2k.  So when N is coprime to each of its nonzero partials, p passes the
-    gcds below, and (True, None) is returned with no gcd over the Gaussian
-    rationals.  N also has a repeated factor when p is squarefree but
-    shares a factor with p-bar (a factor with real coefficients, or p = i
-    times a real polynomial); then, and whenever p is refused, the gcds of
-    p with its partials run over the smallest exact domain of p, and they
-    alone give the witness, made monic in lex order as the gcd over QQ_I
-    is.  sympy stays the engine of both routes, although a check modulo a
-    prime could drop it from the first: bench/run.py reads sympy's version
-    for its record from the module an op has loaded, and fails a run in
-    which no op loaded sympy."""
-    if _norm_squarefree(p):
-        return True, None
+    p is accepted first from univariate images of its norm N over ZZ
+    (``_norm_grid``: (d p)(d p-bar), or d p itself when p is real), by
+    Brown's argument from one lucky specialisation (J. ACM 18, 1971), in
+    ``_image_squarefree``.  A nonconstant factor q of p over Q(i) gives the
+    factor r = q q-bar of N (r = q when p is real), with q's degrees, and
+    r^2 | N when q^2 | p.  If q^2 | p and deg_z q >= 1, then, as
+    lc_z(N)(w0) != 0, the image of r at w0 keeps its positive z-degree and
+    its square divides N(z, w0), which is then not squarefree.  If
+    deg_z q = 0, r divides every z-coefficient of N, so the z-content of N
+    is not constant; a factor free of w divides the w-content so.  gcds and
+    squarefreeness in one variable are the same over Q as over Q(i).  So
+    when both contents are constant and some image is squarefree, p has
+    neither kind of factor, and (True, None, None) is returned with no
+    bivariate gcd; sympy's gcd over ZZ is the heuristic gcd (Char, Geddes &
+    Gonnet, J. Symbolic Comput. 7, 1989).  The images fail when N has a
+    repeated factor although p is squarefree (p shares a factor with p-bar:
+    a factor with real coefficients, or p = i times a real polynomial), or
+    when all three points are unlucky; then, and whenever p is refused, the
+    gcds of p with its partials run on sympy Polys over the smallest exact
+    domain of p, and they alone give the verdict and the witness, made monic
+    in lex order as the gcd over QQ_I is.  sympy stays the engine of both
+    routes until bench/run.py reads sympy's version without the import an op
+    makes (ROADMAP.md, item 1): it fails a run in which no op loaded sympy,
+    and this check is the only code of corrdyn that loads it."""
+    if _image_squarefree(p):
+        return True, None, None
     P = _sympy_poly(p)
     for gen in P.gens:
         D = P.diff(gen)
@@ -903,5 +934,6 @@ def squarefree_check(p: BivariatePolynomial):
             grid = [[0] * (G.degree(1) + 1) for _ in range(G.degree(0) + 1)]
             for (i, j), c in _poly_terms(G.monic()).items():
                 grid[i][j] = c
-            return False, BivariatePolynomial(grid)
-    return True, None
+            what = "repeated factor" if G.degree(gen) else f"factor free of {gen}"
+            return False, BivariatePolynomial(grid), what
+    return True, None, None

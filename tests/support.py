@@ -586,8 +586,8 @@ def reference_branching(p: BivariatePolynomial):
 
 
 def reference_squarefree_check(p: BivariatePolynomial):
-    """(verdict, witness) as polyalg.squarefree_check, by sp.gcd over QQ_I;
-    the witness is the monic gcd sympy returns over that field."""
+    """(verdict, witness, what) as polyalg.squarefree_check, by sp.gcd over
+    QQ_I; the witness is the monic gcd sympy returns over that field."""
     pe = _expr(p)
     for var in (Z, W):
         de = sp.diff(pe, var)
@@ -598,8 +598,33 @@ def reference_squarefree_check(p: BivariatePolynomial):
             grid = [[0] * (g.degree(W) + 1) for _ in range(g.degree(Z) + 1)]
             for (i, j), c in g.terms():
                 grid[i][j] = astuple(_qqi(c))
-            return False, BivariatePolynomial(grid)
-    return True, None
+            what = "repeated factor" if g.degree(var) else f"factor free of {var}"
+            return False, BivariatePolynomial(grid), what
+    return True, None, None
+
+
+def norm_squarefree(p: BivariatePolynomial) -> bool:
+    """Whether the norm N of p is coprime to each of its nonzero partial
+    derivatives, with every gcd bivariate over ZZ on sympy Polys.  With
+    d p = a + b i for a, b in Z[z, w], N = a^2 + b^2 = (d p)(d p-bar), and
+    N = a when b = 0.  True proves p has no repeated factor and no
+    nonconstant factor free of a variable it depends on; False is no verdict
+    on p.  The route polyalg.squarefree_check took before its univariate
+    images (the norm route), kept as an oracle for them."""
+    a, b = (norm_parts(p, k) for k in (0, 1))
+    N = a if b.is_zero else a**2 + b**2
+    for gen in N.gens:
+        D = N.diff(gen)
+        if not D.is_zero and N.gcd(D).total_degree() > 0:
+            return False
+    return True
+
+
+def norm_parts(p: BivariatePolynomial, k: int):
+    """The real (k = 0) or imaginary (k = 1) part of d p, a Poly over ZZ in
+    z, w."""
+    terms = {(i, j): c[k] for i, row in enumerate(p.rows) for j, c in enumerate(row) if c[k]}
+    return sp.Poly.from_dict(terms, Z, W, domain=sp.ZZ)
 
 
 def on_correspondence(corr, z, w) -> bool:

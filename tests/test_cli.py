@@ -343,6 +343,16 @@ class TestFree:
         assert main(argv + (["--gp", gp] if gp else [])) == 3
         assert last_error(capsys) == "resource-refusal"
 
+    def test_sample_cap_builds_no_grid(self, capsys, monkeypatch):
+        # deg_w is read off the exponents: the (10^9 + 1)-row grid is never built
+        def refuse(self):
+            raise AssertionError("grid built before --sample was checked")
+
+        monkeypatch.setattr(families.CircleCorrespondence, "to_correspondence", refuse)
+        assert main(["free", "--poly", '{"family":"monomial","m":1000000000,"n":3}',
+                     "--sample", "1000000"]) == 3
+        assert last_error(capsys) == "resource-refusal"
+
 
 class TestInnerAndFock:
     def test_inner_constants(self, capsys):
@@ -720,6 +730,17 @@ class TestErrors:
         assert main(["fibers", "--poly", '{"family":"monomial","m":5,"n":2}',
                      "--point", "[0.6,0.8]"]) == 2
         assert last_error(capsys) == "root-finding"
+
+    @pytest.mark.parametrize("factor,what", [
+        ('[[[1,0]],[[1,0]]]', "factor free of w (1+0i)*z^0*w^0 + (1+0i)*z^1*w^0"),
+        ('[[[1,0],[1,0]]]', "factor free of z (1+0i)*z^0*w^0 + (1+0i)*z^0*w^1"),
+    ], ids=["z-plus-1", "w-plus-1"])
+    def test_factor_free_of_one_variable(self, capsys, factor, what):
+        # (z + 1)(w - z) and (w + 1)(w - z) have no repeated factor
+        assert self.refusal(capsys, f'{{"factors":[{factor},[[[0,0],[1,0]],[[-1,0]]]]}}') == {
+            "error": "invalid-input",
+            "detail": f"defining polynomial is not reduced; {what}",
+        }
 
     def test_mixed_non_squarefree(self, capsys):
         # (z - w)(z^2 - w^2) has the repeated factor z - w

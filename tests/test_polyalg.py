@@ -41,6 +41,8 @@ from support import (
     coefficients,
     exact_polynomial,
     integer_coeffs,
+    norm_parts,
+    norm_squarefree,
     partial_z,
     reference_certified_roots,
     reference_float_grid,
@@ -1047,13 +1049,12 @@ class TestBivariate:
 
     def test_squarefree_check(self):
         good = BivariatePolynomial.monomial_relation(2, 3)
-        ok, witness = squarefree_check(good)
-        assert ok and witness is None
+        assert squarefree_check(good) == (True, None, None)
         bad = BivariatePolynomial.product(
             [BivariatePolynomial.graph_of_power(2), BivariatePolynomial.graph_of_power(2)]
         )
-        ok, witness = squarefree_check(bad)
-        assert not ok and witness is not None
+        ok, witness, what = squarefree_check(bad)
+        assert not ok and witness is not None and what == "repeated factor"
 
     @pytest.mark.parametrize("factor,cofactor", [
         ([[0, -1], [1]], [[0, 0, -1], [0], [1]]),  # (z - w)(z^2 - w^2)
@@ -1062,8 +1063,8 @@ class TestBivariate:
     def test_witness_is_the_repeated_factor(self, factor, cofactor):
         factor = BivariatePolynomial(factor)
         cofactor = BivariatePolynomial(cofactor)
-        ok, witness = squarefree_check(BivariatePolynomial.product([factor, cofactor]))
-        assert not ok
+        ok, witness, what = squarefree_check(BivariatePolynomial.product([factor, cofactor]))
+        assert not ok and what == "repeated factor"
         # proportional: the witness is the factor times a nonzero scalar
         a = next(c for row in coefficients(factor) for c in row if c)
         b = next(c for row in coefficients(witness) for c in row if c)
@@ -1156,8 +1157,7 @@ class TestAgainstExpressionRoute:
                      with_factor_free_of_one_variable))
     @settings(max_examples=80, deadline=None)
     def test_squarefree_check(self, p):
-        ok, witness = squarefree_check(p)
-        assert (ok, witness) == reference_squarefree_check(p)
+        assert squarefree_check(p) == reference_squarefree_check(p)
 
 
 def _scaled(r, f, g, in_w: bool) -> list:
@@ -1185,8 +1185,9 @@ RAW_SPECS = [
 
 
 class TestNormRoute:
-    """squarefree_check decides on the norm p p-bar over ZZ first, and runs
-    the gcds over the Gaussian domain only when the norm is inconclusive."""
+    """squarefree_check accepts from univariate images of the norm p p-bar
+    over ZZ first, and runs the bivariate gcds over the Gaussian domain only
+    when the images are inconclusive or p is refused."""
 
     @pytest.fixture
     def fallbacks(self, monkeypatch):
@@ -1197,7 +1198,7 @@ class TestNormRoute:
 
     @pytest.mark.parametrize("rows", RAW_SPECS, ids=[f"raw-{i}" for i in range(len(RAW_SPECS))])
     def test_raw_polynomials_never_fall_back(self, fallbacks, rows):
-        assert squarefree_check(BivariatePolynomial(rows)) == (True, None)
+        assert squarefree_check(BivariatePolynomial(rows)) == (True, None, None)
         assert fallbacks == []
 
     def test_shared_factor_with_the_conjugate_falls_back(self, fallbacks):
@@ -1207,8 +1208,37 @@ class TestNormRoute:
             BivariatePolynomial([[[0, 0], [1, 0]], [[1, 0]]]),
             BivariatePolynomial([[[1, 0], [0, 1]], [[1, 0]]]),
         ])
-        assert squarefree_check(p) == (True, None) == reference_squarefree_check(p)
+        assert squarefree_check(p) == (True, None, None) == reference_squarefree_check(p)
         assert fallbacks == [p]
+
+    def test_unlucky_images_fall_back(self, fallbacks):
+        # z^2 - w^3 + w is squarefree, but its images at w0 = 0, 1, -1 are
+        # all z^2, so only the gcds over the smallest domain can accept
+        p = BivariatePolynomial([[0, 1, 0, -1], [0], [1]])
+        assert not polyalg._image_squarefree(p)
+        assert squarefree_check(p) == (True, None, None) == reference_squarefree_check(p)
+        assert fallbacks == [p]
+
+    @given(st.one_of(with_repeated_factor, with_factor_free_of_one_variable,
+                     real_times_gaussian, i_times_real))
+    @settings(max_examples=60, deadline=None)
+    def test_images_accept_only_what_the_gcds_accept(self, p):
+        # the image route is sound: it never accepts a refused polynomial,
+        # and what it accepts the bivariate norm route accepts too
+        if polyalg._image_squarefree(p):
+            assert reference_squarefree_check(p)[0]
+            assert norm_squarefree(p)
+
+    @given(bivariate(kinds=("ZZ", "QQ")), bivariate(kinds=("ZZ_I", "QQ_I")))
+    @settings(max_examples=40, deadline=None)
+    def test_norm_grid_is_sympy_norm(self, real, gaussian):
+        # N = A^2 + B^2 for d p = A + B i, and N = A when B = 0
+        for p in (real, gaussian):
+            A, B = (norm_parts(p, k) for k in (0, 1))
+            N = A if B.is_zero else A**2 + B**2
+            grid = polyalg._norm_grid(p)
+            assert {(i, j): c for i, row in enumerate(grid) for j, c in enumerate(row)
+                    if c} == N.as_dict()
 
     def test_dense_gaussian_within_a_second(self):
         # the gcds over Z[i] alone took 2.6 s on this (8, 8) polynomial
@@ -1217,5 +1247,5 @@ class TestNormRoute:
         rows[8][0] = rows[0][8] = [1, 0]
         p = BivariatePolynomial(rows)
         start = time.perf_counter()
-        assert squarefree_check(p) == (True, None)
+        assert squarefree_check(p) == (True, None, None)
         assert time.perf_counter() - start < 1.0
