@@ -16,8 +16,18 @@ BENCH_<n>.json files: ``about``, ``pairs`` (workload, seed, the side that
 ran first, ``bytecode`` and the JSON line bench/run.py printed for each
 side) and ``summary``, per workload and end-to-end metric of
 BENCHMARK.json: the median and the inclusive quartiles of each side, the
-pairs the change won, and the relative worsening of the change's median
-against the parent's (negative is better) beside the metric's bound.
+pairs the change won, the relative worsening of the change's median
+against the parent's (negative is better) beside the metric's bound, the
+parent's interquartile range and a verdict, the first that holds of
+
+  gain          the change won at least 9 of 10 pairs and its median is
+                better than the parent's by more than the parent's
+                interquartile range;
+  worse         the relative worsening exceeds the bound;
+  unresolved    the parent's interquartile range, relative to its median,
+                is wider than the bound, and not every change run is
+                better than every parent run;
+  within bound  any other case.
 ``all_correct`` is true when every run of both sides was correct with no
 failed op.  With --out the pairs already in FILE are kept and the summary
 covers them all; without it the record goes to stdout.  With no arguments
@@ -76,11 +86,25 @@ def summarise(pairs: list, metrics: list) -> dict:
                              if len(xs) > 1 else xs * 3)
                 stats[side] = {"median": statistics.median(xs), "q1": q1, "q3": q3}
             before, after = stats["parent"]["median"], stats["change"]["median"]
+            wins = sum(sign * (c - p) < 0 for p, c in zip(*values.values()))
+            iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+            worsening = sign * (after - before) / before
+            if wins >= 0.9 * len(mine) and sign * (before - after) > iqr:
+                verdict = "gain"
+            elif worsening > metric["bound"]:
+                verdict = "worse"
+            elif iqr > metric["bound"] * abs(before) and not all(
+                    sign * (c - p) < 0 for c in values["change"] for p in values["parent"]):
+                verdict = "unresolved"
+            else:
+                verdict = "within bound"
             entry[name] = dict(
                 stats,
-                change_wins=sum(sign * (c - p) < 0 for p, c in zip(*values.values())),
-                relative_worsening=round(sign * (after - before) / before, 4),
+                change_wins=wins,
+                relative_worsening=round(worsening, 4),
                 bound=metric["bound"],
+                parent_iqr=iqr,
+                verdict=verdict,
             )
         summary[workload] = entry
     return summary

@@ -14,6 +14,9 @@ State that outlives one call (the primes found on demand, cached matrices)
 must not change an answer: the CHANGE worker runs the corpus a second time
 in a shuffled order and must give the same bytes.  A few argvs also run as
 ``python -m corrdyn.cli`` processes, which must give what the workers gave.
+Workers and processes run under an address-space limit of MEMORY_LIMIT
+bytes, so that an argv one tree does not bound ends in a MemoryError (exit
+1, a difference) and not in the machine's memory running out.
 With no arguments both trees are this checkout, which shows that the corpus
 runs and gives the same bytes twice.  Each differing argv is printed, then
 one summary line; the exit code is 1 when any argv differs.
@@ -25,6 +28,7 @@ import io
 import json
 import os
 import random
+import resource
 import select
 import subprocess
 import sys
@@ -35,11 +39,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = sorted((ROOT / "tests" / "corpus").glob("*.jsonl"))
 TIMEOUT_S = 60
+MEMORY_LIMIT = 3 << 30
 FIELDS = ("exit code", "stdout", "stderr", "--out bytes")
 SHUFFLE_SEED = 20081
 # the worker's loop, started as python -c with this directory on sys.path
 SERVE = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
          "import compare_trees; compare_trees.serve()")
+
+
+def limit_memory():
+    """Cap this process's address space at MEMORY_LIMIT bytes, or below
+    where the hard limit is lower."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def run_in_process(argv) -> tuple:
@@ -85,6 +98,7 @@ def serve():
     line.  The results go out on a copy of the stdout descriptor, and
     descriptor 1 is pointed at stderr, so that nothing written there by the
     library can break the protocol."""
+    limit_memory()
     channel = os.fdopen(os.dup(1), "w", encoding="utf-8")
     os.dup2(2, 1)
     for line in sys.stdin:
@@ -143,7 +157,8 @@ def run_processes(trees, argv) -> list:
         procs = [subprocess.Popen([sys.executable, "-m", "corrdyn.cli", *argv], cwd=cwd,
                                   env=dict(os.environ, PYTHONPATH=str(tree / "src"),
                                            PYTHONHASHSEED="0"),
-                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  preexec_fn=limit_memory)
                  for tree, cwd in zip(trees, (a, b))]
         results = []
         for proc, cwd in zip(procs, (a, b)):

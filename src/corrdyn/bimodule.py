@@ -44,7 +44,7 @@ def inner_product(
     g(z, w), weighted by the branch indices e; f and g are callables of two
     SpherePoints (z, w) on the correspondence."""
     total = 0j
-    for z, e in corr.backward_fiber(w, tol).points:
+    for z, e in corr.backward_fiber(w, tol):
         total += e * complex(f(z, w)).conjugate() * complex(g(z, w))
     return total
 
@@ -73,30 +73,24 @@ class FiniteBimodule:
     @staticmethod
     def build(corr: Correspondence, points: Sequence) -> "FiniteBimodule":
         """The module over J = points, with an edge (z index, w index, branch
-        index) for each point z within 1e-7 of J over each w in J, from the
-        backward fibers ``invariant_check`` solved: two solves per point."""
+        index) for each point z over each w in J, z matched within 1e-7 by
+        ``invariant_check``: two solves per point.  Refused before any solve
+        when two points of J lie within chordal 2e-7, where a fiber point
+        could match either; otherwise its match is its nearest point of J."""
         J = tuple(
             p if isinstance(p, SpherePoint) else SpherePoint.from_complex(complex(p))
             for p in points
         )
-        fibers = []
-        ok, witness = invariant_check(corr, J, backward=fibers)
+        for j, q in enumerate(J):
+            for i in range(j):
+                if chordal_distance(J[i], q) <= 2e-7:
+                    raise InvalidInputError(
+                        f"points {i} and {j} of the set lie within chordal 2e-7 of each other"
+                    )
+        edges = []
+        ok, witness = invariant_check(corr, J, edges=edges)
         if not ok:
             raise InvalidInputError(f"set is not invariant: escapes via {witness}")
-        edges = []
-        m = corr.p.deg_z
-        for wi, fiber in enumerate(fibers):
-            total = 0
-            for z, e in fiber.points:
-                zi = min(range(len(J)), key=lambda i: chordal_distance(J[i], z))
-                if chordal_distance(J[zi], z) > 1e-7:
-                    raise InvalidInputError(f"fiber point {z} not within 1e-7 of the given set")
-                edges.append((zi, wi, e))
-                total += e
-            if fiber.points and total != m:
-                raise InvalidInputError(
-                    f"fiber over index {wi} has total weight {total}, expected {m}"
-                )
         return FiniteBimodule(J=J, edges=tuple(sorted(edges)))
 
 

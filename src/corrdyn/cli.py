@@ -7,11 +7,13 @@ Exit codes: 0 success, 2 invalid input, 3 resource refusal,
 Imports follow the command.  This module loads ``families`` alone at its
 top; each handler imports the modules it calls (``dynamics``,
 ``bimodule``, ``ktheory``, ``correspondence``).  ``parse_polynomial_spec``
-returns a ``PolynomialSpec`` that builds a family's ``Correspondence`` on
-first use, so kgroups, expansive and free without --sample, which read
-only the family's exponents, build no coefficient grid, load neither the
-float engine (``corrdyn.floats``, the one module that imports numpy) nor
-sympy, and answer in time independent of the exponents.
+returns a family's ``CircleCorrespondence`` or a raw grid's checked
+``Correspondence``; ``_correspondence`` builds a family's only for the
+commands that solve on it, so kgroups, expansive and free without --sample,
+which read only the family's exponents (``_family``), build no coefficient
+grid, load neither the float engine (``corrdyn.floats``, the one module
+that imports numpy) nor sympy, and answer in time independent of the
+exponents.
 """
 
 from __future__ import annotations
@@ -87,26 +89,11 @@ def _integers(v, what: str) -> list:
     return [_integer(x, f"each entry of {what}") for x in _json_list(v, what)]
 
 
-class PolynomialSpec:
-    """A parsed polynomial spec: ``family``, its CircleCorrespondence or None
-    for a raw grid, and ``correspondence``.  A raw grid's correspondence is
-    built, and checked, by the parser; a family's is built on first use, so
-    a command that reads only the family's exponents builds no grid."""
-
-    def __init__(self, family, correspondence=None):
-        self.family, self._correspondence = family, correspondence
-
-    @property
-    def correspondence(self):
-        if self._correspondence is None:
-            self._correspondence = self.family.to_correspondence()
-        return self._correspondence
-
-
-def parse_polynomial_spec(obj) -> PolynomialSpec:
-    """The --poly JSON object as a PolynomialSpec.  Every check of the
-    spec's shape and values is made here, in the order the fields are read,
-    and a raw grid's Correspondence is built and checked too."""
+def parse_polynomial_spec(obj):
+    """The --poly JSON object as the family's CircleCorrespondence, or as the
+    raw grid's Correspondence.  Every check of the spec's shape and values is
+    made here, in the order the fields are read, and a raw grid's
+    Correspondence is built and checked too."""
     if not isinstance(obj, dict):
         raise InvalidInputError("polynomial spec must be a JSON object")
     if "family" in obj:
@@ -128,7 +115,7 @@ def parse_polynomial_spec(obj) -> PolynomialSpec:
                 raise InvalidInputError(f"unknown family {fam!r}")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInputError(f"malformed {fam!r} family spec: {exc!r}") from exc
-        return PolynomialSpec(cc)
+        return cc
     if "factors" in obj:
         from .polyalg import BivariatePolynomial
 
@@ -140,7 +127,19 @@ def parse_polynomial_spec(obj) -> PolynomialSpec:
         raise InvalidInputError("spec needs one of: coeffs, factors, family")
     from .correspondence import Correspondence
 
-    return PolynomialSpec(None, Correspondence(poly))
+    return Correspondence(poly)
+
+
+def _family(args):
+    """The --poly spec's CircleCorrespondence, or None for a raw grid."""
+    spec = parse_polynomial_spec(_load_json_arg(args.poly))
+    return spec if isinstance(spec, CircleCorrespondence) else None
+
+
+def _correspondence(args):
+    """The --poly spec's Correspondence, a family's built here."""
+    spec = parse_polynomial_spec(_load_json_arg(args.poly))
+    return spec.to_correspondence() if isinstance(spec, CircleCorrespondence) else spec
 
 
 def _load_json_arg(text):
@@ -200,7 +199,7 @@ def _emit(args, report: dict):
 
 
 def cmd_fibers(args):
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     point = parse_point(_load_json_arg(args.point))
     if args.direction == "forward":
         fiber = corr.forward_fiber(point, args.tol)
@@ -212,14 +211,14 @@ def cmd_fibers(args):
         "tol": args.tol,
         "base": point_to_json(point),
         "points": [
-            {"point": point_to_json(z), "multiplicity": e} for z, e in fiber.points
+            {"point": point_to_json(z), "multiplicity": e} for z, e in fiber
         ],
-        "total_multiplicity": fiber.total_multiplicity,
+        "total_multiplicity": sum(e for _, e in fiber),
     })
 
 
 def cmd_branch(args):
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     restrict = None
     if args.restrict == "circle":
         restrict = "circle"
@@ -239,7 +238,7 @@ def cmd_branch(args):
 def cmd_paths(args):
     from . import dynamics
 
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     start = _points(args.start, "--start")
     paths = dynamics.path_space(corr, start, args.n, args.tol)
     _emit(args, {
@@ -256,7 +255,7 @@ def cmd_paths(args):
 def cmd_invariant(args):
     from . import dynamics
 
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     points = _points(args.set, "--set")
     ok, witness = dynamics.invariant_check(corr, points, args.tol)
     _emit(args, {
@@ -272,7 +271,7 @@ def cmd_invariant(args):
 def cmd_expansive(args):
     if args.max_steps < 1:
         raise InvalidInputError("--max-steps must be >= 1")
-    cc = parse_polynomial_spec(_load_json_arg(args.poly)).family
+    cc = _family(args)
     if cc is None or cc.kind != "monomial":
         raise UndecidedError(
             "no expansiveness criterion for this polynomial; use the monomial family"
@@ -320,8 +319,7 @@ def cmd_expansive(args):
 def cmd_free(args):
     if args.sample is not None and args.sample < 1:
         raise InvalidInputError("--sample must be >= 1")
-    spec = parse_polynomial_spec(_load_json_arg(args.poly))
-    cc = spec.family
+    cc = _family(args)
     if cc is None:
         raise UndecidedError("freeness criteria apply to the circle families only")
     decision = free_decide(cc)
@@ -345,9 +343,8 @@ def cmd_free(args):
             "certificate": gp.certificate,
         }
     if args.sample is not None:
-        rep = dynamics.gp_sample(
-            spec.correspondence, dynamics.circle_sampler, N=N, samples=args.sample, seed=args.seed
-        )
+        rep = dynamics.gp_sample(cc.to_correspondence(), dynamics.circle_sampler,
+                                 N=N, samples=args.sample, seed=args.seed)
         report["sample"] = {
             "samples": rep.samples,
             "density": rep.density,
@@ -392,7 +389,7 @@ def cmd_inner(args):
         raise InvalidInputError("--grid must be >= 1")
     if args.grid > dynamics.GRID_CAP:
         raise ResourceLimitError(f"--grid exceeds {dynamics.GRID_CAP} points")
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     f = _parse_function(_load_json_arg(args.f))
     g = _parse_function(_load_json_arg(args.g))
     ws = unit_circle_points(args.grid)
@@ -411,7 +408,7 @@ def cmd_inner(args):
 def cmd_fock(args):
     from . import bimodule
 
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     points = _points(args.set, "--set")
     fb = bimodule.FiniteBimodule.build(corr, points)
     ft = bimodule.fock_build(fb, args.K)
@@ -436,7 +433,7 @@ def cmd_kgroups(args):
             ],
         })
         return
-    cc = parse_polynomial_spec(_load_json_arg(args.poly)).family
+    cc = _family(args)
     if cc is None:
         raise UndecidedError("K-group builders exist for the circle families only")
     if cc.kind == "monomial":
@@ -466,7 +463,7 @@ def cmd_render(args):
         raise InvalidInputError("--px must be >= 1")
     if args.px > PX_CAP:
         raise ResourceLimitError(f"--px exceeds {PX_CAP} pixels per side")
-    corr = parse_polynomial_spec(_load_json_arg(args.poly)).correspondence
+    corr = _correspondence(args)
     start = parse_point(_load_json_arg(args.start)) if args.start else None
     pts = dynamics.limit_set_sample(
         corr,

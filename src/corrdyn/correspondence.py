@@ -1,8 +1,9 @@
 """Algebraic correspondences p(z,w)=0 on the Riemann sphere: projective
 points, fibers in both directions with multiplicities, and branched sets.
 
-Every fiber request is one solve in the affine chart where the base point
-lives; nothing is kept per base point.  The float path is one pass of the
+A fiber is a tuple of (SpherePoint, branch index) pairs.  Every fiber
+request is one solve in the affine chart where the base point lives;
+nothing is kept per base point.  The float path is one pass of the
 float engine, ``floats.FloatGrid.certified_points``, from the chart value
 to the sorted fiber points or to undecided: the companion eigenvalues of
 the complex128 coefficients, kept when disjoint inclusion discs prove each
@@ -20,9 +21,9 @@ the distinct roots of an exact polynomial, each refined by
 ``polish_roots``.  All of it runs on the one Gaussian-integer grid of p
 over its least denominator (``BivariatePolynomial.rows``) and its
 transpose, with no Fraction arithmetic from the parsed input to the
-printed points.  This module imports no numpy: a ``Correspondence``
-imports the float engine, ``corrdyn.floats``, when it builds its first
-``FloatGrid``, so building one and reading its degrees loads none.
+printed points.  This module imports no numpy: a ``Correspondence`` makes
+each direction's polynomial and ``FloatGrid``, which imports the float
+engine, ``corrdyn.floats``, on that direction's first fiber.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "SpherePoint",
     "chordal_distance",
     "Correspondence",
-    "WeightedFiber",
     "BranchedSets",
     "unit_circle_points",
 ]
@@ -114,26 +114,6 @@ def chordal_distance(a: SpherePoint, b: SpherePoint) -> float:
     return num / den
 
 
-class WeightedFiber(tuple):
-    """The fiber over base, the point solved over: points is a tuple of
-    (SpherePoint, branch index).  A tuple (base, points), as SpherePoint is
-    one, at less cost than a frozen dataclass."""
-
-    __slots__ = ()
-    base = property(itemgetter(0))
-    points = property(itemgetter(1))
-
-    def __new__(cls, base: SpherePoint, points: tuple):
-        return tuple.__new__(cls, (base, points))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(e for _, e in self.points)
-
-
 class BranchedSets(namedtuple(
         "BranchedSets", "branch_points branch_values cobranch_values cobranch_points")):
     """The four finite exceptional sets of a correspondence, each a tuple.
@@ -154,7 +134,7 @@ class BranchedSets(namedtuple(
 class Correspondence:
     """The zero set of a reduced polynomial p(z,w) viewed as the graph of
     the multivalued map z -> w.  Every fiber request is one ``_fiber`` solve
-    on the direction's ``FloatGrid``, made on its first request."""
+    on the direction's polynomial and ``FloatGrid``, made on its first one."""
 
     def __init__(self, p: BivariatePolynomial, check_squarefree: bool = True):
         if p.deg_z < 1 or p.deg_w < 1:
@@ -170,88 +150,29 @@ class Correspondence:
         self.p = p
         self.deg_z = p.deg_z
         self.deg_w = p.deg_w
-        # direction -> FloatGrid, or None when a coefficient is beyond float range
-        self._float_grids: dict = {}
 
     @cached_property
-    def _transposed(self) -> BivariatePolynomial:
-        """p with z and w exchanged, which forward fibers solve."""
-        return self.p.transpose()
+    def _backward(self) -> tuple:
+        """(p, its FloatGrid or None, deg_z): what a backward fiber solves."""
+        return self.p, _float_grid(self.p), self.deg_z
+
+    @cached_property
+    def _forward(self) -> tuple:
+        """(p with z and w exchanged, its FloatGrid or None, deg_w): what a
+        forward fiber solves."""
+        poly = self.p.transpose()
+        return poly, _float_grid(poly), self.deg_w
 
     # -- fibers --------------------------------------------------------------
 
-    def backward_fiber(
-        self, w: SpherePoint, tol: float = DEFAULT_FIBER_TOL
-    ) -> WeightedFiber:
+    def backward_fiber(self, w: SpherePoint, tol: float = DEFAULT_FIBER_TOL) -> tuple:
         """All z with p(z, w) = 0, each with its branch index (multiplicity
         of z as a root of p(., w)); indices sum to deg_z."""
-        return self._fiber(self._grid("b", self.p), self.p, w, self.deg_z, tol)
+        return _fiber(*self._backward, w, tol)
 
-    def forward_fiber(
-        self, z: SpherePoint, tol: float = DEFAULT_FIBER_TOL
-    ) -> WeightedFiber:
+    def forward_fiber(self, z: SpherePoint, tol: float = DEFAULT_FIBER_TOL) -> tuple:
         """All w with p(z, w) = 0, with multiplicities in w summing to deg_w."""
-        poly = self._transposed
-        return self._fiber(self._grid("f", poly), poly, z, self.deg_w, tol)
-
-    def _grid(self, direction: str, poly: BivariatePolynomial):
-        """The direction's ``floats.FloatGrid``, built on its first fiber,
-        which imports the float engine, or None when a coefficient is beyond
-        float range."""
-        if direction not in self._float_grids:
-            from .floats import FloatGrid
-
-            try:
-                self._float_grids[direction] = FloatGrid(poly)
-            except OverflowError:
-                self._float_grids[direction] = None
-        return self._float_grids[direction]
-
-    @staticmethod
-    def _fiber(
-        grid,
-        poly: BivariatePolynomial,
-        base: SpherePoint,
-        expected: int,
-        tol: float,
-    ) -> WeightedFiber:
-        """The fiber of poly over base, float first, solved afresh each call.
-
-        ``grid.certified_points`` takes the base point's chart value through
-        poly's complex128 grid to the sorted fiber points in one pass: the
-        companion eigenvalues, with the bits of ``np.roots``, are kept when
-        inclusion discs, run on Python scalars, prove them simple (so the
-        exact polynomial has degree ``expected``, no point at infinity and
-        no repeated root) and no two lie within chordal 2 tol, so that
-        which roots merge never depends on the path.  Otherwise poly
-        is specialised exactly at the chart value, read as x / q with x a
-        Gaussian integer and q a power of 2, and ``roots`` solves the
-        Gaussian-integer coefficients that come out; infinity is read off their
-        degree drop and 0 off their zero low-order terms.  Either way the fiber
-        is what ``_chordal_merge`` at tol makes of the roots and the point at
-        infinity: two simple roots closer than tol count as one double point.
-        """
-        v, inverted = base.chart_value()
-        if grid is not None:
-            points = grid.certified_points(v, inverted, 2 * tol)
-            if points is not None:
-                return WeightedFiber(base, points)
-        _, f = (poly.univariate_in_z_inverted if inverted else poly.univariate_in_z)(v)
-        if not f:
-            raise InvalidInputError(
-                "the fiber polynomial vanishes identically; the defining "
-                "polynomial has a factor free of one variable"
-            )
-        pairs, degree = roots(f), len(f) - 1
-        if expected > degree:
-            pairs.append((None, expected - degree))
-        fiber = WeightedFiber(base=base, points=tuple(_chordal_merge(pairs, tol)))
-        if fiber.total_multiplicity != expected:
-            raise RootFindingError(
-                f"fiber multiplicities sum to {fiber.total_multiplicity}, "
-                f"expected {expected}"
-            )
-        return fiber
+        return _fiber(*self._forward, z, tol)
 
     # -- branched sets -------------------------------------------------------
 
@@ -277,6 +198,56 @@ class Correspondence:
         ``_branching``, of p alone: the cobranch half is never solved."""
         points, _ = _branching(self.p.rows)
         return tuple(points if restrict_to is None else _restrict(points, restrict_to))
+
+
+def _float_grid(poly: BivariatePolynomial):
+    """poly's ``floats.FloatGrid``, which imports the float engine, or None
+    when a coefficient is beyond float range."""
+    from .floats import FloatGrid
+
+    try:
+        return FloatGrid(poly)
+    except OverflowError:
+        return None
+
+
+def _fiber(poly: BivariatePolynomial, grid, expected: int, base: SpherePoint,
+           tol: float) -> tuple:
+    """The fiber of poly over base, float first, solved afresh each call.
+
+    ``grid.certified_points`` takes the base point's chart value through
+    poly's complex128 grid to the sorted fiber points in one pass: the
+    companion eigenvalues, with the bits of ``np.roots``, are kept when
+    inclusion discs, run on Python scalars, prove them simple (so the
+    exact polynomial has degree ``expected``, no point at infinity and
+    no repeated root) and no two lie within chordal 2 tol, so that
+    which roots merge never depends on the path.  Otherwise poly
+    is specialised exactly at the chart value, read as x / q with x a
+    Gaussian integer and q a power of 2, and ``roots`` solves the
+    Gaussian-integer coefficients that come out; infinity is read off their
+    degree drop and 0 off their zero low-order terms.  Either way the fiber
+    is what ``_chordal_merge`` at tol makes of the roots and the point at
+    infinity: two simple roots closer than tol count as one double point.
+    """
+    v, inverted = base.chart_value()
+    if grid is not None:
+        points = grid.certified_points(v, inverted, 2 * tol)
+        if points is not None:
+            return points
+    _, f = (poly.univariate_in_z_inverted if inverted else poly.univariate_in_z)(v)
+    if not f:
+        raise InvalidInputError(
+            "the fiber polynomial vanishes identically; the defining "
+            "polynomial has a factor free of one variable"
+        )
+    pairs, degree = roots(f), len(f) - 1
+    if expected > degree:
+        pairs.append((None, expected - degree))
+    points = tuple(_chordal_merge(pairs, tol))
+    total = sum(e for _, e in points)
+    if total != expected:
+        raise RootFindingError(f"fiber multiplicities sum to {total}, expected {expected}")
+    return points
 
 
 def _branching(F):

@@ -99,7 +99,7 @@ def path_space(
     for _ in range(n):
         nxt = []
         for path in paths:
-            for w, e in corr.forward_fiber(path.end, tol).points:
+            for w, e in corr.forward_fiber(path.end, tol):
                 nxt.append(PathSample(points=path.points + (w,), weight=path.weight * e))
         paths = nxt
     return paths
@@ -107,24 +107,27 @@ def path_space(
 
 def invariant_check(
     corr: Correspondence, points: Sequence[SpherePoint], tol: float = 1e-7,
-    backward: Optional[list] = None,
+    edges: Optional[list] = None,
 ):
-    """Whether the finite set is invariant under fibers in both directions.
-    Returns (True, None) or (False, (base, escaping_point)); each backward
-    fiber solved is appended to backward, when that is a list."""
-    pts, backward = list(points), [] if backward is None else backward
+    """Whether the finite set is invariant under fibers in both directions,
+    each fiber point matched to the first point of the set within tol, the
+    only one when no two lie within 2 tol.  Returns (True, None) or (False,
+    (base, escaping_point)); each backward fiber point appends (its match's
+    index, the base's index, its branch index) to edges, if that is a list."""
+    pts, edges = list(points), [] if edges is None else edges
 
-    def inside(q):
-        return any(chordal_distance(q, p) <= tol for p in pts)
+    def match(q):
+        return next((i for i, p in enumerate(pts) if chordal_distance(q, p) <= tol), None)
 
-    for p in pts:
-        for w, _ in corr.forward_fiber(p).points:
-            if not inside(w):
+    for wi, p in enumerate(pts):
+        for w, _ in corr.forward_fiber(p):
+            if match(w) is None:
                 return False, (p, w)
-        backward.append(corr.backward_fiber(p))
-        for z, _ in backward[-1].points:
-            if not inside(z):
+        for z, e in corr.backward_fiber(p):
+            zi = match(z)
+            if zi is None:
                 return False, (p, z)
+            edges.append((zi, wi, e))
     return True, None
 
 
@@ -363,7 +366,7 @@ def gp_sample(
         z = sampler(rng)
         by_length = [[z]]
         for _ in range(N):
-            by_length.append([w for p in by_length[-1] for w, _ in corr.forward_fiber(p).points])
+            by_length.append([w for p in by_length[-1] for w, _ in corr.forward_fiber(p)])
         hits += any(
             chordal_distance(a, b) <= DEFAULT_FIBER_TOL
             for r in range(N + 1)
@@ -420,9 +423,9 @@ def limit_set_sample(
             if direction == "mixed":
                 step_dir = "forward" if rng.random() < 0.5 else "backward"
             if step_dir == "backward":
-                pts, degree = corr.backward_fiber(p).points, corr.deg_z
+                pts, degree = corr.backward_fiber(p), corr.deg_z
             else:
-                pts, degree = corr.forward_fiber(p).points, corr.deg_w
+                pts, degree = corr.forward_fiber(p), corr.deg_w
             if len(pts) == degree:  # all simple: rng.choices' pick and draw at unit weights
                 p = pts[math.floor(rng.random() * degree)][0]
             else:

@@ -2,8 +2,8 @@
 by their exponents alone, and the closed forms that read nothing else:
 expansiveness, the component count and freeness.  With ktheory's builders
 they answer kgroups, expansive and free, so this module imports neither
-numpy nor the polynomial machinery; ``to_correspondence`` loads that on
-first use.  ``dynamics`` re-exports the class."""
+numpy nor the polynomial machinery; ``to_correspondence``, the one builder
+of a family's correspondence, loads that on first use."""
 
 from __future__ import annotations
 

@@ -202,22 +202,14 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
     distinct exponents.  The ideal sits over the b branched points on the
     circle: K_0(I_X) = 0, K_1(I_X) = Z^b.  In degree 1 the inclusion sums
     the coordinates and the left action multiplies by r (each branched point
-    is an r-fold coincidence), so the map is the row (1-r, ..., 1-r)."""
-    exps = [int(e) for e in exponents]
-    if len(exps) < 2:
-        raise InvalidInputError("need at least two exponents")
-    if len(set(exps)) != len(exps):
-        raise InvalidInputError("duplicate exponents give a non-squarefree product")
-    if min(exps) < 1:
-        raise InvalidInputError("exponents must be >= 1")
-    from .polyalg import BivariatePolynomial as BP
-    from .correspondence import Correspondence
+    is an r-fold coincidence), so the map is the row (1-r, ..., 1-r).
+    ``CircleCorrespondence.power_product`` checks the exponents and builds
+    the correspondence."""
+    from .families import CircleCorrespondence
 
-    # squarefree: the factors w - z^e are distinct and irreducible
-    corr = Correspondence(BP.product([BP.graph_of_power(e) for e in exps]),
-                          check_squarefree=False)
-    b = len(corr.branch_points(restrict_to="circle"))
-    r = len(exps)
+    cc = CircleCorrespondence.power_product(exponents)
+    b = len(cc.to_correspondence().branch_points(restrict_to="circle"))
+    r = len(cc.params)
     Z = AbelianGroupPresentation(rank=1)
     return PimsnerInput(
         K0_IX=AbelianGroupPresentation(rank=0),
@@ -226,7 +218,7 @@ def product_family_input(exponents: Sequence[int]) -> PimsnerInput:
         K1_A=Z,
         map0=IntegerMatrix.zero(1, 0),
         map1=IntegerMatrix.of([[1 - r] * b]),
-        label=f"product({','.join(map(str, exps))})",
+        label=f"product({','.join(map(str, cc.params))})",
     )
 
 

@@ -660,7 +660,7 @@ def norm_inf(corr, f, w_samples) -> float:
     """Sup norm of f over fiber points above the sample grid."""
     best = 0.0
     for w in w_samples:
-        for z, _ in corr.backward_fiber(w).points:
+        for z, _ in corr.backward_fiber(w):
             best = max(best, abs(complex(f(z, w))))
     return best
 
@@ -696,7 +696,7 @@ def tensor_isometry_check(corr, f_list, g_list, w_samples) -> float:
     def recursive(k: int, w: SpherePoint) -> complex:
         # inner product of the first k factors, evaluated at w
         total = 0j
-        for z, e in corr.backward_fiber(w).points:
+        for z, e in corr.backward_fiber(w):
             middle = recursive(k - 1, z) if k > 1 else 1.0
             total += (
                 e
@@ -1031,7 +1031,7 @@ def coefficient_grid(c, e) -> FloatGrid:
 def multiplicity_at(fiber, p: SpherePoint, tol: float) -> int:
     """The multiplicity of the first point of fiber within chordal tol of
     p, or 0."""
-    for q, e in fiber.points:
+    for q, e in fiber:
         if chordal_distance(p, q) <= tol:
             return e
     return 0
@@ -1077,7 +1077,7 @@ def paths_ending_at(corr, w: SpherePoint, n: int, tol: float = 1e-6) -> list:
     for _ in range(n):
         paths = [PathSample(points=(z,) + path.points, weight=path.weight * e)
                  for path in paths
-                 for z, e in corr.backward_fiber(path.points[0], tol).points]
+                 for z, e in corr.backward_fiber(path.points[0], tol)]
     return paths
 
 
@@ -1088,7 +1088,7 @@ def propagate_finite(corr, start, n: int) -> list:
     for _ in range(n):
         nxt = []
         for p in current:
-            for w, _ in corr.forward_fiber(p).points:
+            for w, _ in corr.forward_fiber(p):
                 if all(chordal_distance(w, q) > 1e-7 for q in nxt):
                     nxt.append(w)
         current = nxt

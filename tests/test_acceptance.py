@@ -212,7 +212,7 @@ def test_criterion_8_basis_reconstruction():
         rng = random.Random(m)
         f = _random_trig(rng, degree=m + 1)
         for w in unit_circle_points(16):
-            for z, _ in corr.backward_fiber(w).points:
+            for z, _ in corr.backward_fiber(w):
                 total = sum(
                     complex(u(z, w)) * inner_product(corr, u, f, w) for u in us
                 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrdyn import cli
+from corrdyn import cli, correspondence
 from corrdyn.bimodule import (
     FiniteBimodule,
     FockTruncation,
@@ -158,7 +158,7 @@ class TestBasis:
         rng = random.Random(m)
         f = random_trig(rng, degree=m + 2)
         for w in unit_circle_points(12):
-            for z, _ in corr.backward_fiber(w).points:
+            for z, _ in corr.backward_fiber(w):
                 total = sum(
                     complex(u(z, w)) * inner_product(corr, u, f, w) for u in us
                 )
@@ -225,16 +225,30 @@ class TestFiniteBimodule:
         with pytest.raises(InvalidInputError):
             FiniteBimodule.build(circle_rel(), [0, 1])
 
+    def test_repeated_point_refused_before_any_fiber(self, monkeypatch, capsys):
+        # J is a set: two of its points within chordal 2e-7, where a fiber
+        # point within 1e-7 of both could match either, are refused by index
+        def refuse(*args):
+            raise AssertionError("a fiber was solved before J was checked")
+
+        monkeypatch.setattr(correspondence, "_fiber", refuse)
+        spec = '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}'
+        assert cli.main(["fock", "--poly", spec, "--set", "[[1,0],[0,0],[-1,0],[1,0]]",
+                         "--K", "2"]) == 2
+        assert "points 0 and 3 of the set" in capsys.readouterr().err
+        with pytest.raises(InvalidInputError, match="points 1 and 2 of the set"):
+            FiniteBimodule.build(circle_rel(), [1, 0, 1.5e-7])
+
     def test_fock_solves_two_fibers_per_point(self, monkeypatch, capsys):
         # one forward and one backward solve per point of J: the module is
         # built on the backward fibers invariant_check solved
-        solve, bases = Correspondence._fiber, []
+        solve, bases = correspondence._fiber, []
 
-        def counting(grid, poly, base, expected, tol):
+        def counting(poly, grid, expected, base, tol):
             bases.append(base)
-            return solve(grid, poly, base, expected, tol)
+            return solve(poly, grid, expected, base, tol)
 
-        monkeypatch.setattr(Correspondence, "_fiber", staticmethod(counting))
+        monkeypatch.setattr(correspondence, "_fiber", counting)
         spec = '{"coeffs":[[[-1,0],[0,0],[1,0]],[[0,0]],[[1,0]]]}'
         assert cli.main(["fock", "--poly", spec, "--set", "[[0,0],[1,0],[-1,0]]",
                          "--K", "5"]) == 0

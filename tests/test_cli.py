@@ -843,7 +843,7 @@ class TestEscapingOrbits:
             assert last_error(capsys) == "root-finding"
             return
         assert code == 0
-        corr = parse_polynomial_spec(json.loads(spec)).correspondence
+        corr = parse_polynomial_spec(json.loads(spec)).to_correspondence()
         chain = []
         for line in out.read_text().splitlines()[1:]:
             re, im, chart = line.split(",")

@@ -360,9 +360,9 @@ class TestLimitSet:
         for i in range(300 + BURN_IN):
             step = direction if direction != "mixed" else (
                 "forward" if rng.random() < 0.5 else "backward")
-            pts = (corr.forward_fiber(p) if step == "forward" else corr.backward_fiber(p)).points
+            pts = corr.forward_fiber(p) if step == "forward" else corr.backward_fiber(p)
             p = rng.choices([q for q, _ in pts], weights=[e for _, e in pts], k=1)[0]
             want += [p] if i >= BURN_IN else []
         assert limit_set_sample(corr, 300, seed=5, direction=direction, start=start) == want
         if direction == "forward":
-            assert max(e for _, e in corr.forward_fiber(want[-1]).points) > 1
+            assert max(e for _, e in corr.forward_fiber(want[-1])) > 1

@@ -69,3 +69,67 @@ def test_script_check_fails_with_exit_one(monkeypatch, capsys, tmp_path, name, a
     monkeypatch.setattr(sys, "argv", [f"{name}.py"] + (args if args is not None else [str(tmp_path)]))
     assert script.main() == 1
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_compare_trees_limits_memory(tmp_path):
+    # the workers and the processes of compare_trees.py run under
+    # MEMORY_LIMIT, and an allocation past it comes back as MemoryError;
+    # the child checks the limit before it allocates, so a missing limit
+    # fails the test without taking the machine's memory
+    script = _load("compare_trees")
+    child = ("import resource, compare_trees\n"
+             "compare_trees.limit_memory()\n"
+             "soft, _ = resource.getrlimit(resource.RLIMIT_AS)\n"
+             "assert soft <= compare_trees.MEMORY_LIMIT, soft\n"
+             "try:\n"
+             "    bytearray(compare_trees.MEMORY_LIMIT)\n"
+             "except MemoryError:\n"
+             "    print('MemoryError')\n")
+    proc = subprocess.run([sys.executable, "-c", child], cwd=ROOT / "scripts",
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "MemoryError\n", proc.stderr
+    # a tree whose cli.main prints its process's address-space limit
+    (tmp_path / "src" / "corrdyn").mkdir(parents=True)
+    (tmp_path / "src" / "corrdyn" / "cli.py").write_text(
+        "import resource, sys\n"
+        "def main(argv):\n"
+        "    print(resource.getrlimit(resource.RLIMIT_AS)[0])\n"
+        "    return 0\n"
+        "if __name__ == '__main__':\n"
+        "    sys.exit(main(sys.argv[1:]))\n")
+    worker = script.Worker(tmp_path)
+    try:
+        worker.send([])
+        code, out, _, _ = worker.receive()
+    finally:
+        worker.close()
+    want = (0, str(script.MEMORY_LIMIT).encode() + b"\n")
+    assert (code, out) == want
+    for code, out, _, _ in script.run_processes([tmp_path, tmp_path], []):
+        assert (code, out) == want
+
+
+def test_bench_pairs_verdicts():
+    # one verdict per workload and metric, from ten synthetic pairs of a
+    # higher-is-better metric with bound 0.2
+    script = _load("bench_pairs")
+    metric = {"name": "ops_per_s", "better": "higher", "bound": 0.2}
+    flat = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    wide = [50, 150] * 5  # parent interquartile range 100, median 100
+    cases = {
+        "gain": (flat, [1.1 * v for v in flat]),
+        "worse": (flat, [0.7 * v for v in flat]),
+        "within bound": (flat, [0.95 * v for v in flat]),
+        "unresolved": (wide, [100] * 10),
+        # every change run beats every parent run, by no more than the range
+        "all better": (wide, [200] * 10),
+    }
+    pairs = [{"workload": name, **{side: {"correct": True, "failed": 0,
+                                          "metrics": {"ops_per_s": {"value": v}}}
+                                   for side, v in (("parent", p), ("change", c))}}
+             for name, (parent, change) in cases.items() for p, c in zip(parent, change)]
+    summary = script.summarise(pairs, [metric])
+    verdicts = {name: summary[name]["ops_per_s"]["verdict"] for name in cases}
+    assert verdicts == {"gain": "gain", "worse": "worse", "within bound": "within bound",
+                        "unresolved": "unresolved", "all better": "within bound"}
+    assert summary["unresolved"]["ops_per_s"]["parent_iqr"] == 100

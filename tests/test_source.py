@@ -56,11 +56,10 @@ def test_benchmark_tracer_targets_exist():
 
 
 # functions that no command line enters but that must stay: the pickling
-# hooks of the two tuple subclasses (test_correspondence pickles both) and
-# the equality of polynomials, which tests compare with ==
+# hook of SpherePoint (test_correspondence pickles it) and the equality of
+# polynomials, which tests compare with ==
 UNREACHED_ALLOWED = {
     ("correspondence", "SpherePoint.__getnewargs__"),
-    ("correspondence", "WeightedFiber.__getnewargs__"),
     ("polyalg", "BivariatePolynomial.__eq__"),
 }
 
